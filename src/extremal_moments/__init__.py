@@ -6,26 +6,10 @@ cardinality of the associated algebraic variety, and recover the unique
 measure when it does.
 """
 
-from .polycore import (
-    InputError,
-    MINUS_INFINITY,
-    Polynomial,
-    basis_size,
-    format_scalar,
-    monomial_basis,
-    monomial_to_string,
-    parse_scalar,
-    poly_to_string,
-    total_degree,
-)
+from .polycore import monomial_basis
 from .moments import (
-    DEFAULT_POLICY,
-    FlatnessVerdict,
-    KernelReport,
     MomentMatrix,
     Multisequence,
-    PsdVerdict,
-    RecursivenessVerdict,
     TolerancePolicy,
     build_moment_matrix,
     dump_multisequence,
@@ -38,10 +22,6 @@ from .moments import (
     riesz,
 )
 from .variety import (
-    EvalMatrix,
-    InjectivityVerdict,
-    VandermondeReport,
-    VarietyReport,
     bivariate_gcd,
     build_W,
     compute_variety,
@@ -53,11 +33,8 @@ from .variety import (
     resultant_eliminate_y,
     vandermonde_VB,
 )
+from .pipeline import Pipeline
 from .consistency import (
-    CertificateVerdict,
-    ConsistencyVerdict,
-    ReducedVerdict,
-    SignedRepresentation,
     compute_h,
     compute_k_from_extension,
     consistency_check,
@@ -68,17 +45,12 @@ from .consistency import (
 from .extremal import (
     AtomicMeasure,
     SolveReport,
-    VerificationReport,
     dump_measure,
     load_measure,
     solve_extremal,
     verify_measure,
 )
 from .extension import (
-    ExtensionReport,
-    ExtensionSearchReport,
-    FlatExtensionVerdict,
-    TightnessVerdict,
     extend_via_measure,
     extension_search,
     flat_extension_check,
@@ -98,41 +70,17 @@ from .synth import (
     load_functional,
     moments_of_atoms,
 )
-from .cli import AnalysisReport, analyze_beta
 
 __all__ = [
-    "AnalysisReport",
     "AtomicMeasure",
-    "CertificateVerdict",
     "ComplexMomentData",
-    "ConsistencyVerdict",
-    "DEFAULT_POLICY",
     "Derivation",
-    "EvalMatrix",
-    "ExtensionReport",
-    "ExtensionSearchReport",
-    "FlatExtensionVerdict",
-    "FlatnessVerdict",
-    "InjectivityVerdict",
-    "InputError",
-    "KernelReport",
-    "MINUS_INFINITY",
     "MomentMatrix",
     "Multisequence",
-    "Polynomial",
-    "PsdVerdict",
-    "RecursivenessVerdict",
-    "ReducedVerdict",
+    "Pipeline",
     "SignedFunctional",
-    "SignedRepresentation",
     "SolveReport",
-    "TightnessVerdict",
     "TolerancePolicy",
-    "VandermondeReport",
-    "VarietyReport",
-    "VerificationReport",
-    "analyze_beta",
-    "basis_size",
     "beta_from_atoms",
     "beta_from_functional",
     "bivariate_gcd",
@@ -154,7 +102,6 @@ __all__ = [
     "extension_search",
     "flat_extension_check",
     "flatness_check",
-    "format_scalar",
     "hilbert_function",
     "injectivity_check",
     "load_functional",
@@ -163,10 +110,7 @@ __all__ = [
     "load_points",
     "moments_of_atoms",
     "monomial_basis",
-    "monomial_to_string",
     "multisequence_combine",
-    "parse_scalar",
-    "poly_to_string",
     "propagate_recursive_extension",
     "psd_check",
     "rank_kernel",
@@ -178,7 +122,6 @@ __all__ = [
     "simple_zero_certificate",
     "solve_extremal",
     "tightness_check",
-    "total_degree",
     "vandermonde_VB",
     "verify_measure",
 ]

@@ -12,6 +12,7 @@ free column, support otherwise restricted to pivot columns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -94,44 +95,7 @@ def row_reduce(rows: Sequence[Sequence[Scalar]],
 
 
 def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
-    # Clear denominators row by row (row scaling changes neither the row
-    # space, the kernel, nor the pivot columns), then eliminate with the
-    # Bareiss one-step formula over integers.
-    work = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fracs:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        work.append([int(x * lcm) for x in fracs])
-
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, nrows):
-            # Every row below must be rescaled at every step, even with a
-            # zero head entry, or the next step's division stops being exact.
-            head = work[i][c]
-            row_i = work[i]
-            row_r = work[r]
-            for j in range(c, ncols):
-                row_i[j] = (row_i[j] * piv - head * row_r[j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-
+    work, pivots, _, _ = _eliminate(rows, ncols)
     rank = len(pivots)
     # Back-substitute the integer echelon form into a rational RREF.
     rref = [[Fraction(x) for x in work[i]] for i in range(rank)]
@@ -146,10 +110,54 @@ def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
                            tuple(pivots), tuple(tuple(r_) for r_ in rref))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _eliminate(rows, ncols):
+    """Fraction-free forward elimination of exact rows on their first *ncols*
+    columns; any further columns (a right-hand side) are carried along.
+
+    Each row is first scaled to integers (row scaling changes neither the row
+    space, the kernel, nor the pivot columns), then eliminated with the
+    Bareiss one-step formula, so every entry stays an integer and the pivot
+    of step k is a k x k minor of the scaled matrix.  Returns ``(work,
+    pivots, scale, sign)``: the echelon rows, the pivot columns, the product
+    of the row scales and the sign of the row permutation.
+    """
+    work = []
+    scale = 1
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        lcm = 1
+        for x in fracs:
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        work.append([x.numerator * (lcm // x.denominator) for x in fracs])
+        scale *= lcm
+    nrows, width = len(work), len(work[0]) if work else 0
+
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        row_r = work[r]
+        piv = row_r[c]
+        for i in range(r + 1, nrows):
+            # Every row below must be rescaled at every step, even with a
+            # zero head entry, or the next step's division stops being exact.
+            row_i = work[i]
+            head = row_i[c]
+            for j in range(c, width):
+                row_i[j] = (row_i[j] * piv - head * row_r[j]) // prev
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots, scale, sign
 
 
 def _row_reduce_float(rows, nrows, ncols, tol_rank) -> LinearReduction:
@@ -188,7 +196,19 @@ def _row_reduce_float(rows, nrows, ncols, tol_rank) -> LinearReduction:
 def solve_linear(rows, rhs):
     """Solve A x = b for square A; exact iff all inputs are exact."""
     if matrix_is_exact(rows) and all_exact(rhs):
-        return solve_exact(rows, rhs)
+        n = len(rows)
+        work, pivots, _, _ = _eliminate(
+            [list(row) + [b] for row, b in zip(rows, rhs)], n)
+        if len(pivots) < n:
+            raise SingularMatrixError("exact solve: singular matrix")
+        x = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            row = work[i]
+            total = Fraction(row[n])
+            for j in range(i + 1, n):
+                total -= row[j] * x[j]
+            x[i] = total / row[i]
+        return x
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     b = np.array([float(x) for x in rhs], dtype=float)
     try:
@@ -198,47 +218,17 @@ def solve_linear(rows, rhs):
     return [float(v) for v in x]
 
 
-def solve_exact(rows, rhs):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("exact solve: singular matrix")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
-
-
 def determinant(rows):
-    """Determinant; exact (Fraction) iff all entries are exact."""
+    """Determinant; exact (Fraction) iff all entries are exact.  The exact
+    value is the signed last Bareiss pivot over the product of row scales."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if matrix_is_exact(rows):
-        work = [[Fraction(x) for x in row] for row in rows]
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                det = -det
-            piv = work[c][c]
-            det *= piv
-            inv = 1 / piv
-            for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    factor = work[i][c] * inv
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
-        return det
+        work, pivots, scale, sign = _eliminate(rows, n)
+        if len(pivots) < n:
+            return Fraction(0)
+        return Fraction(sign * work[n - 1][n - 1], scale)
     return float(np.linalg.det(
         np.array([[float(x) for x in row] for row in rows], dtype=float)))
 

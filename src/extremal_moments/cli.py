@@ -17,40 +17,30 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
-from .consistency import ConsistencyVerdict, consistency_check
-from .extension import ExtensionSearchReport, extension_search
+from .extension import extension_search
 from .extremal import (
     AtomicMeasure,
-    SolveReport,
     dump_measure,
     load_measure,
+    solve,
     solve_extremal,
 )
 from .moments import (
     DEFAULT_POLICY,
-    FlatnessVerdict,
     KernelReport,
-    Multisequence,
-    PsdVerdict,
-    RecursivenessVerdict,
     TolerancePolicy,
-    build_moment_matrix,
     dump_multisequence,
     load_multisequence,
-    psd_check,
-    rank_kernel,
-    recursiveness_check,
-    flatness_check,
 )
+from .pipeline import Pipeline
 from .polycore import (
     InputError,
     Polynomial,
-    format_scalar,
-    is_exact,
+    compact_scalar,
+    monomial_basis,
     monomial_to_string,
+    parse_scalar,
     poly_to_string,
 )
 from .synth import (
@@ -61,11 +51,9 @@ from .synth import (
     load_functional,
 )
 from .variety import (
-    InjectivityVerdict,
+    UNSUPPORTED_DIMENSION,
     VarietyReport,
-    compute_variety,
     dump_points,
-    injectivity_check,
     load_points,
 )
 
@@ -73,41 +61,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_MEASURE = 2
 EXIT_INCONCLUSIVE = 3
-
-
-# ---------------------------------------------------------------------------
-# analysis battery
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    beta: Multisequence
-    psd: PsdVerdict
-    kernel: KernelReport
-    recursiveness: RecursivenessVerdict
-    flatness: Optional[FlatnessVerdict]
-    variety: Optional[VarietyReport]
-    consistency: Optional[ConsistencyVerdict]
-    injectivity: Optional[InjectivityVerdict]
-
-
-def analyze_beta(beta: Multisequence,
-                 pol: TolerancePolicy = DEFAULT_POLICY) -> AnalysisReport:
-    matrix = build_moment_matrix(beta)
-    psd = psd_check(matrix, pol)
-    kernel = rank_kernel(matrix, pol)
-    recursiveness = recursiveness_check(matrix, kernel, pol)
-    flatness = flatness_check(matrix, pol) if matrix.n >= 1 else None
-    variety = None
-    consistency = None
-    injectivity = None
-    if kernel.nullity > 0 and beta.d <= 2:
-        variety = compute_variety(list(kernel.kernel), pol)
-        consistency = consistency_check(beta, variety, pol)
-        if variety.status == "Finite" and variety.points:
-            injectivity = injectivity_check(kernel, variety.points, pol)
-    return AnalysisReport(beta, psd, kernel, recursiveness,
-                          flatness, variety, consistency, injectivity)
 
 
 def relation_strings(report: KernelReport) -> list:
@@ -132,16 +85,8 @@ def relation_strings(report: KernelReport) -> list:
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def _scalar_str(x) -> str:
-    if x is None:
-        return "null"
-    if is_exact(x) and x.denominator < 10**12:
-        return format_scalar(x)
-    return repr(float(x))
-
-
 def _point_strs(point) -> list:
-    return [_scalar_str(x) for x in point]
+    return [compact_scalar(x) for x in point]
 
 
 def _v_str(v) -> str:
@@ -152,24 +97,13 @@ def _v_str(v) -> str:
     return str(int(v))
 
 
-def _variety_json(variety: Optional[VarietyReport]):
-    if variety is None:
-        return None
+def _variety_json(variety: VarietyReport) -> dict:
     return {
         "status": variety.status,
         "points": [_point_strs(w) for w in variety.points],
         "witness": poly_to_string(variety.witness) if variety.witness else None,
         "reason": variety.reason,
         "multiple_roots": variety.multiple_roots,
-    }
-
-
-def _measure_json(measure: Optional[AtomicMeasure]):
-    if measure is None:
-        return None
-    return {
-        "atoms": [_point_strs(w) for w in measure.atoms],
-        "densities": [_scalar_str(r) for r in measure.densities],
     }
 
 
@@ -198,21 +132,16 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 
 def _policy_from_args(args) -> TolerancePolicy:
-    updates = {}
-    if args.tol_rank is not None:
-        updates["rank"] = args.tol_rank
-    if args.tol_root is not None:
-        updates["root"] = args.tol_root
-    if args.tol_residual is not None:
-        updates["residual"] = args.tol_residual
-    return dataclasses.replace(DEFAULT_POLICY, **updates) \
-        if updates else DEFAULT_POLICY
+    flags = {"rank": args.tol_rank, "root": args.tol_root,
+             "residual": args.tol_residual}
+    return dataclasses.replace(DEFAULT_POLICY, **{
+        name: value for name, value in flags.items() if value is not None})
 
 
 def _cmd_analyze(args) -> int:
     beta = load_multisequence(args.moments, args.mode)
-    pol = _policy_from_args(args)
-    report = analyze_beta(beta, pol)
+    pipe = Pipeline(beta, _policy_from_args(args))
+    kernel = pipe.kernel
     out = _Emitter(args.format)
     out.set("command", "analyze")
     out.line(f"data: d={beta.d}, degree={beta.degree}, "
@@ -220,50 +149,49 @@ def _cmd_analyze(args) -> int:
     out.set("d", beta.d)
     out.set("degree", beta.degree)
     out.set("exact", beta.is_exact)
-    out.line(f"M({beta.n}): size {report.kernel.basis and len(report.kernel.basis)}, "
-             f"rank {report.kernel.rank}, psd {report.psd.status}")
-    out.set("rank", report.kernel.rank)
-    out.set("psd", report.psd.status)
-    relations = relation_strings(report.kernel)
+    out.line(f"M({beta.n}): size {kernel.basis and len(kernel.basis)}, "
+             f"rank {kernel.rank}, psd {pipe.psd.status}")
+    out.set("rank", kernel.rank)
+    out.set("psd", pipe.psd.status)
+    relations = relation_strings(kernel)
     for rel in relations:
         out.line(f"relation: {rel}")
     out.set("relations", relations)
-    out.line(f"recursively generated: {report.recursiveness.status}")
-    out.set("recursiveness", report.recursiveness.status)
-    if report.flatness is not None:
-        out.line(f"flat over M({beta.n - 1}): {report.flatness.flat} "
-                 f"(rank {report.flatness.rank_previous} -> "
-                 f"{report.flatness.rank})")
-        out.set("flat", report.flatness.flat)
-    if report.variety is not None:
-        out.line(f"variety: {report.variety.status}, "
-                 f"card {_v_str(report.variety.v)}")
-        for w in report.variety.points:
+    out.line(f"recursively generated: {pipe.recursiveness.status}")
+    out.set("recursiveness", pipe.recursiveness.status)
+    if pipe.flatness is not None:
+        out.line(f"flat over M({beta.n - 1}): {pipe.flatness.flat} "
+                 f"(rank {pipe.flatness.rank_previous} -> "
+                 f"{pipe.flatness.rank})")
+        out.set("flat", pipe.flatness.flat)
+    if pipe.variety is not None:
+        out.line(f"variety: {pipe.variety.status}, "
+                 f"card {_v_str(pipe.variety.v)}")
+        for w in pipe.variety.points:
             out.line("  point: (" + ", ".join(_point_strs(w)) + ")")
-        out.set("variety", _variety_json(report.variety))
-    if report.consistency is not None:
-        verdict = report.consistency
+        out.set("variety", _variety_json(pipe.variety))
+    if pipe.consistency is not None:
+        verdict = pipe.consistency
         out.line(f"consistency: {verdict.status}"
                  + (f" (witness {poly_to_string(verdict.witness)}, "
-                    f"value {_scalar_str(verdict.value)})"
+                    f"value {compact_scalar(verdict.value)})"
                     if verdict.status == "Inconsistent" else "")
                  + (f" ({verdict.reason})" if verdict.reason else ""))
         out.set("consistency", verdict.status)
-    if report.injectivity is not None:
+    if pipe.injectivity is not None:
         out.line(f"point evaluations separate columns: "
-                 f"{report.injectivity.injective} "
-                 f"(rank M {report.injectivity.rank_m}, "
-                 f"rank W {report.injectivity.rank_w})")
-        out.set("injective", report.injectivity.injective)
+                 f"{pipe.injectivity.injective} "
+                 f"(rank M {pipe.injectivity.rank_m}, "
+                 f"rank W {pipe.injectivity.rank_w})")
+        out.set("injective", pipe.injectivity.injective)
     out.flush()
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     beta = load_multisequence(args.moments, args.mode)
-    pol = _policy_from_args(args)
     points = load_points(args.points, args.mode) if args.points else None
-    report = solve_extremal(beta, pol, points=points)
+    report = solve_extremal(beta, _policy_from_args(args), points)
     out = _Emitter(args.format)
     out.set("command", "solve")
     out.set("status", report.status)
@@ -279,16 +207,14 @@ def _cmd_solve(args) -> int:
         out.line(f"witness: {poly_to_string(report.witness)}")
         out.set("witness", poly_to_string(report.witness))
         if report.value is not None:
-            out.line(f"functional value at witness: {_scalar_str(report.value)}")
-            out.set("value", _scalar_str(report.value))
+            out.line(f"functional value at witness: "
+                     f"{compact_scalar(report.value)}")
+            out.set("value", compact_scalar(report.value))
     if report.kernel is not None:
         out.set("relations", relation_strings(report.kernel))
     if report.measure is not None:
         out.line(f"atoms ({report.measure.size}):")
-        for w, rho in zip(report.measure.atoms, report.measure.densities):
-            out.line("  (" + ", ".join(f"{float(x)!r}" for x in w)
-                     + f") density {float(rho)!r}")
-        out.set("measure", _measure_json(report.measure))
+        _emit_measure(out, report.measure)
     if report.residual is not None:
         out.line(f"max moment residual: {report.residual!r}")
         out.set("residual", repr(report.residual))
@@ -302,11 +228,21 @@ def _cmd_solve(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _emit_measure(out: _Emitter, measure: AtomicMeasure) -> None:
+    """One text line per atom; the "measure" key of structured output."""
+    for w, rho in zip(measure.atoms, measure.densities):
+        out.line("  (" + ", ".join(f"{float(x)!r}" for x in w)
+                 + f") density {float(rho)!r}")
+    out.set("measure", {
+        "atoms": [_point_strs(w) for w in measure.atoms],
+        "densities": [compact_scalar(r) for r in measure.densities],
+    })
+
+
 def _cmd_variety(args) -> int:
     beta = load_multisequence(args.moments, args.mode)
-    pol = _policy_from_args(args)
-    matrix = build_moment_matrix(beta)
-    report = rank_kernel(matrix, pol)
+    pipe = Pipeline(beta, _policy_from_args(args))
+    report = pipe.kernel
     out = _Emitter(args.format)
     out.set("command", "variety")
     out.set("rank", report.rank)
@@ -322,7 +258,9 @@ def _cmd_variety(args) -> int:
                             "reason": "trivial kernel", "multiple_roots": False})
         out.flush()
         return EXIT_OK
-    variety = compute_variety(list(report.kernel), pol)
+    variety = pipe.variety
+    if variety is None:
+        raise InputError(UNSUPPORTED_DIMENSION)
     out.set("variety", _variety_json(variety))
     out.line(f"variety: {variety.status}, card {_v_str(variety.v)}")
     if variety.witness is not None:
@@ -339,15 +277,14 @@ def _cmd_variety(args) -> int:
 
 def _cmd_extend(args) -> int:
     beta = load_multisequence(args.moments, args.mode)
-    pol = _policy_from_args(args)
-    search = extension_search(beta, args.steps, pol)
+    search = extension_search(beta, args.steps, _policy_from_args(args))
     out = _Emitter(args.format)
     out.set("command", "extend")
     out.set("status", search.status)
     out.set("flat_level", search.flat_level)
     steps_json = []
     for step in search.steps:
-        rank_to = step.matrix and rank_kernel(step.matrix, pol).rank
+        rank_to = step.flat.rank if step.flat else None
         out.line(
             f"M({step.source_n}) -> M({step.source_n + 1}): "
             f"well_defined={step.well_defined}"
@@ -366,19 +303,16 @@ def _cmd_extend(args) -> int:
     out.set("steps", steps_json)
     out.line(f"search: {search.status}"
              + (f" at M({search.flat_level})" if search.flat_level else ""))
-    if search.status == "FlatAt" and search.beta_final is not None:
-        solve = solve_extremal(search.beta_final, pol)
-        out.set("solve_status", solve.status)
-        out.line(f"handoff solve: {solve.status}")
-        if solve.measure is not None:
-            for w, rho in zip(solve.measure.atoms, solve.measure.densities):
-                out.line("  (" + ", ".join(f"{float(x)!r}" for x in w)
-                         + f") density {float(rho)!r}")
-            out.set("measure", _measure_json(solve.measure))
+    if search.status == "FlatAt":
+        handoff = solve(search.final)
+        out.set("solve_status", handoff.status)
+        out.line(f"handoff solve: {handoff.status}")
+        if handoff.measure is not None:
+            _emit_measure(out, handoff.measure)
             if args.out:
-                dump_measure(solve.measure, args.out)
+                dump_measure(handoff.measure, args.out)
         out.flush()
-        return EXIT_OK if solve.status == "Measure" else EXIT_INCONCLUSIVE
+        return EXIT_OK if handoff.status == "Measure" else EXIT_INCONCLUSIVE
     out.flush()
     if search.status in ("IllDefined", "NotPSD"):
         return EXIT_NO_MEASURE
@@ -386,25 +320,31 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    pol = _policy_from_args(args)  # noqa: F841  (kept for symmetry)
     sources = [s for s in (args.example14, args.functional, args.measure)
                if s is not None]
     if len(sources) != 1:
         raise InputError(
             "synth needs exactly one of --example14, --functional, --measure")
+    if args.example14 is None:
+        source = "--functional" if args.functional is not None \
+            else "--measure"
+        if args.degree is None:
+            raise InputError(f"{source} requires --degree")
+        if args.degree < 0:
+            raise InputError(f"--degree must be >= 0, got {args.degree}")
     if args.example14 is not None:
         n_str, a_str = args.example14
-        from .polycore import parse_scalar
-        gamma = example14_gamma(int(n_str), parse_scalar(a_str, args.mode))
-        beta = complex_to_real(gamma)
+        try:
+            n = int(n_str)
+        except ValueError:
+            raise InputError(f"--example14 N must be an integer, "
+                             f"got {n_str!r}") from None
+        beta = complex_to_real(example14_gamma(n, parse_scalar(a_str,
+                                                               args.mode)))
     elif args.functional is not None:
-        if args.degree is None:
-            raise InputError("--functional requires --degree")
         functional = load_functional(args.functional, args.mode)
         beta = beta_from_functional(functional, args.degree)
     else:
-        if args.degree is None:
-            raise InputError("--measure requires --degree")
         measure = load_measure(args.measure, args.mode)
         beta = beta_from_atoms(measure.atoms, measure.densities,
                                measure.d, args.degree)
@@ -412,11 +352,10 @@ def _cmd_synth(args) -> int:
         dump_multisequence(beta, args.out)
         print(f"wrote moments: d={beta.d}, degree={beta.degree} -> {args.out}")
     else:
-        from .polycore import monomial_basis
         payload = {
             "d": beta.d,
             "degree": beta.degree,
-            "moments": [{"idx": list(idx), "value": _scalar_str(beta[idx])}
+            "moments": [{"idx": list(idx), "value": compact_scalar(beta[idx])}
                         for idx in monomial_basis(beta.d, beta.degree)],
         }
         print(json.dumps(payload, indent=2))
@@ -434,14 +373,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certificates and atomic representing measures.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, solver=True):
         p.add_argument("--mode", choices=("exact", "float"), default=None,
                        help="force scalar interpretation of input values")
-        p.add_argument("--tol-rank", type=float, default=None)
-        p.add_argument("--tol-root", type=float, default=None)
-        p.add_argument("--tol-residual", type=float, default=None)
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text")
+        if solver:
+            p.add_argument("--tol-rank", type=float, default=None)
+            p.add_argument("--tol-root", type=float, default=None)
+            p.add_argument("--tol-residual", type=float, default=None)
+            p.add_argument("--format", choices=("text", "structured"),
+                           default="text")
         p.add_argument("--out", default=None,
                        help="write the resulting artifact to this file")
 
@@ -475,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="signed functional file")
     p.add_argument("--measure", default=None, help="atomic measure file")
     p.add_argument("--degree", type=int, default=None)
-    common(p)
+    common(p, solver=False)
     p.set_defaults(func=_cmd_synth)
     return parser
 

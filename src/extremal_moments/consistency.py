@@ -25,9 +25,6 @@ from .moments import (
     Multisequence,
     REFINE_WIDTH,
     TolerancePolicy,
-    build_moment_matrix,
-    psd_check,
-    rank_kernel,
     riesz,
 )
 from .polycore import (
@@ -36,14 +33,8 @@ from .polycore import (
     Polynomial,
     Scalar,
     all_exact,
-    monomial_basis,
-    total_degree,
 )
-from .variety import (
-    VarietyReport,
-    build_W,
-    compute_variety,
-)
+from .variety import VarietyReport, build_W
 
 #: Pivot basis of the curve scenario (degree-lex restriction).
 SCENARIO_BASIS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2))
@@ -232,22 +223,27 @@ def reduced_consistency_test(beta: Multisequence,
     SCENARIO_BASIS (so X^3 = Y is a column relation), finite variety of
     exactly eight points.  Outside the scenario: NotApplicable.
     """
+    from .pipeline import Pipeline  # the pipeline's stages import this module
+
+    return reduced_test(Pipeline(beta, pol, REFINE_WIDTH))
+
+
+def reduced_test(pipe) -> ReducedVerdict:
+    """``reduced_consistency_test`` on the stages of a pipeline built with
+    width REFINE_WIDTH."""
+    beta, pol = pipe.beta, pipe.pol
     if beta.d != 2 or beta.degree != 6:
         return ReducedVerdict("NotApplicable",
                               reason="scenario needs d=2, degree-6 data")
-    matrix = build_moment_matrix(beta)
-    psd = psd_check(matrix, pol)
-    if not psd.ok:
+    if not pipe.psd.ok:
         return ReducedVerdict("NotApplicable", reason="M(3) is not PSD")
-    report = rank_kernel(matrix, pol)
+    report = pipe.kernel
     if report.rank != 8 or report.pivots != SCENARIO_BASIS:
         return ReducedVerdict(
             "NotApplicable",
             reason=f"scenario needs rank 8 with pivot basis "
                    f"{SCENARIO_BASIS}, got rank {report.rank}")
-    exact_kernel = all(p.is_exact for p in report.kernel)
-    variety = compute_variety(list(report.kernel), pol,
-                              width=REFINE_WIDTH if exact_kernel else None)
+    variety = pipe.variety
     if variety.status != "Finite" or len(variety.points) != 8:
         return ReducedVerdict(
             "Unknown",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _linalg
 from .moments import (
@@ -25,17 +25,15 @@ from .moments import (
     MomentMatrix,
     Multisequence,
     PsdVerdict,
+    REFINE_WIDTH,
     TolerancePolicy,
     build_moment_matrix,
-    flatness_check,
-    psd_check,
     rank_kernel,
 )
+from .pipeline import Pipeline
 from .polycore import (
-    MultiIndex,
     Polynomial,
     Scalar,
-    all_exact,
     is_exact,
     monomial_basis,
     total_degree,
@@ -49,10 +47,17 @@ class ExtensionReport:
     well_defined: bool
     conflicts: tuple      # (kernel poly, multiplier idx, row idx, value)
     undetermined: tuple   # moment indices left undetermined
-    beta_ext: Optional[Multisequence] = None
-    matrix: Optional[MomentMatrix] = None
+    extended: Optional[Pipeline] = None  # stages of M(n+1) when determined
     flat: Optional[FlatnessVerdict] = None
     psd: Optional[PsdVerdict] = None
+
+    @property
+    def beta_ext(self) -> Optional[Multisequence]:
+        return self.extended.beta if self.extended else None
+
+    @property
+    def matrix(self) -> Optional[MomentMatrix]:
+        return self.extended.matrix if self.extended else None
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,11 @@ class ExtensionSearchReport:
     steps: tuple
     status: str  # "FlatAt" | "IllDefined" | "Undetermined" | "NotPSD" | "Exhausted"
     flat_level: Optional[int] = None
-    beta_final: Optional[Multisequence] = None
+    final: Optional[Pipeline] = None  # stages of the last matrix reached
+
+    @property
+    def beta_final(self) -> Optional[Multisequence]:
+        return self.final.beta if self.final else None
 
 
 def extend_via_measure(measure, m: int) -> MomentMatrix:
@@ -148,17 +157,17 @@ def propagate_recursive_extension(matrix: MomentMatrix,
             conflicts.append((*source, value))
 
     well_defined = not conflicts and not undetermined
-    beta_ext = None
-    matrix_ext = None
-    flat = None
-    psd = None
-    if not undetermined:
-        beta_ext = Multisequence(d, 2 * n + 2, known)
-        matrix_ext = build_moment_matrix(beta_ext)  # re-asserts Hankel
-        flat = flatness_check(matrix_ext, pol)
-        psd = psd_check(matrix_ext, pol)
+    if undetermined:
+        return ExtensionReport(n, well_defined, tuple(conflicts), undetermined)
+    # The handoff solve reads the variety of the last extension, so every
+    # extension refines at the solver's width.  The M(n) block of M(n+1) is
+    # *matrix* itself, so flatness compares the two kernel ranks.
+    extended = Pipeline(Multisequence(d, 2 * n + 2, known), pol, REFINE_WIDTH)
+    rank = extended.kernel.rank
     return ExtensionReport(n, well_defined, tuple(conflicts), undetermined,
-                           beta_ext, matrix_ext, flat, psd)
+                           extended, FlatnessVerdict(rank == report.rank,
+                                                     rank, report.rank),
+                           extended.psd)
 
 
 def flat_extension_check(m_n: MomentMatrix, m_n1: MomentMatrix,
@@ -247,16 +256,16 @@ def extension_search(beta: Multisequence, max_steps: int = 3,
                      pol: TolerancePolicy = DEFAULT_POLICY
                      ) -> ExtensionSearchReport:
     """Iterate recursive propagation until a flat extension, a certificate,
-    or exhaustion of the step budget."""
-    current = beta
+    or exhaustion of the step budget.  Each step's M(n+1) pipeline is the
+    next step's M(n) and, at a flat extension, the handoff solve's input."""
+    current = Pipeline(beta, pol, REFINE_WIDTH)
     steps = []
     for _ in range(max_steps):
-        matrix = build_moment_matrix(current)
-        report = rank_kernel(matrix, pol)
-        if report.nullity == 0:
+        if current.kernel.nullity == 0:
             return ExtensionSearchReport(
                 tuple(steps), "Undetermined", None, current)
-        ext = propagate_recursive_extension(matrix, report, pol)
+        ext = propagate_recursive_extension(current.matrix, current.kernel,
+                                            pol)
         steps.append(ext)
         if ext.conflicts:
             return ExtensionSearchReport(tuple(steps), "IllDefined",
@@ -264,11 +273,11 @@ def extension_search(beta: Multisequence, max_steps: int = 3,
         if ext.undetermined:
             return ExtensionSearchReport(tuple(steps), "Undetermined",
                                          None, current)
-        if ext.psd is not None and not ext.psd.ok:
+        if not ext.psd.ok:
             return ExtensionSearchReport(tuple(steps), "NotPSD",
-                                         None, ext.beta_ext)
-        if ext.flat is not None and ext.flat.flat:
+                                         None, ext.extended)
+        if ext.flat.flat:
             return ExtensionSearchReport(tuple(steps), "FlatAt",
-                                         matrix.n + 1, ext.beta_ext)
-        current = ext.beta_ext
+                                         current.matrix.n + 1, ext.extended)
+        current = ext.extended
     return ExtensionSearchReport(tuple(steps), "Exhausted", None, current)

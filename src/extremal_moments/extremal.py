@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from . import _linalg
-from .consistency import consistency_check, reduced_consistency_test
+from .consistency import consistency_check, reduced_test
 from .moments import (
     DEFAULT_POLICY,
     KernelReport,
@@ -29,32 +29,26 @@ from .moments import (
     PsdVerdict,
     REFINE_WIDTH,
     TolerancePolicy,
-    build_moment_matrix,
-    psd_check,
-    rank_kernel,
     riesz,
 )
+from .pipeline import Pipeline
 from .polycore import (
-    InputError,
+    JsonInput,
     Point,
     Polynomial,
     Scalar,
     all_exact,
+    compact_scalar,
     ensure_scalar,
-    format_scalar,
     is_exact,
-    monomial_basis,
-    parse_scalar,
 )
 from .synth import moments_of_atoms
 from .variety import (
     VarietyReport,
-    _residual_ok,
-    compute_variety,
+    adopt_points,
     injectivity_check,
     vandermonde_VB,
 )
-
 
 
 @dataclass(frozen=True)
@@ -133,115 +127,77 @@ def solve_extremal(beta: Multisequence,
                    points: Optional[Sequence[Point]] = None,
                    basis: Optional[Sequence] = None) -> SolveReport:
     """Decide solvability in the extremal case and recover the measure."""
-    matrix = build_moment_matrix(beta)
-    psd = psd_check(matrix, pol)
+    return solve(Pipeline(beta, pol, REFINE_WIDTH), points, basis)
+
+
+def solve(pipe: Pipeline, points: Optional[Sequence[Point]] = None,
+          basis: Optional[Sequence] = None) -> SolveReport:
+    """``solve_extremal`` on the stages of a pipeline built with width
+    REFINE_WIDTH; supplied *points* replace its variety."""
+    beta, pol, psd = pipe.beta, pipe.pol, pipe.psd
     if not psd.ok:
         return SolveReport("NoMeasure", reason="NotPSD",
                            witness=psd.witness, value=psd.value, psd=psd)
-    kernel_report = rank_kernel(matrix, pol)
+    kernel_report = pipe.kernel
     r = kernel_report.rank
+    report = partial(SolveReport, rank=r, kernel=kernel_report, psd=psd)
+    variety = pipe.variety if points is None \
+        else adopt_points(kernel_report, points, pol)
+    if variety is None:
+        if kernel_report.nullity == 0:
+            return report("NotExtremal", v=math.inf,
+                          reason="M(n) is invertible, so the variety is "
+                                 "all of R^d")
+        return report("Unknown",
+                      reason="d >= 3 requires user-supplied variety points")
 
-    if points is not None:
-        variety = _adopt_points(kernel_report, points, pol)
-    elif kernel_report.nullity == 0:
-        return SolveReport("NotExtremal", rank=r, v=math.inf,
-                           reason="M(n) is invertible, so the variety is "
-                                  "all of R^d",
-                           kernel=kernel_report, psd=psd)
-    elif beta.d <= 2:
-        width = REFINE_WIDTH if all(p.is_exact for p in kernel_report.kernel) \
-            else None
-        variety = compute_variety(list(kernel_report.kernel), pol, width=width)
-    else:
-        return SolveReport("Unknown", rank=r,
-                           reason="d >= 3 requires user-supplied variety "
-                                  "points",
-                           kernel=kernel_report, psd=psd)
-
+    report = partial(report, variety=variety)
     if variety.status == "Infinite":
-        return SolveReport("NotExtremal", rank=r, v=math.inf,
-                           reason="infinite variety",
-                           witness=variety.witness,
-                           variety=variety, kernel=kernel_report, psd=psd)
+        return report("NotExtremal", v=math.inf, reason="infinite variety",
+                      witness=variety.witness)
     if variety.status == "Unknown":
-        return SolveReport("Unknown", rank=r, reason=variety.reason,
-                           variety=variety, kernel=kernel_report, psd=psd)
+        return report("Unknown", reason=variety.reason)
     v = len(variety.points)
+    report = partial(report, v=v)
     if v != r:
-        return SolveReport("NotExtremal", rank=r, v=v,
-                           reason=f"rank {r} != variety cardinality {v}",
-                           variety=variety, kernel=kernel_report, psd=psd)
+        return report("NotExtremal",
+                      reason=f"rank {r} != variety cardinality {v}")
 
     basis_elems = tuple(basis) if basis is not None else kernel_report.pivots
     if len(basis_elems) != r:
         raise ValueError(f"basis must have {r} elements, got {len(basis_elems)}")
     vb = vandermonde_VB(basis_elems, variety.points, pol)
     if not vb.invertible:
-        inj = injectivity_check(kernel_report, variety.points, pol)
-        return SolveReport("NoMeasure", rank=r, v=v, reason="SingularVB",
-                           witness=inj.witness,
-                           variety=variety, kernel=kernel_report, psd=psd)
+        inj = pipe.injectivity if points is None \
+            else injectivity_check(kernel_report, variety.points, pol)
+        return report("NoMeasure", reason="SingularVB", witness=inj.witness)
     lam = [riesz(beta, b) for b in vb.basis]
     try:
         densities = _linalg.solve_linear(vb.rows, lam)
     except _linalg.SingularMatrixError:
-        return SolveReport("NoMeasure", rank=r, v=v, reason="SingularVB",
-                           variety=variety, kernel=kernel_report, psd=psd)
+        return report("NoMeasure", reason="SingularVB")
     measure = AtomicMeasure(beta.d, variety.points, tuple(densities))
     verification = verify_measure(beta, measure, pol)
+    report = partial(report, residual=verification.residual)
     if not verification.ok:
-        return _interpolation_failure(beta, variety, verification,
-                                      r, v, kernel_report, psd, pol)
+        # Interpolation failed: look for an inconsistency witness, first by
+        # the curve-scenario test, then on the variety's vanishing ideal.
+        reduced = reduced_test(pipe)
+        if reduced.status == "NoMeasure":
+            return report("NoMeasure", reason="Inconsistent",
+                          witness=reduced.witness, value=reduced.value)
+        cons = pipe.consistency if points is None \
+            else consistency_check(beta, variety, pol)
+        if cons.status == "Inconsistent":
+            return report("NoMeasure", reason="Inconsistent",
+                          witness=cons.witness, value=cons.value)
+        return report("Unknown", reason="interpolation failed without an "
+                                        "inconsistency witness")
     if any(float(rho) <= 0 for rho in densities):
-        return SolveReport("Unknown", rank=r, v=v,
-                           residual=verification.residual,
-                           reason="interpolation verified but a density is "
-                                  "nonpositive; numerically inconclusive",
-                           variety=variety, kernel=kernel_report, psd=psd)
-    return SolveReport("Measure", rank=r, v=v, measure=measure,
-                       residual=verification.residual,
-                       variety=variety, kernel=kernel_report, psd=psd,
-                       basis=tuple(vb.basis))
-
-
-def _adopt_points(kernel_report: KernelReport, points, pol) -> VarietyReport:
-    adopted = []
-    mask = []
-    for w in points:
-        w = tuple(ensure_scalar(x) for x in w)
-        point_exact = all_exact(w) \
-            and all(p.is_exact for p in kernel_report.kernel)
-        for p in kernel_report.kernel:
-            if not _residual_ok(p, w, pol, point_exact):
-                raise InputError(
-                    f"supplied point {tuple(float(x) for x in w)} does not "
-                    f"satisfy kernel relation {p}")
-        adopted.append(w)
-        mask.append(point_exact)
-    return VarietyReport("Finite", tuple(adopted), tuple(mask))
-
-
-def _interpolation_failure(beta, variety, verification, r, v,
-                           kernel_report, psd, pol) -> SolveReport:
-    reduced = reduced_consistency_test(beta, pol)
-    if reduced.status == "NoMeasure":
-        return SolveReport("NoMeasure", rank=r, v=v,
-                           residual=verification.residual,
-                           reason="Inconsistent",
-                           witness=reduced.witness, value=reduced.value,
-                           variety=variety, kernel=kernel_report, psd=psd)
-    cons = consistency_check(beta, variety, pol)
-    if cons.status == "Inconsistent":
-        return SolveReport("NoMeasure", rank=r, v=v,
-                           residual=verification.residual,
-                           reason="Inconsistent",
-                           witness=cons.witness, value=cons.value,
-                           variety=variety, kernel=kernel_report, psd=psd)
-    return SolveReport("Unknown", rank=r, v=v,
-                       residual=verification.residual,
-                       reason="interpolation failed without an "
-                              "inconsistency witness",
-                       variety=variety, kernel=kernel_report, psd=psd)
+        return report("Unknown",
+                      reason="interpolation verified but a density is "
+                             "nonpositive; numerically inconclusive")
+    return report("Measure", measure=measure, basis=tuple(vb.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +206,14 @@ def _interpolation_failure(beta, variety, verification, r, v,
 
 def load_measure(path, mode: Optional[str] = None) -> AtomicMeasure:
     """Read {"d": d, "atoms": [{"point": [...], "density": ...}]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read measure file {path}: {exc}") from exc
-    if "d" not in data or "atoms" not in data:
-        raise InputError(f"measure file {path}: missing 'd' or 'atoms'")
-    d = int(data["d"])
+    f = JsonInput(path, "measure", ("d", "atoms"), mode)
+    d = f.integer(f.data["d"], "d", 1)
     atoms = []
     densities = []
-    for entry in data["atoms"]:
-        if "point" not in entry or "density" not in entry:
-            raise InputError(
-                f"measure file {path}: atoms need point and density")
-        point = entry["point"]
-        if len(point) != d:
-            raise InputError(f"measure file {path}: point {point} wrong arity")
-        atoms.append(tuple(
-            parse_scalar(x, mode) if isinstance(x, str) else ensure_scalar(x)
-            for x in point))
-        raw = entry["density"]
-        densities.append(parse_scalar(raw, mode) if isinstance(raw, str)
-                         else ensure_scalar(raw))
+    for item in f.array(f.data["atoms"], "atoms"):
+        entry = f.object(item, ("point", "density"), "atom")
+        atoms.append(f.scalars(entry["point"], "point", d))
+        densities.append(f.scalar(entry["density"]))
     return AtomicMeasure(d, tuple(atoms), tuple(densities))
 
 
@@ -281,8 +222,8 @@ def dump_measure(measure: AtomicMeasure, path) -> None:
         "d": measure.d,
         "atoms": [
             {
-                "point": [_scalar_repr(x) for x in w],
-                "density": _scalar_repr(rho),
+                "point": [compact_scalar(x) for x in w],
+                "density": compact_scalar(rho),
             }
             for w, rho in zip(measure.atoms, measure.densities)
         ],
@@ -290,11 +231,3 @@ def dump_measure(measure: AtomicMeasure, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-
-
-def _scalar_repr(x: Scalar) -> str:
-    # Refined approximants carry astronomically long exact denominators;
-    # serialize those as shortest round-trip decimals instead.
-    if is_exact(x) and x.denominator < 10**12:
-        return format_scalar(x)
-    return repr(float(x))

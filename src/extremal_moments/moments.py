@@ -10,21 +10,20 @@ functional applied to p*q (a Hankel-type structure asserted on build).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg
 from .polycore import (
     InputError,
-    MultiIndex,
+    JsonInput,
     Polynomial,
     Scalar,
     all_exact,
     ensure_scalar,
     format_scalar,
     monomial_basis,
-    parse_scalar,
     total_degree,
 )
 
@@ -69,6 +68,8 @@ class Multisequence:
     values: Mapping
 
     def __post_init__(self):
+        if self.d < 1:
+            raise InputError(f"d must be >= 1, got {self.d}")
         if self.degree < 0 or self.degree % 2 != 0:
             raise InputError(f"degree must be even and >= 0, got {self.degree}")
         clean = {}
@@ -304,7 +305,12 @@ def flatness_check(matrix: MomentMatrix,
     """Compare rank M(n) with rank of the embedded M(n-1) block."""
     if matrix.n < 1:
         raise ValueError("flatness needs n >= 1")
-    rank_n = rank_kernel(matrix, pol).rank
+    return _flatness(matrix, rank_kernel(matrix, pol).rank, pol)
+
+
+def _flatness(matrix: MomentMatrix, rank_n: int,
+              pol: TolerancePolicy) -> FlatnessVerdict:
+    """Flatness of M(n), given its rank, against its M(n-1) block."""
     prev_size = len(monomial_basis(matrix.d, matrix.n - 1))
     block = [row[:prev_size] for row in matrix.rows[:prev_size]]
     rank_prev = _linalg.row_reduce(block, pol.rank).rank
@@ -321,24 +327,17 @@ def load_multisequence(path, mode: Optional[str] = None) -> Multisequence:
     Values parse as exact rationals ("p/q", integers) or floats (decimals);
     mode "exact"/"float" forces the scalar type.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read moments file {path}: {exc}") from exc
-    for key in ("d", "degree", "moments"):
-        if key not in data:
-            raise InputError(f"moments file {path}: missing key {key!r}")
+    f = JsonInput(path, "moments", ("d", "degree", "moments"), mode)
+    d = f.integer(f.data["d"], "d", 1)
     values = {}
-    for item in data["moments"]:
-        if "idx" not in item or "value" not in item:
-            raise InputError(f"moments file {path}: entry needs idx and value")
-        idx = tuple(item["idx"])
+    for item in f.array(f.data["moments"], "moments"):
+        entry = f.object(item, ("idx", "value"), "moment entry")
+        idx = tuple(f.integer(e, "index entry")
+                    for e in f.array(entry["idx"], "idx", d))
         if idx in values:
-            raise InputError(f"moments file {path}: duplicate index {idx}")
-        values[idx] = parse_scalar(item["value"], mode) \
-            if isinstance(item["value"], str) else ensure_scalar(item["value"])
-    return Multisequence(int(data["d"]), int(data["degree"]), values)
+            raise f.error(f"duplicate index {idx}")
+        values[idx] = f.scalar(entry["value"])
+    return Multisequence(d, f.integer(f.data["degree"], "degree"), values)
 
 
 def dump_multisequence(beta: Multisequence, path) -> None:

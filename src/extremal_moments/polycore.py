@@ -14,6 +14,7 @@ the first variable, then the second, and so on.  For two variables this lists
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -106,8 +107,71 @@ def format_scalar(value: Scalar) -> str:
     return repr(value)
 
 
-def scalar_to_float(value: Scalar) -> float:
-    return float(value)
+def compact_scalar(value: Scalar) -> str:
+    """Display and measure-file form: ``format_scalar`` for exact values
+    with denominators below 10**12, else the shortest round-trip decimal.
+    Refined approximants carry astronomically long exact denominators."""
+    if is_exact(value) and value.denominator < 10**12:
+        return format_scalar(value)
+    return repr(float(value))
+
+
+# ---------------------------------------------------------------------------
+# JSON input files
+# ---------------------------------------------------------------------------
+
+class JsonInput:
+    """One JSON input file: an object with required keys, read field by field.
+
+    Every accessor raises InputError naming the file when a value has the
+    wrong shape, so malformed input never escapes as a TypeError.  Scalars
+    follow one rule: strings go through ``parse_scalar`` in the file's mode,
+    JSON numbers through ``ensure_scalar``.
+    """
+
+    def __init__(self, path, kind: str, required: Sequence[str],
+                 mode: str | None = None):
+        self.where = f"{kind} file {path}"
+        self.mode = mode
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read {self.where}: {exc}") from exc
+        self.data = self.object(data, required, "top level")
+
+    def error(self, message: str) -> InputError:
+        return InputError(f"{self.where}: {message}")
+
+    def object(self, value, required: Sequence[str], what: str) -> dict:
+        if not isinstance(value, dict):
+            raise self.error(f"{what} must be an object, got {value!r}")
+        for key in required:
+            if key not in value:
+                raise self.error(f"{what}: missing key {key!r}")
+        return value
+
+    def array(self, value, what: str, length: int | None = None) -> list:
+        if not isinstance(value, list):
+            raise self.error(f"{what} must be a list, got {value!r}")
+        if length is not None and len(value) != length:
+            raise self.error(f"{what} {value} must have {length} entries")
+        return value
+
+    def integer(self, value, what: str, minimum: int = 0) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < minimum:
+            raise self.error(
+                f"{what} must be an integer >= {minimum}, got {value!r}")
+        return value
+
+    def scalar(self, value) -> Scalar:
+        if isinstance(value, str):
+            return parse_scalar(value, self.mode)
+        return ensure_scalar(value)
+
+    def scalars(self, value, what: str, length: int | None = None) -> tuple:
+        return tuple(self.scalar(x) for x in self.array(value, what, length))
 
 
 # ---------------------------------------------------------------------------
@@ -287,69 +351,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return poly_to_string(self)
-
-
-# -- module-level operation aliases -----------------------------------------
-
-def poly_eval(p: Polynomial, point: Sequence) -> Scalar:
-    """Evaluate *p* at *point* (exact iff every operand is exact)."""
-    return p.evaluate(point)
-
-
-def poly_arith(op: str, p: Polynomial, other) -> Polynomial:
-    """Ring operations: ``op`` is ``"add"``, ``"sub"``, ``"mul"`` or ``"scale"``."""
-    if op == "add":
-        return p + other
-    if op == "sub":
-        return p - other
-    if op == "mul":
-        return p * other
-    if op == "scale":
-        return p.scale(other)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_partial(p: Polynomial, i: int) -> Polynomial:
-    """Partial derivative with respect to variable *i* (0-based)."""
-    return p.partial(i)
-
-
-# ---------------------------------------------------------------------------
-# coefficient vectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Dense coefficients of a polynomial in the degree-lex monomial basis."""
-
-    d: int
-    bound: int
-    values: tuple
-
-    def __post_init__(self):
-        expected = basis_size(self.d, self.bound)
-        if len(self.values) != expected:
-            raise ValueError(
-                f"coefficient vector has {len(self.values)} entries, "
-                f"expected {expected} for d={self.d}, bound={self.bound}"
-            )
-        object.__setattr__(
-            self, "values", tuple(ensure_scalar(v) for v in self.values)
-        )
-
-
-def poly_to_vector(p: Polynomial, bound: int) -> CoefficientVector:
-    if p.degree > bound:
-        raise ValueError(f"polynomial degree {p.degree} exceeds bound {bound}")
-    basis = monomial_basis(p.d, bound)
-    return CoefficientVector(
-        p.d, bound, tuple(p.coefficient(idx) for idx in basis)
-    )
-
-
-def vector_to_poly(v: CoefficientVector) -> Polynomial:
-    basis = monomial_basis(v.d, v.bound)
-    return Polynomial(v.d, dict(zip(basis, v.values)))
 
 
 # ---------------------------------------------------------------------------

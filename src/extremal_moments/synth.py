@@ -19,13 +19,13 @@ from typing import Mapping, Optional, Sequence
 from .moments import Multisequence
 from .polycore import (
     InputError,
+    JsonInput,
     Polynomial,
     Scalar,
     ensure_scalar,
     format_scalar,
     is_exact,
     monomial_basis,
-    parse_scalar,
 )
 
 
@@ -54,7 +54,7 @@ def beta_from_atoms(atoms: Sequence, densities: Sequence,
     """Moments through the given degree of sum(densities[i] * delta at
     atoms[i]); negative weights are allowed (signed combinations)."""
     if not atoms:
-        raise ValueError("need at least one atom")
+        raise InputError("need at least one atom")
     if len(atoms) != len(densities):
         raise ValueError("atoms and densities differ in length")
     if d is None:
@@ -163,7 +163,7 @@ def example14_gamma(n: int, a) -> ComplexMomentData:
     extremes gamma_{0,2n-1} = gamma_{2n-1,0} = a and gamma_{0,2n} =
     gamma_{2n,0} = 1 - a^2, everything else zero."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError(f"n must be >= 1, got {n}")
     a = ensure_scalar(a)
     zero = (Fraction(0), Fraction(0))
     values = {}
@@ -241,56 +241,34 @@ def complex_moment_matrix(gamma: ComplexMomentData):
 def load_functional(path, mode: Optional[str] = None) -> SignedFunctional:
     """Read {"d", "atoms", "weights", "derivation"?: {"a0", "point",
     "direction"}} with scalar strings."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read functional file {path}: {exc}") from exc
-    for key in ("d", "atoms", "weights"):
-        if key not in data:
-            raise InputError(f"functional file {path}: missing key {key!r}")
-    d = int(data["d"])
-
-    def scal(x):
-        return parse_scalar(x, mode) if isinstance(x, str) else ensure_scalar(x)
-
-    atoms = []
-    for raw in data["atoms"]:
-        if len(raw) != d:
-            raise InputError(f"functional file {path}: atom {raw} wrong arity")
-        atoms.append(tuple(scal(x) for x in raw))
-    weights = tuple(scal(x) for x in data["weights"])
+    f = JsonInput(path, "functional", ("d", "atoms", "weights"), mode)
+    d = f.integer(f.data["d"], "d", 1)
+    atoms = tuple(f.scalars(raw, "atom", d)
+                  for raw in f.array(f.data["atoms"], "atoms"))
+    weights = f.scalars(f.data["weights"], "weights", len(atoms))
     derivation = None
-    if data.get("derivation") is not None:
-        block = data["derivation"]
-        for key in ("a0", "point", "direction"):
-            if key not in block:
-                raise InputError(
-                    f"functional file {path}: derivation needs {key!r}")
+    if f.data.get("derivation") is not None:
+        block = f.object(f.data["derivation"], ("a0", "point", "direction"),
+                         "derivation")
         derivation = Derivation(
-            tuple(scal(x) for x in block["point"]),
-            tuple(scal(x) for x in block["direction"]),
-            scal(block["a0"]))
-    return SignedFunctional(d, tuple(atoms), weights, derivation)
+            f.scalars(block["point"], "derivation point", d),
+            f.scalars(block["direction"], "derivation direction", d),
+            f.scalar(block["a0"]))
+    return SignedFunctional(d, atoms, weights, derivation)
 
 
 def dump_functional(functional: SignedFunctional, path) -> None:
     payload = {
         "d": functional.d,
-        "atoms": [[format_scalar(x) if is_exact(x) else repr(float(x))
-                   for x in w] for w in functional.atoms],
-        "weights": [format_scalar(x) if is_exact(x) else repr(float(x))
-                    for x in functional.weights],
+        "atoms": [[format_scalar(x) for x in w] for w in functional.atoms],
+        "weights": [format_scalar(x) for x in functional.weights],
     }
     if functional.derivation is not None:
         der = functional.derivation
         payload["derivation"] = {
-            "a0": format_scalar(der.a0) if is_exact(der.a0)
-            else repr(float(der.a0)),
-            "point": [format_scalar(x) if is_exact(x) else repr(float(x))
-                      for x in der.point],
-            "direction": [format_scalar(x) if is_exact(x) else repr(float(x))
-                          for x in der.direction],
+            "a0": format_scalar(der.a0),
+            "point": [format_scalar(x) for x in der.point],
+            "direction": [format_scalar(x) for x in der.direction],
         }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

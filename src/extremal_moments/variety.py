@@ -25,17 +25,20 @@ from . import _linalg, _roots
 from .moments import DEFAULT_POLICY, KernelReport, TolerancePolicy
 from .polycore import (
     InputError,
-    MultiIndex,
+    JsonInput,
     Point,
     Polynomial,
     Scalar,
     all_exact,
+    ensure_scalar,
     format_scalar,
-    is_exact,
     monomial_basis,
-    parse_scalar,
     total_degree,
 )
+
+#: Error raised for kernels in three or more variables.
+UNSUPPORTED_DIMENSION = ("variety computation is implemented for d in {1, 2}; "
+                         "supply points explicitly for higher dimension")
 
 # ---------------------------------------------------------------------------
 # reports
@@ -161,15 +164,6 @@ def _substitute_x(p: Polynomial, x0: Fraction) -> list:
             out.append(Fraction(0))
         out[j] += Fraction(c) * x0**i
     return _roots.strip(out)
-
-
-def _poly_from_univariate(coeffs, var: int) -> Polynomial:
-    terms = {}
-    for e, c in enumerate(coeffs):
-        idx = (e, 0) if var == 0 else (0, e)
-        if c != 0:
-            terms[idx] = c
-    return Polynomial(2, terms)
 
 
 def _univariate_coeffs(p: Polynomial) -> list:
@@ -368,9 +362,7 @@ def compute_variety(kernel: Sequence[Polynomial],
     if any(p.is_zero for p in kernel):
         raise ValueError("kernel basis must not contain the zero polynomial")
     if d not in (1, 2):
-        raise InputError(
-            "variety computation is implemented for d in {1, 2}; "
-            "supply points explicitly for higher dimension")
+        raise InputError(UNSUPPORTED_DIMENSION)
     if width is None:
         width = Fraction(pol.root).limit_denominator(10**18) \
             if pol.root > 0 else Fraction(1, 10**12)
@@ -576,6 +568,29 @@ def _residual_ok(p: Polynomial, point, pol, point_exact: bool) -> bool:
     return abs(float(value)) <= pol.residual * max(1.0, scale)
 
 
+def adopt_points(report: KernelReport, points: Sequence[Point],
+                 pol: TolerancePolicy = DEFAULT_POLICY) -> VarietyReport:
+    """Supplied points as the variety, after checking that each satisfies
+    every kernel relation; exact where point and kernel are both exact."""
+    adopted = []
+    mask = []
+    exact_kernel = all(p.is_exact for p in report.kernel)
+    for w in points:
+        w = tuple(ensure_scalar(x) for x in w)
+        if len(w) != report.d:
+            raise InputError(f"supplied point {tuple(float(x) for x in w)} "
+                             f"does not have dimension {report.d}")
+        point_exact = all_exact(w) and exact_kernel
+        for p in report.kernel:
+            if not _residual_ok(p, w, pol, point_exact):
+                raise InputError(
+                    f"supplied point {tuple(float(x) for x in w)} does not "
+                    f"satisfy kernel relation {p}")
+        adopted.append(w)
+        mask.append(point_exact)
+    return VarietyReport("Finite", tuple(adopted), tuple(mask))
+
+
 def _merge_points(points, mask, merge_tol):
     """Collapse points closer than *merge_tol* per coordinate.  Float
     clusters are averaged (the centroid of a noise-split double zero is
@@ -731,21 +746,10 @@ def vandermonde_VB(basis, points: Sequence[Point],
 
 def load_points(path, mode: Optional[str] = None) -> list:
     """Read {"d": d, "points": [[coord, ...], ...]} with scalar strings."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read points file {path}: {exc}") from exc
-    if "d" not in data or "points" not in data:
-        raise InputError(f"points file {path}: missing 'd' or 'points'")
-    d = int(data["d"])
-    points = []
-    for raw in data["points"]:
-        if len(raw) != d:
-            raise InputError(f"points file {path}: point {raw} has wrong arity")
-        points.append(tuple(
-            parse_scalar(x, mode) if isinstance(x, str) else x for x in raw))
-    return points
+    f = JsonInput(path, "points", ("d", "points"), mode)
+    d = f.integer(f.data["d"], "d", 1)
+    return [f.scalars(raw, "point", d)
+            for raw in f.array(f.data["points"], "points")]
 
 
 def dump_points(points: Sequence[Point], path) -> None:
@@ -753,8 +757,7 @@ def dump_points(points: Sequence[Point], path) -> None:
         raise ValueError("no points to write")
     payload = {
         "d": len(points[0]),
-        "points": [[format_scalar(x) if is_exact(x) else repr(float(x))
-                    for x in point] for point in points],
+        "points": [[format_scalar(x) for x in point] for point in points],
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

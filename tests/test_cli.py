@@ -177,3 +177,70 @@ class TestSynth:
     def test_degree_required_for_functional(self, capsys):
         assert run(["synth", "--functional", THM62_FUNCTIONAL]) == 1
         assert "degree" in capsys.readouterr().err
+
+
+# Malformed inputs: (argv template, files).  "{name}" in the argv is replaced
+# by the path of the file written from files[name].
+VALID_D1 = '{"d": 1, "degree": 2, "moments": [{"idx": [0], "value": "1"}, ' \
+    '{"idx": [1], "value": "0"}, {"idx": [2], "value": "1"}]}'
+MALFORMED = {
+    "moments-not-object": (["analyze", "{m}"], {"m": "5"}),
+    "moments-top-level-list": (["solve", "{m}"], {"m": "[]"}),
+    "d-string": (["analyze", "{m}"],
+                 {"m": '{"d": "x", "degree": 2, "moments": []}'}),
+    "d-zero": (["analyze", "{m}"],
+               {"m": '{"d": 0, "degree": 2, "moments": []}'}),
+    "degree-string": (["analyze", "{m}"],
+                      {"m": '{"d": 1, "degree": "x", "moments": []}'}),
+    "moments-of-ints": (["analyze", "{m}"],
+                        {"m": '{"d": 1, "degree": 2, "moments": [1, 2]}'}),
+    "moments-object": (["analyze", "{m}"],
+                       {"m": '{"d": 1, "degree": 2, "moments": {}}'}),
+    "idx-int": (["analyze", "{m}"],
+                {"m": '{"d": 1, "degree": 2, '
+                      '"moments": [{"idx": 5, "value": "1"}]}'}),
+    "idx-string-entry": (["analyze", "{m}"],
+                         {"m": '{"d": 1, "degree": 2, '
+                               '"moments": [{"idx": ["a"], "value": "1"}]}'}),
+    "points-int": (["solve", "{m}", "--points", "{p}"],
+                   {"m": VALID_D1, "p": '{"d": 1, "points": 5}'}),
+    "points-wrong-dimension": (["solve", "{m}", "--points", "{p}"],
+                               {"m": VALID_D1,
+                                "p": '{"d": 2, "points": [["0", "1"]]}'}),
+    "measure-point-int": (["synth", "--measure", "{a}", "--degree", "2"],
+                          {"a": '{"d": 1, "atoms": '
+                                '[{"point": 5, "density": "1"}]}'}),
+    "measure-no-atoms": (["synth", "--measure", "{a}", "--degree", "2"],
+                         {"a": '{"d": 1, "atoms": []}'}),
+    "functional-weights-short": (["synth", "--functional", "{f}",
+                                  "--degree", "2"],
+                                 {"f": '{"d": 1, "atoms": [["0"], ["1"]], '
+                                       '"weights": ["1"]}'}),
+    "derivation-point-arity": (["synth", "--functional", "{f}",
+                                "--degree", "2"],
+                               {"f": '{"d": 2, "atoms": [["0", "0"]], '
+                                     '"weights": ["1"], "derivation": '
+                                     '{"a0": "1", "point": ["0"], '
+                                     '"direction": ["1", "0"]}}'}),
+    "synth-negative-degree": (["synth", "--functional", "{f}",
+                               "--degree", "-2"],
+                              {"f": '{"d": 1, "atoms": [["0"]], '
+                                    '"weights": ["1"]}'}),
+    "example14-zero": (["synth", "--example14", "0", "1/2"], {}),
+    "example14-not-integer": (["synth", "--example14", "x", "1/2"], {}),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_1_with_error(self, case, capsys, tmp_path):
+        argv, files = MALFORMED[case]
+        paths = {}
+        for name, content in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(content)
+        argv = [a.format(**paths) for a in argv]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err

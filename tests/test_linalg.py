@@ -102,6 +102,25 @@ class TestSolveAndDeterminant:
             expected = sm.det()
             assert det == F(int(expected.p), int(expected.q))
 
+    def test_solve_randomized(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rows = [[F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                     for _ in range(n)] for _ in range(n)]
+            rhs = [F(rng.randint(-6, 6), rng.choice([1, 5])) for _ in range(n)]
+            sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                for x in row] for row in rows])
+            if sm.det() == 0:
+                with pytest.raises(_linalg.SingularMatrixError):
+                    _linalg.solve_linear(rows, rhs)
+                continue
+            b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
+                              for x in rhs])
+            expected = sm.LUsolve(b)
+            x = _linalg.solve_linear(rows, rhs)
+            assert x == [F(int(v.p), int(v.q)) for v in expected]
+
 
 class TestPsd:
     def test_psd_exact_accepts_gram(self):
