@@ -23,7 +23,6 @@ from .extremal import (
     AtomicMeasure,
     dump_measure,
     load_measure,
-    solve,
     solve_extremal,
 )
 from .moments import (
@@ -304,7 +303,8 @@ def _cmd_extend(args) -> int:
     out.line(f"search: {search.status}"
              + (f" at M({search.flat_level})" if search.flat_level else ""))
     if search.status == "FlatAt":
-        handoff = solve(search.final)
+        final = search.final
+        handoff = solve_extremal(final.beta, final.pol, pipe=final)
         out.set("solve_status", handoff.status)
         out.line(f"handoff solve: {handoff.status}")
         if handoff.measure is not None:
@@ -373,21 +373,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certificates and atomic representing measures.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, solver=True):
+    def common(p):
         p.add_argument("--mode", choices=("exact", "float"), default=None,
                        help="force scalar interpretation of input values")
-        if solver:
-            p.add_argument("--tol-rank", type=float, default=None)
-            p.add_argument("--tol-root", type=float, default=None)
-            p.add_argument("--tol-residual", type=float, default=None)
-            p.add_argument("--format", choices=("text", "structured"),
-                           default="text")
         p.add_argument("--out", default=None,
                        help="write the resulting artifact to this file")
+
+    def solver_flags(p):
+        p.add_argument("--tol-rank", type=float, default=None)
+        p.add_argument("--tol-root", type=float, default=None)
+        p.add_argument("--tol-residual", type=float, default=None)
+        p.add_argument("--format", choices=("text", "structured"),
+                       default="text")
 
     p = sub.add_parser("analyze", help="property battery for moment data")
     p.add_argument("moments")
     common(p)
+    solver_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("solve", help="extremal solver")
@@ -395,17 +397,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", default=None,
                    help="points file bypassing the variety solver")
     common(p)
+    solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("variety", help="kernel relations and zero set")
     p.add_argument("moments")
     common(p)
+    solver_flags(p)
     p.set_defaults(func=_cmd_variety)
 
     p = sub.add_parser("extend", help="recursive extension search")
     p.add_argument("moments")
     p.add_argument("--steps", type=int, default=3)
     common(p)
+    solver_flags(p)
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("synth", help="synthesize moment data")
@@ -415,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="signed functional file")
     p.add_argument("--measure", default=None, help="atomic measure file")
     p.add_argument("--degree", type=int, default=None)
-    common(p, solver=False)
+    common(p)
     p.set_defaults(func=_cmd_synth)
     return parser
 

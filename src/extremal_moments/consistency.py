@@ -215,23 +215,19 @@ def compute_k_from_extension(beta: Multisequence,
 
 
 def reduced_consistency_test(beta: Multisequence,
-                             pol: TolerancePolicy = DEFAULT_POLICY
-                             ) -> ReducedVerdict:
+                             pol: TolerancePolicy = DEFAULT_POLICY, *,
+                             pipe=None) -> ReducedVerdict:
     """Decide measure existence in the curve scenario via Lambda(h).
 
     Preconditions checked: d=2, degree 6, M(3) PSD with rank 8, pivot basis
     SCENARIO_BASIS (so X^3 = Y is a column relation), finite variety of
-    exactly eight points.  Outside the scenario: NotApplicable.
+    exactly eight points.  Outside the scenario: NotApplicable.  *pipe*, a
+    pipeline of beta under pol at REFINE_WIDTH, lends the stages it has
+    already computed.
     """
-    from .pipeline import Pipeline  # the pipeline's stages import this module
+    from .pipeline import solver_pipeline  # the pipeline imports this module
 
-    return reduced_test(Pipeline(beta, pol, REFINE_WIDTH))
-
-
-def reduced_test(pipe) -> ReducedVerdict:
-    """``reduced_consistency_test`` on the stages of a pipeline built with
-    width REFINE_WIDTH."""
-    beta, pol = pipe.beta, pipe.pol
+    pipe = solver_pipeline(beta, pol, pipe)
     if beta.d != 2 or beta.degree != 6:
         return ReducedVerdict("NotApplicable",
                               reason="scenario needs d=2, degree-6 data")

@@ -21,17 +21,16 @@ from functools import partial
 from typing import Optional, Sequence
 
 from . import _linalg
-from .consistency import consistency_check, reduced_test
+from .consistency import consistency_check, reduced_consistency_test
 from .moments import (
     DEFAULT_POLICY,
     KernelReport,
     Multisequence,
     PsdVerdict,
-    REFINE_WIDTH,
     TolerancePolicy,
     riesz,
 )
-from .pipeline import Pipeline
+from .pipeline import Pipeline, solver_pipeline
 from .polycore import (
     JsonInput,
     Point,
@@ -125,16 +124,14 @@ def verify_measure(beta: Multisequence, measure: AtomicMeasure,
 def solve_extremal(beta: Multisequence,
                    pol: TolerancePolicy = DEFAULT_POLICY,
                    points: Optional[Sequence[Point]] = None,
-                   basis: Optional[Sequence] = None) -> SolveReport:
-    """Decide solvability in the extremal case and recover the measure."""
-    return solve(Pipeline(beta, pol, REFINE_WIDTH), points, basis)
+                   basis: Optional[Sequence] = None, *,
+                   pipe: Optional[Pipeline] = None) -> SolveReport:
+    """Decide solvability in the extremal case and recover the measure.
 
-
-def solve(pipe: Pipeline, points: Optional[Sequence[Point]] = None,
-          basis: Optional[Sequence] = None) -> SolveReport:
-    """``solve_extremal`` on the stages of a pipeline built with width
-    REFINE_WIDTH; supplied *points* replace its variety."""
-    beta, pol, psd = pipe.beta, pipe.pol, pipe.psd
+    *pipe*, a pipeline of beta under pol at REFINE_WIDTH, lends the stages
+    it has already computed; supplied *points* replace its variety."""
+    pipe = solver_pipeline(beta, pol, pipe)
+    psd = pipe.psd
     if not psd.ok:
         return SolveReport("NoMeasure", reason="NotPSD",
                            witness=psd.witness, value=psd.value, psd=psd)
@@ -168,8 +165,7 @@ def solve(pipe: Pipeline, points: Optional[Sequence[Point]] = None,
         raise ValueError(f"basis must have {r} elements, got {len(basis_elems)}")
     vb = vandermonde_VB(basis_elems, variety.points, pol)
     if not vb.invertible:
-        inj = pipe.injectivity if points is None \
-            else injectivity_check(kernel_report, variety.points, pol)
+        inj = injectivity_check(kernel_report, variety.points, pol)
         return report("NoMeasure", reason="SingularVB", witness=inj.witness)
     lam = [riesz(beta, b) for b in vb.basis]
     try:
@@ -182,12 +178,11 @@ def solve(pipe: Pipeline, points: Optional[Sequence[Point]] = None,
     if not verification.ok:
         # Interpolation failed: look for an inconsistency witness, first by
         # the curve-scenario test, then on the variety's vanishing ideal.
-        reduced = reduced_test(pipe)
+        reduced = reduced_consistency_test(beta, pol, pipe=pipe)
         if reduced.status == "NoMeasure":
             return report("NoMeasure", reason="Inconsistent",
                           witness=reduced.witness, value=reduced.value)
-        cons = pipe.consistency if points is None \
-            else consistency_check(beta, variety, pol)
+        cons = consistency_check(beta, variety, pol)
         if cons.status == "Inconsistent":
             return report("NoMeasure", reason="Inconsistent",
                           witness=cons.witness, value=cons.value)

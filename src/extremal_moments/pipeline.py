@@ -9,7 +9,8 @@ and the variety from one object and no stage runs twice for a command.
 
 ``width`` is the refinement width of irrational variety points.  None means
 the policy's ``root`` width (``analyze`` and ``variety`` print points at it);
-the solver, the extension handoff and the reduced test use ``REFINE_WIDTH``.
+the solver, the extension handoff and the reduced test use ``REFINE_WIDTH``
+and take such a pipeline through ``solver_pipeline``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .moments import (
     MomentMatrix,
     Multisequence,
     PsdVerdict,
+    REFINE_WIDTH,
     RecursivenessVerdict,
     TolerancePolicy,
     _flatness,
@@ -96,3 +98,14 @@ class Pipeline:
                 or not variety.points:
             return None
         return injectivity_check(self.kernel, variety.points, self.pol)
+
+
+def solver_pipeline(beta: Multisequence, pol: TolerancePolicy,
+                    pipe: Optional[Pipeline] = None) -> Pipeline:
+    """The REFINE_WIDTH pipeline of *beta* under *pol* that the solver and
+    the reduced test read: *pipe*, once checked to be one, or a new one."""
+    if pipe is None:
+        return Pipeline(beta, pol, REFINE_WIDTH)
+    if pipe.beta is not beta or pipe.pol != pol or pipe.width != REFINE_WIDTH:
+        raise ValueError("pipe must hold beta under pol at REFINE_WIDTH")
+    return pipe

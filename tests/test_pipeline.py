@@ -1,5 +1,6 @@
 """One pipeline per command: every distinct M(n) is built, PSD-checked and
-reduced once, and the variety is computed once.
+reduced once, and the variety is computed once.  The solver and the reduced
+test are still reached through their module-level names.
 
 Calls are counted at every binding of the stage functions (the package
 imports them by name into many modules), so a stage that some module calls
@@ -16,11 +17,12 @@ import pytest
 
 import extremal_moments as em
 from extremal_moments.cli import run
+from extremal_moments.moments import DEFAULT_POLICY, REFINE_WIDTH
 
 from conftest import fixture_path
 
 STAGES = ("build_moment_matrix", "psd_check", "rank_kernel",
-          "compute_variety")
+          "compute_variety", "solve_extremal", "reduced_consistency_test")
 FIXTURES = ("ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
             "ex71", "thm62_a8_8")
 
@@ -83,14 +85,16 @@ def test_solve_with_reduced_test_reuses_the_variety(calls):
     # curve-scenario test; it reads the solver's M(3), kernel and variety.
     assert cli("solve", moments("thm62_a8_8")) == 2
     assert calls == {"build_moment_matrix": 1, "psd_check": 1,
-                     "rank_kernel": 1, "compute_variety": 1}
+                     "rank_kernel": 1, "compute_variety": 1,
+                     "solve_extremal": 1, "reduced_consistency_test": 1}
 
 
 def test_extend_reuses_each_extension(calls):
     # M(3) -> M(4) -> M(5) is flat; the handoff solve reads M(5)'s stages.
     assert cli("extend", moments("ex71")) == 0
     assert calls == {"build_moment_matrix": 3, "psd_check": 2,
-                     "rank_kernel": 3, "compute_variety": 1}
+                     "rank_kernel": 3, "compute_variety": 1,
+                     "solve_extremal": 1}
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -127,3 +131,28 @@ def test_trivial_kernel_has_no_variety():
     assert pipe.kernel.nullity == 0
     assert pipe.variety is None and pipe.consistency is None
     assert pipe.injectivity is None
+
+
+@pytest.mark.parametrize("width", (None, REFINE_WIDTH / 2))
+def test_solver_rejects_a_pipeline_of_another_width(ex15, width):
+    pipe = em.Pipeline(ex15, DEFAULT_POLICY, width)
+    with pytest.raises(ValueError):
+        em.solve_extremal(ex15, pipe=pipe)
+    with pytest.raises(ValueError):
+        em.reduced_consistency_test(ex15, pipe=pipe)
+
+
+def test_solver_rejects_a_pipeline_of_other_data(ex15, ex71):
+    pipe = em.Pipeline(ex71, DEFAULT_POLICY, REFINE_WIDTH)
+    with pytest.raises(ValueError):
+        em.solve_extremal(ex15, pipe=pipe)
+
+
+def test_solver_reads_a_given_pipeline(ex15, calls):
+    pipe = em.Pipeline(ex15, DEFAULT_POLICY, REFINE_WIDTH)
+    pipe.variety
+    calls.clear()
+    given, fresh = em.solve_extremal(ex15, pipe=pipe), em.solve_extremal(ex15)
+    assert given.status == fresh.status == "Measure"
+    assert given.measure == fresh.measure
+    assert calls["compute_variety"] == 1  # the second, fresh solve only
