@@ -12,14 +12,13 @@ free column, support otherwise restricted to pivot columns).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .polycore import Scalar, all_exact
+from .polycore import Scalar, all_exact, clear_denominators
 
 
 class SingularMatrixError(ValueError):
@@ -124,11 +123,8 @@ def _eliminate(rows, ncols):
     work = []
     scale = 1
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fracs:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        work.append([x.numerator * (lcm // x.denominator) for x in fracs])
+        ints, lcm = clear_denominators(row)
+        work.append(ints)
         scale *= lcm
     nrows, width = len(work), len(work[0]) if work else 0
 

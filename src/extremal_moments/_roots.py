@@ -3,8 +3,8 @@
 Exact path: Sturm chains with a power-of-two Cauchy bound, bisection down to a
 requested interval width, and exact detection of roots hit by a (dyadic)
 bisection midpoint — such roots are returned as exact rationals and deflated
-before continuing.  Float path: numpy companion-matrix roots with Newton
-polish and near-real filtering.
+before continuing.  Signs along the chain are evaluated in integers.  Float
+path: numpy companion-matrix roots with Newton polish and near-real filtering.
 
 Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.
 """
@@ -17,6 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .polycore import clear_denominators
+
+#: Interval width for high-precision refinement of irrational roots, so of
+#: every irrational variety coordinate.  Wide enough margins survive
+#: Vandermonde solves with condition numbers near 1e8 while keeping
+#: densities of order 1e-10 at the correct sign.
+REFINE_WIDTH = Fraction(1, 10**40)
 
 # ---------------------------------------------------------------------------
 # exact polynomial helpers (ascending Fraction coefficient lists)
@@ -89,6 +96,8 @@ def squarefree_part(coeffs):
 # ---------------------------------------------------------------------------
 
 def sturm_chain(coeffs):
+    """Sturm chain of *coeffs* with each member cleared of denominators: a
+    positive multiple, so every sign along the chain is kept."""
     chain = [strip(coeffs), strip(derivative(coeffs))]
     while chain[-1]:
         _, rem = poly_divmod(chain[-2], chain[-1])
@@ -96,15 +105,29 @@ def sturm_chain(coeffs):
         if not rem:
             break
         chain.append([-c for c in rem])
-    return [c for c in chain if c]
+    return [clear_denominators(c)[0] for c in chain if c]
+
+
+def _values_at(chain, x) -> list:
+    """den**m * p(num/den) for each integer polynomial p of degree m in
+    *chain*: the signs of p at x = num/den, by integer Horner."""
+    num, den = x.numerator, x.denominator
+    powers = [1]
+    for _ in range(max(map(len, chain)) - 1):
+        powers.append(powers[-1] * den)
+    values = []
+    for ints in chain:
+        m = len(ints) - 1
+        total = 0
+        for i in range(m, -1, -1):
+            total = total * num + ints[i] * powers[m - i]
+        values.append(total)
+    return values
 
 
 def sign_variations(chain, x) -> int:
-    signs = []
-    for coeffs in chain:
-        value = horner(coeffs, x)
-        if value != 0:
-            signs.append(1 if value > 0 else -1)
+    """Sign changes along a ``sturm_chain`` at the rational x."""
+    signs = [v > 0 for v in _values_at(chain, Fraction(x)) if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -121,6 +144,16 @@ def cauchy_bound(coeffs) -> Fraction:
     return bound
 
 
+def real_root_count(coeffs) -> int:
+    """Number of distinct real roots of a nonzero rational polynomial."""
+    coeffs = strip(coeffs)
+    if degree(coeffs) < 1:
+        return 0
+    chain = sturm_chain(coeffs)
+    bound = cauchy_bound(coeffs)
+    return sign_variations(chain, -bound) - sign_variations(chain, bound)
+
+
 @dataclass(frozen=True)
 class IsolatedRoot:
     """One real root: exact rational, or an enclosing interval midpoint."""
@@ -131,7 +164,7 @@ class IsolatedRoot:
     high: Fraction
 
 
-def real_roots_exact(coeffs, width=Fraction(1, 10**12)) -> tuple:
+def real_roots_exact(coeffs, width=REFINE_WIDTH) -> tuple:
     """All real roots of a nonzero rational polynomial.
 
     Returns ``(roots, had_multiple)`` with roots sorted ascending; multiple
@@ -164,7 +197,7 @@ def _roots_squarefree(coeffs, width):
         if count == 0:
             continue
         mid = (a + b) / 2
-        if horner(coeffs, mid) == 0:
+        if _values_at(chain[:1], mid)[0] == 0:
             # Exact (dyadic) root: deflate and restart isolation on the
             # quotient.  Roots already accumulated are roots of the quotient
             # too, so only the exact hit and the recursion are returned.
@@ -173,23 +206,23 @@ def _roots_squarefree(coeffs, width):
             return ([IsolatedRoot(mid, True, mid, mid)]
                     + _roots_squarefree(strip(quot), width))
         if count == 1:
-            roots.append(_refine(coeffs, a, b, width))
+            roots.append(_refine(chain[:1], a, b, width))
         else:
             stack.append((a, mid))
             stack.append((mid, b))
     return roots
 
 
-def _refine(coeffs, a, b, width):
-    """Bisect the isolating interval (a, b] down to the requested width."""
-    fb = horner(coeffs, b)
+def _refine(p, a, b, width):
+    """Bisect the isolating interval (a, b] of the one-member chain *p*."""
+    fb, = _values_at(p, b)
     if fb == 0:
         return IsolatedRoot(b, True, b, b)
-    fa = horner(coeffs, a)
+    fa, = _values_at(p, a)
     assert fa != 0 and (fa > 0) != (fb > 0)
     while b - a > width:
         mid = (a + b) / 2
-        fm = horner(coeffs, mid)
+        fm, = _values_at(p, mid)
         if fm == 0:
             return IsolatedRoot(mid, True, mid, mid)
         if (fm > 0) == (fa > 0):

@@ -31,13 +31,13 @@ from .moments import (
     TolerancePolicy,
     dump_multisequence,
     load_multisequence,
+    multisequence_json,
 )
 from .pipeline import Pipeline
 from .polycore import (
     InputError,
     Polynomial,
     compact_scalar,
-    monomial_basis,
     monomial_to_string,
     parse_scalar,
     poly_to_string,
@@ -131,8 +131,7 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 
 def _policy_from_args(args) -> TolerancePolicy:
-    flags = {"rank": args.tol_rank, "root": args.tol_root,
-             "residual": args.tol_residual}
+    flags = {"rank": args.tol_rank, "residual": args.tol_residual}
     return dataclasses.replace(DEFAULT_POLICY, **{
         name: value for name, value in flags.items() if value is not None})
 
@@ -352,13 +351,7 @@ def _cmd_synth(args) -> int:
         dump_multisequence(beta, args.out)
         print(f"wrote moments: d={beta.d}, degree={beta.degree} -> {args.out}")
     else:
-        payload = {
-            "d": beta.d,
-            "degree": beta.degree,
-            "moments": [{"idx": list(idx), "value": compact_scalar(beta[idx])}
-                        for idx in monomial_basis(beta.d, beta.degree)],
-        }
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(multisequence_json(beta))
     return EXIT_OK
 
 
@@ -381,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def solver_flags(p):
         p.add_argument("--tol-rank", type=float, default=None)
-        p.add_argument("--tol-root", type=float, default=None)
         p.add_argument("--tol-residual", type=float, default=None)
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")

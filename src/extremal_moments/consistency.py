@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import _linalg
+from . import _linalg, _roots
 from .moments import (
     DEFAULT_POLICY,
     Multisequence,
-    REFINE_WIDTH,
     TolerancePolicy,
     riesz,
 )
@@ -33,6 +32,7 @@ from .polycore import (
     Polynomial,
     Scalar,
     all_exact,
+    monomial_basis,
 )
 from .variety import VarietyReport, build_W
 
@@ -98,12 +98,23 @@ def consistency_check(beta: Multisequence, variety,
                       ) -> ConsistencyVerdict:
     """Check Lambda(p) = 0 for every p of degree <= 2n vanishing on the
     variety (kernel basis of W_{2n}); Unknown when the variety is not a
-    finite point list."""
-    if isinstance(variety, VarietyReport) and variety.status != "Finite":
-        return ConsistencyVerdict(
-            "Unknown",
-            reason=f"variety is {variety.status}; the vanishing ideal "
-                   "cannot be enumerated from points")
+    finite point list.  An empty point list says nothing of the variety and
+    is Unknown; a Finite report with no points is the empty set."""
+    if isinstance(variety, VarietyReport):
+        if variety.status != "Finite":
+            return ConsistencyVerdict(
+                "Unknown",
+                reason=f"variety is {variety.status}; the vanishing ideal "
+                       "cannot be enumerated from points")
+        if not variety.points:
+            # Every polynomial vanishes on the empty set, so each monomial
+            # whose moment is nonzero is a witness.
+            for idx in monomial_basis(beta.d, beta.degree):
+                if beta[idx] != 0:
+                    return ConsistencyVerdict(
+                        "Inconsistent", Polynomial.monomial(beta.d, idx),
+                        beta[idx])
+            return ConsistencyVerdict("Consistent")
     points = _variety_points(variety)
     if not points:
         return ConsistencyVerdict("Unknown", reason="no variety points")
@@ -222,8 +233,7 @@ def reduced_consistency_test(beta: Multisequence,
     Preconditions checked: d=2, degree 6, M(3) PSD with rank 8, pivot basis
     SCENARIO_BASIS (so X^3 = Y is a column relation), finite variety of
     exactly eight points.  Outside the scenario: NotApplicable.  *pipe*, a
-    pipeline of beta under pol at REFINE_WIDTH, lends the stages it has
-    already computed.
+    pipeline of beta under pol, lends the stages it has already computed.
     """
     from .pipeline import solver_pipeline  # the pipeline imports this module
 
@@ -275,7 +285,7 @@ def _vanishes_on(k: Polynomial, variety: VarietyReport) -> bool:
     """Does the exact polynomial k vanish on every variety point?  Exact at
     rational points; at refined irrational points the threshold is tied to
     the refinement width, far below any honest nonzero value."""
-    slack = float(REFINE_WIDTH) * 1e20
+    slack = float(_roots.REFINE_WIDTH) * 1e20
     for w, exact_pt in zip(variety.points, variety.exact_mask):
         if exact_pt and k.is_exact:
             if k.evaluate(w) != 0:
@@ -342,21 +352,10 @@ def simple_zero_certificate(r1: Polynomial, r2: Polynomial,
 
 def _form_has_real_zero(form: Polynomial) -> bool:
     """Does a nonconstant homogeneous binary form vanish on a real direction?"""
-    from . import _roots
-
     # Direction (0, 1): the form must be divisible by x.
     if all(i >= 1 for (i, _) in form.terms):
         return True
     # Directions (1, t): real roots of form(1, t).
-    coeffs: list = []
-    for (i, j), c in form.terms.items():
-        while len(coeffs) <= j:
-            coeffs.append(Fraction(0))
-        coeffs[j] += Fraction(c)
-    coeffs = _roots.strip(coeffs)
-    if len(coeffs) <= 1:
-        return False
-    chain = _roots.sturm_chain(coeffs)
-    bound = _roots.cauchy_bound(coeffs)
-    return (_roots.sign_variations(chain, -bound)
-            - _roots.sign_variations(chain, bound)) > 0
+    top = int(form.degree)
+    return _roots.real_root_count(
+        [form.coefficient((top - j, j)) for j in range(top + 1)]) > 0

@@ -7,8 +7,7 @@ equations for the unknown degree 2n+1 and 2n+2 moments; a moment is
 well defined only when *every* derivation path agrees, and a disagreement is
 a certificate that no representing measure exists (a measure supported on
 the kernel's variety would satisfy all paths).  The extended matrix is
-rebuilt from the extended multisequence, which re-asserts the Hankel
-property on every run.
+rebuilt from the extended multisequence, so it is Hankel by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .moments import (
     MomentMatrix,
     Multisequence,
     PsdVerdict,
-    REFINE_WIDTH,
     TolerancePolicy,
     build_moment_matrix,
     rank_kernel,
@@ -159,10 +157,9 @@ def propagate_recursive_extension(matrix: MomentMatrix,
     well_defined = not conflicts and not undetermined
     if undetermined:
         return ExtensionReport(n, well_defined, tuple(conflicts), undetermined)
-    # The handoff solve reads the variety of the last extension, so every
-    # extension refines at the solver's width.  The M(n) block of M(n+1) is
-    # *matrix* itself, so flatness compares the two kernel ranks.
-    extended = Pipeline(Multisequence(d, 2 * n + 2, known), pol, REFINE_WIDTH)
+    # The M(n) block of M(n+1) is *matrix* itself, so flatness compares the
+    # two kernel ranks.
+    extended = Pipeline(Multisequence(d, 2 * n + 2, known), pol)
     rank = extended.kernel.rank
     return ExtensionReport(n, well_defined, tuple(conflicts), undetermined,
                            extended, FlatnessVerdict(rank == report.rank,
@@ -258,7 +255,7 @@ def extension_search(beta: Multisequence, max_steps: int = 3,
     """Iterate recursive propagation until a flat extension, a certificate,
     or exhaustion of the step budget.  Each step's M(n+1) pipeline is the
     next step's M(n) and, at a flat extension, the handoff solve's input."""
-    current = Pipeline(beta, pol, REFINE_WIDTH)
+    current = Pipeline(beta, pol)
     steps = []
     for _ in range(max_steps):
         if current.kernel.nullity == 0:

@@ -128,8 +128,8 @@ def solve_extremal(beta: Multisequence,
                    pipe: Optional[Pipeline] = None) -> SolveReport:
     """Decide solvability in the extremal case and recover the measure.
 
-    *pipe*, a pipeline of beta under pol at REFINE_WIDTH, lends the stages
-    it has already computed; supplied *points* replace its variety."""
+    *pipe*, a pipeline of beta under pol, lends the stages it has already
+    computed; supplied *points* replace its variety."""
     pipe = solver_pipeline(beta, pol, pipe)
     psd = pipe.psd
     if not psd.ok:

@@ -3,14 +3,9 @@
 The paper decides a truncated moment problem along one chain: positivity of
 M(n), its column relations, the variety V, the extremal comparison
 rank M(n) = card V, then consistency.  A ``Pipeline`` holds that chain for
-one (beta, policy, width): each stage is computed by its module-level
-function on first use and kept, so every subcommand reads M(n), its kernel
-and the variety from one object and no stage runs twice for a command.
-
-``width`` is the refinement width of irrational variety points.  None means
-the policy's ``root`` width (``analyze`` and ``variety`` print points at it);
-the solver, the extension handoff and the reduced test use ``REFINE_WIDTH``
-and take such a pipeline through ``solver_pipeline``.
+one (beta, policy): each stage is computed by its module-level function on
+first use and kept, so every subcommand reads M(n), its kernel and the
+variety from one object and no stage runs twice for a command.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from .moments import (
     MomentMatrix,
     Multisequence,
     PsdVerdict,
-    REFINE_WIDTH,
     RecursivenessVerdict,
     TolerancePolicy,
     _flatness,
@@ -47,10 +41,9 @@ class Pipeline:
     """Lazily evaluated stages of M(n) for *beta* under *pol*."""
 
     def __init__(self, beta: Multisequence,
-                 pol: TolerancePolicy = DEFAULT_POLICY, width=None):
+                 pol: TolerancePolicy = DEFAULT_POLICY):
         self.beta = beta
         self.pol = pol
-        self.width = width
 
     @cached_property
     def matrix(self) -> MomentMatrix:
@@ -80,8 +73,7 @@ class Pipeline:
         """Zero set of the kernel; None when the kernel is trivial or d > 2."""
         if self.kernel.nullity == 0 or self.beta.d > 2:
             return None
-        return compute_variety(list(self.kernel.kernel), self.pol,
-                               width=self.width)
+        return compute_variety(list(self.kernel.kernel), self.pol)
 
     @cached_property
     def consistency(self) -> Optional[ConsistencyVerdict]:
@@ -102,10 +94,10 @@ class Pipeline:
 
 def solver_pipeline(beta: Multisequence, pol: TolerancePolicy,
                     pipe: Optional[Pipeline] = None) -> Pipeline:
-    """The REFINE_WIDTH pipeline of *beta* under *pol* that the solver and
-    the reduced test read: *pipe*, once checked to be one, or a new one."""
+    """The pipeline of *beta* under *pol* that the solver and the reduced
+    test read: *pipe*, once checked to be one, or a new one."""
     if pipe is None:
-        return Pipeline(beta, pol, REFINE_WIDTH)
-    if pipe.beta is not beta or pipe.pol != pol or pipe.width != REFINE_WIDTH:
-        raise ValueError("pipe must hold beta under pol at REFINE_WIDTH")
+        return Pipeline(beta, pol)
+    if pipe.beta is not beta or pipe.pol != pol:
+        raise ValueError("pipe must hold beta under pol")
     return pipe

@@ -60,6 +60,14 @@ def all_exact(values: Iterable[Scalar]) -> bool:
     return all(is_exact(v) for v in values)
 
 
+def clear_denominators(values: Iterable[Scalar]) -> tuple:
+    """``(ints, scale)``: the exact *values* times ``scale``, the lcm of
+    their denominators, so ``ints`` are integers with the same signs."""
+    fracs = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs], scale
+
+
 def parse_scalar(text: str, mode: str | None = None) -> Scalar:
     """Parse a scalar from its file/CLI representation.
 

@@ -350,9 +350,9 @@ def _interpolate_exact(xs, ys) -> list:
 # ---------------------------------------------------------------------------
 
 def compute_variety(kernel: Sequence[Polynomial],
-                    pol: TolerancePolicy = DEFAULT_POLICY,
-                    width=None) -> VarietyReport:
-    """Common real zero set of a nonempty kernel basis (d = 1 or 2)."""
+                    pol: TolerancePolicy = DEFAULT_POLICY) -> VarietyReport:
+    """Common real zero set of a nonempty kernel basis (d = 1 or 2); exact
+    irrational coordinates are refined to width ``_roots.REFINE_WIDTH``."""
     kernel = [p for p in kernel]
     if not kernel:
         raise ValueError("compute_variety requires a nonempty kernel list")
@@ -363,18 +363,15 @@ def compute_variety(kernel: Sequence[Polynomial],
         raise ValueError("kernel basis must not contain the zero polynomial")
     if d not in (1, 2):
         raise InputError(UNSUPPORTED_DIMENSION)
-    if width is None:
-        width = Fraction(pol.root).limit_denominator(10**18) \
-            if pol.root > 0 else Fraction(1, 10**12)
     exact = all(p.is_exact for p in kernel)
     if d == 1:
-        return _variety_1d(kernel, pol, width, exact)
+        return _variety_1d(kernel, pol, exact)
     if exact:
-        return _variety_2d_exact(kernel, pol, Fraction(width))
+        return _variety_2d_exact(kernel, pol)
     return _variety_2d_float(kernel, pol)
 
 
-def _variety_1d(kernel, pol, width, exact) -> VarietyReport:
+def _variety_1d(kernel, pol, exact) -> VarietyReport:
     if exact:
         g: list = []
         for p in kernel:
@@ -382,7 +379,7 @@ def _variety_1d(kernel, pol, width, exact) -> VarietyReport:
             g = _roots.poly_gcd(g, coeffs) if g else coeffs
             if len(g) == 1:
                 return VarietyReport("Finite")
-        roots, multiple = _roots.real_roots_exact(g, Fraction(width))
+        roots, multiple = _roots.real_roots_exact(g)
         points = tuple((r.value,) for r in roots)
         mask = tuple(r.exact for r in roots)
         return VarietyReport("Finite", points, mask, multiple_roots=multiple)
@@ -411,7 +408,7 @@ def _ordered_pairs(kernel):
     return pairs
 
 
-def _variety_2d_exact(kernel, pol, width) -> VarietyReport:
+def _variety_2d_exact(kernel, pol) -> VarietyReport:
     g = kernel[0]
     for p in kernel[1:]:
         g = bivariate_gcd(g, p)
@@ -445,7 +442,7 @@ def _variety_2d_exact(kernel, pol, width) -> VarietyReport:
         options.sort(key=lambda t: (t[0], t[1]))
         _, kept_var, res = options[0]
         oriented = kernel if kept_var == 0 else [_swap_vars(r) for r in kernel]
-        report = _assemble_points_exact(oriented, res, pol, width)
+        report = _assemble_points_exact(oriented, res, pol)
         if kept_var == 1:
             report = VarietyReport(
                 report.status,
@@ -459,10 +456,10 @@ def _variety_2d_exact(kernel, pol, width) -> VarietyReport:
                "zero resultant")
 
 
-def _assemble_points_exact(kernel, resultant, pol, width) -> VarietyReport:
+def _assemble_points_exact(kernel, resultant, pol) -> VarietyReport:
     if len(resultant) == 1:
         return VarietyReport("Finite")  # nonzero constant: no common zeros
-    roots, multiple = _roots.real_roots_exact(resultant, width)
+    roots, multiple = _roots.real_roots_exact(resultant)
     points = []
     mask = []
     for root in roots:
@@ -477,7 +474,7 @@ def _assemble_points_exact(kernel, resultant, pol, width) -> VarietyReport:
                 # is genuinely nonzero; residual filtering handles round-off
                 # from approximate x0, so just skip as a candidate source.
                 continue
-            sub_roots, sub_multiple = _roots.real_roots_exact(sub, width)
+            sub_roots, sub_multiple = _roots.real_roots_exact(sub)
             multiple = multiple or sub_multiple
             y_candidates.extend(sub_roots)
             break
@@ -722,11 +719,8 @@ def vandermonde_VB(basis, points: Sequence[Point],
     if len(basis) != len(points):
         raise ValueError(
             f"basis size {len(basis)} != number of points {len(points)}")
-    d = len(points[0])
-    polys = []
-    for b in basis:
-        polys.append(b if isinstance(b, Polynomial)
-                     else Polynomial.monomial(d, b))
+    polys = [b if isinstance(b, Polynomial)
+             else Polynomial.monomial(len(points[0]), b) for b in basis]
     rows = tuple(
         tuple(b.evaluate(w) for w in points) for b in polys
     )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -102,6 +103,32 @@ class TestAnalyze:
             "YX = -(1/2)Y", "Y^2 = 2 - 4X - X^2"]
 
 
+class TestOneVariety:
+    """Every subcommand reads the variety refined to the same width."""
+
+    def test_analyze_and_solve_print_the_same_point(self, capsys):
+        # -2 - sqrt(6), the first atom of example15.
+        assert run(["analyze", EX15]) == 0
+        assert "  point: (-4.449489742783178, 0)" in capsys.readouterr().out
+        assert run(["solve", EX15]) == 0
+        assert "  (-4.449489742783178, 0.0) density" \
+            in capsys.readouterr().out
+
+    def test_ex71_analyze_is_consistent(self, capsys):
+        assert run(["analyze", EX71]) == 0
+        assert "consistency: Consistent" in capsys.readouterr().out
+
+    def test_zero_data_solves_to_the_empty_measure(self, capsys, tmp_path):
+        moments = tmp_path / "zero.json"
+        moments.write_text(json.dumps({
+            "d": 1, "degree": 2,
+            "moments": [{"idx": [i], "value": "0"} for i in range(3)]}))
+        assert run(["solve", str(moments)]) == 0
+        out = capsys.readouterr().out
+        assert "status: Measure" in out
+        assert "atoms (0):" in out
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_repeated_runs_identical(self, capsys, fmt):
@@ -166,6 +193,15 @@ class TestSynth:
         values = {tuple(entry["idx"]): float(entry["value"])
                   for entry in payload["moments"]}
         assert values[(0, 0)] == pytest.approx(1.0, abs=1e-9)
+
+    def test_printed_moments_read_back_exactly(self, capsys, tmp_path):
+        a = F(1, 10**13)
+        assert run(["synth", "--example14", "1", str(a)]) == 0
+        printed = tmp_path / "printed.json"
+        printed.write_text(capsys.readouterr().out)
+        beta = em.load_multisequence(printed)
+        assert beta.is_exact
+        assert beta == em.complex_to_real(em.example14_gamma(1, a))
 
     def test_source_flags_are_exclusive(self, capsys):
         assert run(["synth", "--example14", "2", "1/2",

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 import extremal_moments as em
-from extremal_moments.polycore import Polynomial
+from extremal_moments.polycore import Polynomial, monomial_basis
+from extremal_moments.variety import VarietyReport
 
 
 #: Exact correction polynomial of the curve scenario (vanishes on the eight
@@ -67,6 +68,22 @@ class TestConsistencyCheck:
         assert abs(float(verdict.value)) > 1e-6
         for w in variety_of(thm62_a8_8).points:
             assert abs(float(verdict.witness.evaluate(w))) < 1e-6
+
+    def test_empty_variety_and_zero_data_is_consistent(self):
+        beta = em.Multisequence(2, 2, dict.fromkeys(monomial_basis(2, 2), 0))
+        verdict = em.consistency_check(beta, VarietyReport("Finite"))
+        assert verdict.status == "Consistent"
+
+    def test_empty_variety_witness_is_first_nonzero_moment(self):
+        # Every polynomial vanishes on the empty set; X is the first monomial
+        # (degree-lex) whose moment is nonzero.
+        values = dict.fromkeys(monomial_basis(2, 2), 0)
+        values.update({(1, 0): F(3), (0, 2): F(1)})
+        beta = em.Multisequence(2, 2, values)
+        verdict = em.consistency_check(beta, VarietyReport("Finite"))
+        assert verdict.status == "Inconsistent"
+        assert verdict.witness == Polynomial.monomial(2, (1, 0))
+        assert verdict.value == 3
 
     def test_no_points_is_unknown(self):
         beta = em.Multisequence(1, 2, {(0,): F(1), (1,): F(0), (2,): F(1)})

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import extremal_moments as em
-from extremal_moments.polycore import InputError
+from extremal_moments.polycore import InputError, monomial_basis
 
 
 SQRT6 = math.sqrt(6.0)
@@ -83,6 +83,16 @@ class TestSolveMeasure:
         report = em.solve_extremal(beta)
         assert report.status == "NoMeasure"
         assert report.reason == "NotPSD"
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_zero_data_is_the_empty_measure(self, d):
+        # rank M(n) = 0 = card V: the 0-atomic measure represents it.
+        beta = em.Multisequence(d, 2, dict.fromkeys(monomial_basis(d, 2), 0))
+        report = em.solve_extremal(beta)
+        assert report.status == "Measure"
+        assert (report.rank, report.v) == (0, 0)
+        assert report.measure.size == 0
+        assert em.verify_measure(beta, report.measure).exact
 
     def test_invertible_matrix_not_extremal(self):
         beta = em.beta_from_atoms([(F(0),), (F(1),), (F(2),)],

@@ -16,8 +16,9 @@ import sys
 import pytest
 
 import extremal_moments as em
+from extremal_moments import cli as cli_module
 from extremal_moments.cli import run
-from extremal_moments.moments import DEFAULT_POLICY, REFINE_WIDTH
+from extremal_moments.moments import DEFAULT_POLICY
 
 from conftest import fixture_path
 
@@ -133,26 +134,34 @@ def test_trivial_kernel_has_no_variety():
     assert pipe.injectivity is None
 
 
-@pytest.mark.parametrize("width", (None, REFINE_WIDTH / 2))
-def test_solver_rejects_a_pipeline_of_another_width(ex15, width):
-    pipe = em.Pipeline(ex15, DEFAULT_POLICY, width)
-    with pytest.raises(ValueError):
-        em.solve_extremal(ex15, pipe=pipe)
-    with pytest.raises(ValueError):
-        em.reduced_consistency_test(ex15, pipe=pipe)
-
-
 def test_solver_rejects_a_pipeline_of_other_data(ex15, ex71):
-    pipe = em.Pipeline(ex71, DEFAULT_POLICY, REFINE_WIDTH)
+    pipe = em.Pipeline(ex71, DEFAULT_POLICY)
     with pytest.raises(ValueError):
         em.solve_extremal(ex15, pipe=pipe)
 
 
 def test_solver_reads_a_given_pipeline(ex15, calls):
-    pipe = em.Pipeline(ex15, DEFAULT_POLICY, REFINE_WIDTH)
+    pipe = em.Pipeline(ex15, DEFAULT_POLICY)
     pipe.variety
     calls.clear()
     given, fresh = em.solve_extremal(ex15, pipe=pipe), em.solve_extremal(ex15)
     assert given.status == fresh.status == "Measure"
     assert given.measure == fresh.measure
     assert calls["compute_variety"] == 1  # the second, fresh solve only
+
+
+def test_solver_reads_the_pipeline_analyze_built(monkeypatch, calls):
+    built = []
+
+    def record(*args):
+        built.append(em.Pipeline(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "Pipeline", record)
+    cli("analyze", moments("example15"))
+    (pipe,) = built
+    calls.clear()
+    report = em.solve_extremal(pipe.beta, pipe.pol, pipe=pipe)
+    assert report.status == "Measure"
+    assert report.variety is pipe.variety
+    assert calls["compute_variety"] == 0

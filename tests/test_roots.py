@@ -63,6 +63,74 @@ class TestExactIsolation:
                 assert abs(a - b) < 1e-12
 
 
+def sympy_poly(coeffs):
+    """The integer sympy polynomial with the roots of *coeffs*."""
+    x = sympy.symbols("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+               for i, c in enumerate(coeffs))
+    return sympy.Poly(expr, x).clear_denoms()[1]
+
+
+def from_roots(roots, lead, square=None):
+    """Ascending coefficients of lead * prod (x - r), times x^2 - square."""
+    coeffs = [lead]
+    factors = [[-r, F(1)] for r in roots]
+    if square is not None:
+        factors.append([-square, F(0), F(1)])
+    for factor in factors:
+        out = [F(0)] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        coeffs = out
+    return coeffs
+
+
+def assert_isolated_like_sympy(coeffs, width):
+    """sympy counts as many distinct real roots; each reported root is a
+    root (exact) or the only one in its interval of at most *width*."""
+    roots, _ = _roots.real_roots_exact(coeffs, width=width)
+    poly = sympy_poly(coeffs)
+    assert len(roots) == poly.count_roots()
+    for prev, r in zip(roots, roots[1:]):
+        assert prev.high <= r.low
+    for r in roots:
+        low, high = (sympy.Rational(v.numerator, v.denominator)
+                     for v in (r.low, r.high))
+        if r.exact:
+            assert low == high and poly.eval(low) == 0
+        else:
+            assert r.high - r.low <= width
+            assert poly.count_roots(low, high) == 1
+    return roots
+
+
+class TestAgainstSympy:
+    def test_coefficients_over_500_bits(self):
+        rng = random.Random(11)
+        for _ in range(6):
+            deg = rng.randint(2, 6)
+            coeffs = [F(rng.getrandbits(520) - 2**519,
+                        rng.getrandbits(520) + 1) for _ in range(deg + 1)]
+            assert max(abs(c.numerator).bit_length() for c in coeffs) > 500
+            assert_isolated_like_sympy(coeffs, F(1, 10**40))
+
+    def test_dyadic_rational_roots(self):
+        # Dyadic roots are hit exactly by a bisection midpoint; thirds and
+        # square roots must still be isolated around them.
+        rng = random.Random(12)
+        for _ in range(20):
+            dyadic = {F(rng.randint(-64, 64), 2 ** rng.randint(0, 6))
+                      for _ in range(rng.randint(1, 5))}
+            thirds = {F(rng.randint(-9, 9), 3)
+                      for _ in range(rng.randint(0, 2))}
+            square = F(rng.randint(2, 7)) if rng.random() < 0.5 else None
+            lead = F(rng.randint(1, 9), rng.randint(1, 9))
+            coeffs = from_roots(dyadic | thirds, lead, square)
+            roots = assert_isolated_like_sympy(coeffs, F(1, 10**40))
+            assert dyadic <= {r.value for r in roots if r.exact}
+
+
 class TestFloatRoute:
     def test_real_roots_float_filters_complex(self):
         # (x^2 + 1)(x - 2)
