@@ -10,7 +10,6 @@ from .polycore import monomial_basis
 from .moments import (
     MomentMatrix,
     Multisequence,
-    TolerancePolicy,
     build_moment_matrix,
     dump_multisequence,
     flatness_check,
@@ -80,7 +79,6 @@ __all__ = [
     "Pipeline",
     "SignedFunctional",
     "SolveReport",
-    "TolerancePolicy",
     "beta_from_atoms",
     "beta_from_functional",
     "bivariate_gcd",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import Scalar, all_exact, clear_denominators
+from .polycore import RANK_TOL, Scalar, all_exact, clear_denominators
 
 
 class SingularMatrixError(ValueError):
@@ -80,17 +80,16 @@ class LinearReduction:
         return basis
 
 
-def row_reduce(rows: Sequence[Sequence[Scalar]],
-               tol_rank: float = 1e-10) -> LinearReduction:
+def row_reduce(rows: Sequence[Sequence[Scalar]]) -> LinearReduction:
     """Reduce to RREF; exact when every entry is exact, else float with a
-    relative pivot threshold ``tol_rank * max|entry|``."""
+    relative pivot threshold ``RANK_TOL * max|entry|``."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if nrows == 0 or ncols == 0:
         return LinearReduction(nrows, ncols, 0, (), ())
     if matrix_is_exact(rows):
         return _row_reduce_exact(rows, nrows, ncols)
-    return _row_reduce_float(rows, nrows, ncols, tol_rank)
+    return _row_reduce_float(rows, nrows, ncols)
 
 
 def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
@@ -156,12 +155,12 @@ def _eliminate(rows, ncols):
     return work, pivots, scale, sign
 
 
-def _row_reduce_float(rows, nrows, ncols, tol_rank) -> LinearReduction:
+def _row_reduce_float(rows, nrows, ncols) -> LinearReduction:
     work = np.array([[float(x) for x in row] for row in rows], dtype=float)
     scale = float(np.max(np.abs(work))) if work.size else 0.0
     if scale == 0.0:
         return LinearReduction(nrows, ncols, 0, (), ())
-    threshold = tol_rank * scale
+    threshold = RANK_TOL * scale
     pivots = []
     r = 0
     for c in range(ncols):
@@ -289,7 +288,7 @@ def psd_exact(rows):
     return False, witness
 
 
-def psd_float(rows, tol: float = 1e-10):
+def psd_float(rows):
     """Float PSD decision via eigenvalues; returns (ok, witness_or_None)."""
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     if a.size == 0:
@@ -297,6 +296,6 @@ def psd_float(rows, tol: float = 1e-10):
     a = (a + a.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(a)
     scale = max(1.0, float(np.max(np.abs(a))))
-    if eigvals[0] >= -tol * scale:
+    if eigvals[0] >= -RANK_TOL * scale:
         return True, None
     return False, [float(x) for x in eigvecs[:, 0]]

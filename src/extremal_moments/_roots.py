@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polycore import clear_denominators
+from .polycore import MERGE_TOL, clear_denominators
 
 #: Interval width for high-precision refinement of irrational roots, so of
 #: every irrational variety coordinate.  Wide enough margins survive
@@ -236,7 +236,8 @@ def _refine(p, a, b, width):
 # float path
 # ---------------------------------------------------------------------------
 
-def real_roots_float(coeffs: Sequence[float], merge_tol: float = 1e-8) -> tuple:
+def real_roots_float(coeffs: Sequence[float],
+                     merge_tol: float = MERGE_TOL) -> tuple:
     """Real roots of a float polynomial via the companion matrix.
 
     Returns ``(roots, well_isolated)``; ``well_isolated`` is False when two

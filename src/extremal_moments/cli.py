@@ -13,7 +13,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -26,9 +25,7 @@ from .extremal import (
     solve_extremal,
 )
 from .moments import (
-    DEFAULT_POLICY,
     KernelReport,
-    TolerancePolicy,
     dump_multisequence,
     load_multisequence,
     multisequence_json,
@@ -130,15 +127,9 @@ class _Emitter:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _policy_from_args(args) -> TolerancePolicy:
-    flags = {"rank": args.tol_rank, "residual": args.tol_residual}
-    return dataclasses.replace(DEFAULT_POLICY, **{
-        name: value for name, value in flags.items() if value is not None})
-
-
 def _cmd_analyze(args) -> int:
     beta = load_multisequence(args.moments, args.mode)
-    pipe = Pipeline(beta, _policy_from_args(args))
+    pipe = Pipeline(beta)
     kernel = pipe.kernel
     out = _Emitter(args.format)
     out.set("command", "analyze")
@@ -189,7 +180,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_solve(args) -> int:
     beta = load_multisequence(args.moments, args.mode)
     points = load_points(args.points, args.mode) if args.points else None
-    report = solve_extremal(beta, _policy_from_args(args), points)
+    report = solve_extremal(beta, points)
     out = _Emitter(args.format)
     out.set("command", "solve")
     out.set("status", report.status)
@@ -239,7 +230,7 @@ def _emit_measure(out: _Emitter, measure: AtomicMeasure) -> None:
 
 def _cmd_variety(args) -> int:
     beta = load_multisequence(args.moments, args.mode)
-    pipe = Pipeline(beta, _policy_from_args(args))
+    pipe = Pipeline(beta)
     report = pipe.kernel
     out = _Emitter(args.format)
     out.set("command", "variety")
@@ -274,8 +265,10 @@ def _cmd_variety(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    if args.steps < 1:
+        raise InputError(f"--steps must be >= 1, got {args.steps}")
     beta = load_multisequence(args.moments, args.mode)
-    search = extension_search(beta, args.steps, _policy_from_args(args))
+    search = extension_search(beta, args.steps)
     out = _Emitter(args.format)
     out.set("command", "extend")
     out.set("status", search.status)
@@ -303,7 +296,7 @@ def _cmd_extend(args) -> int:
              + (f" at M({search.flat_level})" if search.flat_level else ""))
     if search.status == "FlatAt":
         final = search.final
-        handoff = solve_extremal(final.beta, final.pol, pipe=final)
+        handoff = solve_extremal(final.beta, pipe=final)
         out.set("solve_status", handoff.status)
         out.line(f"handoff solve: {handoff.status}")
         if handoff.measure is not None:
@@ -366,21 +359,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certificates and atomic representing measures.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, out=True):
         p.add_argument("--mode", choices=("exact", "float"), default=None,
                        help="force scalar interpretation of input values")
-        p.add_argument("--out", default=None,
-                       help="write the resulting artifact to this file")
+        if out:
+            p.add_argument("--out", default=None,
+                           help="write the resulting artifact to this file")
 
     def solver_flags(p):
-        p.add_argument("--tol-rank", type=float, default=None)
-        p.add_argument("--tol-residual", type=float, default=None)
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
 
     p = sub.add_parser("analyze", help="property battery for moment data")
     p.add_argument("moments")
-    common(p)
+    common(p, out=False)
     solver_flags(p)
     p.set_defaults(func=_cmd_analyze)
 

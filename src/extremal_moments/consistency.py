@@ -20,19 +20,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _linalg, _roots
-from .moments import (
-    DEFAULT_POLICY,
-    Multisequence,
-    TolerancePolicy,
-    riesz,
-)
+from .moments import Multisequence, riesz
 from .polycore import (
+    RANK_TOL,
     MultiIndex,
     Point,
     Polynomial,
     Scalar,
     all_exact,
     monomial_basis,
+    negligible,
+    significant,
 )
 from .variety import VarietyReport, build_W
 
@@ -93,9 +91,7 @@ def _points_exact(variety, points) -> bool:
     return all(all_exact(w) for w in points)
 
 
-def consistency_check(beta: Multisequence, variety,
-                      pol: TolerancePolicy = DEFAULT_POLICY
-                      ) -> ConsistencyVerdict:
+def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
     """Check Lambda(p) = 0 for every p of degree <= 2n vanishing on the
     variety (kernel basis of W_{2n}); Unknown when the variety is not a
     finite point list.  An empty point list says nothing of the variety and
@@ -120,23 +116,19 @@ def consistency_check(beta: Multisequence, variety,
         return ConsistencyVerdict("Unknown", reason="no variety points")
     exact_points = _points_exact(variety, points)
     w_matrix = build_W(points, beta.degree, beta.d)
-    reduction = _linalg.row_reduce(w_matrix.rows, pol.rank)
+    reduction = _linalg.row_reduce(w_matrix.rows)
     scale = beta.scale()
     for vec in reduction.kernel_basis():
         p = Polynomial(beta.d, dict(zip(w_matrix.monomials, vec)))
         value = riesz(beta, p)
-        if beta.is_exact and p.is_exact and exact_points:
-            bad = value != 0
-        else:
-            bad = abs(float(value)) > pol.residual * scale
-        if bad:
+        if significant(value, scale,
+                       beta.is_exact and p.is_exact and exact_points):
             return ConsistencyVerdict("Inconsistent", p, value)
     return ConsistencyVerdict("Consistent")
 
 
-def signed_representation(beta: Multisequence, variety,
-                          pol: TolerancePolicy = DEFAULT_POLICY
-                          ) -> SignedRepresentation:
+def signed_representation(beta: Multisequence,
+                          variety) -> SignedRepresentation:
     """Weights alpha with Lambda = sum alpha_i * evaluation at w_i on all
     monomials of degree <= 2n, supported on a row basis of W_{2n}."""
     points = _variety_points(variety)
@@ -144,10 +136,9 @@ def signed_representation(beta: Multisequence, variety,
         raise ValueError("signed_representation needs a finite point list")
     w_matrix = build_W(points, beta.degree, beta.d)
     # Independent rows of W = pivot columns of its transpose.
-    row_pick = _linalg.row_reduce(_linalg.transpose(w_matrix.rows),
-                                  pol.rank).pivots
+    row_pick = _linalg.row_reduce(_linalg.transpose(w_matrix.rows)).pivots
     rows = [w_matrix.rows[i] for i in row_pick]
-    col_pick = _linalg.row_reduce(rows, pol.rank).pivots
+    col_pick = _linalg.row_reduce(rows).pivots
     square = [[rows[i][j] for i in range(len(row_pick))] for j in col_pick]
     target = [beta[w_matrix.monomials[j]] for j in col_pick]
     weights = _linalg.solve_linear(square, target)
@@ -156,7 +147,7 @@ def signed_representation(beta: Multisequence, variety,
         predicted = sum((w * rows[i][j] for i, w in enumerate(weights)),
                         start=Fraction(0))
         residual = max(residual, abs(float(predicted - beta[idx])))
-    valid = residual <= pol.residual * beta.scale()
+    valid = negligible(residual, beta.scale())
     atoms = tuple(points[i] for i in row_pick)
     return SignedRepresentation(atoms, tuple(weights), residual, valid)
 
@@ -166,7 +157,6 @@ def signed_representation(beta: Multisequence, variety,
 # ---------------------------------------------------------------------------
 
 def compute_h(points: Sequence[Point],
-              pol: TolerancePolicy = DEFAULT_POLICY,
               basis: Sequence[MultiIndex] = SCENARIO_BASIS,
               target: MultiIndex = SCENARIO_TARGET) -> Polynomial:
     """Interpolation correction h = target - sum alpha_i b_i vanishing on the
@@ -198,9 +188,7 @@ def _curve_reduce(idx: MultiIndex) -> MultiIndex:
     return (i, j)
 
 
-def compute_k_from_extension(beta: Multisequence,
-                             pol: TolerancePolicy = DEFAULT_POLICY
-                             ) -> Polynomial:
+def compute_k_from_extension(beta: Multisequence) -> Polynomial:
     """Curve-scenario candidate k = target - sum alpha_i b_i computed from
     the moment data alone: the degree-eight products target*b_i are reduced
     along X^3 = Y into the degree-2n range, and alpha solves the compressed
@@ -225,19 +213,18 @@ def compute_k_from_extension(beta: Multisequence,
     return k
 
 
-def reduced_consistency_test(beta: Multisequence,
-                             pol: TolerancePolicy = DEFAULT_POLICY, *,
+def reduced_consistency_test(beta: Multisequence, *,
                              pipe=None) -> ReducedVerdict:
     """Decide measure existence in the curve scenario via Lambda(h).
 
     Preconditions checked: d=2, degree 6, M(3) PSD with rank 8, pivot basis
     SCENARIO_BASIS (so X^3 = Y is a column relation), finite variety of
     exactly eight points.  Outside the scenario: NotApplicable.  *pipe*, a
-    pipeline of beta under pol, lends the stages it has already computed.
+    pipeline of beta, lends the stages it has already computed.
     """
     from .pipeline import solver_pipeline  # the pipeline imports this module
 
-    pipe = solver_pipeline(beta, pol, pipe)
+    pipe = solver_pipeline(beta, pipe)
     if beta.d != 2 or beta.degree != 6:
         return ReducedVerdict("NotApplicable",
                               reason="scenario needs d=2, degree-6 data")
@@ -265,19 +252,19 @@ def reduced_consistency_test(beta: Multisequence,
     # non-vanishing point rules a measure out, while vanishing identifies
     # k = h and Lambda(h) = Lambda(k) = 0 settles existence.
     if beta.is_exact:
-        k = compute_k_from_extension(beta, pol)
+        k = compute_k_from_extension(beta)
         if _vanishes_on(k, variety):
             return ReducedVerdict("MeasureExists", riesz(beta, k), k)
-        h = compute_h(variety.points, pol)
+        h = compute_h(variety.points)
         return ReducedVerdict(
             "NoMeasure", riesz(beta, h), h,
             reason="data-derived correction fails to vanish on the "
                    "variety; any representing measure would force it to")
 
-    h = compute_h(variety.points, pol)
+    h = compute_h(variety.points)
     value = riesz(beta, h)
-    zero = abs(float(value)) <= pol.residual * beta.scale()
-    status = "MeasureExists" if zero else "NoMeasure"
+    status = "MeasureExists" if negligible(value, beta.scale()) \
+        else "NoMeasure"
     return ReducedVerdict(status, value, h)
 
 
@@ -311,9 +298,7 @@ def _monomial_abs(point, idx) -> float:
 # ---------------------------------------------------------------------------
 
 def simple_zero_certificate(r1: Polynomial, r2: Polynomial,
-                            points: Sequence[Point],
-                            pol: TolerancePolicy = DEFAULT_POLICY
-                            ) -> CertificateVerdict:
+                            points: Sequence[Point]) -> CertificateVerdict:
     """Certify that the two generators meet transversally in exactly
     deg(r1)*deg(r2) simple real points:
 
@@ -343,7 +328,7 @@ def simple_zero_certificate(r1: Polynomial, r2: Polynomial,
             - j12.evaluate(w) * j21.evaluate(w)
         scale = max(1.0, *(abs(float(p.evaluate(w)))
                            for p in (j11, j12, j21, j22)))
-        if abs(float(det)) <= pol.rank * scale:
+        if abs(float(det)) <= RANK_TOL * scale:
             reasons.append(
                 f"Jacobian rank < 2 at point "
                 f"({float(w[0]):.6g}, {float(w[1]):.6g})")

@@ -18,22 +18,22 @@ from typing import Optional
 
 from . import _linalg
 from .moments import (
-    DEFAULT_POLICY,
     FlatnessVerdict,
     KernelReport,
     MomentMatrix,
     Multisequence,
     PsdVerdict,
-    TolerancePolicy,
     build_moment_matrix,
     rank_kernel,
 )
 from .pipeline import Pipeline
 from .polycore import (
+    RANK_TOL,
     Polynomial,
     Scalar,
     is_exact,
     monomial_basis,
+    significant,
     total_degree,
 )
 from .synth import Derivation, moments_of_atoms
@@ -98,9 +98,7 @@ def extend_via_measure(measure, m: int) -> MomentMatrix:
 
 
 def propagate_recursive_extension(matrix: MomentMatrix,
-                                  report: KernelReport,
-                                  pol: TolerancePolicy = DEFAULT_POLICY
-                                  ) -> ExtensionReport:
+                                  report: KernelReport) -> ExtensionReport:
     """Determine the degree 2n+1 and 2n+2 moments forced by the column
     relations, checking that all derivation paths agree."""
     d, n = matrix.d, matrix.n
@@ -126,7 +124,7 @@ def propagate_recursive_extension(matrix: MomentMatrix,
                 continue
             target = missing[0]
             c0 = coeffs[target]
-            if not is_exact(c0) and abs(float(c0)) <= pol.rank:
+            if not is_exact(c0) and abs(float(c0)) <= RANK_TOL:
                 continue
             rest: Scalar = Fraction(0)
             for idx, c in coeffs.items():
@@ -147,11 +145,7 @@ def propagate_recursive_extension(matrix: MomentMatrix,
         value: Scalar = Fraction(0)
         for idx, c in coeffs.items():
             value = value + c * known[idx]
-        if exact and is_exact(value):
-            bad = value != 0
-        else:
-            bad = abs(float(value)) > pol.residual * scale
-        if bad:
+        if significant(value, scale, exact and is_exact(value)):
             conflicts.append((*source, value))
 
     well_defined = not conflicts and not undetermined
@@ -159,7 +153,7 @@ def propagate_recursive_extension(matrix: MomentMatrix,
         return ExtensionReport(n, well_defined, tuple(conflicts), undetermined)
     # The M(n) block of M(n+1) is *matrix* itself, so flatness compares the
     # two kernel ranks.
-    extended = Pipeline(Multisequence(d, 2 * n + 2, known), pol)
+    extended = Pipeline(Multisequence(d, 2 * n + 2, known))
     rank = extended.kernel.rank
     return ExtensionReport(n, well_defined, tuple(conflicts), undetermined,
                            extended, FlatnessVerdict(rank == report.rank,
@@ -167,9 +161,8 @@ def propagate_recursive_extension(matrix: MomentMatrix,
                            extended.psd)
 
 
-def flat_extension_check(m_n: MomentMatrix, m_n1: MomentMatrix,
-                         pol: TolerancePolicy = DEFAULT_POLICY
-                         ) -> FlatExtensionVerdict:
+def flat_extension_check(m_n: MomentMatrix,
+                         m_n1: MomentMatrix) -> FlatExtensionVerdict:
     """Is M(n+1) a rank-preserving extension of M(n)?  Verifies both the
     compression (top-left block equals M(n)) and rank equality."""
     if m_n1.n != m_n.n + 1 or m_n1.d != m_n.d:
@@ -181,20 +174,16 @@ def flat_extension_check(m_n: MomentMatrix, m_n1: MomentMatrix,
     for i in range(size):
         for j in range(size):
             diff = m_n1.entry(i, j) - m_n.entry(i, j)
-            if is_exact(diff):
-                if diff != 0:
-                    compression_ok = False
-            elif abs(float(diff)) > pol.residual * scale:
+            if significant(diff, scale, is_exact(diff)):
                 compression_ok = False
-    rank_n = rank_kernel(m_n, pol).rank
-    rank_n1 = rank_kernel(m_n1, pol).rank
+    rank_n = rank_kernel(m_n).rank
+    rank_n1 = rank_kernel(m_n1).rank
     return FlatExtensionVerdict(compression_ok,
                                 compression_ok and rank_n == rank_n1,
                                 rank_n, rank_n1)
 
 
 def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
-                    pol: TolerancePolicy = DEFAULT_POLICY,
                     derivation: Optional[Derivation] = None
                     ) -> TightnessVerdict:
     """Compare the degree <= n+1 kernel of M(n+1) against the span of
@@ -202,8 +191,8 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
     of the generated ideal).  Equality certifies tightness.  A supplied
     derivation that annihilates every kernel element of M(n) but not some
     kernel element of M(n+1) certifies the opposite."""
-    k_n = rank_kernel(m_n, pol)
-    k_n1 = rank_kernel(m_n1, pol)
+    k_n = rank_kernel(m_n)
+    k_n1 = rank_kernel(m_n1)
     dim_next = k_n1.nullity
     basis_n1 = m_n1.basis
     span_rows = []
@@ -212,7 +201,7 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
         for u_idx in monomial_basis(m_n.d, m_n.n + 1 - dp):
             q = Polynomial.monomial(m_n.d, u_idx) * p
             span_rows.append([q.coefficient(idx) for idx in basis_n1])
-    bound = _linalg.row_reduce(span_rows, pol.rank).rank if span_rows else 0
+    bound = _linalg.row_reduce(span_rows).rank if span_rows else 0
 
     witness = None
     value = None
@@ -221,14 +210,13 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
         for p in k_n.kernel:
             at_point = p.evaluate(derivation.point)
             derived = derivation.apply(p)
-            if abs(float(at_point)) > pol.residual \
-                    or abs(float(derived)) > pol.residual:
+            if significant(at_point) or significant(derived):
                 valid = False
                 break
         if valid:
             for q in k_n1.kernel:
                 derived = derivation.apply(q)
-                if abs(float(derived)) > pol.residual:
+                if significant(derived):
                     witness = q
                     value = derived
                     break
@@ -249,20 +237,18 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
         else "derivation annihilates every kernel element of M(n+1)")
 
 
-def extension_search(beta: Multisequence, max_steps: int = 3,
-                     pol: TolerancePolicy = DEFAULT_POLICY
-                     ) -> ExtensionSearchReport:
+def extension_search(beta: Multisequence,
+                     max_steps: int = 3) -> ExtensionSearchReport:
     """Iterate recursive propagation until a flat extension, a certificate,
     or exhaustion of the step budget.  Each step's M(n+1) pipeline is the
     next step's M(n) and, at a flat extension, the handoff solve's input."""
-    current = Pipeline(beta, pol)
+    current = Pipeline(beta)
     steps = []
     for _ in range(max_steps):
         if current.kernel.nullity == 0:
             return ExtensionSearchReport(
                 tuple(steps), "Undetermined", None, current)
-        ext = propagate_recursive_extension(current.matrix, current.kernel,
-                                            pol)
+        ext = propagate_recursive_extension(current.matrix, current.kernel)
         steps.append(ext)
         if ext.conflicts:
             return ExtensionSearchReport(tuple(steps), "IllDefined",

@@ -22,14 +22,7 @@ from typing import Optional, Sequence
 
 from . import _linalg
 from .consistency import consistency_check, reduced_consistency_test
-from .moments import (
-    DEFAULT_POLICY,
-    KernelReport,
-    Multisequence,
-    PsdVerdict,
-    TolerancePolicy,
-    riesz,
-)
+from .moments import KernelReport, Multisequence, PsdVerdict, riesz
 from .pipeline import Pipeline, solver_pipeline
 from .polycore import (
     JsonInput,
@@ -40,6 +33,7 @@ from .polycore import (
     compact_scalar,
     ensure_scalar,
     is_exact,
+    negligible,
 )
 from .synth import moments_of_atoms
 from .variety import (
@@ -99,8 +93,8 @@ class SolveReport:
     basis: tuple = ()
 
 
-def verify_measure(beta: Multisequence, measure: AtomicMeasure,
-               pol: TolerancePolicy = DEFAULT_POLICY) -> VerificationReport:
+def verify_measure(beta: Multisequence,
+                   measure: AtomicMeasure) -> VerificationReport:
     """Compare the moments of the measure against beta on every index."""
     if measure.d != beta.d:
         raise ValueError("dimension mismatch between measure and data")
@@ -117,20 +111,19 @@ def verify_measure(beta: Multisequence, measure: AtomicMeasure,
         if err > residual:
             residual = err
             worst = idx
-    ok = residual <= pol.residual * beta.scale()
-    return VerificationReport(residual, ok, exact, worst)
+    return VerificationReport(residual, negligible(residual, beta.scale()),
+                              exact, worst)
 
 
 def solve_extremal(beta: Multisequence,
-                   pol: TolerancePolicy = DEFAULT_POLICY,
                    points: Optional[Sequence[Point]] = None,
                    basis: Optional[Sequence] = None, *,
                    pipe: Optional[Pipeline] = None) -> SolveReport:
     """Decide solvability in the extremal case and recover the measure.
 
-    *pipe*, a pipeline of beta under pol, lends the stages it has already
-    computed; supplied *points* replace its variety."""
-    pipe = solver_pipeline(beta, pol, pipe)
+    *pipe*, a pipeline of beta, lends the stages it has already computed;
+    supplied *points* replace its variety."""
+    pipe = solver_pipeline(beta, pipe)
     psd = pipe.psd
     if not psd.ok:
         return SolveReport("NoMeasure", reason="NotPSD",
@@ -139,7 +132,7 @@ def solve_extremal(beta: Multisequence,
     r = kernel_report.rank
     report = partial(SolveReport, rank=r, kernel=kernel_report, psd=psd)
     variety = pipe.variety if points is None \
-        else adopt_points(kernel_report, points, pol)
+        else adopt_points(kernel_report, points)
     if variety is None:
         if kernel_report.nullity == 0:
             return report("NotExtremal", v=math.inf,
@@ -163,9 +156,9 @@ def solve_extremal(beta: Multisequence,
     basis_elems = tuple(basis) if basis is not None else kernel_report.pivots
     if len(basis_elems) != r:
         raise ValueError(f"basis must have {r} elements, got {len(basis_elems)}")
-    vb = vandermonde_VB(basis_elems, variety.points, pol)
+    vb = vandermonde_VB(basis_elems, variety.points)
     if not vb.invertible:
-        inj = injectivity_check(kernel_report, variety.points, pol)
+        inj = injectivity_check(kernel_report, variety.points)
         return report("NoMeasure", reason="SingularVB", witness=inj.witness)
     lam = [riesz(beta, b) for b in vb.basis]
     try:
@@ -173,16 +166,16 @@ def solve_extremal(beta: Multisequence,
     except _linalg.SingularMatrixError:
         return report("NoMeasure", reason="SingularVB")
     measure = AtomicMeasure(beta.d, variety.points, tuple(densities))
-    verification = verify_measure(beta, measure, pol)
+    verification = verify_measure(beta, measure)
     report = partial(report, residual=verification.residual)
     if not verification.ok:
         # Interpolation failed: look for an inconsistency witness, first by
         # the curve-scenario test, then on the variety's vanishing ideal.
-        reduced = reduced_consistency_test(beta, pol, pipe=pipe)
+        reduced = reduced_consistency_test(beta, pipe=pipe)
         if reduced.status == "NoMeasure":
             return report("NoMeasure", reason="Inconsistent",
                           witness=reduced.witness, value=reduced.value)
-        cons = consistency_check(beta, variety, pol)
+        cons = consistency_check(beta, variety)
         if cons.status == "Inconsistent":
             return report("NoMeasure", reason="Inconsistent",
                           witness=cons.witness, value=cons.value)

@@ -25,29 +25,9 @@ from .polycore import (
     ensure_scalar,
     format_scalar,
     monomial_basis,
+    significant,
     total_degree,
 )
-
-# ---------------------------------------------------------------------------
-# tolerances
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Float-mode thresholds; exact routes ignore them.
-
-    rank: relative pivot threshold (times the largest matrix entry).
-    residual: verification threshold for moment/annihilation residuals.
-    merge: distance under which two atoms are considered the same point.
-    """
-
-    rank: float = 1e-10
-    residual: float = 1e-7
-    merge: float = 1e-8
-
-
-DEFAULT_POLICY = TolerancePolicy()
-
 
 # ---------------------------------------------------------------------------
 # multisequences
@@ -226,14 +206,13 @@ class FlatnessVerdict:
     rank_previous: int
 
 
-def psd_check(matrix: MomentMatrix,
-              pol: TolerancePolicy = DEFAULT_POLICY) -> PsdVerdict:
+def psd_check(matrix: MomentMatrix) -> PsdVerdict:
     """Decide M(n) >= 0; NotPSD carries a polynomial witness with
     Lambda(witness^2) < 0 (exact witness in exact mode)."""
     if matrix.is_exact:
         ok, vec = _linalg.psd_exact(matrix.rows)
     else:
-        ok, vec = _linalg.psd_float(matrix.rows, pol.rank)
+        ok, vec = _linalg.psd_float(matrix.rows)
     if ok:
         return PsdVerdict("PSD")
     witness = Polynomial(matrix.d, dict(zip(matrix.basis, vec)))
@@ -241,11 +220,10 @@ def psd_check(matrix: MomentMatrix,
     return PsdVerdict("NotPSD", witness, value)
 
 
-def rank_kernel(matrix: MomentMatrix,
-                pol: TolerancePolicy = DEFAULT_POLICY) -> KernelReport:
+def rank_kernel(matrix: MomentMatrix) -> KernelReport:
     """Rank, pivot monomials (first independent columns in degree-lex), and a
     kernel basis in delta form."""
-    reduction = _linalg.row_reduce(matrix.rows, pol.rank)
+    reduction = _linalg.row_reduce(matrix.rows)
     pivots = tuple(matrix.basis[j] for j in reduction.pivots)
     kernel = []
     for vec in reduction.kernel_basis():
@@ -254,9 +232,8 @@ def rank_kernel(matrix: MomentMatrix,
                         reduction.rank, pivots, tuple(kernel))
 
 
-def recursiveness_check(matrix: MomentMatrix, report: KernelReport,
-                        pol: TolerancePolicy = DEFAULT_POLICY
-                        ) -> RecursivenessVerdict:
+def recursiveness_check(matrix: MomentMatrix,
+                        report: KernelReport) -> RecursivenessVerdict:
     """Check that p in ker M(n) forces (u*p) in ker M(n) for every monomial u
     with deg(u*p) <= n."""
     scale = max(1.0, max(abs(float(matrix.entry(i, j)))
@@ -270,29 +247,24 @@ def recursiveness_check(matrix: MomentMatrix, report: KernelReport,
             u = Polynomial.monomial(matrix.d, u_idx)
             product = u * p
             image = matrix.apply(product)
-            if matrix.is_exact and product.is_exact:
-                bad = any(x != 0 for x in image)
-            else:
-                bad = any(abs(float(x)) > pol.residual * scale for x in image)
-            if bad:
+            exact = matrix.is_exact and product.is_exact
+            if any(significant(x, scale, exact) for x in image):
                 return RecursivenessVerdict("Violation", (p, u, product))
     return RecursivenessVerdict("RecursivelyGenerated")
 
 
-def flatness_check(matrix: MomentMatrix,
-                   pol: TolerancePolicy = DEFAULT_POLICY) -> FlatnessVerdict:
+def flatness_check(matrix: MomentMatrix) -> FlatnessVerdict:
     """Compare rank M(n) with rank of the embedded M(n-1) block."""
     if matrix.n < 1:
         raise ValueError("flatness needs n >= 1")
-    return _flatness(matrix, rank_kernel(matrix, pol).rank, pol)
+    return _flatness(matrix, rank_kernel(matrix).rank)
 
 
-def _flatness(matrix: MomentMatrix, rank_n: int,
-              pol: TolerancePolicy) -> FlatnessVerdict:
+def _flatness(matrix: MomentMatrix, rank_n: int) -> FlatnessVerdict:
     """Flatness of M(n), given its rank, against its M(n-1) block."""
     prev_size = len(monomial_basis(matrix.d, matrix.n - 1))
     block = [row[:prev_size] for row in matrix.rows[:prev_size]]
-    rank_prev = _linalg.row_reduce(block, pol.rank).rank
+    rank_prev = _linalg.row_reduce(block).rank
     return FlatnessVerdict(rank_n == rank_prev, rank_n, rank_prev)
 
 

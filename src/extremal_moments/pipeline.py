@@ -3,7 +3,7 @@
 The paper decides a truncated moment problem along one chain: positivity of
 M(n), its column relations, the variety V, the extremal comparison
 rank M(n) = card V, then consistency.  A ``Pipeline`` holds that chain for
-one (beta, policy): each stage is computed by its module-level function on
+one beta: each stage is computed by its module-level function on
 first use and kept, so every subcommand reads M(n), its kernel and the
 variety from one object and no stage runs twice for a command.
 """
@@ -15,14 +15,12 @@ from typing import Optional
 
 from .consistency import ConsistencyVerdict, consistency_check
 from .moments import (
-    DEFAULT_POLICY,
     FlatnessVerdict,
     KernelReport,
     MomentMatrix,
     Multisequence,
     PsdVerdict,
     RecursivenessVerdict,
-    TolerancePolicy,
     _flatness,
     build_moment_matrix,
     psd_check,
@@ -38,12 +36,10 @@ from .variety import (
 
 
 class Pipeline:
-    """Lazily evaluated stages of M(n) for *beta* under *pol*."""
+    """Lazily evaluated stages of M(n) for *beta*."""
 
-    def __init__(self, beta: Multisequence,
-                 pol: TolerancePolicy = DEFAULT_POLICY):
+    def __init__(self, beta: Multisequence):
         self.beta = beta
-        self.pol = pol
 
     @cached_property
     def matrix(self) -> MomentMatrix:
@@ -51,35 +47,35 @@ class Pipeline:
 
     @cached_property
     def psd(self) -> PsdVerdict:
-        return psd_check(self.matrix, self.pol)
+        return psd_check(self.matrix)
 
     @cached_property
     def kernel(self) -> KernelReport:
-        return rank_kernel(self.matrix, self.pol)
+        return rank_kernel(self.matrix)
 
     @cached_property
     def recursiveness(self) -> RecursivenessVerdict:
-        return recursiveness_check(self.matrix, self.kernel, self.pol)
+        return recursiveness_check(self.matrix, self.kernel)
 
     @cached_property
     def flatness(self) -> Optional[FlatnessVerdict]:
         """M(n) against its M(n-1) block; None for n = 0."""
         if self.matrix.n < 1:
             return None
-        return _flatness(self.matrix, self.kernel.rank, self.pol)
+        return _flatness(self.matrix, self.kernel.rank)
 
     @cached_property
     def variety(self) -> Optional[VarietyReport]:
         """Zero set of the kernel; None when the kernel is trivial or d > 2."""
         if self.kernel.nullity == 0 or self.beta.d > 2:
             return None
-        return compute_variety(list(self.kernel.kernel), self.pol)
+        return compute_variety(list(self.kernel.kernel))
 
     @cached_property
     def consistency(self) -> Optional[ConsistencyVerdict]:
         if self.variety is None:
             return None
-        return consistency_check(self.beta, self.variety, self.pol)
+        return consistency_check(self.beta, self.variety)
 
     @cached_property
     def injectivity(self) -> Optional[InjectivityVerdict]:
@@ -89,15 +85,15 @@ class Pipeline:
         if variety is None or variety.status != "Finite" \
                 or not variety.points:
             return None
-        return injectivity_check(self.kernel, variety.points, self.pol)
+        return injectivity_check(self.kernel, variety.points)
 
 
-def solver_pipeline(beta: Multisequence, pol: TolerancePolicy,
+def solver_pipeline(beta: Multisequence,
                     pipe: Optional[Pipeline] = None) -> Pipeline:
-    """The pipeline of *beta* under *pol* that the solver and the reduced
-    test read: *pipe*, once checked to be one, or a new one."""
+    """The pipeline of *beta* that the solver and the reduced test read:
+    *pipe*, once checked to be one, or a new one."""
     if pipe is None:
-        return Pipeline(beta, pol)
-    if pipe.beta is not beta or pipe.pol != pol:
-        raise ValueError("pipe must hold beta under pol")
+        return Pipeline(beta)
+    if pipe.beta is not beta:
+        raise ValueError("pipe must hold beta")
     return pipe

@@ -125,6 +125,36 @@ def compact_scalar(value: Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
+# tolerances
+# ---------------------------------------------------------------------------
+
+#: Float pivot and eigenvalue threshold, relative to the largest entry.
+RANK_TOL = 1e-10
+#: Residual threshold for moment and annihilation checks of float values.
+RESIDUAL_TOL = 1e-7
+#: Distance under which two computed roots or atoms are the same point.
+MERGE_TOL = 1e-8
+
+
+def negligible(value: Scalar, scale: float = 1.0,
+               exact: bool = False) -> bool:
+    """Is *value* zero: ``value == 0`` when *exact*, else within
+    ``RESIDUAL_TOL * scale``?  NaN is not negligible."""
+    if exact:
+        return value == 0
+    return abs(float(value)) <= RESIDUAL_TOL * scale
+
+
+def significant(value: Scalar, scale: float = 1.0,
+                exact: bool = False) -> bool:
+    """Is *value* certainly nonzero?  The complement of ``negligible``,
+    except that NaN is neither: a NaN residual certifies nothing."""
+    if exact:
+        return value != 0
+    return abs(float(value)) > RESIDUAL_TOL * scale
+
+
+# ---------------------------------------------------------------------------
 # JSON input files
 # ---------------------------------------------------------------------------
 

@@ -22,8 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg, _roots
-from .moments import DEFAULT_POLICY, KernelReport, TolerancePolicy
+from .moments import KernelReport
 from .polycore import (
+    MERGE_TOL,
+    RANK_TOL,
+    RESIDUAL_TOL,
     InputError,
     JsonInput,
     Point,
@@ -33,12 +36,18 @@ from .polycore import (
     ensure_scalar,
     format_scalar,
     monomial_basis,
+    negligible,
     total_degree,
 )
 
 #: Error raised for kernels in three or more variables.
 UNSUPPORTED_DIMENSION = ("variety computation is implemented for d in {1, 2}; "
                          "supply points explicitly for higher dimension")
+
+#: Float roots closer than this are one root.  Near-double roots split by
+#: O(sqrt(noise)), far beyond the exact-duplicate radius MERGE_TOL; float
+#: mode clusters at that scale and flags the event.
+_CLUSTER_TOL = max(MERGE_TOL, math.sqrt(RESIDUAL_TOL))
 
 # ---------------------------------------------------------------------------
 # reports
@@ -349,8 +358,7 @@ def _interpolate_exact(xs, ys) -> list:
 # variety computation
 # ---------------------------------------------------------------------------
 
-def compute_variety(kernel: Sequence[Polynomial],
-                    pol: TolerancePolicy = DEFAULT_POLICY) -> VarietyReport:
+def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
     """Common real zero set of a nonempty kernel basis (d = 1 or 2); exact
     irrational coordinates are refined to width ``_roots.REFINE_WIDTH``."""
     kernel = [p for p in kernel]
@@ -363,15 +371,17 @@ def compute_variety(kernel: Sequence[Polynomial],
         raise ValueError("kernel basis must not contain the zero polynomial")
     if d not in (1, 2):
         raise InputError(UNSUPPORTED_DIMENSION)
+    if any(p.degree == 0 for p in kernel):
+        return VarietyReport("Finite")  # a nonzero constant has no zeros
     exact = all(p.is_exact for p in kernel)
     if d == 1:
-        return _variety_1d(kernel, pol, exact)
+        return _variety_1d(kernel, exact)
     if exact:
-        return _variety_2d_exact(kernel, pol)
-    return _variety_2d_float(kernel, pol)
+        return _variety_2d_exact(kernel)
+    return _variety_2d_float(kernel)
 
 
-def _variety_1d(kernel, pol, exact) -> VarietyReport:
+def _variety_1d(kernel, exact) -> VarietyReport:
     if exact:
         g: list = []
         for p in kernel:
@@ -387,15 +397,12 @@ def _variety_1d(kernel, pol, exact) -> VarietyReport:
     coeffs = [0.0] * (int(base.degree) + 1)
     for (e,), c in base.terms.items():
         coeffs[e] = float(c)
-    # Near-double roots split by O(sqrt(noise)); flag anything closer than
-    # that scale instead of reporting a spurious pair.
-    cluster = max(pol.merge, math.sqrt(pol.residual))
-    roots, isolated = _roots.real_roots_float(coeffs, cluster)
+    roots, isolated = _roots.real_roots_float(coeffs, _CLUSTER_TOL)
     if not isolated:
         return VarietyReport("Unknown",
                              reason="near-multiple roots in float mode")
     points = [(r,) for r in roots
-              if all(_residual_ok(p, (r,), pol, False) for p in kernel)]
+              if all(_residual_ok(p, (r,), False) for p in kernel)]
     return VarietyReport("Finite", tuple(points),
                          tuple(False for _ in points))
 
@@ -408,7 +415,7 @@ def _ordered_pairs(kernel):
     return pairs
 
 
-def _variety_2d_exact(kernel, pol) -> VarietyReport:
+def _variety_2d_exact(kernel) -> VarietyReport:
     g = kernel[0]
     for p in kernel[1:]:
         g = bivariate_gcd(g, p)
@@ -442,7 +449,7 @@ def _variety_2d_exact(kernel, pol) -> VarietyReport:
         options.sort(key=lambda t: (t[0], t[1]))
         _, kept_var, res = options[0]
         oriented = kernel if kept_var == 0 else [_swap_vars(r) for r in kernel]
-        report = _assemble_points_exact(oriented, res, pol)
+        report = _assemble_points_exact(oriented, res)
         if kept_var == 1:
             report = VarietyReport(
                 report.status,
@@ -456,7 +463,7 @@ def _variety_2d_exact(kernel, pol) -> VarietyReport:
                "zero resultant")
 
 
-def _assemble_points_exact(kernel, resultant, pol) -> VarietyReport:
+def _assemble_points_exact(kernel, resultant) -> VarietyReport:
     if len(resultant) == 1:
         return VarietyReport("Finite")  # nonzero constant: no common zeros
     roots, multiple = _roots.real_roots_exact(resultant)
@@ -481,25 +488,25 @@ def _assemble_points_exact(kernel, resultant, pol) -> VarietyReport:
         for y_root in y_candidates:
             point = (x0, y_root.value)
             point_exact = root.exact and y_root.exact
-            if all(_residual_ok(p, point, pol, point_exact) for p in kernel):
+            if all(_residual_ok(p, point, point_exact) for p in kernel):
                 points.append(point)
                 mask.append(point_exact)
-    points, mask, _ = _merge_points(points, mask, pol.merge)
+    points, mask, _ = _merge_points(points, mask, MERGE_TOL)
     return VarietyReport("Finite", tuple(points), tuple(mask),
                          multiple_roots=multiple)
 
 
-def _variety_2d_float(kernel, pol) -> VarietyReport:
+def _variety_2d_float(kernel) -> VarietyReport:
     for i, j in _ordered_pairs(kernel):
         p, q = kernel[i], kernel[j]
         if _deg_y(p) == 0 and _deg_y(q) == 0:
             continue  # Res_y degenerates for two y-free polynomials
         res_x = resultant_eliminate_y(p, q)
         scale = max((abs(c) for c in res_x), default=0.0)
-        if scale <= pol.rank:
+        if scale <= RANK_TOL:
             continue
         roots, isolated = _roots.real_roots_float(
-            [c / scale for c in res_x], pol.merge)
+            [c / scale for c in res_x])
         if not isolated:
             return VarietyReport(
                 "Unknown", reason="near-multiple resultant roots in float mode")
@@ -514,18 +521,14 @@ def _variety_2d_float(kernel, pol) -> VarietyReport:
                     sub.pop()
                 if len(sub) <= 1:
                     continue
-                y_roots, _ = _roots.real_roots_float(sub, pol.merge)
+                y_roots, _ = _roots.real_roots_float(sub)
                 for y0 in y_roots:
                     cand = _newton_polish_2d(p, q, float(x0), float(y0))
-                    if all(_residual_ok(r, cand, pol, False) for r in kernel):
+                    if all(_residual_ok(r, cand, False) for r in kernel):
                         points.append(cand)
                 break
-        # A double resultant root under coefficient noise eps splits into a
-        # pair separated by O(sqrt(eps)), far beyond the exact-duplicate
-        # radius; cluster at that scale and flag the event.
-        cluster = max(pol.merge, math.sqrt(pol.residual))
         points, mask, clustered = _merge_points(
-            points, [False] * len(points), cluster)
+            points, [False] * len(points), _CLUSTER_TOL)
         return _sort_report(VarietyReport("Finite", tuple(points),
                                           tuple(mask),
                                           multiple_roots=clustered))
@@ -552,21 +555,20 @@ def _newton_polish_2d(p, q, x, y, iterations: int = 12):
     return (x, y)
 
 
-def _residual_ok(p: Polynomial, point, pol, point_exact: bool) -> bool:
-    value = p.evaluate(point)
-    if point_exact and p.is_exact:
-        return value == 0
+def _residual_ok(p: Polynomial, point, point_exact: bool) -> bool:
+    exact = point_exact and p.is_exact
     scale = 0.0
-    for idx, c in p.terms.items():
-        term = abs(float(c))
-        for x, e in zip(point, idx):
-            term *= abs(float(x))**e
-        scale += term
-    return abs(float(value)) <= pol.residual * max(1.0, scale)
+    if not exact:  # the exact test needs no scale
+        for idx, c in p.terms.items():
+            term = abs(float(c))
+            for x, e in zip(point, idx):
+                term *= abs(float(x))**e
+            scale += term
+    return negligible(p.evaluate(point), max(1.0, scale), exact)
 
 
-def adopt_points(report: KernelReport, points: Sequence[Point],
-                 pol: TolerancePolicy = DEFAULT_POLICY) -> VarietyReport:
+def adopt_points(report: KernelReport,
+                 points: Sequence[Point]) -> VarietyReport:
     """Supplied points as the variety, after checking that each satisfies
     every kernel relation; exact where point and kernel are both exact."""
     adopted = []
@@ -579,7 +581,7 @@ def adopt_points(report: KernelReport, points: Sequence[Point],
                              f"does not have dimension {report.d}")
         point_exact = all_exact(w) and exact_kernel
         for p in report.kernel:
-            if not _residual_ok(p, w, pol, point_exact):
+            if not _residual_ok(p, w, point_exact):
                 raise InputError(
                     f"supplied point {tuple(float(x) for x in w)} does not "
                     f"satisfy kernel relation {p}")
@@ -659,25 +661,22 @@ def build_W(points: Sequence[Point], k: int, d: Optional[int] = None) -> EvalMat
     return EvalMatrix(k, tuple(tuple(w) for w in points), monomials, tuple(rows))
 
 
-def eval_matrix_rank(matrix: EvalMatrix,
-                     pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    return _linalg.row_reduce(matrix.rows, pol.rank).rank
+def eval_matrix_rank(matrix: EvalMatrix) -> int:
+    return _linalg.row_reduce(matrix.rows).rank
 
 
-def hilbert_function(points: Sequence[Point], k: int,
-                     pol: TolerancePolicy = DEFAULT_POLICY) -> int:
+def hilbert_function(points: Sequence[Point], k: int) -> int:
     """H_I(k): number of independent degree <= k monomial evaluations."""
-    return eval_matrix_rank(build_W(points, k), pol)
+    return eval_matrix_rank(build_W(points, k))
 
 
-def injectivity_check(report: KernelReport, points: Sequence[Point],
-                      pol: TolerancePolicy = DEFAULT_POLICY
-                      ) -> InjectivityVerdict:
+def injectivity_check(report: KernelReport,
+                      points: Sequence[Point]) -> InjectivityVerdict:
     """Decide rank M(n) = rank W_n, i.e. whether point evaluations separate
     the column space.  When they do not, returns a polynomial vanishing on
     the points that is not in the kernel of M(n)."""
     w_matrix = build_W(points, report.n, report.d)
-    reduction = _linalg.row_reduce(w_matrix.rows, pol.rank)
+    reduction = _linalg.row_reduce(w_matrix.rows)
     rank_w = reduction.rank
     if rank_w == report.rank:
         return InjectivityVerdict(True, report.rank, rank_w)
@@ -698,22 +697,14 @@ def injectivity_check(report: KernelReport, points: Sequence[Point],
             c = reduced.coefficient(idx)
             if c != 0:
                 reduced = reduced - p.scale(c)
-        if not _poly_small(reduced, pol):
+        if not all(negligible(c, exact=reduced.is_exact)
+                   for c in reduced.terms.values()):
             witness = candidate
             break
     return InjectivityVerdict(False, report.rank, rank_w, witness)
 
 
-def _poly_small(p: Polynomial, pol: TolerancePolicy) -> bool:
-    if p.is_zero:
-        return True
-    if p.is_exact:
-        return False
-    return all(abs(float(c)) <= pol.residual for c in p.terms.values())
-
-
-def vandermonde_VB(basis, points: Sequence[Point],
-                   pol: TolerancePolicy = DEFAULT_POLICY) -> VandermondeReport:
+def vandermonde_VB(basis, points: Sequence[Point]) -> VandermondeReport:
     """V_B[i][j] = b_i(w_j) for basis elements b_i (monomial tuples or
     polynomials) and points w_j; reports determinant and invertibility."""
     if len(basis) != len(points):
@@ -728,7 +719,7 @@ def vandermonde_VB(basis, points: Sequence[Point],
     if all(all_exact(row) for row in rows):
         invertible = det != 0
     else:
-        rank = _linalg.row_reduce(rows, pol.rank).rank
+        rank = _linalg.row_reduce(rows).rank
         invertible = rank == len(points)
     return VandermondeReport(tuple(polys), tuple(tuple(w) for w in points),
                              rows, det, invertible)

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import argparse
 import json
 from fractions import Fraction as F
 
 import pytest
 
 import extremal_moments as em
+from extremal_moments import cli
 from extremal_moments.cli import run
 
 from conftest import fixture_path
@@ -264,6 +266,9 @@ MALFORMED = {
                                     '"weights": ["1"]}'}),
     "example14-zero": (["synth", "--example14", "0", "1/2"], {}),
     "example14-not-integer": (["synth", "--example14", "x", "1/2"], {}),
+    "extend-steps-zero": (["extend", "{m}", "--steps", "0"], {"m": VALID_D1}),
+    "extend-steps-negative": (["extend", "{m}", "--steps", "-1"],
+                              {"m": VALID_D1}),
 }
 
 
@@ -280,3 +285,39 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+# Every option of every subcommand, 19 in all, so that a knob nothing reads
+# (a tolerance flag, an --out that writes nothing) cannot come back unseen.
+OPTIONS = {
+    "analyze": ["--format", "--mode"],
+    "solve": ["--format", "--mode", "--out", "--points"],
+    "variety": ["--format", "--mode", "--out"],
+    "extend": ["--format", "--mode", "--out", "--steps"],
+    "synth": ["--degree", "--example14", "--functional", "--measure",
+              "--mode", "--out"],
+}
+
+
+class TestOptions:
+    def test_option_lists(self):
+        (sub,) = [action for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        options = {
+            name: sorted(flag for action in parser._actions
+                         for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, parser in sub.choices.items()}
+        assert options == OPTIONS
+        assert sum(len(flags) for flags in options.values()) == 19
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", THM62, "--tol-residual", "1e-2"],
+        ["analyze", EX15, "--tol-rank", "1e-10"],
+        ["analyze", EX15, "--out", "{out}"],
+    ])
+    def test_removed_flags_exit_1(self, argv, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        assert run([arg.format(out=out) for arg in argv]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()

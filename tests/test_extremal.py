@@ -84,10 +84,12 @@ class TestSolveMeasure:
         assert report.status == "NoMeasure"
         assert report.reason == "NotPSD"
 
+    @pytest.mark.parametrize("degree", (0, 2))
     @pytest.mark.parametrize("d", (1, 2))
-    def test_zero_data_is_the_empty_measure(self, d):
+    def test_zero_data_is_the_empty_measure(self, d, degree):
         # rank M(n) = 0 = card V: the 0-atomic measure represents it.
-        beta = em.Multisequence(d, 2, dict.fromkeys(monomial_basis(d, 2), 0))
+        beta = em.Multisequence(d, degree,
+                                dict.fromkeys(monomial_basis(d, degree), 0))
         report = em.solve_extremal(beta)
         assert report.status == "Measure"
         assert (report.rank, report.v) == (0, 0)

@@ -67,12 +67,12 @@ class TestRowReduceExact:
 class TestRowReduceFloat:
     def test_near_dependent_rows_with_threshold(self):
         rows = [[1.0, 2.0], [1.0, 2.0 + 1e-14]]
-        red = _linalg.row_reduce(rows, tol_rank=1e-10)
+        red = _linalg.row_reduce(rows)
         assert red.rank == 1
 
     def test_full_rank_float(self):
         rows = [[1.0, 2.0], [3.0, 4.0]]
-        red = _linalg.row_reduce(rows, tol_rank=1e-10)
+        red = _linalg.row_reduce(rows)
         assert red.rank == 2
 
 

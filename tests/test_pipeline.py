@@ -18,7 +18,6 @@ import pytest
 import extremal_moments as em
 from extremal_moments import cli as cli_module
 from extremal_moments.cli import run
-from extremal_moments.moments import DEFAULT_POLICY
 
 from conftest import fixture_path
 
@@ -135,13 +134,13 @@ def test_trivial_kernel_has_no_variety():
 
 
 def test_solver_rejects_a_pipeline_of_other_data(ex15, ex71):
-    pipe = em.Pipeline(ex71, DEFAULT_POLICY)
+    pipe = em.Pipeline(ex71)
     with pytest.raises(ValueError):
         em.solve_extremal(ex15, pipe=pipe)
 
 
 def test_solver_reads_a_given_pipeline(ex15, calls):
-    pipe = em.Pipeline(ex15, DEFAULT_POLICY)
+    pipe = em.Pipeline(ex15)
     pipe.variety
     calls.clear()
     given, fresh = em.solve_extremal(ex15, pipe=pipe), em.solve_extremal(ex15)
@@ -161,7 +160,7 @@ def test_solver_reads_the_pipeline_analyze_built(monkeypatch, calls):
     cli("analyze", moments("example15"))
     (pipe,) = built
     calls.clear()
-    report = em.solve_extremal(pipe.beta, pipe.pol, pipe=pipe)
+    report = em.solve_extremal(pipe.beta, pipe=pipe)
     assert report.status == "Measure"
     assert report.variety is pipe.variety
     assert calls["compute_variety"] == 0
