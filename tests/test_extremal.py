@@ -84,9 +84,8 @@ class TestSolveMeasure:
         assert report.status == "NoMeasure"
         assert report.reason == "NotPSD"
 
-    @pytest.mark.parametrize("degree", (0, 2))
-    @pytest.mark.parametrize("d", (1, 2))
-    def test_zero_data_is_the_empty_measure(self, d, degree):
+    @staticmethod
+    def _assert_zero_data_is_the_empty_measure(d, degree):
         # rank M(n) = 0 = card V: the 0-atomic measure represents it.
         beta = em.Multisequence(d, degree,
                                 dict.fromkeys(monomial_basis(d, degree), 0))
@@ -95,6 +94,15 @@ class TestSolveMeasure:
         assert (report.rank, report.v) == (0, 0)
         assert report.measure.size == 0
         assert em.verify_measure(beta, report.measure).exact
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_zero_data_is_the_empty_measure(self, d):
+        self._assert_zero_data_is_the_empty_measure(d, 2)
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_zero_data_of_degree_0_is_the_empty_measure(self, d):
+        # The kernel of M(0) = [0] holds the constant 1, so V is empty.
+        self._assert_zero_data_is_the_empty_measure(d, 0)
 
     def test_invertible_matrix_not_extremal(self):
         beta = em.beta_from_atoms([(F(0),), (F(1),), (F(2),)],
