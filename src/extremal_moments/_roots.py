@@ -3,14 +3,19 @@
 Exact path: Sturm chains with a power-of-two Cauchy bound, bisection down to a
 requested interval width, and exact detection of roots hit by a (dyadic)
 bisection midpoint — such roots are returned as exact rationals and deflated
-before continuing.  Signs along the chain are evaluated in integers.  Float
-path: numpy companion-matrix roots with Newton polish and near-real filtering.
+before continuing.  It runs in plain integers: the Sturm chain, the gcd and
+the squarefree part come from one primitive remainder sequence on integer
+polynomials, signs along the chain are evaluated by integer Horner, and
+refinement keeps its dyadic endpoints as integer numerators over one power of
+two.  Float path: numpy companion-matrix roots with Newton polish and
+near-real filtering.
 
 Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -66,29 +71,93 @@ def poly_divmod(num, den):
     return quot, strip(num)
 
 
-def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    a, b = strip(a), strip(b)
+# ---------------------------------------------------------------------------
+# primitive integer remainder sequences
+# ---------------------------------------------------------------------------
+
+def _content_free(ints) -> list:
+    """*ints* stripped of trailing zeros and divided by their positive
+    content."""
+    ints = list(ints)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _primitive(coeffs) -> list:
+    """The primitive integer polynomial that is a positive multiple of the
+    rational polynomial *coeffs*."""
+    return _content_free(clear_denominators(coeffs)[0])
+
+
+def _primitive_rem(a, b) -> list:
+    """Primitive remainder of a by b (integer lists, deg a >= deg b >= 0).
+
+    Each pseudo-division step multiplies by |lc(b)| rather than lc(b), so the
+    result is a positive multiple of the rational remainder and keeps its
+    signs (Collins 1967, Brown 1971)."""
+    r = list(a)
+    n = len(b) - 1
+    scale, flip = abs(b[-1]), b[-1] < 0
+    for top in range(len(r) - 1, n - 1, -1):
+        q = r.pop()
+        if q == 0:
+            continue
+        if flip:
+            q = -q
+        if scale != 1:
+            r = [c * scale for c in r]
+        shift = top - n
+        for j in range(n):
+            r[shift + j] -= q * b[j]
+    return _content_free(r)
+
+
+def _gcd(a, b) -> list:
+    """Primitive gcd of two primitive integer polynomials, up to sign."""
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
+        a, b = b, _primitive_rem(a, b)
+    return a
+
+
+def _exact_quotient(a, b) -> list:
+    """a / b for integer lists where b divides a in Q[x] and b is
+    primitive, so the quotient has integer coefficients (Gauss)."""
+    r = list(a)
+    n = len(b) - 1
+    quot = [0] * (len(r) - n)
+    for i in range(len(r) - 1 - n, -1, -1):
+        c, rest = divmod(r[i + n], b[-1])
+        assert not rest, "divisor does not divide"
+        quot[i] = c
+        if c:
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    assert not any(r[:n]), "division must be exact"
+    return quot
+
+
+def poly_gcd(a, b):
+    """Monic gcd of two rational polynomials."""
+    g = _gcd(_primitive(a), _primitive(b))
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def squarefree_part(coeffs):
-    """p / gcd(p, p'); returns (squarefree_coeffs, had_multiple_roots)."""
-    coeffs = strip(coeffs)
-    if degree(coeffs) <= 1:
-        return coeffs, False
-    g = poly_gcd(coeffs, derivative(coeffs))
-    if degree(g) == 0:
-        return coeffs, False
-    sf, rem = poly_divmod(coeffs, g)
-    assert not rem
-    return strip(sf), True
+    """p / gcd(p, p') as a primitive integer polynomial, a positive multiple
+    of p's squarefree part; returns (squarefree_coeffs, had_multiple_roots)."""
+    p = _primitive(coeffs)
+    if len(p) <= 2:
+        return p, False
+    g = _gcd(p, _content_free(derivative(p)))
+    if len(g) == 1:
+        return p, False
+    if g[-1] < 0:
+        g = [-c for c in g]
+    return _exact_quotient(p, g), True
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +165,16 @@ def squarefree_part(coeffs):
 # ---------------------------------------------------------------------------
 
 def sturm_chain(coeffs):
-    """Sturm chain of *coeffs* with each member cleared of denominators: a
-    positive multiple, so every sign along the chain is kept."""
-    chain = [strip(coeffs), strip(derivative(coeffs))]
-    while chain[-1]:
-        _, rem = poly_divmod(chain[-2], chain[-1])
-        rem = strip(rem)
+    """Sturm chain of *coeffs* as primitive integer polynomials, each a
+    positive multiple of the rational member, so every sign is kept."""
+    chain = [_primitive(coeffs)]
+    chain.append(_content_free(derivative(chain[0])))
+    while len(chain[-1]) > 1:
+        rem = _primitive_rem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
-    return [clear_denominators(c)[0] for c in chain if c]
+    return [c for c in chain if c]
 
 
 def _values_at(chain, x) -> list:
@@ -134,14 +203,13 @@ def sign_variations(chain, x) -> int:
 def cauchy_bound(coeffs) -> Fraction:
     """Power-of-two bound B with every real root in (-B, B); dyadic so all
     bisection midpoints are dyadic and exact rational roots get detected."""
-    coeffs = strip(coeffs)
-    lead = coeffs[-1]
-    raw = 1 + max(abs(c / lead) for c in coeffs[:-1]) if len(coeffs) > 1 \
-        else Fraction(1)
-    bound = Fraction(1)
-    while bound < raw:
+    p = _primitive(coeffs)
+    lead = abs(p[-1])
+    top = lead + max(map(abs, p[:-1]), default=0)
+    bound = 1
+    while bound * lead < top:
         bound *= 2
-    return bound
+    return Fraction(bound)
 
 
 def real_root_count(coeffs) -> int:
@@ -170,23 +238,23 @@ def real_roots_exact(coeffs, width=REFINE_WIDTH) -> tuple:
     Returns ``(roots, had_multiple)`` with roots sorted ascending; multiple
     roots are reported once (squarefree reduction) with the flag set.
     """
-    coeffs = strip(coeffs)
-    if not coeffs:
-        raise ValueError("zero polynomial has every point as a root")
-    width = Fraction(width)
     sf, had_multiple = squarefree_part(coeffs)
-    roots = _roots_squarefree(sf, width)
+    if not sf:
+        raise ValueError("zero polynomial has every point as a root")
+    roots = _roots_squarefree(sf, Fraction(width))
     roots.sort(key=lambda r: r.value)
     return roots, had_multiple
 
 
 def _roots_squarefree(coeffs, width):
-    if degree(coeffs) == 0:
+    """Roots of the squarefree primitive integer polynomial *coeffs*."""
+    if len(coeffs) == 1:
         return []
-    if degree(coeffs) == 1:
-        value = -coeffs[0] / coeffs[1]
+    if len(coeffs) == 2:
+        value = Fraction(-coeffs[0], coeffs[1])
         return [IsolatedRoot(value, True, value, value)]
     chain = sturm_chain(coeffs)
+    p = chain[0]
     bound = cauchy_bound(coeffs)
     roots = []
     # Intervals are half-open (a, b]; the Cauchy bound keeps all roots inside.
@@ -197,39 +265,60 @@ def _roots_squarefree(coeffs, width):
         if count == 0:
             continue
         mid = (a + b) / 2
-        if _values_at(chain[:1], mid)[0] == 0:
+        if _values_at([p], mid)[0] == 0:
             # Exact (dyadic) root: deflate and restart isolation on the
             # quotient.  Roots already accumulated are roots of the quotient
             # too, so only the exact hit and the recursion are returned.
-            quot, rem = poly_divmod(coeffs, [-mid, Fraction(1)])
-            assert not rem
+            quot = _exact_quotient(p, [-mid.numerator, mid.denominator])
             return ([IsolatedRoot(mid, True, mid, mid)]
-                    + _roots_squarefree(strip(quot), width))
+                    + _roots_squarefree(quot, width))
         if count == 1:
-            roots.append(_refine(chain[:1], a, b, width))
+            roots.append(_refine(p, a, b, width))
         else:
             stack.append((a, mid))
             stack.append((mid, b))
     return roots
 
 
+def _dyadic_value(p, num, shift) -> int:
+    """2**(shift*m) * p(num / 2**shift) for the integer polynomial p of
+    degree m, by Horner with shifts in place of denominator powers."""
+    m = len(p) - 1
+    total = 0
+    for i in range(m, -1, -1):
+        total = total * num + (p[i] << (shift * (m - i)))
+    return total
+
+
 def _refine(p, a, b, width):
-    """Bisect the isolating interval (a, b] of the one-member chain *p*."""
-    fb, = _values_at(p, b)
+    """Bisect the isolating interval (a, b] of the integer polynomial *p*.
+
+    The dyadic endpoints are kept as integer numerators lo, hi over one
+    denominator 2**k, so each step is integer shifts and one evaluation."""
+    assert all(d & (d - 1) == 0 for d in (a.denominator, b.denominator))
+    k = max(a.denominator, b.denominator).bit_length() - 1
+    lo = a.numerator << (k - a.denominator.bit_length() + 1)
+    hi = b.numerator << (k - b.denominator.bit_length() + 1)
+    fb = _dyadic_value(p, hi, k)
     if fb == 0:
         return IsolatedRoot(b, True, b, b)
-    fa, = _values_at(p, a)
+    fa = _dyadic_value(p, lo, k)
     assert fa != 0 and (fa > 0) != (fb > 0)
-    while b - a > width:
-        mid = (a + b) / 2
-        fm, = _values_at(p, mid)
+    positive = fa > 0
+    wnum, wden = width.numerator, width.denominator
+    while (hi - lo) * wden > wnum << k:
+        lo, hi, k = lo << 1, hi << 1, k + 1
+        mid = (lo + hi) >> 1
+        fm = _dyadic_value(p, mid, k)
         if fm == 0:
-            return IsolatedRoot(mid, True, mid, mid)
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+            value = Fraction(mid, 1 << k)
+            return IsolatedRoot(value, True, value, value)
+        if (fm > 0) == positive:
+            lo = mid
         else:
-            b, fb = mid, fm
-    return IsolatedRoot((a + b) / 2, False, a, b)
+            hi = mid
+    return IsolatedRoot(Fraction(lo + hi, 2 << k), False,
+                        Fraction(lo, 1 << k), Fraction(hi, 1 << k))
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,8 @@ class JsonInput:
     def scalar(self, value) -> Scalar:
         if isinstance(value, str):
             return parse_scalar(value, self.mode)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise self.error(f"non-finite scalar: {value!r}")
         return ensure_scalar(value)
 
     def scalars(self, value, what: str, length: int | None = None) -> tuple:

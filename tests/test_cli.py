@@ -240,6 +240,11 @@ MALFORMED = {
     "idx-string-entry": (["analyze", "{m}"],
                          {"m": '{"d": 1, "degree": 2, '
                                '"moments": [{"idx": ["a"], "value": "1"}]}'}),
+    "moment-nan": (["solve", "{m}"], {"m": VALID_D1.replace('"0"', "NaN")}),
+    "moment-infinity": (["solve", "{m}"],
+                        {"m": VALID_D1.replace('"0"', "Infinity")}),
+    "moment-neg-infinity": (["solve", "{m}"],
+                            {"m": VALID_D1.replace('"0"', "-Infinity")}),
     "points-int": (["solve", "{m}", "--points", "{p}"],
                    {"m": VALID_D1, "p": '{"d": 1, "points": 5}'}),
     "points-wrong-dimension": (["solve", "{m}", "--points", "{p}"],

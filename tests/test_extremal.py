@@ -1,6 +1,7 @@
 """End-to-end solve: decide existence and recover the atomic measure."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +112,35 @@ class TestSolveMeasure:
         assert report.status == "NotExtremal"
         assert report.v == math.inf
         assert "invertible" in report.reason
+
+
+def ladder_measure(shapes, seed=1):
+    """The last measure of the seeded d=2 ladder drawn through *shapes*:
+    distinct atoms with coordinates randint(-9, 9)/randint(1, 4), sorted,
+    then densities randint(1, 9)/randint(1, 9)."""
+    rng = random.Random(seed)
+    for _, count in shapes:
+        atoms = set()
+        while len(atoms) < count:
+            atoms.add((F(rng.randint(-9, 9), rng.randint(1, 4)),
+                       F(rng.randint(-9, 9), rng.randint(1, 4))))
+        atoms = sorted(atoms)
+        densities = [F(rng.randint(1, 9), rng.randint(1, 9))
+                     for _ in range(count)]
+    return atoms, densities
+
+
+class TestExactLadder:
+    def test_ladder_5_18_recovers_the_generating_measure(self):
+        atoms, densities = ladder_measure([(3, 8), (4, 12), (5, 18)])
+        beta = em.beta_from_atoms(atoms, densities, d=2, degree=10)
+        report = em.solve_extremal(beta)
+        assert report.status == "Measure"
+        assert len(report.measure.atoms) == 18
+        pairs = sorted(zip(report.measure.atoms, report.measure.densities))
+        for (got, density), want, weight in zip(pairs, atoms, densities):
+            assert all(abs(g - w) < F(1, 10**30) for g, w in zip(got, want))
+            assert abs(float(density) - float(weight)) < 1e-9
 
 
 class TestSolveVariants:

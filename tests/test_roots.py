@@ -1,6 +1,7 @@
 """Unit tests: univariate real-root location (exact Sturm route and float
 route)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -105,7 +106,90 @@ def assert_isolated_like_sympy(coeffs, width):
     return roots
 
 
+def multiply(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def random_product(rng, bits, repeat):
+    """A product of 1-3 random factors of degree 1-3 with coefficients of
+    *bits* bits, each raised to a power up to *repeat*."""
+    coeffs = [F(1)]
+    for _ in range(rng.randint(1, 3)):
+        factor = [F(rng.getrandbits(bits) - 2 ** (bits - 1),
+                    rng.getrandbits(bits) + 1)
+                  for _ in range(rng.randint(1, 3))] + [F(rng.choice((-1, 1)))]
+        for _ in range(rng.randint(1, repeat)):
+            coeffs = multiply(coeffs, factor)
+    return coeffs
+
+
+def ascending(poly):
+    """Ascending Fraction coefficients of a univariate sympy polynomial."""
+    return [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+def constant_multiple(a, b):
+    """The c with a == c * b, or None (Fraction lists)."""
+    if len(a) != len(b):
+        return None
+    c = F(a[-1]) / b[-1]
+    return c if all(x == c * y for x, y in zip(a, b)) else None
+
+
 class TestAgainstSympy:
+    def test_sturm_chain_is_primitive_positive_multiple(self):
+        # sympy's chain starts from the monic squarefree part, so it is this
+        # chain divided by a constant of the sign of the leading coefficient.
+        rng = random.Random(13)
+        cases = [random_product(rng, bits, repeat=1)
+                 for bits in (4, 520) for _ in range(8)]
+        # Odd and even polynomials: their pseudo-divisions skip zero quotient
+        # terms, so a remainder scaled by lc(b) rather than |lc(b)| would
+        # flip sign when lc(b) < 0.
+        for lead in (F(-3), F(2, 5)):
+            for odd in (False, True):
+                coeffs = [F(0), lead] if odd else [lead]
+                for k in (2, 3, -5):
+                    coeffs = multiply(coeffs, [F(-k), F(0), F(1)])
+                cases.append(coeffs)
+        for coeffs in cases:
+            chain = _roots.sturm_chain(coeffs)
+            expected = sympy.sturm(sympy_poly(coeffs))
+            assert len(chain) == len(expected)
+            sign = 1 if coeffs[-1] > 0 else -1
+            for member, want in zip(chain, expected):
+                assert all(type(c) is int for c in member)
+                assert math.gcd(*member) == 1
+                c = constant_multiple(member, ascending(want))
+                assert c is not None and c * sign > 0
+
+    def test_gcd_and_squarefree_part(self):
+        rng = random.Random(14)
+        for bits in (4, 520):
+            for _ in range(8):
+                a = random_product(rng, bits, repeat=3)
+                b = multiply(a, random_product(rng, bits, repeat=1)) \
+                    if rng.random() < 0.5 else random_product(rng, bits, 3)
+                pa, pb = sympy_poly(a), sympy_poly(b)
+                assert _roots.poly_gcd(a, b) == \
+                    ascending(sympy.gcd(pa, pb).monic())
+                sf, multiple = _roots.squarefree_part(a)
+                want = sympy.sqf_part(pa)
+                assert constant_multiple(sf, ascending(want)) is not None
+                assert multiple == (want.degree() < pa.degree())
+
+    def test_real_root_count_on_repeated_factors(self):
+        rng = random.Random(15)
+        for bits in (4, 520):
+            for _ in range(8):
+                coeffs = random_product(rng, bits, repeat=3)
+                assert _roots.real_root_count(coeffs) == \
+                    sympy_poly(coeffs).count_roots()
+
     def test_coefficients_over_500_bits(self):
         rng = random.Random(11)
         for _ in range(6):
