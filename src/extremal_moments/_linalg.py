@@ -12,6 +12,7 @@ free column, support otherwise restricted to pivot columns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -95,17 +96,21 @@ def row_reduce(rows: Sequence[Sequence[Scalar]]) -> LinearReduction:
 def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
     work, pivots, _, _ = _eliminate(rows, ncols)
     rank = len(pivots)
-    # Back-substitute the integer echelon form into a rational RREF.
-    rref = [[Fraction(x) for x in work[i]] for i in range(rank)]
+    # Back-substitute the integer echelon form in integers, keeping each row
+    # primitive, and divide by the pivots last (the RREF is unique).
+    echelon = work[:rank]
     for i in range(rank - 1, -1, -1):
-        piv = rref[i][pivots[i]]
-        rref[i] = [x / piv for x in rref[i]]
+        row_i, piv = echelon[i], echelon[i][pivots[i]]
         for k in range(i):
-            factor = rref[k][pivots[i]]
+            factor = echelon[k][pivots[i]]
             if factor != 0:
-                rref[k] = [a - factor * b for a, b in zip(rref[k], rref[i])]
-    return LinearReduction(nrows, ncols, rank,
-                           tuple(pivots), tuple(tuple(r_) for r_ in rref))
+                row = [a * piv - factor * b
+                       for a, b in zip(echelon[k], row_i)]
+                content = math.gcd(*row)
+                echelon[k] = [x // content for x in row]
+    rref = tuple(tuple(Fraction(x, row[p]) for x in row)
+                 for row, p in zip(echelon, pivots))
+    return LinearReduction(nrows, ncols, rank, tuple(pivots), rref)
 
 
 def _eliminate(rows, ncols):

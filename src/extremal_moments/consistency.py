@@ -32,7 +32,7 @@ from .polycore import (
     negligible,
     significant,
 )
-from .variety import VarietyReport, build_W
+from .variety import VarietyReport, bivariate_gcd, build_W
 
 #: Pivot basis of the curve scenario (degree-lex restriction).
 SCENARIO_BASIS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2))
@@ -91,6 +91,19 @@ def _points_exact(variety, points) -> bool:
     return all(all_exact(w) for w in points)
 
 
+def _column_order(w_matrix, exact_points: bool) -> list:
+    """Column order of W for exact elimination.  At refined points the
+    relations of the variety hold only to the refinement width, so the
+    pivots of the float reduction go first: no column independent by that
+    much alone becomes a pivot."""
+    order = list(range(len(w_matrix.monomials)))
+    if not exact_points and w_matrix.is_exact:
+        first = _linalg.row_reduce(
+            [[float(x) for x in row] for row in w_matrix.rows]).pivots
+        order = [*first, *(j for j in order if j not in first)]
+    return order
+
+
 def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
     """Check Lambda(p) = 0 for every p of degree <= 2n vanishing on the
     variety (kernel basis of W_{2n}); Unknown when the variety is not a
@@ -116,10 +129,13 @@ def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
         return ConsistencyVerdict("Unknown", reason="no variety points")
     exact_points = _points_exact(variety, points)
     w_matrix = build_W(points, beta.degree, beta.d)
-    reduction = _linalg.row_reduce(w_matrix.rows)
+    order = _column_order(w_matrix, exact_points)
+    reduction = _linalg.row_reduce(
+        [[row[j] for j in order] for row in w_matrix.rows])
+    monomials = [w_matrix.monomials[j] for j in order]
     scale = beta.scale()
     for vec in reduction.kernel_basis():
-        p = Polynomial(beta.d, dict(zip(w_matrix.monomials, vec)))
+        p = Polynomial(beta.d, dict(zip(monomials, vec)))
         value = riesz(beta, p)
         if significant(value, scale,
                        beta.is_exact and p.is_exact and exact_points):
@@ -138,7 +154,9 @@ def signed_representation(beta: Multisequence,
     # Independent rows of W = pivot columns of its transpose.
     row_pick = _linalg.row_reduce(_linalg.transpose(w_matrix.rows)).pivots
     rows = [w_matrix.rows[i] for i in row_pick]
-    col_pick = _linalg.row_reduce(rows).pivots
+    order = _column_order(w_matrix, _points_exact(variety, points))
+    col_pick = [order[j] for j in _linalg.row_reduce(
+        [[row[j] for j in order] for row in rows]).pivots]
     square = [[rows[i][j] for i in range(len(row_pick))] for j in col_pick]
     target = [beta[w_matrix.monomials[j]] for j in col_pick]
     weights = _linalg.solve_linear(square, target)
@@ -306,8 +324,6 @@ def simple_zero_certificate(r1: Polynomial, r2: Polynomial,
     (b) the point count matches the product of the degrees,
     (c) the Jacobian has rank 2 at every point.
     """
-    from .variety import bivariate_gcd  # local import to avoid cycle noise
-
     reasons = []
     lf1, lf2 = r1.leading_form(), r2.leading_form()
     if lf1.is_exact and lf2.is_exact:

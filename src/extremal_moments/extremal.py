@@ -108,7 +108,7 @@ def verify_measure(beta: Multisequence,
         if not (is_exact(diff) and diff == 0):
             exact = False
         err = abs(float(diff))
-        if err > residual:
+        if err > residual or math.isnan(err):  # a NaN residual sticks
             residual = err
             worst = idx
     return VerificationReport(residual, negligible(residual, beta.scale()),
@@ -138,8 +138,8 @@ def solve_extremal(beta: Multisequence,
             return report("NotExtremal", v=math.inf,
                           reason="M(n) is invertible, so the variety is "
                                  "all of R^d")
-        return report("Unknown",
-                      reason="d >= 3 requires user-supplied variety points")
+        return report("Unknown", reason="float data with d >= 3 requires "
+                                        "user-supplied variety points")
 
     report = partial(report, variety=variety)
     if variety.status == "Infinite":

@@ -63,7 +63,8 @@ def all_exact(values: Iterable[Scalar]) -> bool:
 def clear_denominators(values: Iterable[Scalar]) -> tuple:
     """``(ints, scale)``: the exact *values* times ``scale``, the lcm of
     their denominators, so ``ints`` are integers with the same signs."""
-    fracs = [Fraction(x) for x in values]
+    fracs = [x if type(x) in (int, Fraction) else Fraction(x)
+             for x in values]
     scale = math.lcm(*(x.denominator for x in fracs))
     return [x.numerator * (scale // x.denominator) for x in fracs], scale
 

@@ -1,13 +1,14 @@
 """Zero sets of moment-matrix kernels and point-evaluation matrices.
 
-For one variable the variety of the kernel is read off the gcd of its
-elements.  For two variables: a nonconstant gcd of all kernel elements
-certifies an infinite variety; otherwise two low-degree kernel elements are
-intersected via a Sylvester resultant (eliminating whichever variable yields
-the lower-degree resultant), roots are isolated, back-substituted, and every
-candidate is filtered by the residuals of *all* kernel elements.  Exact
-kernels run the whole chain in rational arithmetic, with irrational
-coordinates returned as rational midpoints of refined isolating intervals.
+Exact kernels, in any number of variables, are solved in the quotient
+algebra Q[x]/I of their ideal I: the real roots of the minimal polynomial of
+a separating linear form are the real points, and each coordinate is a root
+of its own minimal polynomial, isolated exactly (rational if the isolator
+hits it, else the midpoint of a refined interval).  In two variables a
+nonconstant gcd of the kernel first certifies an infinite variety.  Float
+kernels (d = 1 or 2) use the roots of the lowest-degree element, or a
+Sylvester resultant of two low-degree elements and back-substitution, and
+filter every candidate by the residuals of *all* kernel elements.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +35,7 @@ from .polycore import (
     Polynomial,
     Scalar,
     all_exact,
+    clear_denominators,
     ensure_scalar,
     format_scalar,
     monomial_basis,
@@ -40,9 +43,10 @@ from .polycore import (
     total_degree,
 )
 
-#: Error raised for kernels in three or more variables.
-UNSUPPORTED_DIMENSION = ("variety computation is implemented for d in {1, 2}; "
-                         "supply points explicitly for higher dimension")
+#: Error raised for float kernels in three or more variables.
+UNSUPPORTED_DIMENSION = ("float variety computation is implemented for d in "
+                         "{1, 2}; supply points explicitly for higher "
+                         "dimension")
 
 #: Float roots closer than this are one root.  Near-double roots split by
 #: O(sqrt(noise)), far beyond the exact-duplicate radius MERGE_TOL; float
@@ -117,35 +121,12 @@ class VandermondeReport:
 # univariate views of bivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _swap_vars(p: Polynomial) -> Polynomial:
-    return Polynomial(2, {(j, i): c for (i, j), c in p.terms.items()})
-
-
 def _as_y_poly(p: Polynomial) -> list:
     """Coefficients in y: list (ascending y-degree) of x-coefficient lists."""
-    deg_y = max((j for (_, j) in p.terms), default=0)
-    out = [[] for _ in range(deg_y + 1)]
+    out = [[Fraction(0)] * (_deg_x(p) + 1) for _ in range(_deg_y(p) + 1)]
     for (i, j), c in p.terms.items():
-        coeffs = out[j]
-        while len(coeffs) <= i:
-            coeffs.append(Fraction(0))
-        coeffs[i] = Fraction(c)
+        out[j][i] = Fraction(c)
     return [_roots.strip(c) for c in out]
-
-
-def _from_y_poly(ypoly: Sequence) -> Polynomial:
-    terms = {}
-    for j, coeffs in enumerate(ypoly):
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                terms[(i, j)] = c
-    return Polynomial(2, terms)
-
-
-def _ystrip(ypoly: list) -> list:
-    while ypoly and not ypoly[-1]:
-        ypoly.pop()
-    return ypoly
 
 
 def _uni_mul(a, b):
@@ -158,54 +139,17 @@ def _uni_mul(a, b):
     return _roots.strip(out)
 
 
-def _uni_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _roots.strip(out)
-
-
-def _substitute_x(p: Polynomial, x0: Fraction) -> list:
-    """p(x0, y) as an ascending univariate coefficient list in y."""
-    out: list = []
-    for (i, j), c in p.terms.items():
-        while len(out) <= j:
-            out.append(Fraction(0))
-        out[j] += Fraction(c) * x0**i
-    return _roots.strip(out)
-
-
-def _univariate_coeffs(p: Polynomial) -> list:
-    """Coefficient list of a d=1 polynomial."""
-    out = [Fraction(0)] * (int(p.degree) + 1 if not p.is_zero else 0)
-    for (e,), c in p.terms.items():
-        out[e] = Fraction(c)
-    return _roots.strip(out)
-
-
 # ---------------------------------------------------------------------------
 # exact bivariate gcd (primitive PRS in (Q[x])[y])
 # ---------------------------------------------------------------------------
 
-def _ypoly_content(ypoly) -> list:
+def _primitive_y(ypoly) -> tuple:
+    """*ypoly* over its content, and the content: the monic gcd in Q[x] of
+    its coefficients."""
     content: list = []
-    for coeffs in ypoly:
-        if coeffs:
-            content = _roots.poly_gcd(content, coeffs) if content else \
-                [c / coeffs[-1] for c in coeffs]
-    return content
-
-
-def _ypoly_divide_uni(ypoly, divisor) -> list:
-    out = []
-    for coeffs in ypoly:
-        if not coeffs:
-            out.append([])
-            continue
-        quot, rem = _roots.poly_divmod(coeffs, divisor)
-        assert not rem, "content division must be exact"
-        out.append(_roots.strip(quot))
-    return out
+    for coeffs in filter(None, ypoly):
+        content = _roots.poly_gcd(content, coeffs)
+    return [_roots.poly_divmod(c, content)[0] for c in ypoly], content
 
 
 def _ypoly_prem(a, b) -> list:
@@ -219,45 +163,34 @@ def _ypoly_prem(a, b) -> list:
         scaled = [_uni_mul(c, lead_b) for c in a]
         shift = da - db
         for i, bc in enumerate(b):
-            scaled[shift + i] = _uni_sub(scaled[shift + i],
-                                         _uni_mul(lead_a, bc))
-        a = _ystrip(scaled[:da])  # top coefficient cancels exactly
+            scaled[shift + i] = _roots.strip(
+                x - y for x, y in zip_longest(scaled[shift + i],
+                                              _uni_mul(lead_a, bc),
+                                              fillvalue=0))
+        a = scaled[:da]  # top coefficient cancels exactly
+        while a and not a[-1]:
+            a.pop()
     return a
 
 
 def bivariate_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact gcd in Q[x,y], normalized to unit leading degree-lex coefficient."""
-    if p.is_zero:
-        return _normalize_gcd(q)
-    if q.is_zero:
-        return _normalize_gcd(p)
-    a, b = _as_y_poly(p), _as_y_poly(q)
-    if len(a) - 1 == 0 and len(b) - 1 == 0:
-        g = _roots.poly_gcd(a[0], b[0])
-        return _normalize_gcd(_from_y_poly([g]))
-    if len(a) - 1 == 0:
-        g = _roots.poly_gcd(a[0], _ypoly_content(b))
-        return _normalize_gcd(_from_y_poly([g]))
-    if len(b) - 1 == 0:
-        g = _roots.poly_gcd(b[0], _ypoly_content(a))
-        return _normalize_gcd(_from_y_poly([g]))
-    content_a, content_b = _ypoly_content(a), _ypoly_content(b)
-    content_gcd = _roots.poly_gcd(content_a, content_b)
-    a = _ypoly_divide_uni(a, content_a)
-    b = _ypoly_divide_uni(b, content_b)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
+    """Exact gcd in Q[x,y], normalized to unit leading degree-lex
+    coefficient: the gcd of the contents in Q[x] times the last member of
+    a primitive pseudo-remainder sequence in (Q[x])[y]."""
+    if p.is_zero or q.is_zero:
+        return _normalize_gcd(p + q)
+    (a, content_a), (b, content_b) = sorted(
+        (_primitive_y(_as_y_poly(p)), _primitive_y(_as_y_poly(q))),
+        key=lambda pair: -len(pair[0]))
+    while len(b) > 1:
         r = _ypoly_prem(a, b)
         if not r:
-            primitive = _ypoly_divide_uni(b, _ypoly_content(b))
             break
-        if len(r) - 1 == 0:
-            primitive = [[Fraction(1)]]
-            break
-        a, b = b, _ypoly_divide_uni(r, _ypoly_content(r))
-    result = _from_y_poly(primitive) * _from_y_poly([content_gcd])
-    return _normalize_gcd(result)
+        a, b = b, _primitive_y(r)[0]
+    content = _roots.poly_gcd(content_a, content_b)
+    return _normalize_gcd(Polynomial(2, {
+        (i, j): c for j, coeffs in enumerate(b) for i, c in enumerate(coeffs)
+    }) * Polynomial(2, {(i, 0): c for i, c in enumerate(content)}))
 
 
 def _normalize_gcd(p: Polynomial) -> Polynomial:
@@ -297,61 +230,27 @@ def _deg_y(p: Polynomial) -> int:
 def resultant_eliminate_y(p: Polynomial, q: Polynomial) -> list:
     """Res_y(p, q) as an ascending coefficient list in x, computed by
     evaluating the fixed-size Sylvester determinant at integer nodes and
-    interpolating (degree bound deg_y(p)*deg_x(q) + deg_y(q)*deg_x(p))."""
+    fitting (degree bound deg_y(p)*deg_x(q) + deg_y(q)*deg_x(p)).  Float mode
+    only; exact kernels go through their quotient algebra."""
     a, b = _as_y_poly(p), _as_y_poly(q)
     m, k = len(a) - 1, len(b) - 1
     if m == 0 or k == 0:
-        base = a[0] if m == 0 else b[0]
-        power = k if m == 0 else m
-        out = [Fraction(1)]
-        for _ in range(power):
-            out = _uni_mul(out, base)
-        return out
+        base, power = (a[0], k) if m == 0 else (b[0], m)
+        return reduce(_uni_mul, [base] * power, [Fraction(1)])
     matrix, m, k = _sylvester_entries(p, q)
     bound = m * _deg_x(q) + k * _deg_x(p)
     nodes = _integer_nodes(bound + 1)
-    exact = p.is_exact and q.is_exact
-    values = []
-    for t in nodes:
-        cell = [[_roots.horner(entry, Fraction(t) if exact else float(t))
-                 if entry else (Fraction(0) if exact else 0.0)
-                 for entry in row] for row in matrix]
-        values.append(_linalg.determinant(cell))
-    if exact:
-        return _interpolate_exact([Fraction(t) for t in nodes], values)
+    values = [_linalg.determinant(
+        [[_roots.horner(entry, float(t)) if entry else 0.0 for entry in row]
+         for row in matrix]) for t in nodes]
     coeffs = np.polynomial.polynomial.polyfit(
-        np.array(nodes, dtype=float), np.array([float(v) for v in values]),
-        bound)
+        np.array(nodes, dtype=float), np.array(values, dtype=float), bound)
     return [float(c) for c in coeffs]
 
 
 def _integer_nodes(count: int) -> list:
-    nodes = [0]
-    step = 1
-    while len(nodes) < count:
-        nodes.append(step)
-        if len(nodes) < count:
-            nodes.append(-step)
-        step += 1
-    return nodes[:count]
-
-
-def _interpolate_exact(xs, ys) -> list:
-    """Newton divided differences, expanded to ascending coefficients."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [coef[-1]]
-    for i in range(n - 2, -1, -1):
-        new = [Fraction(0)] * (len(poly) + 1)
-        for pos, c in enumerate(poly):
-            new[pos + 1] += c
-            new[pos] -= xs[i] * c
-        new[0] += coef[i]
-        poly = new
-    return _roots.strip(poly)
+    """0, 1, -1, 2, -2, ... (*count* integers)."""
+    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +258,9 @@ def _interpolate_exact(xs, ys) -> list:
 # ---------------------------------------------------------------------------
 
 def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
-    """Common real zero set of a nonempty kernel basis (d = 1 or 2); exact
-    irrational coordinates are refined to width ``_roots.REFINE_WIDTH``."""
+    """Common real zero set of a nonempty kernel basis: exact kernels in any
+    d, with irrational coordinates refined to width ``_roots.REFINE_WIDTH``;
+    float kernels in d = 1 or 2."""
     kernel = [p for p in kernel]
     if not kernel:
         raise ValueError("compute_variety requires a nonempty kernel list")
@@ -369,30 +269,19 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
         raise ValueError("kernel polynomials have mixed dimensions")
     if any(p.is_zero for p in kernel):
         raise ValueError("kernel basis must not contain the zero polynomial")
-    if d not in (1, 2):
+    exact = all(p.is_exact for p in kernel)
+    if not exact and d not in (1, 2):
         raise InputError(UNSUPPORTED_DIMENSION)
     if any(p.degree == 0 for p in kernel):
         return VarietyReport("Finite")  # a nonzero constant has no zeros
-    exact = all(p.is_exact for p in kernel)
-    if d == 1:
-        return _variety_1d(kernel, exact)
     if exact:
-        return _variety_2d_exact(kernel)
+        return _variety_exact(kernel)
+    if d == 1:
+        return _variety_1d_float(kernel)
     return _variety_2d_float(kernel)
 
 
-def _variety_1d(kernel, exact) -> VarietyReport:
-    if exact:
-        g: list = []
-        for p in kernel:
-            coeffs = _univariate_coeffs(p)
-            g = _roots.poly_gcd(g, coeffs) if g else coeffs
-            if len(g) == 1:
-                return VarietyReport("Finite")
-        roots, multiple = _roots.real_roots_exact(g)
-        points = tuple((r.value,) for r in roots)
-        mask = tuple(r.exact for r in roots)
-        return VarietyReport("Finite", points, mask, multiple_roots=multiple)
+def _variety_1d_float(kernel) -> VarietyReport:
     base = min(kernel, key=lambda p: p.degree)
     coeffs = [0.0] * (int(base.degree) + 1)
     for (e,), c in base.terms.items():
@@ -403,98 +292,208 @@ def _variety_1d(kernel, exact) -> VarietyReport:
                              reason="near-multiple roots in float mode")
     points = [(r,) for r in roots
               if all(_residual_ok(p, (r,), False) for p in kernel)]
-    return VarietyReport("Finite", tuple(points),
-                         tuple(False for _ in points))
+    return _finite(points, [False] * len(points), False)
 
 
 def _ordered_pairs(kernel):
     order = sorted(range(len(kernel)), key=lambda i: (kernel[i].degree, i))
-    pairs = list(combinations(order, 2))
-    pairs.sort(key=lambda ij: (kernel[ij[0]].degree + kernel[ij[1]].degree,
-                               ij[0], ij[1]))
-    return pairs
+    return sorted(combinations(order, 2),
+                  key=lambda ij: (kernel[ij[0]].degree + kernel[ij[1]].degree,
+                                  ij[0], ij[1]))
 
 
-def _variety_2d_exact(kernel) -> VarietyReport:
-    g = kernel[0]
-    for p in kernel[1:]:
-        g = bivariate_gcd(g, p)
-        if g.degree == 0:
+# ---------------------------------------------------------------------------
+# exact varieties: the quotient algebra of the kernel ideal
+# ---------------------------------------------------------------------------
+
+def _variety_exact(kernel) -> VarietyReport:
+    """Real zeros of the ideal I of an exact kernel from A = Q[x]/I
+    (Moeller & Stetter 1995): the real roots of the minimal polynomial of a
+    form t = sum c**i x_i separating them, each coordinate x_i being the
+    root of its own minimal polynomial that h_i(t) = x_i mod sqrt(I) meets
+    on the isolating interval of t.  A common factor in d = 2 comes first."""
+    d = kernel[0].d
+    if d == 2:
+        g = kernel[0]
+        for p in kernel[1:]:
+            g = bivariate_gcd(g, p)
+            if g.degree == 0:
+                break
+        if g.degree >= 1:
+            return VarietyReport("Infinite", witness=g)
+    quotient = _quotient(kernel)
+    if quotient is None:
+        return VarietyReport("Unknown", reason="no normal set of the kernel "
+                                               "ideal up to degree 2n+2")
+    basis, mats, scale = quotient
+    if not basis:
+        return VarietyReport("Finite")  # 1 lies in I: no zeros at all
+    minimal = [_krylov(m, scale, [], [])[0] for m in mats]
+    roots, multiple = zip(*(_roots.real_roots_exact(m) for m in minimal))
+    radical = not any(multiple)
+    nil = [] if radical else _nilradical(basis, mats, scale, minimal)
+    xs = [[Fraction(row[-1], scale) for row in m] for m in mats]
+    for c in _integer_nodes(2 * d * len(basis)**2 + 1):
+        t = [[sum(c**i * m[r][k] for i, m in enumerate(mats))
+              for k in range(len(basis))] for r in range(len(basis))]
+        t_minimal, h = _krylov(t, scale, nil, xs)
+        if h is not None:
             break
-    if g.degree >= 1:
-        return VarietyReport("Infinite", witness=g)
-
-    for i, j in _ordered_pairs(kernel):
-        p, q = kernel[i], kernel[j]
-        options = []
-        if _deg_y(p) == 0 and _deg_y(q) == 0:
-            # Res_y of two y-free polynomials is the empty-Sylvester constant
-            # and says nothing; their common x-values are the gcd roots.
-            g = _roots.poly_gcd(_as_y_poly(p)[0], _as_y_poly(q)[0])
-            options.append((len(g), 0, g))
-        else:
-            res_x = _roots.strip(resultant_eliminate_y(p, q))  # poly in x
-            if res_x:
-                options.append((len(res_x), 0, res_x))
-        sp, sq = _swap_vars(p), _swap_vars(q)
-        if _deg_y(sp) == 0 and _deg_y(sq) == 0:
-            g = _roots.poly_gcd(_as_y_poly(sp)[0], _as_y_poly(sq)[0])
-            options.append((len(g), 1, g))
-        else:
-            res_y = _roots.strip(resultant_eliminate_y(sp, sq))  # poly in y
-            if res_y:
-                options.append((len(res_y), 1, res_y))
-        if not options:
-            continue  # the pair shares a factor; try the next pair
-        options.sort(key=lambda t: (t[0], t[1]))
-        _, kept_var, res = options[0]
-        oriented = kernel if kept_var == 0 else [_swap_vars(r) for r in kernel]
-        report = _assemble_points_exact(oriented, res)
-        if kept_var == 1:
-            report = VarietyReport(
-                report.status,
-                tuple((y, x) for (x, y) in report.points),
-                report.exact_mask, report.witness, report.reason,
-                report.multiple_roots)
-        return _sort_report(report)
-    return VarietyReport(
-        "Unknown",
-        reason="every candidate pair of kernel elements has an identically "
-               "zero resultant")
-
-
-def _assemble_points_exact(kernel, resultant) -> VarietyReport:
-    if len(resultant) == 1:
-        return VarietyReport("Finite")  # nonzero constant: no common zeros
-    roots, multiple = _roots.real_roots_exact(resultant)
+    else:
+        return VarietyReport("Unknown", reason="no separating linear form")
+    t_roots = roots[0] if c == 0 else _roots.real_roots_exact(t_minimal)[0]
     points = []
-    mask = []
-    for root in roots:
-        x0 = root.value
-        y_candidates = []
-        for p in sorted(kernel, key=lambda p_: p_.degree):
-            sub = _substitute_x(p, x0)
-            if not sub:
-                continue  # vanishes identically at x0; consult the next one
-            if len(sub) == 1:
-                # No y can satisfy this kernel element at x0 when the value
-                # is genuinely nonzero; residual filtering handles round-off
-                # from approximate x0, so just skip as a candidate source.
-                continue
-            sub_roots, sub_multiple = _roots.real_roots_exact(sub)
-            multiple = multiple or sub_multiple
-            y_candidates.extend(sub_roots)
-            break
-        for y_root in y_candidates:
-            point = (x0, y_root.value)
-            point_exact = root.exact and y_root.exact
-            if all(_residual_ok(p, point, point_exact) for p in kernel):
-                points.append(point)
-                mask.append(point_exact)
-    points, mask, _ = _merge_points(points, mask, MERGE_TOL)
-    return VarietyReport("Finite", tuple(points), tuple(mask),
-                         multiple_roots=multiple)
+    for k, tau in enumerate(t_roots):
+        point = [roots[0][k]] if c == 0 else []
+        for h_i, candidates in list(zip(h, roots))[len(point):]:
+            low, high = _enclose(h_i, tau)
+            hits = [r for r in candidates if r.low <= high and low <= r.high]
+            if len(hits) != 1:
+                return VarietyReport("Unknown", reason="coordinates not "
+                                                       "paired by the form")
+            point.append(hits[0])
+        points.append(point)
+    return _finite([tuple(r.value for r in w) for w in points],
+                   [all(r.exact for r in w) for w in points], not radical)
 
+
+def _quotient(kernel):
+    """``(basis, mats, scale)``: a monomial basis B of A = Q[x]/I (I the
+    ideal of *kernel*; 1 last) and integer matrices, mats[i] / scale the
+    multiplication by x_i on B; None when none is found by degree 2n + 2.
+
+    For D = n+1, n+2, ... the products x^a*k of degree <= D are reduced
+    with columns in descending degree.  B is the set of non-pivot monomials
+    below the first degree whose monomials are all pivots, and the normal
+    forms of the x_i*b give the M_i.  If B is connected to 1 and the M_i
+    commute, the relations x_i*b - NF(x_i*b) in I make B a basis of A/J for
+    the ideal J they generate (Mourrain 1999); J = I once every
+    k(M)*1 = 0."""
+    d = kernel[0].d
+    n = max(int(p.degree) for p in kernel)
+    for top in range(n + 1, 2 * n + 3):
+        columns = monomial_basis(d, top)[::-1]
+        where = {m: j for j, m in enumerate(columns)}
+        rows = []
+        for p in kernel:
+            for u in monomial_basis(d, top - int(p.degree)):
+                rows.append([0] * len(columns))
+                for idx, c in p.terms.items():
+                    rows[-1][where[_shift(idx, u)]] = c
+        reduction = _linalg.row_reduce(rows)
+        pivots = {columns[j] for j in reduction.pivots}
+        full = next((e for e in range(top + 1) if all(
+            m in pivots for m in columns if total_degree(m) == e)), None)
+        free = [j for j, m in enumerate(columns)
+                if total_degree(m) < (full or 0) and m not in pivots]
+        basis = [columns[j] for j in free]
+        if full is None or any(_lower(b) not in basis for b in basis[:-1]):
+            continue
+        normal_form = {columns[j]: [-row[f] for f in free]
+                       for j, row in zip(reduction.pivots, reduction.rref)}
+        for k, b in enumerate(basis):
+            normal_form[b] = [int(k == i) for i in range(len(basis))]
+        ints, scale = clear_denominators(
+            x for e in monomial_basis(d, 1)[1:] for b in basis
+            for x in normal_form[_shift(b, e)])
+        size = len(basis)
+        mats = [[ints[i * size * size + k::size][:size] for k in range(size)]
+                for i in range(d)]
+        if all([_times(a, col) for col in zip(*b)]
+               == [_times(b, col) for col in zip(*a)]
+               for a, b in combinations(mats, 2)) \
+                and _annihilates(kernel, mats, scale):
+            return basis, mats, scale
+    return None
+
+
+def _shift(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _lower(b) -> tuple:
+    """b over its first variable."""
+    i = next(i for i, e in enumerate(b) if e)
+    return b[:i] + (b[i] - 1,) + b[i + 1:]
+
+
+def _times(rows, vector) -> list:
+    return [sum(a * x for a, x in zip(row, vector) if a) for row in rows]
+
+
+def _images(monomials, mats, vector) -> dict:
+    """scale**|a| * x^a * vector for monomials a listed after their _lower."""
+    images = {}
+    for a in monomials:
+        images[a] = _times(mats[next(i for i, e in enumerate(a) if e)],
+                           images[_lower(a)]) if any(a) else vector
+    return images
+
+
+def _annihilates(kernel, mats, scale) -> bool:
+    """Does k(M)*1 = 0 hold for every kernel element k?"""
+    n = max(int(p.degree) for p in kernel)
+    size = len(mats[0])
+    images = _images(monomial_basis(len(mats), n), mats,
+                     [int(r == size - 1) for r in range(size)])
+    for p in kernel:
+        coeffs, _ = clear_denominators(p.terms.values())
+        if any(sum(c * scale**(n - total_degree(a)) * images[a][r]
+                   for a, c in zip(p.terms, coeffs)) for r in range(size)):
+            return False
+    return True
+
+
+def _krylov(matrix, scale, nil, xs) -> tuple:
+    """The minimal polynomial of t = matrix / scale on A, ascending and
+    monic, and the coordinates of each vector of *xs* on 1, t, t**2, ...
+    modulo the span of *nil*, or None when these do not span A.  It runs on
+    the primitive integer vectors w_j = lifts[j] * t**j * 1."""
+    vectors, lifts = [[0] * (len(matrix) - 1) + [1]], [Fraction(1)]
+    for _ in matrix:
+        vector = _times(matrix, vectors[-1])
+        content = math.gcd(*vector) or 1
+        vectors.append([x // content for x in vector])
+        lifts.append(lifts[-1] * scale / content)
+    reduction = _linalg.row_reduce(_linalg.transpose(vectors + nil + xs))
+    k = next(k for k in range(len(vectors)) if k not in reduction.pivots)
+    minimal = [-reduction.rref[r][k] * lifts[r] / lifts[k]
+               for r in range(k)] + [Fraction(1)]
+    first = len(vectors) + len(nil)
+    if reduction.rank < len(matrix) or reduction.pivots[-1] >= first:
+        return minimal, None
+    return minimal, [[reduction.rref[r][j] * lifts[r] for r in range(k)]
+                     for j in range(first, first + len(xs))]
+
+
+def _nilradical(basis, mats, scale, minimal) -> list:
+    """Vectors spanning the nilradical of A, the ideal of the f(x_i) for f
+    the squarefree part of the minimal polynomial of x_i (Seidenberg 1974):
+    the b*f(x_i), b in *basis*."""
+    spans = []
+    for m, coeffs in zip(mats, minimal):
+        value = [0] * len(basis)  # scale**deg(f) * f(x_i) * 1, by Horner
+        for k, a in enumerate(reversed(_roots.squarefree_part(coeffs)[0])):
+            value = _times(m, value)
+            value[-1] += a * scale**k
+        spans.extend(_images(basis[::-1], mats, value).values())
+    return spans
+
+
+def _enclose(coeffs, root) -> tuple:
+    """Bounds on a rational polynomial over the interval of *root*: its
+    value at the midpoint, widened by the half-width times
+    sum k*|c_k|*R**(k-1) with R >= |x| there (centered form)."""
+    bound = math.ceil(max(abs(root.low), abs(root.high)))
+    spread = (root.high - root.low) / 2 * sum(
+        k * abs(c) * bound**(k - 1) for k, c in enumerate(coeffs[1:], 1))
+    center = _roots.horner(coeffs, root.value)
+    return center - spread, center + spread
+
+
+# ---------------------------------------------------------------------------
+# float varieties: resultants and back-substitution
+# ---------------------------------------------------------------------------
 
 def _variety_2d_float(kernel) -> VarietyReport:
     for i, j in _ordered_pairs(kernel):
@@ -516,7 +515,6 @@ def _variety_2d_float(kernel) -> VarietyReport:
                 sub = [0.0] * (max((jj for (_, jj) in base.terms), default=0) + 1)
                 for (ii, jj), c in base.terms.items():
                     sub[jj] += float(c) * x0**ii
-                sub = [c for c in sub]
                 while sub and abs(sub[-1]) <= 1e-13 * max(map(abs, sub)):
                     sub.pop()
                 if len(sub) <= 1:
@@ -527,11 +525,8 @@ def _variety_2d_float(kernel) -> VarietyReport:
                     if all(_residual_ok(r, cand, False) for r in kernel):
                         points.append(cand)
                 break
-        points, mask, clustered = _merge_points(
-            points, [False] * len(points), _CLUSTER_TOL)
-        return _sort_report(VarietyReport("Finite", tuple(points),
-                                          tuple(mask),
-                                          multiple_roots=clustered))
+        points, clustered = _merge_points(points, _CLUSTER_TOL)
+        return _finite(points, [False] * len(points), clustered)
     return VarietyReport("Unknown",
                          reason="no informative resultant pair in float mode")
 
@@ -571,8 +566,7 @@ def adopt_points(report: KernelReport,
                  points: Sequence[Point]) -> VarietyReport:
     """Supplied points as the variety, after checking that each satisfies
     every kernel relation; exact where point and kernel are both exact."""
-    adopted = []
-    mask = []
+    adopted, mask = [], []
     exact_kernel = all(p.is_exact for p in report.kernel)
     for w in points:
         w = tuple(ensure_scalar(x) for x in w)
@@ -590,48 +584,32 @@ def adopt_points(report: KernelReport,
     return VarietyReport("Finite", tuple(adopted), tuple(mask))
 
 
-def _merge_points(points, mask, merge_tol):
-    """Collapse points closer than *merge_tol* per coordinate.  Float
-    clusters are averaged (the centroid of a noise-split double zero is
-    second-order accurate); clusters containing an exact point keep it.
-    Returns (points, mask, merged_any)."""
-    kept: list = []
-    kept_mask: list = []
-    counts: list = []
-    merged_any = False
-    for point, exact in zip(points, mask):
-        placed = False
-        for i, seen in enumerate(kept):
-            if all(abs(float(a) - float(b)) <= merge_tol
-                   for a, b in zip(point, seen)):
-                if not (kept_mask[i] or exact):
-                    k = counts[i]
-                    kept[i] = tuple((float(a) * k + float(b)) / (k + 1)
-                                    for a, b in zip(seen, point))
-                elif exact and not kept_mask[i]:
-                    kept[i] = tuple(point)
-                counts[i] += 1
-                kept_mask[i] = kept_mask[i] or exact
-                merged_any = True
-                placed = True
-                break
-        if not placed:
+def _merge_points(points, merge_tol):
+    """Collapse float points closer than *merge_tol* per coordinate into
+    their centroid (the centroid of a noise-split double zero is
+    second-order accurate).  Returns (points, merged_any)."""
+    kept, counts = [], []
+    for point in points:
+        i = next((i for i, seen in enumerate(kept) if all(
+            abs(float(a) - float(b)) <= merge_tol
+            for a, b in zip(point, seen))), None)
+        if i is None:
             kept.append(tuple(point))
-            kept_mask.append(exact)
             counts.append(1)
-    return kept, kept_mask, merged_any
+            continue
+        kept[i] = tuple((float(a) * counts[i] + float(b)) / (counts[i] + 1)
+                        for a, b in zip(kept[i], point))
+        counts[i] += 1
+    return kept, len(kept) < len(points)
 
 
-def _sort_report(report: VarietyReport) -> VarietyReport:
-    if report.status != "Finite":
-        return report
-    order = sorted(range(len(report.points)),
-                   key=lambda i: tuple(float(x) for x in report.points[i]))
-    return VarietyReport(
-        report.status,
-        tuple(report.points[i] for i in order),
-        tuple(report.exact_mask[i] for i in order),
-        report.witness, report.reason, report.multiple_roots)
+def _finite(points, mask, multiple_roots: bool) -> VarietyReport:
+    """A Finite report with its points in ascending float order."""
+    order = sorted(range(len(points)),
+                   key=lambda i: tuple(float(x) for x in points[i]))
+    return VarietyReport("Finite", tuple(points[i] for i in order),
+                         tuple(mask[i] for i in order),
+                         multiple_roots=multiple_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +659,11 @@ def injectivity_check(report: KernelReport,
     if rank_w == report.rank:
         return InjectivityVerdict(True, report.rank, rank_w)
     witness = None
-    free_of = {}
-    for p in report.kernel:
-        # Kernel polynomials are in delta form: unit coefficient on one
-        # non-pivot monomial.
-        for idx, c in p.terms.items():
-            if idx not in report.pivots and c == 1:
-                free_of[idx] = p
-                break
+    # Kernel polynomials are in delta form: unit coefficient on one
+    # non-pivot monomial.
+    free_of = {next(idx for idx, c in p.terms.items()
+                    if idx not in report.pivots and c == 1): p
+               for p in report.kernel}
     for vec in reduction.kernel_basis():
         candidate = Polynomial(report.d,
                                dict(zip(w_matrix.monomials, vec)))
@@ -716,11 +691,8 @@ def vandermonde_VB(basis, points: Sequence[Point]) -> VandermondeReport:
         tuple(b.evaluate(w) for w in points) for b in polys
     )
     det = _linalg.determinant(rows)
-    if all(all_exact(row) for row in rows):
-        invertible = det != 0
-    else:
-        rank = _linalg.row_reduce(rows).rank
-        invertible = rank == len(points)
+    invertible = det != 0 if _linalg.matrix_is_exact(rows) \
+        else _linalg.row_reduce(rows).rank == len(points)
     return VandermondeReport(tuple(polys), tuple(tuple(w) for w in points),
                              rows, det, invertible)
 

@@ -143,6 +143,26 @@ class TestExactLadder:
             assert abs(float(density) - float(weight)) < 1e-9
 
 
+class TestHigherDimension:
+    def test_d3_atoms_solve_without_points(self):
+        # Six rational atoms in R^3, degree-4 data: the quotient route finds
+        # the variety with no --points and the atoms come back exactly.
+        rng = random.Random(3)
+        atoms = set()
+        while len(atoms) < 6:
+            atoms.add(tuple(F(rng.randint(-4, 4), rng.choice((1, 2)))
+                            for _ in range(3)))
+        atoms = sorted(atoms)
+        densities = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in atoms]
+        beta = em.beta_from_atoms(atoms, densities, d=3, degree=4)
+        report = em.solve_extremal(beta)
+        assert report.status == "Measure"
+        assert (report.rank, report.v) == (6, 6)
+        assert all(report.variety.exact_mask)
+        assert sorted(zip(report.measure.atoms, report.measure.densities)) \
+            == list(zip(atoms, densities))
+
+
 class TestSolveVariants:
     def test_user_supplied_points(self, ex15):
         points = [(-2.0 - SQRT6, 0.0), (-0.5, -SQRT15 / 2),
@@ -193,6 +213,16 @@ class TestVerifyMeasure:
         assert not report.ok
         assert not report.exact
         assert report.worst_index is not None
+
+    def test_nan_moment_is_not_ok(self):
+        measure = em.AtomicMeasure(1, ((F(0),), (F(1),)), (F(1), F(2)))
+        beta = em.beta_from_atoms(measure.atoms, measure.densities, degree=4)
+        values = dict(beta.values)
+        values[(1,)] = float("nan")
+        report = em.verify_measure(em.Multisequence(1, 4, values), measure)
+        assert math.isnan(report.residual)
+        assert not report.ok
+        assert report.worst_index == (1,)
 
     def test_dimension_mismatch(self, ex15):
         measure = em.AtomicMeasure(1, ((F(0),),), (F(1),))

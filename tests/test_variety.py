@@ -1,11 +1,14 @@
 """Variety computation, evaluation matrices, and Vandermonde reports."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 import extremal_moments as em
+from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.polycore import InputError, Polynomial
 
 
@@ -101,7 +104,8 @@ class TestComputeVariety:
         assert report.reason is not None
 
     def test_rejects_unsupported_dimension(self):
-        kernel = [Polynomial(3, {(1, 0, 0): F(1)})]
+        # Float kernels have no variety route for d >= 3; exact ones do.
+        kernel = [Polynomial(3, {(1, 0, 0): 1.0})]
         with pytest.raises(InputError):
             em.compute_variety(kernel)
 
@@ -110,6 +114,101 @@ class TestComputeVariety:
             em.compute_variety([])
         with pytest.raises(ValueError):
             em.compute_variety([Polynomial(2, {})])
+
+
+def _poly(expr, x, y):
+    """A sympy polynomial in x, y as a Polynomial in d = 2."""
+    terms = sympy.Poly(sympy.expand(expr), x, y).terms()
+    return Polynomial(2, {m: F(int(c.p), int(c.q)) for m, c in terms})
+
+
+def _dyadic(rng, low, high):
+    return F(rng.randint(low, high), rng.choice((1, 2, 4)))
+
+
+class TestQuotientRouteAgainstSympy:
+    """Exact compute_variety on seeded d = 2 kernels against the real
+    solutions of sympy's solve_poly_system."""
+
+    X, Y = sympy.symbols("x y")
+
+    def check(self, exprs, multiple):
+        x, y = self.X, self.Y
+        report = em.compute_variety([_poly(e, x, y) for e in exprs])
+        assert report.status == "Finite"
+        assert multiple is None or report.multiple_roots == multiple
+        solutions = sympy.solve_poly_system(exprs, x, y) or []
+        want = {tuple(s) for s in solutions if all(v.is_real for v in s)}
+        assert len(report.points) == len(want)
+        for point, exact in zip(report.points, report.exact_mask):
+            near = [s for s in want if all(
+                abs(sympy.N(sympy.Rational(c.numerator, c.denominator) - v,
+                            80)) <= REFINE_WIDTH for c, v in zip(point, s))]
+            assert len(near) == 1
+            assert exact == all(v.is_rational for v in near[0])
+            if exact:
+                assert point == tuple(F(int(v.p), int(v.q)) for v in near[0])
+        return report
+
+    def test_points_sharing_an_x_coordinate(self):
+        # x in {a, +-sqrt(b)}, y = +-sqrt(x - a + s^2): pairs share x, as in
+        # example15, so t = x does not separate; (a, +-s) are exact.
+        rng = random.Random(31)
+        x, y = self.X, self.Y
+        for _ in range(2):
+            a, s = _dyadic(rng, -6, 6), _dyadic(rng, 1, 6)
+            b = F(rng.choice((2, 3, 5, 7)), rng.choice((1, 4)))
+            report = self.check([(x - a) * (x**2 - b),
+                                 y**2 - (x - a + s**2)], False)
+            xs = [w[0] for w in report.points]
+            assert any(xs.count(v) == 2 for v in xs)
+            assert sum(report.exact_mask) == 2
+
+    def test_double_zero(self):
+        # The parabola y = (x - a)^2 touches y = 0 at (a, 0), as in
+        # thm62_a8_8, and meets y = b at a +- sqrt(b).
+        rng = random.Random(32)
+        x, y = self.X, self.Y
+        for _ in range(2):
+            a = _dyadic(rng, -6, 6)
+            b = F(rng.choice((2, 3, 5)), rng.choice((1, 4)))
+            report = self.check([y - (x - a)**2, y * (y - b)], True)
+            assert (a, F(0)) in report.points
+
+    def test_fat_point(self):
+        # (x - a, y - b)^2 is not curvilinear: no t generates A, only
+        # A modulo its nilradical.
+        x, y = self.X, self.Y
+        a, b = F(3, 2), F(-1, 4)
+        report = self.check([(x - a)**2, (x - a) * (y - b), (y - b)**2], True)
+        assert report.points == ((a, b),)
+
+    @pytest.mark.parametrize("exprs", [
+        # 1 lies in I: without k(M)*1 = 0 a phantom (-8/21, 20/21) appears.
+        "2 - 2*x**2 - y*x + 2*x**3, -2 - x**2 + y*x, x + 2*y**2",
+        # Normal sets read off too early are not connected to 1.
+        "-2*y - 2*y**2 - 2*y**3 + x**2*y + 2*x**3, -2*y - 2*x*y, "
+        "-x**2 - 2*x**3",
+        "-2 + 2*y**2 + 2*x*y - x**3, x*y, 2*x*y**2 + x**3",
+        # Their multiplication matrices do not commute.
+        "-2*x + x*y + 2*x*y**2 - 2*x**2, 1 + 2*y + 2*y**2 - y**3, "
+        "-y**3 + x + x*y + 2*x*y**2 + x**2*y + 2*x**3",
+    ], ids=["one-in-ideal", "unconnected", "unconnected-2", "noncommuting"])
+    def test_degree_falls(self, exprs):
+        # Products of degree <= D combine into members of I of lower degree
+        # whose multiples lie beyond D, so early normal sets are wrong.
+        self.check(list(sympy.sympify(exprs, locals={"x": self.X,
+                                                     "y": self.Y})), None)
+
+    def test_kernel_without_real_zeros(self):
+        rng = random.Random(33)
+        x, y = self.X, self.Y
+        for _ in range(2):
+            a, b, m = (_dyadic(rng, -6, 6) for _ in range(3))
+            e = _dyadic(rng, 1, 6)
+            report = self.check([(x - a)**2 + (y - b)**2 + e,
+                                 y - m * x - b], False)
+            assert report.points == ()
 
 
 class TestBivariateElimination:
@@ -131,17 +230,19 @@ class TestBivariateElimination:
         assert g.degree == 0
 
     def test_resultant_eliminates_y(self):
-        p = Polynomial(2, {(0, 1): F(1), (2, 0): F(-1)})  # y - x^2
-        q = Polynomial(2, {(0, 2): F(1), (1, 0): F(-1)})  # y^2 - x
+        # The resultant serves float mode only: Res_y = x^4 - x, fitted to
+        # the degree bound 5.
+        p = Polynomial(2, {(0, 1): 1.0, (2, 0): -1.0})  # y - x^2
+        q = Polynomial(2, {(0, 2): 1.0, (1, 0): -1.0})  # y^2 - x
         coeffs = em.resultant_eliminate_y(p, q)
-        assert len(coeffs) - 1 == 4
+        assert coeffs == pytest.approx([0, -1, 0, 0, 1, 0], abs=1e-9)
 
         def ev(x):
             return sum(c * x**i for i, c in enumerate(coeffs))
 
-        assert ev(F(0)) == 0
-        assert ev(F(1)) == 0
-        assert ev(F(2)) != 0
+        assert ev(0.0) == pytest.approx(0, abs=1e-9)
+        assert ev(1.0) == pytest.approx(0, abs=1e-9)
+        assert ev(2.0) == pytest.approx(14)
 
 
 class TestEvalMatrices:

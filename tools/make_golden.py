@@ -11,7 +11,14 @@ Cases: the seven paper fixtures x {analyze, solve, variety, extend} in exact
 mode (text and structured format) and in ``--mode float`` (text format),
 plus ``synth`` from each of its three sources.
 
-Run from the repository root:  PYTHONPATH=src python3 tools/make_golden.py
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/make_golden.py [CASE ...]
+
+With case names (as listed in the manifest, e.g. ``prop61.solve.exact-text``)
+only those cases are run and rewritten, and every other case keeps its files
+and its manifest entry; without names every case is rewritten.  The full
+``MANIFEST.json`` is written either way.
 """
 
 from __future__ import annotations
@@ -94,14 +101,27 @@ def run_case(argv: list, out_path: str):
     return code, buffer.getvalue().encode("utf-8"), artifact
 
 
-def main() -> None:
+def main(names: list) -> None:
+    known = dict(cases())
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    previous = {}
+    if names:
+        previous = {entry["name"]: entry for entry in
+                    json.loads((OUT / "MANIFEST.json").read_text())}
     OUT.mkdir(parents=True, exist_ok=True)
     (OUT / "synth.measure.json").write_text(json.dumps(MEASURE, indent=2)
                                            + "\n")
     manifest = []
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "artifact.json")
-        for name, argv in cases():
+        for name, argv in known.items():
+            if names and name not in names:
+                if name not in previous:
+                    raise SystemExit(f"{name} has no golden yet; name it")
+                manifest.append(previous[name])
+                continue
             code, stdout, artifact = run_case(argv, out_path)
             (OUT / f"{name}.stdout").write_bytes(stdout)
             entry = {"name": name, "argv": argv, "exit": code,
@@ -112,8 +132,9 @@ def main() -> None:
             manifest.append(entry)
             print(f"{name}: exit {code}")
     (OUT / "MANIFEST.json").write_text(json.dumps(manifest, indent=1) + "\n")
-    print(f"wrote {len(manifest)} cases to {OUT.relative_to(ROOT)}")
+    print(f"wrote {len(names) or len(manifest)} of {len(manifest)} cases to "
+          f"{OUT.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
