@@ -1,16 +1,18 @@
 """Consistency of moment data with its variety, and the curve-scenario test.
 
 A multisequence is consistent when every polynomial of degree <= 2n vanishing
-on the variety is annihilated by the Riesz functional.  The check runs over a
-kernel basis of the point-evaluation matrix W_{2n}.  Signed representations
-realize the functional as a combination of point evaluations with (possibly
+on the variety is annihilated by the Riesz functional.  The check runs over
+the relations x^a - NF(x^a) of ``variety.vanishing_ideal``, read exactly in
+the quotient algebra of the kernel ideal for exact data and from the
+point-evaluation matrix W_{2n} otherwise.  Signed representations realize
+the functional as a combination of point evaluations with (possibly
 negative) weights obtained from a row basis of W_{2n}.
 
 The reduced test covers the planar curve scenario with column relation
 X^3 = Y, eight variety points and basis B = {1, X, Y, X^2, YX, Y^2, YX^2,
 Y^2X}: a single auxiliary polynomial h (degree-four correction of Y^2X^2 in
 span B, vanishing on the variety) decides existence — a measure exists iff
-the functional annihilates h.
+the functional annihilates h, the relation of Y^2X^2 among those above.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from .polycore import (
     Polynomial,
     Scalar,
     all_exact,
-    monomial_basis,
     negligible,
     significant,
 )
-from .variety import VarietyReport, bivariate_gcd, build_W
+from .variety import VarietyReport, bivariate_gcd, build_W, vanishing_ideal
 
 #: Pivot basis of the curve scenario (degree-lex restriction).
 SCENARIO_BASIS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2))
@@ -74,87 +75,59 @@ class CertificateVerdict:
     reasons: tuple = ()
 
 
-def _variety_points(variety) -> tuple:
-    if isinstance(variety, VarietyReport):
-        if variety.status != "Finite":
-            return ()
-        return variety.points
-    return tuple(tuple(w) for w in variety)
-
-
-def _points_exact(variety, points) -> bool:
-    """True when the points are the variety, not refined approximations.
-    Reports carry that distinction in their mask; a raw point list is taken
-    at face value when every coordinate is exact."""
-    if isinstance(variety, VarietyReport):
-        return bool(variety.exact_mask) and all(variety.exact_mask)
-    return all(all_exact(w) for w in points)
-
-
-def _column_order(w_matrix, exact_points: bool) -> list:
-    """Column order of W for exact elimination.  At refined points the
-    relations of the variety hold only to the refinement width, so the
-    pivots of the float reduction go first: no column independent by that
-    much alone becomes a pivot."""
-    order = list(range(len(w_matrix.monomials)))
-    if not exact_points and w_matrix.is_exact:
-        first = _linalg.row_reduce(
-            [[float(x) for x in row] for row in w_matrix.rows]).pivots
-        order = [*first, *(j for j in order if j not in first)]
-    return order
-
-
 def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
     """Check Lambda(p) = 0 for every p of degree <= 2n vanishing on the
-    variety (kernel basis of W_{2n}); Unknown when the variety is not a
-    finite point list.  An empty point list says nothing of the variety and
-    is Unknown; a Finite report with no points is the empty set."""
-    if isinstance(variety, VarietyReport):
-        if variety.status != "Finite":
-            return ConsistencyVerdict(
-                "Unknown",
-                reason=f"variety is {variety.status}; the vanishing ideal "
-                       "cannot be enumerated from points")
-        if not variety.points:
-            # Every polynomial vanishes on the empty set, so each monomial
-            # whose moment is nonzero is a witness.
-            for idx in monomial_basis(beta.d, beta.degree):
-                if beta[idx] != 0:
-                    return ConsistencyVerdict(
-                        "Inconsistent", Polynomial.monomial(beta.d, idx),
-                        beta[idx])
-            return ConsistencyVerdict("Consistent")
-    points = _variety_points(variety)
-    if not points:
+    variety: the first relation of ``vanishing_ideal`` that Lambda does not
+    annihilate is the witness.  Unknown when the variety is not a finite
+    point list, for an empty point list (a Finite report with no points is
+    the empty set), and when the relations need not span the ideal."""
+    if isinstance(variety, VarietyReport) and variety.status != "Finite":
+        return ConsistencyVerdict(
+            "Unknown",
+            reason=f"variety is {variety.status}; the vanishing ideal "
+                   "cannot be enumerated from points")
+    if not isinstance(variety, VarietyReport) and not variety:
         return ConsistencyVerdict("Unknown", reason="no variety points")
-    exact_points = _points_exact(variety, points)
-    w_matrix = build_W(points, beta.degree, beta.d)
-    order = _column_order(w_matrix, exact_points)
-    reduction = _linalg.row_reduce(
-        [[row[j] for j in order] for row in w_matrix.rows])
-    monomials = [w_matrix.monomials[j] for j in order]
-    scale = beta.scale()
-    for vec in reduction.kernel_basis():
-        p = Polynomial(beta.d, dict(zip(monomials, vec)))
+    relations, complete = vanishing_ideal(variety, beta.degree, beta.d)
+    scale, exact = beta.scale(), beta.is_exact
+    for p in relations.values():
         value = riesz(beta, p)
-        if significant(value, scale,
-                       beta.is_exact and p.is_exact and exact_points):
+        if significant(value, scale, exact and p.is_exact):
             return ConsistencyVerdict("Inconsistent", p, value)
-    return ConsistencyVerdict("Consistent")
+    if complete:
+        return ConsistencyVerdict("Consistent")
+    return ConsistencyVerdict(
+        "Unknown", reason="Lambda annihilates the radical of the kernel "
+                          "ideal, which has non-real zeros, and refined "
+                          "points cannot decide the rest")
 
 
 def signed_representation(beta: Multisequence,
                           variety) -> SignedRepresentation:
     """Weights alpha with Lambda = sum alpha_i * evaluation at w_i on all
-    monomials of degree <= 2n, supported on a row basis of W_{2n}."""
-    points = _variety_points(variety)
+    monomials of degree <= 2n, supported on a row basis of W_{2n}.  A
+    report's mask says whether its points are the variety or refined
+    approximations; a raw point list is taken at face value."""
+    if isinstance(variety, VarietyReport):
+        points = variety.points if variety.status == "Finite" else ()
+        exact_points = all(variety.exact_mask)
+    else:
+        points = tuple(tuple(w) for w in variety)
+        exact_points = all(all_exact(w) for w in points)
     if not points:
         raise ValueError("signed_representation needs a finite point list")
     w_matrix = build_W(points, beta.degree, beta.d)
     # Independent rows of W = pivot columns of its transpose.
     row_pick = _linalg.row_reduce(_linalg.transpose(w_matrix.rows)).pivots
     rows = [w_matrix.rows[i] for i in row_pick]
-    order = _column_order(w_matrix, _points_exact(variety, points))
+    # At refined points the relations of the variety hold only to the
+    # refinement width, so the pivots of the float reduction go first: no
+    # column independent by that much alone becomes a pivot.
+    order = list(range(len(w_matrix.monomials)))
+    if not exact_points and w_matrix.is_exact:
+        first = _linalg.row_reduce(
+            [[float(x) for x in row] for row in w_matrix.rows]).pivots
+        order = [*first, *(j for j in order if j not in first)]
     col_pick = [order[j] for j in _linalg.row_reduce(
         [[row[j] for j in order] for row in rows]).pivots]
     square = [[rows[i][j] for i in range(len(row_pick))] for j in col_pick]
@@ -261,54 +234,23 @@ def reduced_consistency_test(beta: Multisequence, *,
             reason=f"variety status {variety.status} with "
                    f"{len(variety.points)} points; scenario needs 8")
 
-    # Exact route.  The data-derived candidate k solves J alpha = v in
-    # rational arithmetic; the first equation of that system already forces
-    # Lambda(k) = 0, so the functional value of k itself carries no
-    # information.  The discriminator is whether k vanishes on the variety:
-    # under any representing measure the compressed system pins k to the
-    # interpolation correction h (which vanishes), so a certified
-    # non-vanishing point rules a measure out, while vanishing identifies
-    # k = h and Lambda(h) = Lambda(k) = 0 settles existence.
-    if beta.is_exact:
-        k = compute_k_from_extension(beta)
-        if _vanishes_on(k, variety):
-            return ReducedVerdict("MeasureExists", riesz(beta, k), k)
-        h = compute_h(variety.points)
-        return ReducedVerdict(
-            "NoMeasure", riesz(beta, h), h,
-            reason="data-derived correction fails to vanish on the "
-                   "variety; any representing measure would force it to")
-
-    h = compute_h(variety.points)
+    # h = X^2Y^2 - NF(X^2Y^2) is the relation that reduces the target over
+    # the pivots before it.  It vanishes on the variety, so Lambda(h) != 0
+    # rules a measure out; when those pivots are the scenario basis and the
+    # relations span the vanishing ideal, h is the interpolation correction
+    # and Lambda(h) = 0 settles existence.
+    relations, complete = vanishing_ideal(variety, sum(SCENARIO_TARGET), 2)
+    h = relations.get(SCENARIO_TARGET)
+    if h is None or not set(h.terms) <= {*SCENARIO_BASIS, SCENARIO_TARGET}:
+        return ReducedVerdict("Unknown", reason="Y^2X^2 has no normal form "
+                                                "over the scenario basis")
     value = riesz(beta, h)
-    status = "MeasureExists" if negligible(value, beta.scale()) \
-        else "NoMeasure"
-    return ReducedVerdict(status, value, h)
-
-
-def _vanishes_on(k: Polynomial, variety: VarietyReport) -> bool:
-    """Does the exact polynomial k vanish on every variety point?  Exact at
-    rational points; at refined irrational points the threshold is tied to
-    the refinement width, far below any honest nonzero value."""
-    slack = float(_roots.REFINE_WIDTH) * 1e20
-    for w, exact_pt in zip(variety.points, variety.exact_mask):
-        if exact_pt and k.is_exact:
-            if k.evaluate(w) != 0:
-                return False
-            continue
-        scale = max(1.0, sum(
-            abs(float(c)) * _monomial_abs(w, idx)
-            for idx, c in k.terms.items()))
-        if abs(float(k.evaluate(w))) > slack * scale:
-            return False
-    return True
-
-
-def _monomial_abs(point, idx) -> float:
-    out = 1.0
-    for x, e in zip(point, idx):
-        out *= abs(float(x)) ** e
-    return out
+    if not negligible(value, beta.scale(), beta.is_exact and h.is_exact):
+        return ReducedVerdict("NoMeasure", value, h, reason="Lambda(h) != 0 "
+                              "for the correction h vanishing on the variety")
+    if not complete:
+        return ReducedVerdict("Unknown", value, h, reason="non-real zeros")
+    return ReducedVerdict("MeasureExists", value, h)
 
 
 # ---------------------------------------------------------------------------

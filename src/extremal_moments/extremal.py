@@ -1,15 +1,14 @@
 """The extremal solver: rank M(n) = card variety, unique atomic candidate.
 
 Pipeline: positivity of M(n), rank/kernel, variety of the kernel, the
-extremal comparison r = v, then the Vandermonde system V_B rho = Lambda(B)
-over the pivot basis.  The candidate measure is accepted only after its
-moments interpolate the full data; by uniqueness in the extremal case a
-verified candidate is *the* representing measure, and a failed interpolation
-is converted into an inconsistency witness.
-
-Exact moment data keeps the whole chain in rational arithmetic: irrational
-variety coordinates enter as rational midpoints of isolating intervals
-refined to width REFINE_WIDTH, so even densities near 1e-10 keep their sign.
+extremal comparison r = v, consistency, then the Vandermonde system
+V_B rho = Lambda(B) over the pivot basis for the densities.  For exact data
+the verdict is the paper's theorem: PSD, r = v and the exact consistency
+check of the quotient algebra decide, and the densities' residual only
+guards the measure (a failure is Unknown).  Float data accepts a candidate
+whose moments interpolate the data, and looks for an inconsistency witness
+when they do not.  Irrational coordinates enter exact densities as rational
+midpoints of isolating intervals of width REFINE_WIDTH.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from . import _linalg
-from .consistency import consistency_check, reduced_consistency_test
+from .consistency import consistency_check
 from .moments import KernelReport, Multisequence, PsdVerdict, riesz
 from .pipeline import Pipeline, solver_pipeline
 from .polycore import (
@@ -40,7 +39,7 @@ from .variety import (
     VarietyReport,
     adopt_points,
     injectivity_check,
-    vandermonde_VB,
+    vandermonde_rows,
 )
 
 
@@ -156,36 +155,43 @@ def solve_extremal(beta: Multisequence,
     basis_elems = tuple(basis) if basis is not None else kernel_report.pivots
     if len(basis_elems) != r:
         raise ValueError(f"basis must have {r} elements, got {len(basis_elems)}")
-    vb = vandermonde_VB(basis_elems, variety.points)
-    if not vb.invertible:
-        inj = injectivity_check(kernel_report, variety.points)
-        return report("NoMeasure", reason="SingularVB", witness=inj.witness)
-    lam = [riesz(beta, b) for b in vb.basis]
+    if beta.is_exact:
+        # The paper's theorem: PSD, r = card V and consistency decide.
+        cons = consistency_check(beta, variety)
+        if not cons.ok:
+            return _from_consistency(report, cons)
+    polys, rows = vandermonde_rows(basis_elems, variety.points)
     try:
-        densities = _linalg.solve_linear(vb.rows, lam)
+        densities = _linalg.solve_linear(rows, [riesz(beta, b)
+                                                for b in polys])
     except _linalg.SingularMatrixError:
-        return report("NoMeasure", reason="SingularVB")
+        inj = injectivity_check(kernel_report, variety)
+        return report("NoMeasure", reason="SingularVB", witness=inj.witness)
     measure = AtomicMeasure(beta.d, variety.points, tuple(densities))
     verification = verify_measure(beta, measure)
     report = partial(report, residual=verification.residual)
     if not verification.ok:
-        # Interpolation failed: look for an inconsistency witness, first by
-        # the curve-scenario test, then on the variety's vanishing ideal.
-        reduced = reduced_consistency_test(beta, pipe=pipe)
-        if reduced.status == "NoMeasure":
-            return report("NoMeasure", reason="Inconsistent",
-                          witness=reduced.witness, value=reduced.value)
-        cons = consistency_check(beta, variety)
-        if cons.status == "Inconsistent":
-            return report("NoMeasure", reason="Inconsistent",
-                          witness=cons.witness, value=cons.value)
+        # Exact data is consistent here; float data looks for an
+        # inconsistency witness on the variety's vanishing ideal.
+        if not beta.is_exact:
+            cons = consistency_check(beta, variety)
+            if cons.status == "Inconsistent":
+                return _from_consistency(report, cons)
         return report("Unknown", reason="interpolation failed without an "
                                         "inconsistency witness")
     if any(float(rho) <= 0 for rho in densities):
         return report("Unknown",
                       reason="interpolation verified but a density is "
                              "nonpositive; numerically inconclusive")
-    return report("Measure", measure=measure, basis=tuple(vb.basis))
+    return report("Measure", measure=measure, basis=polys)
+
+
+def _from_consistency(report, cons) -> SolveReport:
+    """The verdict of a consistency check that is not Consistent."""
+    if cons.status == "Inconsistent":
+        return report("NoMeasure", reason="Inconsistent",
+                      witness=cons.witness, value=cons.value)
+    return report("Unknown", reason=cons.reason)
 
 
 # ---------------------------------------------------------------------------

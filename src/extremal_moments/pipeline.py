@@ -87,7 +87,7 @@ class Pipeline:
         if variety is None or variety.status != "Finite" \
                 or not variety.points:
             return None
-        return injectivity_check(self.kernel, variety.points)
+        return injectivity_check(self.kernel, variety)
 
 
 def solver_pipeline(beta: Multisequence,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, zip_longest
@@ -63,7 +63,9 @@ class VarietyReport:
 
     ``points`` hold Scalars; a True entry in ``exact_mask`` marks a point
     whose coordinates are exact rationals rather than refined approximations
-    of irrational algebraic numbers.
+    of irrational algebraic numbers.  ``quotient`` keeps an exact kernel's
+    algebra A = Q[x]/I as (mats, scale, nil): mats[i] / scale multiplies by
+    x_i on a monomial basis of A (1 last), nil spans its nilradical.
     """
 
     status: str  # "Finite" | "Infinite" | "Unknown"
@@ -72,6 +74,7 @@ class VarietyReport:
     witness: Optional[Polynomial] = None  # common factor when Infinite
     reason: Optional[str] = None
     multiple_roots: bool = False
+    quotient: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def v(self):
@@ -354,7 +357,8 @@ def _variety_exact(kernel) -> VarietyReport:
             point.append(hits[0])
         points.append(point)
     return _finite([tuple(r.value for r in w) for w in points],
-                   [all(r.exact for r in w) for w in points], not radical)
+                   [all(r.exact for r in w) for w in points], not radical,
+                   (mats, scale, nil))
 
 
 def _quotient(kernel):
@@ -603,13 +607,14 @@ def _merge_points(points, merge_tol):
     return kept, len(kept) < len(points)
 
 
-def _finite(points, mask, multiple_roots: bool) -> VarietyReport:
+def _finite(points, mask, multiple_roots: bool,
+            quotient: Optional[tuple] = None) -> VarietyReport:
     """A Finite report with its points in ascending float order."""
     order = sorted(range(len(points)),
                    key=lambda i: tuple(float(x) for x in points[i]))
     return VarietyReport("Finite", tuple(points[i] for i in order),
                          tuple(mask[i] for i in order),
-                         multiple_roots=multiple_roots)
+                         multiple_roots=multiple_roots, quotient=quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -648,25 +653,68 @@ def hilbert_function(points: Sequence[Point], k: int) -> int:
     return eval_matrix_rank(build_W(points, k))
 
 
+def vanishing_ideal(variety, k: int, d: int) -> tuple:
+    """``(relations, complete)``: the polynomials of degree <= k that vanish
+    on *variety* (a report or a point list), as the kernel of one matrix.
+
+    An exact report's rows are the normal forms scale**|a| * x^a * 1 in its
+    quotient A behind columns spanning the nilradical, so the kernel is
+    sqrt(I); if dim A/sqrt(I) > card V (non-real zeros) the relations vanish
+    on V but need not span its ideal, and ``complete`` is False unless the
+    points are exact and decide.  Otherwise the rows are the evaluations
+    W_k.  Each monomial a that is no pivot (degree-lex) keys its relation
+    x^a - NF(x^a) over the pivots before it."""
+    is_report = isinstance(variety, VarietyReport)
+    points = variety.points if is_report else tuple(map(tuple, variety))
+    quotient = variety.quotient if is_report else None
+    columns, lead, scale, complete = monomial_basis(d, k), 0, 1, True
+    if quotient is not None:
+        mats, scale, nil = quotient
+        size = len(mats[0])
+        complete = size - _linalg.row_reduce(nil).rank == len(points)
+    if quotient is not None and (complete or not all(variety.exact_mask)):
+        images = _images(columns, mats, [int(r == size - 1)
+                                         for r in range(size)])
+        rows = list(zip(*nil, *images.values()))
+        columns, lead = [None] * len(nil) + columns, len(nil)
+    else:  # W_k; no point at all is the empty set
+        rows = build_W(points, k, d).rows if points else ()
+        scale, complete = 1, True
+    reduction = _linalg.row_reduce(rows)
+    power = [Fraction(scale) ** e for e in range(-k, k + 1)]  # by e + k
+    relations = {}
+    for j, a in enumerate(columns[lead:], lead):
+        if j in reduction.pivots:
+            continue
+        vec = {j: 1}
+        for row, p in zip(reduction.rref, reduction.pivots):
+            if p >= lead and row[j] != 0:
+                vec[p] = -row[j]
+        relations[a] = Polynomial(d, {
+            columns[i]: x * power[total_degree(columns[i])
+                                  - total_degree(a) + k]
+            for i, x in sorted(vec.items())})
+    return relations, complete
+
+
 def injectivity_check(report: KernelReport,
-                      points: Sequence[Point]) -> InjectivityVerdict:
+                      variety) -> InjectivityVerdict:
     """Decide rank M(n) = rank W_n, i.e. whether point evaluations separate
-    the column space.  When they do not, returns a polynomial vanishing on
-    the points that is not in the kernel of M(n)."""
-    w_matrix = build_W(points, report.n, report.d)
-    reduction = _linalg.row_reduce(w_matrix.rows)
-    rank_w = reduction.rank
+    the column space, from ``vanishing_ideal``.  When they do not, returns
+    a polynomial vanishing on the variety (a report or a point list) that
+    is not in the kernel of M(n)."""
+    relations, complete = vanishing_ideal(variety, report.n, report.d)
+    if not complete:  # sqrt(I) is not all: rank W at the refined points
+        relations, _ = vanishing_ideal(variety.points, report.n, report.d)
+    rank_w = len(report.basis) - len(relations)
     if rank_w == report.rank:
         return InjectivityVerdict(True, report.rank, rank_w)
-    witness = None
     # Kernel polynomials are in delta form: unit coefficient on one
     # non-pivot monomial.
     free_of = {next(idx for idx, c in p.terms.items()
                     if idx not in report.pivots and c == 1): p
                for p in report.kernel}
-    for vec in reduction.kernel_basis():
-        candidate = Polynomial(report.d,
-                               dict(zip(w_matrix.monomials, vec)))
+    for candidate in relations.values():
         reduced = candidate
         for idx, p in free_of.items():
             c = reduced.coefficient(idx)
@@ -674,9 +722,16 @@ def injectivity_check(report: KernelReport,
                 reduced = reduced - p.scale(c)
         if not all(negligible(c, exact=reduced.is_exact)
                    for c in reduced.terms.values()):
-            witness = candidate
-            break
-    return InjectivityVerdict(False, report.rank, rank_w, witness)
+            return InjectivityVerdict(False, report.rank, rank_w, candidate)
+    return InjectivityVerdict(False, report.rank, rank_w)
+
+
+def vandermonde_rows(basis, points: Sequence[Point]) -> tuple:
+    """``(polys, rows)``: the basis elements (monomial tuples or
+    polynomials) as polynomials, and V_B[i][j] = b_i(w_j)."""
+    polys = tuple(b if isinstance(b, Polynomial)
+                  else Polynomial.monomial(len(points[0]), b) for b in basis)
+    return polys, tuple(tuple(b.evaluate(w) for w in points) for b in polys)
 
 
 def vandermonde_VB(basis, points: Sequence[Point]) -> VandermondeReport:
@@ -685,15 +740,11 @@ def vandermonde_VB(basis, points: Sequence[Point]) -> VandermondeReport:
     if len(basis) != len(points):
         raise ValueError(
             f"basis size {len(basis)} != number of points {len(points)}")
-    polys = [b if isinstance(b, Polynomial)
-             else Polynomial.monomial(len(points[0]), b) for b in basis]
-    rows = tuple(
-        tuple(b.evaluate(w) for w in points) for b in polys
-    )
+    polys, rows = vandermonde_rows(basis, points)
     det = _linalg.determinant(rows)
     invertible = det != 0 if _linalg.matrix_is_exact(rows) \
         else _linalg.row_reduce(rows).rank == len(points)
-    return VandermondeReport(tuple(polys), tuple(tuple(w) for w in points),
+    return VandermondeReport(polys, tuple(tuple(w) for w in points),
                              rows, det, invertible)
 
 

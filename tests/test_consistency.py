@@ -6,8 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 import extremal_moments as em
+from extremal_moments import consistency
 from extremal_moments.polycore import Polynomial, monomial_basis
 from extremal_moments.variety import VarietyReport
+
+from conftest import fixture_path
 
 
 #: Exact correction polynomial of the curve scenario (vanishes on the eight
@@ -216,3 +219,104 @@ class TestSimpleZeroCertificate:
         verdict = em.simple_zero_certificate(r1, r2, [])
         assert not verdict.certified
         assert any("infinity" in r for r in verdict.reasons)
+
+
+def shifted(beta, s):
+    """The data pushed forward by x -> x + s, by binomial sums."""
+    return em.Multisequence(beta.d, beta.degree, {
+        (i, j): sum(math.comb(i, k) * s**(i - k) * beta[(k, j)]
+                    for k in range(i + 1))
+        for (i, j) in beta.values})
+
+
+def beside_nonreal_zeros(real_powers, extra=0):
+    """d = 1 data: the power sums *real_powers* of unit masses at real
+    points plus Re p(i), the functional of the zeros +-i; *extra* is added
+    to the last moment."""
+    values = [F(s) + [1, 0, -1, 0][k % 4] for k, s in enumerate(real_powers)]
+    values[-1] += extra
+    return em.Multisequence(1, len(values) - 1,
+                            {(k,): v for k, v in enumerate(values)})
+
+
+def at_sqrt2(degree):
+    """Power sums 0..degree of the points -sqrt(2) and sqrt(2)."""
+    return [0 if k % 2 else 2 * 2**(k // 2) for k in range(degree + 1)]
+
+
+class TestQuotientConsistency:
+    @pytest.mark.parametrize("eps", (F(1, 10**9), F(1, 10**12)))
+    def test_derivation_part_of_any_size_is_refuted(self, prop61,
+                                                    thm62_a8_8, eps):
+        # The measure part of thm62_a8_8 plus eps times its derivation part.
+        beta = em.multisequence_combine([prop61, thm62_a8_8], [1 - eps, eps])
+        report = em.solve_extremal(beta)
+        assert (report.status, report.reason) == ("NoMeasure", "Inconsistent")
+        assert report.witness.terms == H_TERMS
+        assert report.value == F(-405, 128) * eps
+
+    def test_measure_part_alone_is_a_measure(self, prop61, thm62_a8_8):
+        beta = em.multisequence_combine([prop61, thm62_a8_8], [1, 0])
+        assert em.solve_extremal(beta).status == "Measure"
+
+    def test_shifted_ex71_is_consistent(self, ex71):
+        beta = shifted(ex71, F(1, 3))
+        pipe = em.Pipeline(beta)
+        assert pipe.consistency.status == "Consistent"
+        assert (pipe.injectivity.injective, pipe.injectivity.rank_m,
+                pipe.injectivity.rank_w) == (True, 8, 8)
+        search = em.extension_search(beta)
+        assert search.status == "FlatAt"
+        handoff = em.solve_extremal(search.final.beta, pipe=search.final)
+        assert handoff.status == "Measure"
+
+    def test_exact_point_decides_beside_nonreal_zeros(self):
+        # ker M(4) is spanned by X^3 + X: zeros 0 and +-i, one real point.
+        # The exact point decides: X^2 vanishes on it, Lambda(X^2) = -1.
+        pipe = em.Pipeline(beside_nonreal_zeros([1] + [0] * 8, extra=1))
+        assert [p.terms for p in pipe.kernel.kernel] == [{(1,): 1, (3,): 1}]
+        assert pipe.variety.points == ((0,),) and pipe.variety.exact_mask
+        verdict = pipe.consistency
+        assert verdict.status == "Inconsistent"
+        assert verdict.witness == Polynomial.monomial(1, (2,))
+        assert verdict.value == -1
+
+    def test_refutation_on_the_radical_is_exact(self):
+        # ker M(5) is spanned by (X^2 - 2)(X^2 + 1), whose real zeros are
+        # refined; Lambda misses X^10 - NF(X^10) by the 1 added to beta_10.
+        pipe = em.Pipeline(beside_nonreal_zeros(at_sqrt2(10), extra=1))
+        assert [p.terms for p in pipe.kernel.kernel] \
+            == [{(0,): -2, (2,): -1, (4,): 1}]
+        assert not any(pipe.variety.exact_mask)
+        verdict = pipe.consistency
+        assert verdict.status == "Inconsistent"
+        assert verdict.witness.terms == {(0,): -10, (2,): -11, (10,): 1}
+        assert verdict.value == 1
+
+    @pytest.mark.parametrize("degree", (8, 10))
+    def test_refined_points_never_give_consistent(self, degree):
+        # Lambda annihilates the radical of (X^2 - 2)(X^2 + 1); only the
+        # refined points +-sqrt(2) could decide the rest.
+        pipe = em.Pipeline(beside_nonreal_zeros(at_sqrt2(degree)))
+        assert len(pipe.variety.points) == 2
+        verdict = pipe.consistency
+        assert verdict.status == "Unknown"
+        assert "non-real" in verdict.reason
+        # The two points give rank W 2, not the rank of the radical.
+        assert pipe.injectivity.rank_w == 2
+
+    @pytest.mark.parametrize("fixture", ("example15", "prop61", "ex44",
+                                         "prop61_deg8", "thm62_a8_8"))
+    def test_exact_verdicts_compare_exactly(self, fixture, monkeypatch):
+        # Every comparison of an exact verdict is exact.
+        flags = []
+        significant = consistency.significant
+
+        def recorded(value, scale=1.0, exact=False):
+            flags.append(exact)
+            return significant(value, scale, exact)
+
+        monkeypatch.setattr(consistency, "significant", recorded)
+        beta = em.load_multisequence(fixture_path(f"{fixture}.moments.json"))
+        assert em.Pipeline(beta).consistency.status != "Unknown"
+        assert flags and all(flags)

@@ -81,12 +81,12 @@ def test_analyze_reduces_once(calls):
 
 
 def test_solve_with_reduced_test_reuses_the_variety(calls):
-    # Interpolation fails on thm62_a8_8, so the solver runs the reduced
-    # curve-scenario test; it reads the solver's M(3), kernel and variety.
+    # The exact consistency check refutes thm62_a8_8 from the solver's
+    # M(3), kernel and variety; the solver no longer runs the reduced test.
     assert cli("solve", moments("thm62_a8_8")) == 2
     assert calls == {"build_moment_matrix": 1, "psd_check": 1,
                      "rank_kernel": 1, "compute_variety": 1,
-                     "solve_extremal": 1, "reduced_consistency_test": 1}
+                     "solve_extremal": 1}
 
 
 def test_extend_reuses_each_extension(calls):
