@@ -29,7 +29,6 @@ from .variety import (
     hilbert_function,
     injectivity_check,
     load_points,
-    resultant_eliminate_y,
     vandermonde_VB,
 )
 from .pipeline import Pipeline
@@ -114,7 +113,6 @@ __all__ = [
     "rank_kernel",
     "recursiveness_check",
     "reduced_consistency_test",
-    "resultant_eliminate_y",
     "riesz",
     "signed_representation",
     "simple_zero_certificate",

@@ -7,8 +7,8 @@ before continuing.  It runs in plain integers: the Sturm chain, the gcd and
 the squarefree part come from one primitive remainder sequence on integer
 polynomials, signs along the chain are evaluated by integer Horner, and
 refinement keeps its dyadic endpoints as integer numerators over one power of
-two.  Float path: numpy companion-matrix roots with Newton polish and
-near-real filtering.
+two.  Float data never comes here: float varieties are read from the
+eigenvectors of multiplication matrices (see ``variety``).
 
 Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.
 """
@@ -18,11 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-import numpy as np
-
-from .polycore import MERGE_TOL, clear_denominators
+from .polycore import clear_denominators
 
 #: Interval width for high-precision refinement of irrational roots, so of
 #: every irrational variety coordinate.  Wide enough margins survive
@@ -319,49 +316,3 @@ def _refine(p, a, b, width):
             hi = mid
     return IsolatedRoot(Fraction(lo + hi, 2 << k), False,
                         Fraction(lo, 1 << k), Fraction(hi, 1 << k))
-
-
-# ---------------------------------------------------------------------------
-# float path
-# ---------------------------------------------------------------------------
-
-def real_roots_float(coeffs: Sequence[float],
-                     merge_tol: float = MERGE_TOL) -> tuple:
-    """Real roots of a float polynomial via the companion matrix.
-
-    Returns ``(roots, well_isolated)``; ``well_isolated`` is False when two
-    roots landed closer than *merge_tol* (near-multiple cluster) and was
-    merged, in which case callers should treat the result with suspicion.
-    """
-    c = np.asarray([float(x) for x in coeffs], dtype=float)
-    while c.size and c[-1] == 0.0:
-        c = c[:-1]
-    if c.size == 0:
-        raise ValueError("zero polynomial has every point as a root")
-    if c.size == 1:
-        return [], True
-    scale = float(np.max(np.abs(c)))
-    c = c / scale
-    all_roots = np.roots(c[::-1])
-    deriv = np.polyder(c[::-1])
-    polished = []
-    for z in all_roots:
-        for _ in range(8):
-            dz = np.polyval(deriv, z)
-            if dz == 0:
-                break
-            z = z - np.polyval(c[::-1], z) / dz
-        polished.append(z)
-    spread = max(1.0, max(abs(z) for z in polished))
-    reals = sorted(
-        float(z.real) for z in polished if abs(z.imag) <= 1e-7 * spread
-    )
-    merged = []
-    well_isolated = True
-    for r in reals:
-        if merged and abs(r - merged[-1]) <= merge_tol * max(1.0, abs(r)):
-            well_isolated = False
-            merged[-1] = (merged[-1] + r) / 2.0
-        else:
-            merged.append(r)
-    return merged, well_isolated

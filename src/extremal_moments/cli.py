@@ -46,12 +46,7 @@ from .synth import (
     example14_gamma,
     load_functional,
 )
-from .variety import (
-    UNSUPPORTED_DIMENSION,
-    VarietyReport,
-    dump_points,
-    load_points,
-)
+from .variety import VarietyReport, dump_points, load_points
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -248,8 +243,6 @@ def _cmd_variety(args) -> int:
         out.flush()
         return EXIT_OK
     variety = pipe.variety
-    if variety is None:
-        raise InputError(UNSUPPORTED_DIMENSION)
     out.set("variety", _variety_json(variety))
     out.line(f"variety: {variety.status}, card {_v_str(variety.v)}")
     if variety.witness is not None:

@@ -1,8 +1,10 @@
 """The extremal solver: rank M(n) = card variety, unique atomic candidate.
 
-Pipeline: positivity of M(n), rank/kernel, variety of the kernel, the
-extremal comparison r = v, consistency, then the Vandermonde system
-V_B rho = Lambda(B) over the pivot basis for the densities.  For exact data
+Pipeline: positivity of M(n), rank/kernel, variety of the kernel (read from
+the quotient algebra of the kernel ideal for exact and float data alike, in
+any number of variables), the extremal comparison r = v, consistency, then
+the Vandermonde system V_B rho = Lambda(B) over the pivot basis for the
+densities.  For exact data
 the verdict is the paper's theorem: PSD, r = v and the exact consistency
 check of the quotient algebra decide, and the densities' residual only
 guards the measure (a failure is Unknown).  Float data accepts a candidate
@@ -133,12 +135,9 @@ def solve_extremal(beta: Multisequence,
     variety = pipe.variety if points is None \
         else adopt_points(kernel_report, points)
     if variety is None:
-        if kernel_report.nullity == 0:
-            return report("NotExtremal", v=math.inf,
-                          reason="M(n) is invertible, so the variety is "
-                                 "all of R^d")
-        return report("Unknown", reason="float data with d >= 3 requires "
-                                        "user-supplied variety points")
+        return report("NotExtremal", v=math.inf,
+                      reason="M(n) is invertible, so the variety is all of "
+                             "R^d")
 
     report = partial(report, variety=variety)
     if variety.status == "Infinite":

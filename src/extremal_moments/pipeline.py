@@ -66,10 +66,9 @@ class Pipeline:
 
     @cached_property
     def variety(self) -> Optional[VarietyReport]:
-        """Zero set of the kernel, exact in any d; None when the kernel is
-        trivial, or for float data with d > 2."""
-        if self.kernel.nullity == 0 or (self.beta.d > 2
-                                        and not self.beta.is_exact):
+        """Zero set of the kernel in any d; None when the kernel is
+        trivial."""
+        if self.kernel.nullity == 0:
             return None
         return compute_variety(list(self.kernel.kernel))
 

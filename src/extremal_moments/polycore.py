@@ -133,8 +133,6 @@ def compact_scalar(value: Scalar) -> str:
 RANK_TOL = 1e-10
 #: Residual threshold for moment and annihilation checks of float values.
 RESIDUAL_TOL = 1e-7
-#: Distance under which two computed roots or atoms are the same point.
-MERGE_TOL = 1e-8
 
 
 def negligible(value: Scalar, scale: float = 1.0,

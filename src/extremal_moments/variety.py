@@ -1,14 +1,17 @@
 """Zero sets of moment-matrix kernels and point-evaluation matrices.
 
-Exact kernels, in any number of variables, are solved in the quotient
-algebra Q[x]/I of their ideal I: the real roots of the minimal polynomial of
-a separating linear form are the real points, and each coordinate is a root
-of its own minimal polynomial, isolated exactly (rational if the isolator
-hits it, else the midpoint of a refined interval).  In two variables a
-nonconstant gcd of the kernel first certifies an infinite variety.  Float
-kernels (d = 1 or 2) use the roots of the lowest-degree element, or a
-Sylvester resultant of two low-degree elements and back-substitution, and
-filter every candidate by the residuals of *all* kernel elements.
+Every kernel, exact or float and in any number of variables, is solved in
+the quotient algebra A = R[x]/I of its ideal I, whose multiplication
+matrices come from one Macaulay matrix of the kernel's products.  Exact
+kernels read the real points from A exactly: the real roots of the minimal
+polynomial of a separating linear form are the points, and each coordinate
+is a root of its own minimal polynomial, isolated exactly (rational if the
+isolator hits it, else the midpoint of a refined interval).  In two
+variables a nonconstant gcd of an exact kernel first certifies an infinite
+variety.  Float kernels read the points from the eigenvectors of one
+generic combination of the multiplication matrices, average each cluster
+(a multiple zero), and filter every real point by the residuals of *all*
+kernel elements.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, zip_longest
 from typing import Optional, Sequence
 
@@ -26,8 +28,6 @@ import numpy as np
 from . import _linalg, _roots
 from .moments import KernelReport
 from .polycore import (
-    MERGE_TOL,
-    RANK_TOL,
     RESIDUAL_TOL,
     InputError,
     JsonInput,
@@ -43,15 +43,9 @@ from .polycore import (
     total_degree,
 )
 
-#: Error raised for float kernels in three or more variables.
-UNSUPPORTED_DIMENSION = ("float variety computation is implemented for d in "
-                         "{1, 2}; supply points explicitly for higher "
-                         "dimension")
-
-#: Float roots closer than this are one root.  Near-double roots split by
-#: O(sqrt(noise)), far beyond the exact-duplicate radius MERGE_TOL; float
-#: mode clusters at that scale and flags the event.
-_CLUSTER_TOL = max(MERGE_TOL, math.sqrt(RESIDUAL_TOL))
+#: Float points closer than this (relative to their size) are one multiple
+#: point: the eigenvalues of a double zero split by O(sqrt(noise)).
+_CLUSTER_TOL = math.sqrt(RESIDUAL_TOL)
 
 # ---------------------------------------------------------------------------
 # reports
@@ -132,6 +126,14 @@ def _as_y_poly(p: Polynomial) -> list:
     return [_roots.strip(c) for c in out]
 
 
+def _deg_x(p: Polynomial) -> int:
+    return max((i for (i, _) in p.terms), default=0)
+
+
+def _deg_y(p: Polynomial) -> int:
+    return max((j for (_, j) in p.terms), default=0)
+
+
 def _uni_mul(a, b):
     if not a or not b:
         return []
@@ -204,66 +206,13 @@ def _normalize_gcd(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultants
-# ---------------------------------------------------------------------------
-
-def _sylvester_entries(p: Polynomial, q: Polynomial):
-    """Sylvester matrix for eliminating y; entries are x-coefficient lists."""
-    a, b = _as_y_poly(p), _as_y_poly(q)
-    m, k = len(a) - 1, len(b) - 1
-    size = m + k
-    matrix = [[[] for _ in range(size)] for _ in range(size)]
-    for row in range(k):
-        for i, coeffs in enumerate(reversed(a)):  # a_m ... a_0
-            matrix[row][row + i] = coeffs
-    for row in range(m):
-        for i, coeffs in enumerate(reversed(b)):
-            matrix[k + row][row + i] = coeffs
-    return matrix, m, k
-
-
-def _deg_x(p: Polynomial) -> int:
-    return max((i for (i, _) in p.terms), default=0)
-
-
-def _deg_y(p: Polynomial) -> int:
-    return max((j for (_, j) in p.terms), default=0)
-
-
-def resultant_eliminate_y(p: Polynomial, q: Polynomial) -> list:
-    """Res_y(p, q) as an ascending coefficient list in x, computed by
-    evaluating the fixed-size Sylvester determinant at integer nodes and
-    fitting (degree bound deg_y(p)*deg_x(q) + deg_y(q)*deg_x(p)).  Float mode
-    only; exact kernels go through their quotient algebra."""
-    a, b = _as_y_poly(p), _as_y_poly(q)
-    m, k = len(a) - 1, len(b) - 1
-    if m == 0 or k == 0:
-        base, power = (a[0], k) if m == 0 else (b[0], m)
-        return reduce(_uni_mul, [base] * power, [Fraction(1)])
-    matrix, m, k = _sylvester_entries(p, q)
-    bound = m * _deg_x(q) + k * _deg_x(p)
-    nodes = _integer_nodes(bound + 1)
-    values = [_linalg.determinant(
-        [[_roots.horner(entry, float(t)) if entry else 0.0 for entry in row]
-         for row in matrix]) for t in nodes]
-    coeffs = np.polynomial.polynomial.polyfit(
-        np.array(nodes, dtype=float), np.array(values, dtype=float), bound)
-    return [float(c) for c in coeffs]
-
-
-def _integer_nodes(count: int) -> list:
-    """0, 1, -1, 2, -2, ... (*count* integers)."""
-    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
-
-
-# ---------------------------------------------------------------------------
 # variety computation
 # ---------------------------------------------------------------------------
 
 def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
-    """Common real zero set of a nonempty kernel basis: exact kernels in any
-    d, with irrational coordinates refined to width ``_roots.REFINE_WIDTH``;
-    float kernels in d = 1 or 2."""
+    """Common real zero set of a nonempty kernel basis in any d, from the
+    quotient algebra of its ideal; exact irrational coordinates are refined
+    to width ``_roots.REFINE_WIDTH``."""
     kernel = [p for p in kernel]
     if not kernel:
         raise ValueError("compute_variety requires a nonempty kernel list")
@@ -272,51 +221,10 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
         raise ValueError("kernel polynomials have mixed dimensions")
     if any(p.is_zero for p in kernel):
         raise ValueError("kernel basis must not contain the zero polynomial")
-    exact = all(p.is_exact for p in kernel)
-    if not exact and d not in (1, 2):
-        raise InputError(UNSUPPORTED_DIMENSION)
     if any(p.degree == 0 for p in kernel):
         return VarietyReport("Finite")  # a nonzero constant has no zeros
-    if exact:
-        return _variety_exact(kernel)
-    if d == 1:
-        return _variety_1d_float(kernel)
-    return _variety_2d_float(kernel)
-
-
-def _variety_1d_float(kernel) -> VarietyReport:
-    base = min(kernel, key=lambda p: p.degree)
-    coeffs = [0.0] * (int(base.degree) + 1)
-    for (e,), c in base.terms.items():
-        coeffs[e] = float(c)
-    roots, isolated = _roots.real_roots_float(coeffs, _CLUSTER_TOL)
-    if not isolated:
-        return VarietyReport("Unknown",
-                             reason="near-multiple roots in float mode")
-    points = [(r,) for r in roots
-              if all(_residual_ok(p, (r,), False) for p in kernel)]
-    return _finite(points, [False] * len(points), False)
-
-
-def _ordered_pairs(kernel):
-    order = sorted(range(len(kernel)), key=lambda i: (kernel[i].degree, i))
-    return sorted(combinations(order, 2),
-                  key=lambda ij: (kernel[ij[0]].degree + kernel[ij[1]].degree,
-                                  ij[0], ij[1]))
-
-
-# ---------------------------------------------------------------------------
-# exact varieties: the quotient algebra of the kernel ideal
-# ---------------------------------------------------------------------------
-
-def _variety_exact(kernel) -> VarietyReport:
-    """Real zeros of the ideal I of an exact kernel from A = Q[x]/I
-    (Moeller & Stetter 1995): the real roots of the minimal polynomial of a
-    form t = sum c**i x_i separating them, each coordinate x_i being the
-    root of its own minimal polynomial that h_i(t) = x_i mod sqrt(I) meets
-    on the isolating interval of t.  A common factor in d = 2 comes first."""
-    d = kernel[0].d
-    if d == 2:
+    exact = all(p.is_exact for p in kernel)
+    if exact and d == 2:
         g = kernel[0]
         for p in kernel[1:]:
             g = bivariate_gcd(g, p)
@@ -324,13 +232,137 @@ def _variety_exact(kernel) -> VarietyReport:
                 break
         if g.degree >= 1:
             return VarietyReport("Infinite", witness=g)
-    quotient = _quotient(kernel)
+    quotient = _quotient(kernel, exact)
     if quotient is None:
         return VarietyReport("Unknown", reason="no normal set of the kernel "
                                                "ideal up to degree 2n+2")
     basis, mats, scale = quotient
     if not basis:
         return VarietyReport("Finite")  # 1 lies in I: no zeros at all
+    if exact:
+        return _variety_exact(basis, mats, scale)
+    return _variety_float(kernel, mats)
+
+
+# ---------------------------------------------------------------------------
+# the quotient algebra of the kernel ideal
+# ---------------------------------------------------------------------------
+
+def _quotient(kernel, exact: bool):
+    """``(basis, mats, scale)``: a monomial basis B of A = R[x]/I (I the
+    ideal of *kernel*; 1 last) and matrices, mats[i] / scale the
+    multiplication by x_i on B; None when none is found by degree 2n + 2.
+    Exact kernels get integer matrices over an integer scale, float kernels
+    float matrices over scale 1.
+
+    For D = n+1, n+2, ... the products x^a*k of degree <= D are reduced
+    with columns in descending degree.  B is the set of non-pivot monomials
+    below the first degree whose monomials are all pivots, and the normal
+    forms of the x_i*b give the M_i.  If B is connected to 1 and the M_i
+    commute, the relations x_i*b - NF(x_i*b) in I make B a basis of A/J for
+    the ideal J they generate (Mourrain 1999); J = I once every
+    k(M)*1 = 0.  Float matrices pass both tests up to ``negligible``."""
+    d = kernel[0].d
+    n = max(int(p.degree) for p in kernel)
+    for top in range(n + 1, 2 * n + 3):
+        columns = monomial_basis(d, top)[::-1]
+        where = {m: j for j, m in enumerate(columns)}
+        rows = []
+        for p in kernel:
+            for u in monomial_basis(d, top - int(p.degree)):
+                rows.append([0] * len(columns))
+                for idx, c in p.terms.items():
+                    rows[-1][where[_shift(idx, u)]] = c
+        reduction = _linalg.row_reduce(rows)
+        pivots = {columns[j] for j in reduction.pivots}
+        full = next((e for e in range(top + 1) if all(
+            m in pivots for m in columns if total_degree(m) == e)), None)
+        free = [j for j, m in enumerate(columns)
+                if total_degree(m) < (full or 0) and m not in pivots]
+        basis = [columns[j] for j in free]
+        if full is None or any(_lower(b) not in basis for b in basis[:-1]):
+            continue
+        normal_form = {columns[j]: [-row[f] for f in free]
+                       for j, row in zip(reduction.pivots, reduction.rref)}
+        for k, b in enumerate(basis):
+            normal_form[b] = [int(k == i) for i in range(len(basis))]
+        entries = [x for e in monomial_basis(d, 1)[1:] for b in basis
+                   for x in normal_form[_shift(b, e)]]
+        ints, scale = clear_denominators(entries) if exact else (entries, 1)
+        size = len(basis)
+        mats = [[ints[i * size * size + k::size][:size] for k in range(size)]
+                for i in range(d)]
+        if all(_commute(a, b, exact) for a, b in combinations(mats, 2)) \
+                and _annihilates(kernel, mats, scale, exact):
+            return basis, mats, scale
+    return None
+
+
+def _shift(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _lower(b) -> tuple:
+    """b over its first variable."""
+    i = next(i for i, e in enumerate(b) if e)
+    return b[:i] + (b[i] - 1,) + b[i + 1:]
+
+
+def _times(rows, vector) -> list:
+    return [sum(a * x for a, x in zip(row, vector) if a) for row in rows]
+
+
+def _images(monomials, mats, vector) -> dict:
+    """scale**|a| * x^a * vector for monomials a listed after their _lower."""
+    images = {}
+    for a in monomials:
+        images[a] = _times(mats[next(i for i, e in enumerate(a) if e)],
+                           images[_lower(a)]) if any(a) else vector
+    return images
+
+
+def _commute(a, b, exact: bool) -> bool:
+    """Is ab = ba, up to ``negligible`` against |a||b| for floats?"""
+    ab = [_times(a, col) for col in zip(*b)]
+    ba = [_times(b, col) for col in zip(*a)]
+    bound = 1.0 if exact else len(a) * max(
+        (abs(x) for row in a for x in row), default=0) * max(
+        (abs(x) for row in b for x in row), default=0)
+    return all(negligible(x - y, bound, exact)
+               for u, v in zip(ab, ba) for x, y in zip(u, v))
+
+
+def _annihilates(kernel, mats, scale, exact: bool) -> bool:
+    """Does k(M)*1 = 0 hold for every kernel element k?  Floats compare
+    against sum |c_a| * |M^a * 1|."""
+    n = max(int(p.degree) for p in kernel)
+    size = len(mats[0])
+    images = _images(monomial_basis(len(mats), n), mats,
+                     [int(r == size - 1) for r in range(size)])
+    for p in kernel:
+        coeffs = clear_denominators(p.terms.values())[0] if exact \
+            else list(p.terms.values())
+        terms = [[c * scale**(n - total_degree(a)) * x for x in images[a]]
+                 for a, c in zip(p.terms, coeffs)]
+        bound = 1.0 if exact else sum(max(map(abs, t), default=0)
+                                       for t in terms)
+        if not all(negligible(sum(column), bound, exact)
+                   for column in zip(*terms)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# exact varieties: minimal polynomials and a separating form
+# ---------------------------------------------------------------------------
+
+def _variety_exact(basis, mats, scale) -> VarietyReport:
+    """Real zeros of the ideal I of an exact kernel from A = Q[x]/I
+    (Moeller & Stetter 1995): the real roots of the minimal polynomial of a
+    form t = sum c**i x_i separating them, each coordinate x_i being the
+    root of its own minimal polynomial that h_i(t) = x_i mod sqrt(I) meets
+    on the isolating interval of t."""
+    d = len(mats)
     minimal = [_krylov(m, scale, [], [])[0] for m in mats]
     roots, multiple = zip(*(_roots.real_roots_exact(m) for m in minimal))
     radical = not any(multiple)
@@ -361,91 +393,9 @@ def _variety_exact(kernel) -> VarietyReport:
                    (mats, scale, nil))
 
 
-def _quotient(kernel):
-    """``(basis, mats, scale)``: a monomial basis B of A = Q[x]/I (I the
-    ideal of *kernel*; 1 last) and integer matrices, mats[i] / scale the
-    multiplication by x_i on B; None when none is found by degree 2n + 2.
-
-    For D = n+1, n+2, ... the products x^a*k of degree <= D are reduced
-    with columns in descending degree.  B is the set of non-pivot monomials
-    below the first degree whose monomials are all pivots, and the normal
-    forms of the x_i*b give the M_i.  If B is connected to 1 and the M_i
-    commute, the relations x_i*b - NF(x_i*b) in I make B a basis of A/J for
-    the ideal J they generate (Mourrain 1999); J = I once every
-    k(M)*1 = 0."""
-    d = kernel[0].d
-    n = max(int(p.degree) for p in kernel)
-    for top in range(n + 1, 2 * n + 3):
-        columns = monomial_basis(d, top)[::-1]
-        where = {m: j for j, m in enumerate(columns)}
-        rows = []
-        for p in kernel:
-            for u in monomial_basis(d, top - int(p.degree)):
-                rows.append([0] * len(columns))
-                for idx, c in p.terms.items():
-                    rows[-1][where[_shift(idx, u)]] = c
-        reduction = _linalg.row_reduce(rows)
-        pivots = {columns[j] for j in reduction.pivots}
-        full = next((e for e in range(top + 1) if all(
-            m in pivots for m in columns if total_degree(m) == e)), None)
-        free = [j for j, m in enumerate(columns)
-                if total_degree(m) < (full or 0) and m not in pivots]
-        basis = [columns[j] for j in free]
-        if full is None or any(_lower(b) not in basis for b in basis[:-1]):
-            continue
-        normal_form = {columns[j]: [-row[f] for f in free]
-                       for j, row in zip(reduction.pivots, reduction.rref)}
-        for k, b in enumerate(basis):
-            normal_form[b] = [int(k == i) for i in range(len(basis))]
-        ints, scale = clear_denominators(
-            x for e in monomial_basis(d, 1)[1:] for b in basis
-            for x in normal_form[_shift(b, e)])
-        size = len(basis)
-        mats = [[ints[i * size * size + k::size][:size] for k in range(size)]
-                for i in range(d)]
-        if all([_times(a, col) for col in zip(*b)]
-               == [_times(b, col) for col in zip(*a)]
-               for a, b in combinations(mats, 2)) \
-                and _annihilates(kernel, mats, scale):
-            return basis, mats, scale
-    return None
-
-
-def _shift(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _lower(b) -> tuple:
-    """b over its first variable."""
-    i = next(i for i, e in enumerate(b) if e)
-    return b[:i] + (b[i] - 1,) + b[i + 1:]
-
-
-def _times(rows, vector) -> list:
-    return [sum(a * x for a, x in zip(row, vector) if a) for row in rows]
-
-
-def _images(monomials, mats, vector) -> dict:
-    """scale**|a| * x^a * vector for monomials a listed after their _lower."""
-    images = {}
-    for a in monomials:
-        images[a] = _times(mats[next(i for i, e in enumerate(a) if e)],
-                           images[_lower(a)]) if any(a) else vector
-    return images
-
-
-def _annihilates(kernel, mats, scale) -> bool:
-    """Does k(M)*1 = 0 hold for every kernel element k?"""
-    n = max(int(p.degree) for p in kernel)
-    size = len(mats[0])
-    images = _images(monomial_basis(len(mats), n), mats,
-                     [int(r == size - 1) for r in range(size)])
-    for p in kernel:
-        coeffs, _ = clear_denominators(p.terms.values())
-        if any(sum(c * scale**(n - total_degree(a)) * images[a][r]
-                   for a, c in zip(p.terms, coeffs)) for r in range(size)):
-            return False
-    return True
+def _integer_nodes(count: int) -> list:
+    """0, 1, -1, 2, -2, ... (*count* integers)."""
+    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
 
 
 def _krylov(matrix, scale, nil, xs) -> tuple:
@@ -496,74 +446,53 @@ def _enclose(coeffs, root) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# float varieties: resultants and back-substitution
+# float varieties: joint eigenvectors of the multiplication matrices
 # ---------------------------------------------------------------------------
 
-def _variety_2d_float(kernel) -> VarietyReport:
-    for i, j in _ordered_pairs(kernel):
-        p, q = kernel[i], kernel[j]
-        if _deg_y(p) == 0 and _deg_y(q) == 0:
-            continue  # Res_y degenerates for two y-free polynomials
-        res_x = resultant_eliminate_y(p, q)
-        scale = max((abs(c) for c in res_x), default=0.0)
-        if scale <= RANK_TOL:
+def _variety_float(kernel, mats) -> VarietyReport:
+    """Real zeros of a float kernel's ideal from A: each left eigenvector v
+    of t = sum e**-i M_i is an evaluation vector (b(w))_b, and since 1 is
+    the last element of B, w_i = v.M_i[:, -1] / v[-1] (Moeller & Stetter
+    1995).  Points within ``_CLUSTER_TOL`` are one multiple point, their
+    mean (Corless, Gianni & Trager 1997); the real ones are kept when every
+    kernel element vanishes there."""
+    mats = [np.array(m, dtype=float) for m in mats]
+    t = sum(math.exp(-i) * m for i, m in enumerate(mats))
+    vectors = np.linalg.eig(t.T)[1].T
+    clusters: list = []
+    for v in vectors:
+        if v[-1] == 0:
             continue
-        roots, isolated = _roots.real_roots_float(
-            [c / scale for c in res_x])
-        if not isolated:
-            return VarietyReport(
-                "Unknown", reason="near-multiple resultant roots in float mode")
-        points = []
-        for x0 in roots:
-            for base in sorted(kernel, key=lambda p_: p_.degree):
-                sub = [0.0] * (max((jj for (_, jj) in base.terms), default=0) + 1)
-                for (ii, jj), c in base.terms.items():
-                    sub[jj] += float(c) * x0**ii
-                while sub and abs(sub[-1]) <= 1e-13 * max(map(abs, sub)):
-                    sub.pop()
-                if len(sub) <= 1:
-                    continue
-                y_roots, _ = _roots.real_roots_float(sub)
-                for y0 in y_roots:
-                    cand = _newton_polish_2d(p, q, float(x0), float(y0))
-                    if all(_residual_ok(r, cand, False) for r in kernel):
-                        points.append(cand)
-                break
-        points, clustered = _merge_points(points, _CLUSTER_TOL)
-        return _finite(points, [False] * len(points), clustered)
-    return VarietyReport("Unknown",
-                         reason="no informative resultant pair in float mode")
-
-
-def _newton_polish_2d(p, q, x, y, iterations: int = 12):
-    px, py = p.partial(0), p.partial(1)
-    qx, qy = q.partial(0), q.partial(1)
-    for _ in range(iterations):
-        f = float(p.evaluate((x, y)))
-        g = float(q.evaluate((x, y)))
-        j11, j12 = float(px.evaluate((x, y))), float(py.evaluate((x, y)))
-        j21, j22 = float(qx.evaluate((x, y))), float(qy.evaluate((x, y)))
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14:
-            break
-        dx = (f * j22 - g * j12) / det
-        dy = (g * j11 - f * j21) / det
-        x, y = x - dx, y - dy
-        if abs(dx) + abs(dy) < 1e-15 * (1 + abs(x) + abs(y)):
-            break
-    return (x, y)
+        w = np.array([v @ m[:, -1] for m in mats]) / v[-1]
+        near = _CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))))
+        cluster = next((c for c in clusters
+                        if np.max(np.abs(c[0] - w)) <= near), None)
+        if cluster is None:
+            clusters.append([w])
+        else:
+            cluster.append(w)
+    points = []
+    for cluster in clusters:
+        w = np.mean(cluster, axis=0)
+        if negligible(np.max(np.abs(w.imag)),
+                      max(1.0, float(np.max(np.abs(w))))):
+            point = tuple(float(x) for x in w.real)
+            if all(_residual_ok(p, point, False) for p in kernel):
+                points.append(point)
+    return _finite(points, [False] * len(points),
+                   any(len(c) > 1 for c in clusters))
 
 
 def _residual_ok(p: Polynomial, point, point_exact: bool) -> bool:
+    """Does p vanish at *point*: exactly, or within ``negligible`` of
+    sum |c_a| * max(1, |w|_inf)**|a|?"""
     exact = point_exact and p.is_exact
-    scale = 0.0
+    scale = 1.0
     if not exact:  # the exact test needs no scale
-        for idx, c in p.terms.items():
-            term = abs(float(c))
-            for x, e in zip(point, idx):
-                term *= abs(float(x))**e
-            scale += term
-    return negligible(p.evaluate(point), max(1.0, scale), exact)
+        size = max(1.0, max(abs(float(x)) for x in point))
+        scale = sum(abs(float(c)) * size**total_degree(idx)
+                    for idx, c in p.terms.items())
+    return negligible(p.evaluate(point), scale, exact)
 
 
 def adopt_points(report: KernelReport,
@@ -586,25 +515,6 @@ def adopt_points(report: KernelReport,
         adopted.append(w)
         mask.append(point_exact)
     return VarietyReport("Finite", tuple(adopted), tuple(mask))
-
-
-def _merge_points(points, merge_tol):
-    """Collapse float points closer than *merge_tol* per coordinate into
-    their centroid (the centroid of a noise-split double zero is
-    second-order accurate).  Returns (points, merged_any)."""
-    kept, counts = [], []
-    for point in points:
-        i = next((i for i, seen in enumerate(kept) if all(
-            abs(float(a) - float(b)) <= merge_tol
-            for a, b in zip(point, seen))), None)
-        if i is None:
-            kept.append(tuple(point))
-            counts.append(1)
-            continue
-        kept[i] = tuple((float(a) * counts[i] + float(b)) / (counts[i] + 1)
-                        for a, b in zip(kept[i], point))
-        counts[i] += 1
-    return kept, len(kept) < len(points)
 
 
 def _finite(points, mask, multiple_roots: bool,

@@ -1,6 +1,8 @@
 """Shared fixtures: paths and loaded moment data."""
 
 import pathlib
+import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -12,6 +14,23 @@ FIXTURES = ROOT / "fixtures"
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
+
+
+def as_float(beta):
+    """The float twin of *beta*: the same moments cast to float."""
+    return em.Multisequence(beta.d, beta.degree,
+                            {idx: float(v) for idx, v in beta.values.items()})
+
+
+def d3_measure():
+    """Six seeded rational atoms in R^3, sorted, with their densities."""
+    rng = random.Random(3)
+    atoms = set()
+    while len(atoms) < 6:
+        atoms.add(tuple(F(rng.randint(-4, 4), rng.choice((1, 2)))
+                        for _ in range(3)))
+    atoms = sorted(atoms)
+    return atoms, [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in atoms]
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import extremal_moments as em
 from extremal_moments import cli
 from extremal_moments.cli import run
 
-from conftest import fixture_path
+from conftest import as_float, d3_measure, fixture_path
 
 
 EX15 = str(fixture_path("example15.moments.json"))
@@ -19,18 +19,6 @@ EX71 = str(fixture_path("ex71.moments.json"))
 PROP61 = str(fixture_path("prop61.moments.json"))
 THM62 = str(fixture_path("thm62_a8_8.moments.json"))
 THM62_FUNCTIONAL = str(fixture_path("thm62.functional.json"))
-
-
-def write_linear_float_moments(path):
-    """Degree-4 data whose kernel polynomial has a double root; float mode
-    cannot certify simplicity, so the variety is Unknown."""
-    payload = {
-        "d": 1,
-        "degree": 4,
-        "moments": [{"idx": [k], "value": f"{1.0 + k}"} for k in range(5)],
-    }
-    path.write_text(json.dumps(payload))
-    return str(path)
 
 
 class TestExitCodes:
@@ -74,10 +62,21 @@ class TestExitCodes:
         assert "Infinite" in out
         assert "common factor: -1 + YX" in out
 
-    def test_variety_unknown_inconclusive(self, capsys, tmp_path):
-        moments = write_linear_float_moments(tmp_path / "linear.json")
-        assert run(["variety", moments]) == 3
-        capsys.readouterr()
+    def test_variety_unknown_inconclusive(self, capsys):
+        # The float hyperbola kernel has the common factor xy - 1, so its
+        # ideal has no normal set and the variety is Unknown.
+        assert run(["variety", EX42, "--mode", "float"]) == 3
+        assert "variety: Unknown" in capsys.readouterr().out
+
+    def test_float_d3_needs_no_points(self, capsys, tmp_path):
+        atoms, densities = d3_measure()
+        moments = tmp_path / "d3.json"
+        em.dump_multisequence(as_float(em.beta_from_atoms(
+            atoms, densities, d=3, degree=4)), moments)
+        assert run(["solve", str(moments)]) == 0
+        assert "status: Measure" in capsys.readouterr().out
+        assert run(["variety", str(moments)]) == 0
+        assert "variety: Finite, card 6" in capsys.readouterr().out
 
 
 class TestAnalyze:

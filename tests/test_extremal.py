@@ -1,5 +1,6 @@
 """End-to-end solve: decide existence and recover the atomic measure."""
 
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -8,6 +9,8 @@ import pytest
 
 import extremal_moments as em
 from extremal_moments.polycore import InputError, monomial_basis
+
+from conftest import as_float, d3_measure, fixture_path
 
 
 SQRT6 = math.sqrt(6.0)
@@ -143,17 +146,57 @@ class TestExactLadder:
             assert abs(float(density) - float(weight)) < 1e-9
 
 
+FIXTURES = ("ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
+            "ex71", "thm62_a8_8")
+LADDER = ((3, 8), (4, 12), (5, 18), (6, 24))
+
+
+def _float_rank_defect(n, count):
+    return pytest.mark.xfail(
+        strict=True, reason=f"float rank defect: float mode finds rank "
+                            f"M({n}) = {count - 1}, not {count}, and a "
+                            f"wrong NotExtremal")
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder(stop):
+    """Exact data of the ladder's *stop*-th instance (its x-mirror has the
+    same verdict, a linear change of variables), and its exact status."""
+    atoms, densities = ladder_measure(LADDER[:stop])
+    n = LADDER[stop - 1][0]
+    beta = em.beta_from_atoms(atoms, densities, d=2, degree=2 * n)
+    mirrored = em.beta_from_atoms([(-x, y) for x, y in atoms], densities,
+                                  d=2, degree=2 * n)
+    return beta, mirrored, em.solve_extremal(beta).status
+
+
+class TestFloatAgreesWithExact:
+    """The float twin's status is the exact status or Unknown."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture(self, name):
+        path = fixture_path(f"{name}.moments.json")
+        want = em.solve_extremal(em.load_multisequence(path)).status
+        got = em.solve_extremal(em.load_multisequence(path, "float")).status
+        assert got in (want, "Unknown")
+
+    @pytest.mark.parametrize("mirror", (False, True), ids=("x", "-x"))
+    @pytest.mark.parametrize("stop", [
+        1, 2,
+        pytest.param(3, marks=_float_rank_defect(5, 18)),
+        pytest.param(4, marks=_float_rank_defect(6, 24)),
+    ], ids=[f"{n}/{count}" for n, count in LADDER])
+    def test_ladder(self, stop, mirror):
+        beta, mirrored, want = _ladder(stop)
+        got = em.solve_extremal(as_float(mirrored if mirror else beta))
+        assert got.status in (want, "Unknown")
+
+
 class TestHigherDimension:
     def test_d3_atoms_solve_without_points(self):
         # Six rational atoms in R^3, degree-4 data: the quotient route finds
         # the variety with no --points and the atoms come back exactly.
-        rng = random.Random(3)
-        atoms = set()
-        while len(atoms) < 6:
-            atoms.add(tuple(F(rng.randint(-4, 4), rng.choice((1, 2)))
-                            for _ in range(3)))
-        atoms = sorted(atoms)
-        densities = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in atoms]
+        atoms, densities = d3_measure()
         beta = em.beta_from_atoms(atoms, densities, d=3, degree=4)
         report = em.solve_extremal(beta)
         assert report.status == "Measure"
@@ -161,6 +204,19 @@ class TestHigherDimension:
         assert all(report.variety.exact_mask)
         assert sorted(zip(report.measure.atoms, report.measure.densities)) \
             == list(zip(atoms, densities))
+
+    def test_float_d3_atoms_solve_without_points(self):
+        # The same data cast to float takes the same route.
+        atoms, densities = d3_measure()
+        beta = as_float(em.beta_from_atoms(atoms, densities, d=3, degree=4))
+        report = em.solve_extremal(beta)
+        assert report.status == "Measure"
+        assert (report.rank, report.v) == (6, 6)
+        got, weights = sorted_measure(report)
+        for w, want in zip(got, atoms):
+            assert w == pytest.approx([float(x) for x in want], abs=1e-6)
+        assert weights == pytest.approx([float(r) for r in densities],
+                                        abs=1e-6)
 
 
 class TestSolveVariants:

@@ -215,24 +215,6 @@ class TestAgainstSympy:
             assert dyadic <= {r.value for r in roots if r.exact}
 
 
-class TestFloatRoute:
-    def test_real_roots_float_filters_complex(self):
-        # (x^2 + 1)(x - 2)
-        coeffs = [-2.0, 1.0, -2.0, 1.0]
-        roots, isolated = _roots.real_roots_float(coeffs, merge_tol=1e-8)
-        assert len(roots) == 1
-        assert abs(roots[0] - 2.0) < 1e-9
-        assert isolated
-
-    def test_close_roots_merge_and_flag(self):
-        # (x - 1)(x - (1 + 1e-12)): below the merge tolerance
-        eps = 1e-12
-        coeffs = [1.0 + eps, -(2.0 + eps), 1.0]
-        roots, isolated = _roots.real_roots_float(coeffs, merge_tol=1e-8)
-        assert len(roots) == 1
-        assert not isolated
-
-
 class TestHelpers:
     def test_sturm_sign_count_interval(self):
         chain = _roots.sturm_chain([F(-2), F(0), F(1)])  # x^2 - 2

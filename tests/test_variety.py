@@ -96,18 +96,28 @@ class TestComputeVariety:
         assert report.status == "Finite"
         assert report.points == ()
 
-    def test_float_near_multiple_root_is_unknown(self):
-        # (x - 1)^2 in float mode: the isolator cannot certify simplicity.
-        kernel = [Polynomial(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})]
+    @pytest.mark.parametrize("one", (F(1), 1.0), ids=("exact", "float"))
+    def test_double_root_is_one_multiple_point(self, one):
+        # (x - 1)^2: the split eigenvalues of the float double zero are
+        # averaged back into the one point that exact mode finds.
+        kernel = [Polynomial(1, {(0,): one, (1,): -2 * one, (2,): one})]
         report = em.compute_variety(kernel)
-        assert report.status == "Unknown"
-        assert report.reason is not None
+        assert report.status == "Finite"
+        [(x,)] = report.points
+        assert float(x) == pytest.approx(1, abs=1e-9)
+        assert report.multiple_roots
 
-    def test_rejects_unsupported_dimension(self):
-        # Float kernels have no variety route for d >= 3; exact ones do.
-        kernel = [Polynomial(3, {(1, 0, 0): 1.0})]
-        with pytest.raises(InputError):
-            em.compute_variety(kernel)
+    def test_float_d3_kernel(self):
+        # x, y - 1, z^2 - 1 in float mode: the quotient route serves d = 3.
+        kernel = [Polynomial(3, {(1, 0, 0): 1.0}),
+                  Polynomial(3, {(0, 1, 0): 1.0, (0, 0, 0): -1.0}),
+                  Polynomial(3, {(0, 0, 2): 1.0, (0, 0, 0): -1.0})]
+        report = em.compute_variety(kernel)
+        assert report.status == "Finite"
+        assert len(report.points) == 2
+        for w, want in zip(report.points, [(0, 1, -1), (0, 1, 1)]):
+            assert w == pytest.approx(want, abs=1e-9)
+        assert not report.multiple_roots
 
     def test_rejects_empty_and_zero(self):
         with pytest.raises(ValueError):
@@ -228,21 +238,6 @@ class TestBivariateElimination:
         b = Polynomial(2, {(0, 1): F(1), (0, 0): F(-1)})  # y - 1
         g = em.bivariate_gcd(a, b)
         assert g.degree == 0
-
-    def test_resultant_eliminates_y(self):
-        # The resultant serves float mode only: Res_y = x^4 - x, fitted to
-        # the degree bound 5.
-        p = Polynomial(2, {(0, 1): 1.0, (2, 0): -1.0})  # y - x^2
-        q = Polynomial(2, {(0, 2): 1.0, (1, 0): -1.0})  # y^2 - x
-        coeffs = em.resultant_eliminate_y(p, q)
-        assert coeffs == pytest.approx([0, -1, 0, 0, 1, 0], abs=1e-9)
-
-        def ev(x):
-            return sum(c * x**i for i, c in enumerate(coeffs))
-
-        assert ev(0.0) == pytest.approx(0, abs=1e-9)
-        assert ev(1.0) == pytest.approx(0, abs=1e-9)
-        assert ev(2.0) == pytest.approx(14)
 
 
 class TestEvalMatrices:
