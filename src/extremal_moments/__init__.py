@@ -34,7 +34,6 @@ from .variety import (
 from .pipeline import Pipeline
 from .consistency import (
     compute_h,
-    compute_k_from_extension,
     consistency_check,
     reduced_consistency_test,
     signed_representation,
@@ -86,7 +85,6 @@ __all__ = [
     "complex_moment_matrix",
     "complex_to_real",
     "compute_h",
-    "compute_k_from_extension",
     "compute_variety",
     "consistency_check",
     "dump_functional",

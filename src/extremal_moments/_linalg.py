@@ -1,9 +1,10 @@
 """Exact (rational) and floating linear algebra used across the package.
 
-Exact paths run fraction-free: each row is scaled to integers and the forward
-elimination uses Bareiss one-step division-free updates, so ranks and pivot
-columns are computed without rounding.  Float paths delegate to numpy and use
-relative pivot thresholds.
+Every exact path runs through one fraction-free elimination, ``_eliminate``:
+each row is scaled to integers and the forward elimination uses Bareiss
+one-step updates, so ranks, pivot columns, kernels, solutions, determinants
+and the positive-semidefinite decision are computed without rounding.  Float
+paths delegate to numpy and use relative pivot thresholds.
 
 Pivot columns are always the *first* linearly independent columns in the given
 column order; kernel bases carry the delta structure (unit coefficient on one
@@ -120,9 +121,10 @@ def _eliminate(rows, ncols):
     Each row is first scaled to integers (row scaling changes neither the row
     space, the kernel, nor the pivot columns), then eliminated with the
     Bareiss one-step formula, so every entry stays an integer and the pivot
-    of step k is a k x k minor of the scaled matrix.  Returns ``(work,
-    pivots, scale, sign)``: the echelon rows, the pivot columns, the product
-    of the row scales and the sign of the row permutation.
+    of step k is a k x k minor of the scaled matrix: with no row exchange,
+    the leading one.  Returns ``(work, pivots, scale, order)``: the echelon
+    rows, the pivot columns, the product of the row scales (positive) and
+    the row order, ``order[i]`` being the input row now at position i.
     """
     work = []
     scale = 1
@@ -133,7 +135,7 @@ def _eliminate(rows, ncols):
     nrows, width = len(work), len(work[0]) if work else 0
 
     pivots = []
-    sign = 1
+    order = list(range(nrows))
     prev = 1
     r = 0
     for c in range(ncols):
@@ -142,7 +144,7 @@ def _eliminate(rows, ncols):
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            sign = -sign
+            order[r], order[pivot_row] = order[pivot_row], order[r]
         row_r = work[r]
         piv = row_r[c]
         for i in range(r + 1, nrows):
@@ -157,7 +159,7 @@ def _eliminate(rows, ncols):
         r += 1
         if r == nrows:
             break
-    return work, pivots, scale, sign
+    return work, pivots, scale, order
 
 
 def _row_reduce_float(rows, nrows, ncols) -> LinearReduction:
@@ -220,15 +222,18 @@ def solve_linear(rows, rhs):
 
 def determinant(rows):
     """Determinant; exact (Fraction) iff all entries are exact.  The exact
-    value is the signed last Bareiss pivot over the product of row scales."""
+    value is the last Bareiss pivot over the product of row scales, signed
+    by the parity of the row order."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if matrix_is_exact(rows):
-        work, pivots, scale, sign = _eliminate(rows, n)
+        work, pivots, scale, order = _eliminate(rows, n)
         if len(pivots) < n:
             return Fraction(0)
-        return Fraction(sign * work[n - 1][n - 1], scale)
+        inversions = sum(a > b for i, a in enumerate(order)
+                         for b in order[i + 1:])
+        return Fraction((-1) ** inversions * work[n - 1][n - 1], scale)
     return float(np.linalg.det(
         np.array([[float(x) for x in row] for row in rows], dtype=float)))
 
@@ -238,58 +243,50 @@ def determinant(rows):
 # ---------------------------------------------------------------------------
 
 def psd_exact(rows):
-    """Exact PSD decision for a symmetric rational matrix.
+    """Exact PSD decision for a symmetric rational matrix A, read from the
+    pivots of ``_eliminate``.
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness vector
-    v satisfies v^T A v < 0.  Recursive pivoting on the largest diagonal
-    entry; at a level where the largest diagonal is zero, any nonzero
-    off-diagonal entry certifies failure.
+    v satisfies v^T A v < 0.  With P the pivot columns of A, A equals
+    A[P,:]^T A[P,P]^-1 A[P,:], so A >= 0 exactly when A[P,P] > 0: by
+    Sylvester's criterion, when the elimination of A[P,P] takes every pivot
+    from the diagonal, in order, and every pivot (a leading minor times
+    positive row scales) is positive.  At the first step k that fails, the
+    lifts u_j = e_j - (A_k^-1 A[:k, j], 0) against the leading block A_k have
+    u_j^T A u_l = s_jl, the Schur complement.  Either s_kk < 0 and u_k is the
+    witness, or s_kk = 0, row l was swapped in with s_kl != 0, and
+    u_k - t u_l with t = s_kl / (|s_ll| + 1) is.
     """
-    matrix = [[Fraction(x) for x in row] for row in rows]
-
-    def rec(m):
-        size = len(m)
-        if size == 0:
-            return None
-        k = max(range(size), key=lambda i: m[i][i])
-        if m[k][k] < 0:
-            w = [Fraction(0)] * size
-            w[k] = Fraction(1)
-            return w
-        if m[k][k] == 0:
-            # Largest diagonal is zero, so every diagonal entry is <= 0.
-            for i in range(size):
-                if m[i][i] < 0:
-                    w = [Fraction(0)] * size
-                    w[i] = Fraction(1)
-                    return w
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if m[i][j] != 0:
-                        w = [Fraction(0)] * size
-                        w[i] = Fraction(1)
-                        w[j] = Fraction(-1) if m[i][j] > 0 else Fraction(1)
-                        return w
-            return None
-        a = m[k][k]
-        rest = [i for i in range(size) if i != k]
-        schur = [[m[i][j] - m[i][k] * m[k][j] / a for j in rest] for i in rest]
-        u = rec(schur)
-        if u is None:
-            return None
-        # Lift: with v_rest = u and v_k chosen to cancel the pivot block,
-        # v^T m v equals u^T schur u < 0.
-        v = [Fraction(0)] * size
-        for pos, i in enumerate(rest):
-            v[i] = u[pos]
-        v[k] = -sum(m[k][i] * v[i] for i in rest) / a
-        return v
-
-    witness = rec(matrix)
-    if witness is None:
+    n = len(rows)
+    work, pivots, _, order = _eliminate(rows, n)
+    block = rows
+    if len(pivots) < n:
+        block = [[rows[i][j] for j in pivots] for i in pivots]
+        work, _, _, order = _eliminate(block, len(pivots))
+    size = len(block)
+    k = next((k for k in range(size) if order[k] != k or work[k][k] < 0),
+             None)
+    if k is None:
         return True, None
-    value = dot(witness, mat_vec(matrix, witness))
-    assert value < 0
+
+    def lift(j):
+        head = solve_linear([row[:k] for row in block[:k]],
+                            [row[j] for row in block[:k]])
+        return [-y for y in head] + [Fraction(int(i == j))
+                                     for i in range(k, size)]
+
+    def form(u, v):
+        return dot(u, mat_vec(block, v))
+
+    v = lift(k)
+    if form(v, v) == 0:
+        u = lift(order[k])
+        t = form(v, u) / (abs(form(u, u)) + 1)
+        v = [a - t * b for a, b in zip(v, u)]
+    witness = [Fraction(0)] * n
+    for pos, i in enumerate(pivots):
+        witness[i] = v[pos]
+    assert dot(witness, mat_vec(rows, witness)) < 0
     return False, witness
 
 

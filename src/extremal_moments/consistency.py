@@ -144,7 +144,7 @@ def signed_representation(beta: Multisequence,
 
 
 # ---------------------------------------------------------------------------
-# curve scenario: h from points, k from the moment data
+# curve scenario: h from points, and the reduced test
 # ---------------------------------------------------------------------------
 
 def compute_h(points: Sequence[Point],
@@ -168,40 +168,6 @@ def compute_h(points: Sequence[Point],
     for a, b in zip(alpha, basis_polys):
         h = h - b.scale(a)
     return h
-
-
-def _curve_reduce(idx: MultiIndex) -> MultiIndex:
-    """Reduce a monomial modulo the relation X^3 = Y."""
-    i, j = idx
-    while i >= 3:
-        i -= 3
-        j += 1
-    return (i, j)
-
-
-def compute_k_from_extension(beta: Multisequence) -> Polynomial:
-    """Curve-scenario candidate k = target - sum alpha_i b_i computed from
-    the moment data alone: the degree-eight products target*b_i are reduced
-    along X^3 = Y into the degree-2n range, and alpha solves the compressed
-    system J alpha = v with J = [Lambda(b_i b_j)]."""
-    if beta.d != 2 or beta.degree != 6:
-        raise ValueError("the curve scenario needs d=2, degree-6 data")
-    basis_polys = [Polynomial.monomial(2, idx) for idx in SCENARIO_BASIS]
-    j_rows = []
-    for bi in basis_polys:
-        row = []
-        for bj in basis_polys:
-            row.append(riesz(beta, bi * bj))
-        j_rows.append(row)
-    v = []
-    for idx in SCENARIO_BASIS:
-        prod = tuple(a + b for a, b in zip(SCENARIO_TARGET, idx))
-        v.append(beta[_curve_reduce(prod)])
-    alpha = _linalg.solve_linear(j_rows, v)
-    k = Polynomial.monomial(2, SCENARIO_TARGET)
-    for a, b in zip(alpha, basis_polys):
-        k = k - b.scale(a)
-    return k
 
 
 def reduced_consistency_test(beta: Multisequence, *,

@@ -1,13 +1,15 @@
 """Rank-preserving and recursively generated extensions M(n) -> M(n+1).
 
 Propagation treats every kernel element p as a column relation that must
-persist: for each monomial u with deg(u*p) <= n+1 and each row monomial t of
-degree <= n+1, the functional must annihilate t*u*p.  A worklist solves these
-equations for the unknown degree 2n+1 and 2n+2 moments; a moment is
-well defined only when *every* derivation path agrees, and a disagreement is
-a certificate that no representing measure exists (a measure supported on
-the kernel's variety would satisfy all paths).  The extended matrix is
-rebuilt from the extended multisequence, so it is Hankel by construction.
+persist: in M(n+1) each column x^u*p with deg(u*p) <= n+1 must vanish
+against each row x^t of degree <= n+1, so the functional must annihilate
+every product x^s*p with deg(s) <= 2n+2 - deg p, each written once.  A
+worklist solves these equations for the unknown degree 2n+1 and 2n+2
+moments; a moment is well defined only when *every* derivation path agrees,
+and a disagreement is a certificate that no representing measure exists (a
+measure supported on the kernel's variety would satisfy all paths).  The
+extended matrix is rebuilt from the extended multisequence, so it is Hankel
+by construction.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .moments import (
     Multisequence,
     PsdVerdict,
     build_moment_matrix,
+    kernel_products,
     rank_kernel,
 )
 from .pipeline import Pipeline
@@ -43,7 +46,7 @@ from .synth import Derivation, moments_of_atoms
 class ExtensionReport:
     source_n: int
     well_defined: bool
-    conflicts: tuple      # (kernel poly, multiplier idx, row idx, value)
+    conflicts: tuple      # (kernel poly p, shift s, value) per x^s*p
     undetermined: tuple   # moment indices left undetermined
     extended: Optional[Pipeline] = None  # stages of M(n+1) when determined
     flat: Optional[FlatnessVerdict] = None
@@ -106,14 +109,8 @@ def propagate_recursive_extension(matrix: MomentMatrix,
     known = dict(beta.values)
     exact = beta.is_exact and all(p.is_exact for p in report.kernel)
 
-    equations = []
-    for p in report.kernel:
-        dp = int(p.degree)
-        for u_idx in monomial_basis(d, n + 1 - dp):
-            relation = Polynomial.monomial(d, u_idx) * p
-            for t_idx in monomial_basis(d, n + 1):
-                product = Polynomial.monomial(d, t_idx) * relation
-                equations.append((dict(product.terms), (p, u_idx, t_idx)))
+    equations = [(terms, (p, s)) for p, s, terms
+                 in kernel_products(report.kernel, 2 * n + 2)]
 
     changed = True
     while changed:
@@ -195,12 +192,8 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
     k_n1 = rank_kernel(m_n1)
     dim_next = k_n1.nullity
     basis_n1 = m_n1.basis
-    span_rows = []
-    for p in k_n.kernel:
-        dp = int(p.degree)
-        for u_idx in monomial_basis(m_n.d, m_n.n + 1 - dp):
-            q = Polynomial.monomial(m_n.d, u_idx) * p
-            span_rows.append([q.coefficient(idx) for idx in basis_n1])
+    span_rows = [[terms.get(idx, 0) for idx in basis_n1]
+                 for _, _, terms in kernel_products(k_n.kernel, m_n.n + 1)]
     bound = _linalg.row_reduce(span_rows).rank if span_rows else 0
 
     witness = None

@@ -232,6 +232,16 @@ def rank_kernel(matrix: MomentMatrix) -> KernelReport:
                         reduction.rank, pivots, tuple(kernel))
 
 
+def kernel_products(kernel, top: int):
+    """``(p, s, terms)`` for every kernel element p and every shift s with
+    |s| <= top - deg p, in kernel and degree-lex order: *terms* maps the
+    monomials of x^s * p to their coefficients."""
+    for p in kernel:
+        for s in monomial_basis(p.d, top - int(p.degree)):
+            yield p, s, {tuple(a + b for a, b in zip(idx, s)): c
+                         for idx, c in p.terms.items()}
+
+
 def recursiveness_check(matrix: MomentMatrix,
                         report: KernelReport) -> RecursivenessVerdict:
     """Check that p in ker M(n) forces (u*p) in ker M(n) for every monomial u
@@ -239,17 +249,15 @@ def recursiveness_check(matrix: MomentMatrix,
     scale = max(1.0, max(abs(float(matrix.entry(i, j)))
                          for i in range(matrix.size)
                          for j in range(matrix.size)))
-    for p in report.kernel:
-        room = matrix.n - int(p.degree)
-        for u_idx in monomial_basis(matrix.d, room):
-            if total_degree(u_idx) == 0:
-                continue
-            u = Polynomial.monomial(matrix.d, u_idx)
-            product = u * p
-            image = matrix.apply(product)
-            exact = matrix.is_exact and product.is_exact
-            if any(significant(x, scale, exact) for x in image):
-                return RecursivenessVerdict("Violation", (p, u, product))
+    exact = matrix.is_exact
+    for p, s, terms in kernel_products(report.kernel, matrix.n):
+        if not any(s):
+            continue
+        product = Polynomial(matrix.d, terms)
+        if any(significant(x, scale, exact and p.is_exact)
+               for x in matrix.apply(product)):
+            return RecursivenessVerdict(
+                "Violation", (p, Polynomial.monomial(matrix.d, s), product))
     return RecursivenessVerdict("RecursivelyGenerated")
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg, _roots
-from .moments import KernelReport
+from .moments import KernelReport, kernel_products
 from .polycore import (
     RESIDUAL_TOL,
     InputError,
@@ -268,11 +268,10 @@ def _quotient(kernel, exact: bool):
         columns = monomial_basis(d, top)[::-1]
         where = {m: j for j, m in enumerate(columns)}
         rows = []
-        for p in kernel:
-            for u in monomial_basis(d, top - int(p.degree)):
-                rows.append([0] * len(columns))
-                for idx, c in p.terms.items():
-                    rows[-1][where[_shift(idx, u)]] = c
+        for _, _, terms in kernel_products(kernel, top):
+            rows.append([0] * len(columns))
+            for m, c in terms.items():
+                rows[-1][where[m]] = c
         reduction = _linalg.row_reduce(rows)
         pivots = {columns[j] for j in reduction.pivots}
         full = next((e for e in range(top + 1) if all(

@@ -140,23 +140,6 @@ class TestComputeH:
             em.compute_h(scenario_points_float()[:5])
 
 
-class TestComputeK:
-    def test_measure_data_reproduces_h_exactly(self, prop61):
-        k = em.compute_k_from_extension(prop61)
-        assert k.terms == H_TERMS
-        assert em.riesz(prop61, k) == 0
-
-    def test_derivation_data_gives_different_k(self, thm62_a8_8):
-        k = em.compute_k_from_extension(thm62_a8_8)
-        assert k.terms != H_TERMS
-        # The first equation of the defining system forces a zero value.
-        assert em.riesz(thm62_a8_8, k) == 0
-
-    def test_needs_degree_six_planar_data(self, ex15):
-        with pytest.raises(ValueError):
-            em.compute_k_from_extension(ex15)
-
-
 class TestReducedTest:
     def test_measure_exists(self, prop61):
         verdict = em.reduced_consistency_test(prop61)

@@ -73,9 +73,16 @@ class TestPropagate:
         ext = em.propagate_recursive_extension(matrix, em.rank_kernel(matrix))
         assert not ext.well_defined
         assert len(ext.conflicts) > 0
-        p, u_idx, t_idx, value = ext.conflicts[0]
+        p, s, value = ext.conflicts[0]
         assert p.terms == {(1,): F(1)}
         assert value != 0
+
+    def test_each_conflict_listed_once(self):
+        # Every product x^s * p is one equation, however many (row, column)
+        # pairs of M(3) it fills: only X^3 * X = X^4 meets beta_4 = 1.
+        matrix = em.build_moment_matrix(conflict_data())
+        ext = em.propagate_recursive_extension(matrix, em.rank_kernel(matrix))
+        assert [s for _, s, _ in ext.conflicts] == [(3,)]
 
     def test_derivation_data_extends_but_loses_psd(self, thm62_a8_8):
         matrix = em.build_moment_matrix(thm62_a8_8)

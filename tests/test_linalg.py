@@ -162,3 +162,49 @@ class TestPsd:
         assert not ok and witness is not None
         ok, witness = _linalg.psd_float([[1.0, 0.0], [0.0, 1e-14]])
         assert ok
+
+
+def _gram(rng, n):
+    """A rational Gram matrix of size n and rank deficiency 0 to n."""
+    rank = n - rng.randint(0, n)
+    g = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
+         for _ in range(n)]
+    return [[sum((g[i][k] * g[j][k] for k in range(rank)), F(0))
+             for j in range(n)] for i in range(n)]
+
+
+def _perturbed(rng, n):
+    """A Gram matrix with one symmetric pair of entries moved by +-1/7."""
+    rows = _gram(rng, n)
+    i, j = rng.randrange(n), rng.randrange(n)
+    step = F(rng.choice((-1, 1)), 7)
+    rows[i][j] += step
+    if i != j:
+        rows[j][i] += step
+    return rows
+
+
+def _sparse(rng, n):
+    """A symmetric matrix with zero diagonal and entries from -2 to 2."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                rows[i][j] = rows[j][i] = F(rng.randint(-2, 2))
+    return rows
+
+
+class TestPsdAgainstSympy:
+    @pytest.mark.parametrize("family", [_gram, _perturbed, _sparse],
+                             ids=["gram", "perturbed", "sparse"])
+    def test_verdicts_match_and_witnesses_certify(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(100):
+            rows = family(rng, rng.randint(1, 7))
+            ok, witness = _linalg.psd_exact(rows)
+            assert ok == sympy.Matrix(rows).is_positive_semidefinite, rows
+            if not ok:
+                value = sum(witness[i] * rows[i][j] * witness[j]
+                            for i in range(len(rows))
+                            for j in range(len(rows)))
+                assert isinstance(value, Fraction) and value < 0

@@ -4,7 +4,8 @@ Each ``console`` block of README.md is split at its ``$ extremal-moments``
 prompts.  Every ``analyze``, ``solve``, ``variety`` and ``extend`` example
 runs in process from the repository root: its stdout must match the lines
 shown, where a line reading ``...`` stands for any number of lines, and a
-following ``$ echo $?`` gives its exit code.
+following ``$ echo $?`` gives its exit code.  The entry points README
+names must be exported, and every export must exist.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import shlex
 
 import pytest
 
+import extremal_moments as em
 from extremal_moments.cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,3 +61,16 @@ def test_example(argv, lines, code, monkeypatch):
     assert re.fullmatch(pattern, buffer.getvalue()), buffer.getvalue()
     if code is not None:
         assert exit_code == code
+
+
+def test_exports_resolve():
+    assert [name for name in em.__all__ if not hasattr(em, name)] == []
+
+
+def test_key_entry_points_are_exported():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    entry_points = re.search(r"^Key entry points:(.*?)\.\s", text,
+                             re.M | re.S).group(1)
+    names = re.findall(r"`(\w+)`", entry_points)
+    assert len(names) > 10
+    assert [name for name in names if name not in em.__all__] == []
