@@ -242,9 +242,10 @@ def determinant(rows):
 # positive semidefiniteness
 # ---------------------------------------------------------------------------
 
-def psd_exact(rows):
+def psd_exact(rows, pivots=None):
     """Exact PSD decision for a symmetric rational matrix A, read from the
-    pivots of ``_eliminate``.
+    pivots of ``_eliminate``; *pivots*, A's pivot columns when a reduction
+    of A already found them, spare its elimination.
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness vector
     v satisfies v^T A v < 0.  With P the pivot columns of A, A equals
@@ -258,9 +259,11 @@ def psd_exact(rows):
     u_k - t u_l with t = s_kl / (|s_ll| + 1) is.
     """
     n = len(rows)
-    work, pivots, _, order = _eliminate(rows, n)
+    known = pivots is not None
+    if not known:
+        work, pivots, _, order = _eliminate(rows, n)
     block = rows
-    if len(pivots) < n:
+    if known or len(pivots) < n:
         block = [[rows[i][j] for j in pivots] for i in pivots]
         work, _, _, order = _eliminate(block, len(pivots))
     size = len(block)

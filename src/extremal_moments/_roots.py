@@ -7,10 +7,13 @@ before continuing.  It runs in plain integers: the Sturm chain, the gcd and
 the squarefree part come from one primitive remainder sequence on integer
 polynomials, signs along the chain are evaluated by integer Horner, and
 refinement keeps its dyadic endpoints as integer numerators over one power of
-two.  Float data never comes here: float varieties are read from the
+two.  The same sequence, run in (Z[x])[y] with contents taken out in Z[x],
+gives the bivariate gcd that ``variety`` uses to find a common factor of a
+kernel.  Float data never comes here: float varieties are read from the
 eigenvectors of multiplication matrices (see ``variety``).
 
-Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.
+Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.  A
+polynomial in (Z[x])[y] is a list of such integer lists, one per power of y.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .polycore import clear_denominators
 
@@ -28,19 +32,8 @@ from .polycore import clear_denominators
 REFINE_WIDTH = Fraction(1, 10**40)
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (ascending Fraction coefficient lists)
+# polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
-
-def strip(coeffs):
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def degree(coeffs) -> int:
-    return len(coeffs) - 1
-
 
 def horner(coeffs, x):
     total = Fraction(0) if isinstance(x, Fraction) else 0.0
@@ -51,21 +44,6 @@ def horner(coeffs, x):
 
 def derivative(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def poly_divmod(num, den):
-    num = list(num)
-    den = strip(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        coeff = num[i + len(den) - 1] / den[-1]
-        quot[i] = coeff
-        if coeff != 0:
-            for j, d in enumerate(den):
-                num[i + j] -= coeff * d
-    return quot, strip(num)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +89,71 @@ def _primitive_rem(a, b) -> list:
     return _content_free(r)
 
 
-def _gcd(a, b) -> list:
-    """Primitive gcd of two primitive integer polynomials, up to sign."""
+def _mul(a, b) -> list:
+    """a*b for integer lists."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _primitive_y(rows) -> tuple:
+    """``(primitive, content)`` of a polynomial in (Z[x])[y], given as
+    *rows*, the integer lists in x (no trailing zeros) of y**0, y**1, ...:
+    the content is the primitive gcd in Z[x] of the rows, up to sign, and
+    the primitive part is *rows* over it and over their integer content."""
+    content: list = []
+    for c in rows:
+        if c and len(content) != 1:
+            content = _gcd(content, _content_free(c))
+    if len(content) > 1:
+        rows = [_exact_quotient(c, content) if c else [] for c in rows]
+    g = math.gcd(*(x for c in rows for x in c))
+    return [[x // g for x in c] for c in rows], content
+
+
+def _primitive_rem_y(a, b) -> list:
+    """Primitive remainder of a by b in (Z[x])[y] (rows as in
+    ``_primitive_y``, deg_y a >= deg_y b >= 0): each pseudo-division step
+    multiplies by lc(b), which the primitive part takes out again."""
+    r = list(a)
+    n = len(b) - 1
+    for top in range(len(r) - 1, n - 1, -1):
+        q = r.pop()
+        if not q:
+            continue
+        r = [_mul(c, b[-1]) for c in r]
+        shift = top - n
+        for j in range(n):
+            row = [x - y for x, y in zip_longest(r[shift + j], _mul(q, b[j]),
+                                                  fillvalue=0)]
+            while row and row[-1] == 0:
+                row.pop()
+            r[shift + j] = row
+    while r and not r[-1]:
+        r.pop()
+    return _primitive_y(r)[0]
+
+
+def _gcd(a, b, rem=_primitive_rem) -> list:
+    """Primitive gcd of two primitive polynomials, up to sign: integer
+    lists, or rows in (Z[x])[y] with ``rem=_primitive_rem_y``."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive_rem(a, b)
+        a, b = b, rem(a, b)
     return a
+
+
+def _gcd_y(a, b) -> list:
+    """A gcd of two nonzero polynomials in (Z[x])[y], up to a rational
+    factor: the gcd of their contents times that of their primitive parts
+    (Collins 1967, Brown 1971)."""
+    (a, content_a), (b, content_b) = _primitive_y(a), _primitive_y(b)
+    content = _gcd(content_a, content_b)
+    return [_mul(c, content) for c in _gcd(a, b, _primitive_rem_y)]
 
 
 def _exact_quotient(a, b) -> list:
@@ -135,12 +171,6 @@ def _exact_quotient(a, b) -> list:
                 r[i + j] -= c * b[j]
     assert not any(r[:n]), "division must be exact"
     return quot
-
-
-def poly_gcd(a, b):
-    """Monic gcd of two rational polynomials."""
-    g = _gcd(_primitive(a), _primitive(b))
-    return [Fraction(c, g[-1]) for c in g]
 
 
 def squarefree_part(coeffs):
@@ -207,16 +237,6 @@ def cauchy_bound(coeffs) -> Fraction:
     while bound * lead < top:
         bound *= 2
     return Fraction(bound)
-
-
-def real_root_count(coeffs) -> int:
-    """Number of distinct real roots of a nonzero rational polynomial."""
-    coeffs = strip(coeffs)
-    if degree(coeffs) < 1:
-        return 0
-    chain = sturm_chain(coeffs)
-    bound = cauchy_bound(coeffs)
-    return sign_variations(chain, -bound) - sign_variations(chain, bound)
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,9 @@ def _cmd_extend(args) -> int:
         out.flush()
         return EXIT_OK if handoff.status == "Measure" else EXIT_INCONCLUSIVE
     out.flush()
-    if search.status in ("IllDefined", "NotPSD"):
+    # A conflict between float moments may be rounding, not a certificate.
+    if search.status == "NotPSD" \
+            or search.status == "IllDefined" and beta.is_exact:
         return EXIT_NO_MEASURE
     return EXIT_INCONCLUSIVE
 

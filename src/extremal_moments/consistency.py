@@ -33,7 +33,13 @@ from .polycore import (
     negligible,
     significant,
 )
-from .variety import VarietyReport, bivariate_gcd, build_W, vanishing_ideal
+from .variety import (
+    VarietyReport,
+    _residual_ok,
+    bivariate_gcd,
+    build_W,
+    vanishing_ideal,
+)
 
 #: Pivot basis of the curve scenario (degree-lex restriction).
 SCENARIO_BASIS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2))
@@ -80,7 +86,8 @@ def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
     variety: the first relation of ``vanishing_ideal`` that Lambda does not
     annihilate is the witness.  Unknown when the variety is not a finite
     point list, for an empty point list (a Finite report with no points is
-    the empty set), and when the relations need not span the ideal."""
+    the empty set), when the relations need not span the ideal, and when
+    a float witness fails ``variety._residual_ok`` at some point."""
     if isinstance(variety, VarietyReport) and variety.status != "Finite":
         return ConsistencyVerdict(
             "Unknown",
@@ -90,9 +97,16 @@ def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
         return ConsistencyVerdict("Unknown", reason="no variety points")
     relations, complete = vanishing_ideal(variety, beta.degree, beta.d)
     scale, exact = beta.scale(), beta.is_exact
+    points = variety.points if isinstance(variety, VarietyReport) else variety
     for p in relations.values():
         value = riesz(beta, p)
-        if significant(value, scale, exact and p.is_exact):
+        certain = exact and p.is_exact
+        if significant(value, scale, certain):
+            if not certain and not all(_residual_ok(p, w, False)
+                                       for w in points):
+                return ConsistencyVerdict(
+                    "Unknown", reason="the float witness does not vanish "
+                                      "at every variety point")
             return ConsistencyVerdict("Inconsistent", p, value)
     if complete:
         return ConsistencyVerdict("Consistent")
@@ -266,5 +280,5 @@ def _form_has_real_zero(form: Polynomial) -> bool:
         return True
     # Directions (1, t): real roots of form(1, t).
     top = int(form.degree)
-    return _roots.real_root_count(
-        [form.coefficient((top - j, j)) for j in range(top + 1)]) > 0
+    return bool(_roots.real_roots_exact(
+        [form.coefficient((top - j, j)) for j in range(top + 1)])[0])

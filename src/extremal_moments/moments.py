@@ -206,11 +206,15 @@ class FlatnessVerdict:
     rank_previous: int
 
 
-def psd_check(matrix: MomentMatrix) -> PsdVerdict:
+def psd_check(matrix: MomentMatrix,
+              kernel: Optional[KernelReport] = None) -> PsdVerdict:
     """Decide M(n) >= 0; NotPSD carries a polynomial witness with
-    Lambda(witness^2) < 0 (exact witness in exact mode)."""
+    Lambda(witness^2) < 0 (exact witness in exact mode).  An exact M(n)
+    reads its pivot columns from *kernel*, its ``rank_kernel``, if given."""
     if matrix.is_exact:
-        ok, vec = _linalg.psd_exact(matrix.rows)
+        pivots = None if kernel is None else [
+            matrix.basis.index(m) for m in kernel.pivots]
+        ok, vec = _linalg.psd_exact(matrix.rows, pivots)
     else:
         ok, vec = _linalg.psd_float(matrix.rows)
     if ok:

@@ -47,7 +47,9 @@ class Pipeline:
 
     @cached_property
     def psd(self) -> PsdVerdict:
-        return psd_check(self.matrix)
+        """Exact M(n) reuses the pivot columns of its kernel stage."""
+        return psd_check(self.matrix,
+                         self.kernel if self.matrix.is_exact else None)
 
     @cached_property
     def kernel(self) -> KernelReport:

@@ -8,9 +8,11 @@ polynomial of a separating linear form are the points, and each coordinate
 is a root of its own minimal polynomial, isolated exactly (rational if the
 isolator hits it, else the midpoint of a refined interval).  In two
 variables a nonconstant gcd of an exact kernel first certifies an infinite
-variety.  Float kernels read the points from the eigenvectors of one
-generic combination of the multiplication matrices, average each cluster
-(a multiple zero), and filter every real point by the residuals of *all*
+variety; this module only converts the kernel polynomials to and from the
+integer lists of ``_roots``, whose primitive remainder sequence finds it.
+Float kernels read the points from the eigenvectors of one generic
+combination of the multiplication matrices, average each cluster (a
+multiple zero), and filter every real point by the residuals of *all*
 kernel elements.
 """
 
@@ -20,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,87 +117,27 @@ class VandermondeReport:
 
 
 # ---------------------------------------------------------------------------
-# univariate views of bivariate polynomials
+# exact bivariate gcd (primitive PRS in (Z[x])[y], in ``_roots``)
 # ---------------------------------------------------------------------------
-
-def _as_y_poly(p: Polynomial) -> list:
-    """Coefficients in y: list (ascending y-degree) of x-coefficient lists."""
-    out = [[Fraction(0)] * (_deg_x(p) + 1) for _ in range(_deg_y(p) + 1)]
-    for (i, j), c in p.terms.items():
-        out[j][i] = Fraction(c)
-    return [_roots.strip(c) for c in out]
-
-
-def _deg_x(p: Polynomial) -> int:
-    return max((i for (i, _) in p.terms), default=0)
-
-
-def _deg_y(p: Polynomial) -> int:
-    return max((j for (_, j) in p.terms), default=0)
-
-
-def _uni_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _roots.strip(out)
-
-
-# ---------------------------------------------------------------------------
-# exact bivariate gcd (primitive PRS in (Q[x])[y])
-# ---------------------------------------------------------------------------
-
-def _primitive_y(ypoly) -> tuple:
-    """*ypoly* over its content, and the content: the monic gcd in Q[x] of
-    its coefficients."""
-    content: list = []
-    for coeffs in filter(None, ypoly):
-        content = _roots.poly_gcd(content, coeffs)
-    return [_roots.poly_divmod(c, content)[0] for c in ypoly], content
-
-
-def _ypoly_prem(a, b) -> list:
-    """Pseudo-remainder of a by b in (Q[x])[y] (deg_y b >= 1)."""
-    a = [list(c) for c in a]
-    db = len(b) - 1
-    lead_b = b[-1]
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        lead_a = a[-1]
-        scaled = [_uni_mul(c, lead_b) for c in a]
-        shift = da - db
-        for i, bc in enumerate(b):
-            scaled[shift + i] = _roots.strip(
-                x - y for x, y in zip_longest(scaled[shift + i],
-                                              _uni_mul(lead_a, bc),
-                                              fillvalue=0))
-        a = scaled[:da]  # top coefficient cancels exactly
-        while a and not a[-1]:
-            a.pop()
-    return a
-
 
 def bivariate_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Exact gcd in Q[x,y], normalized to unit leading degree-lex
-    coefficient: the gcd of the contents in Q[x] times the last member of
-    a primitive pseudo-remainder sequence in (Q[x])[y]."""
+    coefficient: ``_roots._gcd_y`` on integer multiples of p and q."""
     if p.is_zero or q.is_zero:
         return _normalize_gcd(p + q)
-    (a, content_a), (b, content_b) = sorted(
-        (_primitive_y(_as_y_poly(p)), _primitive_y(_as_y_poly(q))),
-        key=lambda pair: -len(pair[0]))
-    while len(b) > 1:
-        r = _ypoly_prem(a, b)
-        if not r:
-            break
-        a, b = b, _primitive_y(r)[0]
-    content = _roots.poly_gcd(content_a, content_b)
+    g = _roots._gcd_y(_y_rows(p), _y_rows(q))
     return _normalize_gcd(Polynomial(2, {
-        (i, j): c for j, coeffs in enumerate(b) for i, c in enumerate(coeffs)
-    }) * Polynomial(2, {(i, 0): c for i, c in enumerate(content)}))
+        (i, j): c for j, row in enumerate(g) for i, c in enumerate(row)}))
+
+
+def _y_rows(p: Polynomial) -> list:
+    """A positive integer multiple of the exact p as a polynomial in y over
+    Z[x]: the integer lists in x of its y**0, y**1, ... coefficients."""
+    ints = clear_denominators(p.terms.values())[0]
+    rows: list = [[] for _ in range(1 + max(j for _, j in p.terms))]
+    for (i, j), c in sorted(zip(p.terms, ints)):
+        rows[j] += [0] * (i - len(rows[j])) + [c]
+    return rows
 
 
 def _normalize_gcd(p: Polynomial) -> Polynomial:

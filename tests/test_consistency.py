@@ -8,9 +8,9 @@ import pytest
 import extremal_moments as em
 from extremal_moments import consistency
 from extremal_moments.polycore import Polynomial, monomial_basis
-from extremal_moments.variety import VarietyReport
+from extremal_moments.variety import VarietyReport, _residual_ok
 
-from conftest import fixture_path
+from conftest import as_float, fixture_path
 
 
 #: Exact correction polynomial of the curve scenario (vanishes on the eight
@@ -71,6 +71,23 @@ class TestConsistencyCheck:
         assert abs(float(verdict.value)) > 1e-6
         for w in variety_of(thm62_a8_8).points:
             assert abs(float(verdict.witness.evaluate(w))) < 1e-6
+
+    @pytest.mark.parametrize("name, status", [
+        ("ex44", "Unknown"), ("ex71", "Unknown"),
+        ("thm62_a8_8", "Inconsistent")])
+    def test_float_witness_must_vanish_on_the_points(self, name, status,
+                                                     request):
+        # ex44 and ex71 have measures; their float first witnesses miss
+        # some variety points, so they refute nothing.  thm62's vanishes.
+        beta = as_float(request.getfixturevalue(name))
+        variety = variety_of(beta)
+        verdict = em.consistency_check(beta, variety)
+        assert verdict.status == status
+        if status == "Unknown":
+            assert "witness" in verdict.reason
+        else:
+            assert all(_residual_ok(verdict.witness, w, False)
+                       for w in variety.points)
 
     def test_empty_variety_and_zero_data_is_consistent(self):
         beta = em.Multisequence(2, 2, dict.fromkeys(monomial_basis(2, 2), 0))

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import extremal_moments as em
+from extremal_moments import _linalg
 from extremal_moments import cli as cli_module
 from extremal_moments.cli import run
 
@@ -107,6 +108,25 @@ def test_extend_builds_each_matrix_once(fixture, calls):
     assert calls["rank_kernel"] == 1 + extended
     assert calls["psd_check"] == extended
     assert calls["compute_variety"] <= 1
+
+
+@pytest.mark.parametrize("fixture, size, rank", [
+    ("ex71", 10, 8), ("prop61", 10, 8), ("example15", 6, 4)])
+def test_exact_psd_reads_the_kernel_pivots(fixture, size, rank, monkeypatch):
+    # M(n) is eliminated once, for its kernel; the PSD decision eliminates
+    # only the block of the pivot columns, and agrees with psd_check(M(n)).
+    shapes = []
+    eliminate = _linalg._eliminate
+
+    def counted(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(_linalg, "_eliminate", counted)
+    pipe = em.Pipeline(em.load_multisequence(moments(fixture)))
+    assert pipe.psd.ok and pipe.kernel.rank == rank
+    assert shapes == [(size, size), (rank, rank)]
+    assert pipe.psd == em.psd_check(pipe.matrix)
 
 
 def test_stages_are_kept(ex15):

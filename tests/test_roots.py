@@ -175,20 +175,21 @@ class TestAgainstSympy:
                 b = multiply(a, random_product(rng, bits, repeat=1)) \
                     if rng.random() < 0.5 else random_product(rng, bits, 3)
                 pa, pb = sympy_poly(a), sympy_poly(b)
-                assert _roots.poly_gcd(a, b) == \
-                    ascending(sympy.gcd(pa, pb).monic())
+                g = _roots._gcd(_roots._primitive(a), _roots._primitive(b))
+                assert constant_multiple(
+                    g, ascending(sympy.gcd(pa, pb))) is not None
                 sf, multiple = _roots.squarefree_part(a)
                 want = sympy.sqf_part(pa)
                 assert constant_multiple(sf, ascending(want)) is not None
                 assert multiple == (want.degree() < pa.degree())
 
-    def test_real_root_count_on_repeated_factors(self):
+    def test_real_roots_exact_on_repeated_factors(self):
         rng = random.Random(15)
         for bits in (4, 520):
             for _ in range(8):
                 coeffs = random_product(rng, bits, repeat=3)
-                assert _roots.real_root_count(coeffs) == \
-                    sympy_poly(coeffs).count_roots()
+                roots, _ = _roots.real_roots_exact(coeffs)
+                assert len(roots) == sympy_poly(coeffs).count_roots()
 
     def test_coefficients_over_500_bits(self):
         rng = random.Random(11)
@@ -232,17 +233,4 @@ class TestHelpers:
         # (x - 1)^2 (x + 2) = x^3 - 3x + 2
         sf, had = _roots.squarefree_part([F(2), F(-3), F(0), F(1)])
         assert had
-        assert _roots.degree(sf) == 2
-
-    def test_poly_divmod_round_trip(self):
-        num = [F(2), F(-3), F(0), F(1)]
-        den = [F(-1), F(1)]
-        quot, rem = _roots.poly_divmod(num, den)
-        # num = quot * den + rem
-        back = [F(0)] * (len(quot) + len(den) - 1)
-        for i, q in enumerate(quot):
-            for j, d in enumerate(den):
-                back[i + j] += q * d
-        for i, r in enumerate(rem):
-            back[i] += r
-        assert _roots.strip(back) == _roots.strip(num)
+        assert len(sf) - 1 == 2

@@ -239,6 +239,43 @@ class TestBivariateElimination:
         g = em.bivariate_gcd(a, b)
         assert g.degree == 0
 
+    def test_gcd_against_sympy(self):
+        # Products sharing a factor of degree 0-3 (some free of y, so the
+        # gcd has a content in Q[x]), plus unrelated and zero arguments;
+        # equal to sympy's gcd up to the rational normalization.
+        rng = random.Random(41)
+        x, y = sympy.symbols("x y")
+
+        def random_poly(deg, bits, y_free=False):
+            """x**deg plus random terms of lower degree in x."""
+            expr = x**deg
+            for i in range(deg):
+                for j in range(1 if y_free else deg + 1 - i):
+                    if rng.random() < 0.7:
+                        expr += sympy.Rational(
+                            rng.getrandbits(bits) - 2 ** (bits - 1),
+                            rng.getrandbits(bits) + 1) * x**i * y**j
+            return expr
+
+        def normalized(expr):
+            p = _poly(expr, x, y)
+            lead = max(p.terms, key=lambda m: (sum(m), m))
+            return p.scale(1 / p.terms[lead])
+
+        for bits in (4, 500):
+            for k in range(16):
+                common = random_poly(k % 4, bits, y_free=k % 5 == 1)
+                a = common * random_poly(rng.randint(0, 3), bits)
+                b = common * random_poly(rng.randint(0, 3), bits) \
+                    if k % 3 else random_poly(rng.randint(1, 3), bits)
+                got = em.bivariate_gcd(_poly(a, x, y), _poly(b, x, y))
+                assert got == normalized(sympy.gcd(sympy.expand(a),
+                                                   sympy.expand(b)))
+                assert em.bivariate_gcd(_poly(a, x, y), Polynomial.zero(2)) \
+                    == normalized(a)
+        assert em.bivariate_gcd(Polynomial.zero(2),
+                                Polynomial.zero(2)).is_zero
+
 
 class TestEvalMatrices:
     def test_build_w_rows_and_columns(self):
