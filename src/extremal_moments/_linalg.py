@@ -298,9 +298,8 @@ def psd_float(rows):
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     if a.size == 0:
         return True, None
-    a = (a + a.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(a)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if eigvals[0] >= -RANK_TOL * scale:
+    a = a / max(1.0, float(np.max(np.abs(a))))  # (a + a.T) may overflow
+    eigvals, eigvecs = np.linalg.eigh((a + a.T) / 2.0)
+    if eigvals[0] >= -RANK_TOL:
         return True, None
     return False, [float(x) for x in eigvecs[:, 0]]

@@ -2,11 +2,11 @@
 
 A multisequence is consistent when every polynomial of degree <= 2n vanishing
 on the variety is annihilated by the Riesz functional.  The check runs over
-the relations x^a - NF(x^a) of ``variety.vanishing_ideal``, read exactly in
-the quotient algebra of the kernel ideal for exact data and from the
-point-evaluation matrix W_{2n} otherwise.  Signed representations realize
-the functional as a combination of point evaluations with (possibly
-negative) weights obtained from a row basis of W_{2n}.
+the relations x^a - NF(x^a) of ``variety.vanishing_ideal``, read exactly off
+the normal forms in the quotient algebra modulo the radical of the kernel
+ideal for exact data, and from the point-evaluation matrix W_{2n} otherwise.
+Signed representations realize the functional as a combination of point
+evaluations with (possibly negative) weights from a row basis of W_{2n}.
 
 The reduced test covers the planar curve scenario with column relation
 X^3 = Y, eight variety points and basis B = {1, X, Y, X^2, YX, Y^2, YX^2,

@@ -151,12 +151,16 @@ def solve_extremal(beta: Multisequence,
         return report("NotExtremal",
                       reason=f"rank {r} != variety cardinality {v}")
 
+    def consistency():  # supplied points check the adopted variety
+        return pipe.consistency if points is None \
+            else consistency_check(beta, variety)
+
     basis_elems = tuple(basis) if basis is not None else kernel_report.pivots
     if len(basis_elems) != r:
         raise ValueError(f"basis must have {r} elements, got {len(basis_elems)}")
     if beta.is_exact:
         # The paper's theorem: PSD, r = card V and consistency decide.
-        cons = consistency_check(beta, variety)
+        cons = consistency()
         if not cons.ok:
             return _from_consistency(report, cons)
     polys, rows = vandermonde_rows(basis_elems, variety.points)
@@ -173,7 +177,7 @@ def solve_extremal(beta: Multisequence,
         # Exact data is consistent here; float data looks for an
         # inconsistency witness on the variety's vanishing ideal.
         if not beta.is_exact:
-            cons = consistency_check(beta, variety)
+            cons = consistency()
             if cons.status == "Inconsistent":
                 return _from_consistency(report, cons)
         return report("Unknown", reason="interpolation failed without an "

@@ -6,7 +6,8 @@ matrices come from one Macaulay matrix of the kernel's products.  Exact
 kernels read the real points from A exactly: the real roots of the minimal
 polynomial of a separating linear form are the points, and each coordinate
 is a root of its own minimal polynomial, isolated exactly (rational if the
-isolator hits it, else the midpoint of a refined interval).  In two
+isolator hits it, else the midpoint of a refined interval); an ideal with a
+multiple zero is replaced by its radical first.  In two
 variables a nonconstant gcd of an exact kernel first certifies an infinite
 variety; this module only converts the kernel polynomials to and from the
 integer lists of ``_roots``, whose primitive remainder sequence finds it.
@@ -60,8 +61,8 @@ class VarietyReport:
     ``points`` hold Scalars; a True entry in ``exact_mask`` marks a point
     whose coordinates are exact rationals rather than refined approximations
     of irrational algebraic numbers.  ``quotient`` keeps an exact kernel's
-    algebra A = Q[x]/I as (mats, scale, nil): mats[i] / scale multiplies by
-    x_i on a monomial basis of A (1 last), nil spans its nilradical.
+    algebra modulo its radical, A/sqrt(I), as (basis, mats, scale):
+    mats[i] / scale multiplies by x_i on the monomial basis (1 last).
     """
 
     status: str  # "Finite" | "Infinite" | "Unknown"
@@ -182,7 +183,7 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
     if not basis:
         return VarietyReport("Finite")  # 1 lies in I: no zeros at all
     if exact:
-        return _variety_exact(basis, mats, scale)
+        return _variety_exact(kernel, basis, mats, scale)
     return _variety_float(kernel, mats)
 
 
@@ -277,9 +278,8 @@ def _annihilates(kernel, mats, scale, exact: bool) -> bool:
     """Does k(M)*1 = 0 hold for every kernel element k?  Floats compare
     against sum |c_a| * |M^a * 1|."""
     n = max(int(p.degree) for p in kernel)
-    size = len(mats[0])
     images = _images(monomial_basis(len(mats), n), mats,
-                     [int(r == size - 1) for r in range(size)])
+                     [0] * (len(mats[0]) - 1) + [1])
     for p in kernel:
         coeffs = clear_denominators(p.terms.values())[0] if exact \
             else list(p.terms.values())
@@ -297,22 +297,31 @@ def _annihilates(kernel, mats, scale, exact: bool) -> bool:
 # exact varieties: minimal polynomials and a separating form
 # ---------------------------------------------------------------------------
 
-def _variety_exact(basis, mats, scale) -> VarietyReport:
+def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
     """Real zeros of the ideal I of an exact kernel from A = Q[x]/I
     (Moeller & Stetter 1995): the real roots of the minimal polynomial of a
     form t = sum c**i x_i separating them, each coordinate x_i being the
     root of its own minimal polynomial that h_i(t) = x_i mod sqrt(I) meets
-    on the isolating interval of t."""
+    on the isolating interval of t.  If some x_i has a multiple root, A
+    becomes A/sqrt(I), sqrt(I) = I + (f(x_i)) for f the squarefree part of
+    its minimal polynomial (Seidenberg 1974); the report keeps A/sqrt(I)."""
     d = len(mats)
-    minimal = [_krylov(m, scale, [], [])[0] for m in mats]
+    minimal = [_krylov(m, scale, [])[0] for m in mats]
     roots, multiple = zip(*(_roots.real_roots_exact(m) for m in minimal))
-    radical = not any(multiple)
-    nil = [] if radical else _nilradical(basis, mats, scale, minimal)
+    if any(multiple):
+        radical = [_squarefree_at(basis, m, scale, f)
+                   for m, f in zip(mats, minimal)]
+        quotient = _quotient(kernel + [p for p in radical if not p.is_zero],
+                             True)
+        if quotient is None:
+            return VarietyReport("Unknown", reason="no normal set of the "
+                                                   "radical ideal")
+        basis, mats, scale = quotient
     xs = [[Fraction(row[-1], scale) for row in m] for m in mats]
     for c in _integer_nodes(2 * d * len(basis)**2 + 1):
         t = [[sum(c**i * m[r][k] for i, m in enumerate(mats))
               for k in range(len(basis))] for r in range(len(basis))]
-        t_minimal, h = _krylov(t, scale, nil, xs)
+        t_minimal, h = _krylov(t, scale, xs)
         if h is not None:
             break
     else:
@@ -330,8 +339,8 @@ def _variety_exact(basis, mats, scale) -> VarietyReport:
             point.append(hits[0])
         points.append(point)
     return _finite([tuple(r.value for r in w) for w in points],
-                   [all(r.exact for r in w) for w in points], not radical,
-                   (mats, scale, nil))
+                   [all(r.exact for r in w) for w in points], any(multiple),
+                   (basis, mats, scale))
 
 
 def _integer_nodes(count: int) -> list:
@@ -339,40 +348,35 @@ def _integer_nodes(count: int) -> list:
     return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
 
 
-def _krylov(matrix, scale, nil, xs) -> tuple:
+def _krylov(matrix, scale, xs) -> tuple:
     """The minimal polynomial of t = matrix / scale on A, ascending and
-    monic, and the coordinates of each vector of *xs* on 1, t, t**2, ...
-    modulo the span of *nil*, or None when these do not span A.  It runs on
-    the primitive integer vectors w_j = lifts[j] * t**j * 1."""
+    monic, and the coordinates of each vector of *xs* on 1, t, t**2, ...,
+    or None when these do not span A.  It runs on the primitive integer
+    vectors w_j = lifts[j] * t**j * 1."""
     vectors, lifts = [[0] * (len(matrix) - 1) + [1]], [Fraction(1)]
     for _ in matrix:
         vector = _times(matrix, vectors[-1])
         content = math.gcd(*vector) or 1
         vectors.append([x // content for x in vector])
         lifts.append(lifts[-1] * scale / content)
-    reduction = _linalg.row_reduce(_linalg.transpose(vectors + nil + xs))
+    reduction = _linalg.row_reduce(_linalg.transpose(vectors + xs))
     k = next(k for k in range(len(vectors)) if k not in reduction.pivots)
     minimal = [-reduction.rref[r][k] * lifts[r] / lifts[k]
                for r in range(k)] + [Fraction(1)]
-    first = len(vectors) + len(nil)
-    if reduction.rank < len(matrix) or reduction.pivots[-1] >= first:
+    if reduction.rank < len(matrix) or reduction.pivots[-1] >= len(vectors):
         return minimal, None
     return minimal, [[reduction.rref[r][j] * lifts[r] for r in range(k)]
-                     for j in range(first, first + len(xs))]
+                     for j in range(len(vectors), len(vectors) + len(xs))]
 
 
-def _nilradical(basis, mats, scale, minimal) -> list:
-    """Vectors spanning the nilradical of A, the ideal of the f(x_i) for f
-    the squarefree part of the minimal polynomial of x_i (Seidenberg 1974):
-    the b*f(x_i), b in *basis*."""
-    spans = []
-    for m, coeffs in zip(mats, minimal):
-        value = [0] * len(basis)  # scale**deg(f) * f(x_i) * 1, by Horner
-        for k, a in enumerate(reversed(_roots.squarefree_part(coeffs)[0])):
-            value = _times(m, value)
-            value[-1] += a * scale**k
-        spans.extend(_images(basis[::-1], mats, value).values())
-    return spans
+def _squarefree_at(basis, matrix, scale, minimal) -> Polynomial:
+    """scale**deg(f) * f(x_i) * 1 on *basis* as a polynomial, by Horner:
+    f the squarefree part of *minimal*, x_i = matrix / scale."""
+    value = [0] * len(basis)
+    for k, a in enumerate(reversed(_roots.squarefree_part(minimal)[0])):
+        value = _times(matrix, value)
+        value[-1] += a * scale**k
+    return Polynomial(len(basis[0]), dict(zip(basis, value)))
 
 
 def _enclose(coeffs, root) -> tuple:
@@ -505,47 +509,39 @@ def hilbert_function(points: Sequence[Point], k: int) -> int:
 
 
 def vanishing_ideal(variety, k: int, d: int) -> tuple:
-    """``(relations, complete)``: the polynomials of degree <= k that vanish
-    on *variety* (a report or a point list), as the kernel of one matrix.
+    """``(relations, complete)``: the x^a - NF(x^a) of degree <= k vanishing
+    on *variety* (a report or a point list), one for each monomial a outside
+    the degree-lex normal set, NF(x^a) over the normal monomials before a.
 
-    An exact report's rows are the normal forms scale**|a| * x^a * 1 in its
-    quotient A behind columns spanning the nilradical, so the kernel is
-    sqrt(I); if dim A/sqrt(I) > card V (non-real zeros) the relations vanish
-    on V but need not span its ideal, and ``complete`` is False unless the
-    points are exact and decide.  Otherwise the rows are the evaluations
-    W_k.  Each monomial a that is no pivot (degree-lex) keys its relation
-    x^a - NF(x^a) over the pivots before it."""
+    An exact report's basis of A/sqrt(I) is that normal set: each pivot of
+    its Macaulay matrix leads an element of sqrt(I), so the normal set lies
+    among the non-pivots that form the basis, and both have dim A/sqrt(I)
+    elements.  So NF(x^a) is read off the image scale**|a| * x^a * 1 with
+    no elimination.  If dim A/sqrt(I) > card V (non-real zeros) the
+    relations vanish on V but need not span its ideal, and ``complete`` is
+    False unless the points are exact and decide.  Otherwise NF(x^a) comes
+    from the pivot columns of the evaluations W_k before a."""
     is_report = isinstance(variety, VarietyReport)
     points = variety.points if is_report else tuple(map(tuple, variety))
     quotient = variety.quotient if is_report else None
-    columns, lead, scale, complete = monomial_basis(d, k), 0, 1, True
-    if quotient is not None:
-        mats, scale, nil = quotient
-        size = len(mats[0])
-        complete = size - _linalg.row_reduce(nil).rank == len(points)
+    columns = monomial_basis(d, k)
+    complete = quotient is None or len(quotient[0]) == len(points)
     if quotient is not None and (complete or not all(variety.exact_mask)):
-        images = _images(columns, mats, [int(r == size - 1)
-                                         for r in range(size)])
-        rows = list(zip(*nil, *images.values()))
-        columns, lead = [None] * len(nil) + columns, len(nil)
+        basis, mats, scale = quotient
+        images = _images(columns, mats, [0] * (len(basis) - 1) + [1])
+        forms = {a: {b: Fraction(x, scale**total_degree(a)) for b, x in
+                     zip(basis[::-1], images[a][::-1])}
+                 for a in columns if a not in basis}
     else:  # W_k; no point at all is the empty set
-        rows = build_W(points, k, d).rows if points else ()
-        scale, complete = 1, True
-    reduction = _linalg.row_reduce(rows)
-    power = [Fraction(scale) ** e for e in range(-k, k + 1)]  # by e + k
-    relations = {}
-    for j, a in enumerate(columns[lead:], lead):
-        if j in reduction.pivots:
-            continue
-        vec = {j: 1}
-        for row, p in zip(reduction.rref, reduction.pivots):
-            if p >= lead and row[j] != 0:
-                vec[p] = -row[j]
-        relations[a] = Polynomial(d, {
-            columns[i]: x * power[total_degree(columns[i])
-                                  - total_degree(a) + k]
-            for i, x in sorted(vec.items())})
-    return relations, complete
+        reduction = _linalg.row_reduce(build_W(points, k, d).rows
+                                       if points else ())
+        forms = {a: {columns[p]: row[j] for row, p in
+                     zip(reduction.rref, reduction.pivots)}
+                 for j, a in enumerate(columns) if j not in reduction.pivots}
+        complete = True
+    return {a: Polynomial(d, {**{b: -c for b, c in form.items()},
+                              a: Fraction(1)})
+            for a, form in forms.items()}, complete
 
 
 def injectivity_check(report: KernelReport,

@@ -90,6 +90,17 @@ class TestExitCodes:
         assert run(["variety", str(moments)]) == 0
         assert "variety: Finite, card 6" in capsys.readouterr().out
 
+    def test_float_data_near_the_largest_float(self, capsys, tmp_path):
+        # One atom of mass 1e308 at x = 1: M(1) is PSD, although a + a.T
+        # overflows on it.
+        moments = tmp_path / "huge.json"
+        em.dump_multisequence(em.Multisequence(
+            1, 2, {(k,): 1e308 for k in range(3)}), moments)
+        assert run(["solve", str(moments)]) == 0
+        assert "status: Measure" in capsys.readouterr().out
+        assert run(["extend", str(moments)]) == 0
+        assert "search: FlatAt" in capsys.readouterr().out
+
 
 class TestAnalyze:
     def test_text_battery(self, capsys):

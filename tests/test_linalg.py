@@ -163,6 +163,12 @@ class TestPsd:
         ok, witness = _linalg.psd_float([[1.0, 0.0], [0.0, 1e-14]])
         assert ok
 
+    def test_psd_float_scales_before_symmetrizing(self):
+        # a + a.T overflows to inf here; a / max|a| does not.
+        assert _linalg.psd_float([[1e308] * 2] * 2) == (True, None)
+        ok, witness = _linalg.psd_float([[1e308, 0.0], [0.0, -1e308]])
+        assert not ok and witness is not None
+
 
 def _gram(rng, n):
     """A rational Gram matrix of size n and rank deficiency 0 to n."""

@@ -184,3 +184,43 @@ def test_solver_reads_the_pipeline_analyze_built(monkeypatch, calls):
     assert report.status == "Measure"
     assert report.variety is pipe.variety
     assert calls["compute_variety"] == 0
+
+
+@pytest.fixture
+def consistency_checks(monkeypatch):
+    """The varieties consistency_check runs on, at every binding."""
+    checked = []
+    check = em.consistency_check
+
+    def counted(beta, variety):
+        checked.append(variety)
+        return check(beta, variety)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("extremal_moments") \
+                and getattr(module, "consistency_check", None) is check:
+            monkeypatch.setattr(module, "consistency_check", counted)
+    return checked
+
+
+@pytest.mark.parametrize("fixture, mode", [
+    ("example15", None), ("thm62_a8_8", None), ("thm62_a8_8", "float")])
+def test_solver_reads_the_pipeline_consistency(fixture, mode,
+                                               consistency_checks):
+    # Exact data decides by consistency, and float thm62_a8_8 looks for a
+    # witness after its interpolation fails: either way the solver reads
+    # the check the pipeline holds.
+    pipe = em.Pipeline(em.load_multisequence(moments(fixture), mode))
+    held = pipe.consistency
+    report = em.solve_extremal(pipe.beta, pipe=pipe)
+    assert consistency_checks == [pipe.variety]
+    assert report.status == ("Measure" if held.ok else "NoMeasure")
+
+
+def test_supplied_points_check_their_own_variety(consistency_checks):
+    grid = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pipe = em.Pipeline(em.beta_from_atoms(grid, [1, 2, 3, 4], degree=4))
+    assert pipe.consistency.ok
+    report = em.solve_extremal(pipe.beta, grid, pipe=pipe)
+    assert report.status == "Measure"
+    assert consistency_checks == [pipe.variety, report.variety]

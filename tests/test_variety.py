@@ -1,5 +1,6 @@
 """Variety computation, evaluation matrices, and Vandermonde reports."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -8,8 +9,12 @@ import pytest
 import sympy
 
 import extremal_moments as em
+from extremal_moments import _linalg
 from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.polycore import InputError, Polynomial
+from extremal_moments.variety import vanishing_ideal
+
+from conftest import d3_measure, fixture_path
 
 
 SQRT6 = math.sqrt(6.0)
@@ -325,6 +330,85 @@ class TestEvalMatrices:
         assert verdict.witness is not None
         assert verdict.witness.evaluate((F(0),)) == 0
         assert verdict.witness.evaluate((F(1),)) == 0
+
+
+def _general_position(rng):
+    """One to six distinct dyadic atoms in the plane, no three collinear,
+    with positive densities."""
+    while True:
+        atoms = {(_dyadic(rng, -6, 6), _dyadic(rng, -6, 6))
+                 for _ in range(rng.randint(1, 6))}
+        if not any((q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1])
+                   * (r[0] - p[0]) for p, q, r in
+                   itertools.combinations(atoms, 3)):
+            return sorted(atoms), [F(rng.randint(1, 9), rng.randint(1, 9))
+                                   for _ in atoms]
+
+
+class TestVanishingIdealFromQuotient:
+    """The relations read off an exact report's quotient A/sqrt(I) equal
+    those of the independent W_k elimination at its exact points."""
+
+    X, Y = sympy.symbols("x y")
+
+    def check(self, report, n):
+        assert report.quotient is not None and all(report.exact_mask)
+        d = len(report.points[0])
+        for k in (n, 2 * n):
+            assert vanishing_ideal(report, k, d) \
+                == vanishing_ideal(report.points, k, d)
+
+    def test_dyadic_atoms_in_general_position(self):
+        rng = random.Random(71)
+        for _ in range(8):
+            atoms, densities = _general_position(rng)
+            beta = em.beta_from_atoms(atoms, densities, degree=6)
+            report = em.Pipeline(beta).variety
+            assert list(report.points) == atoms
+            self.check(report, 3)
+
+    @pytest.mark.parametrize("a, b", [(F(3, 2), F(-1, 4)), (F(-2), F(5))])
+    def test_fat_point(self, a, b):
+        x, y = self.X, self.Y
+        report = em.compute_variety([_poly(e, x, y) for e in (
+            (x - a)**2, (x - a) * (y - b), (y - b)**2)])
+        assert report.multiple_roots and len(report.quotient[0]) == 1
+        self.check(report, 2)
+
+    @pytest.mark.parametrize("a, b", [(F(1, 2), F(3)), (F(-5, 4), F(1, 2))])
+    def test_double_zero_with_rational_points(self, a, b):
+        x, y = self.X, self.Y
+        report = em.compute_variety([_poly(e, x, y) for e in (
+            y - (x - a)**2, y * (y - b**2))])
+        assert report.multiple_roots
+        assert report.points == ((a - b, b**2), (a, 0), (a + b, b**2))
+        self.check(report, 2)
+
+    def test_d3_measure(self):
+        atoms, densities = d3_measure()
+        beta = em.beta_from_atoms(atoms, densities, d=3, degree=4)
+        self.check(em.Pipeline(beta).variety, 2)
+
+    @pytest.mark.parametrize("fixture", ("prop61", "thm62_a8_8"))
+    def test_multiple_zero_keeps_a_basis_of_the_points(self, fixture):
+        # Their kernel ideals have a double zero; the report keeps the
+        # quotient modulo the radical, one basis element per point.
+        report = em.Pipeline(em.load_multisequence(
+            fixture_path(f"{fixture}.moments.json"))).variety
+        assert report.multiple_roots
+        assert len(report.quotient[0]) == len(report.points) == 8
+
+    @pytest.mark.parametrize("fixture", ("example15", "prop61", "thm62_a8_8"))
+    def test_relations_need_no_elimination(self, fixture, monkeypatch):
+        report = em.Pipeline(em.load_multisequence(
+            fixture_path(f"{fixture}.moments.json"))).variety
+
+        def no_elimination(rows):
+            raise AssertionError("row_reduce called")
+
+        monkeypatch.setattr(_linalg, "row_reduce", no_elimination)
+        relations, complete = vanishing_ideal(report, 6, 2)
+        assert complete and len(relations) == 28 - len(report.points)
 
 
 class TestVandermonde:
