@@ -1,16 +1,19 @@
 """Univariate real-root location.
 
-Exact path: Sturm chains with a power-of-two Cauchy bound, bisection down to a
-requested interval width, and exact detection of roots hit by a (dyadic)
-bisection midpoint — such roots are returned as exact rationals and deflated
-before continuing.  It runs in plain integers: the Sturm chain, the gcd and
-the squarefree part come from one primitive remainder sequence on integer
-polynomials, signs along the chain are evaluated by integer Horner, and
-refinement keeps its dyadic endpoints as integer numerators over one power of
-two.  The same sequence, run in (Z[x])[y] with contents taken out in Z[x],
-gives the bivariate gcd that ``variety`` uses to find a common factor of a
-kernel.  Float data never comes here: float varieties are read from the
-eigenvectors of multiplication matrices (see ``variety``).
+Exact path: one bisection walk over integer dyadic intervals (lo, hi] / 2**k,
+from a power-of-two Cauchy bound (-B, B], with Sturm counts at the ends that
+are passed down, so a split counts only at its midpoint.  An interval that
+holds one root is refined by bisection to a requested width; one that holds
+more is split in two.  A root that an end or midpoint hits is
+dyadic and returned exactly; if all roots are real and one is left inexact,
+Vieta's sum of the roots gives it exactly too.  Everything runs in plain
+integers: the Sturm chain, the gcd and the squarefree part come from one
+primitive remainder sequence on integer polynomials, and every sign is an
+integer Horner evaluation at num / 2**k.  The same sequence, run in
+(Z[x])[y] with contents taken out in Z[x], gives the bivariate gcd that
+``variety`` uses to find a common factor of a kernel.  Float data never
+comes here: float varieties are read from the eigenvectors of
+multiplication matrices (see ``variety``).
 
 Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.  A
 polynomial in (Z[x])[y] is a list of such integer lists, one per power of y.
@@ -28,7 +31,10 @@ from .polycore import clear_denominators
 #: Interval width for high-precision refinement of irrational roots, so of
 #: every irrational variety coordinate.  Wide enough margins survive
 #: Vandermonde solves with condition numbers near 1e8 while keeping
-#: densities of order 1e-10 at the correct sign.
+#: densities of order 1e-10 at the correct sign.  Every interval of the
+#: walk is a cell of a dyadic grid and refinement stops at the first width
+#: <= 1e-40, 2**-133: an inexact root's interval is the 2**-133 cell that
+#: holds it, whatever the bound and the path of the bisection.
 REFINE_WIDTH = Fraction(1, 10**40)
 
 # ---------------------------------------------------------------------------
@@ -204,39 +210,23 @@ def sturm_chain(coeffs):
     return [c for c in chain if c]
 
 
-def _values_at(chain, x) -> list:
-    """den**m * p(num/den) for each integer polynomial p of degree m in
-    *chain*: the signs of p at x = num/den, by integer Horner."""
-    num, den = x.numerator, x.denominator
-    powers = [1]
-    for _ in range(max(map(len, chain)) - 1):
-        powers.append(powers[-1] * den)
-    values = []
-    for ints in chain:
-        m = len(ints) - 1
-        total = 0
-        for i in range(m, -1, -1):
-            total = total * num + ints[i] * powers[m - i]
-        values.append(total)
-    return values
-
-
-def sign_variations(chain, x) -> int:
-    """Sign changes along a ``sturm_chain`` at the rational x."""
-    signs = [v > 0 for v in _values_at(chain, Fraction(x)) if v != 0]
+def sign_variations(chain, num, shift) -> int:
+    """Sign changes along a ``sturm_chain`` at the dyadic num / 2**shift."""
+    signs = [v > 0 for v in (_dyadic_value(p, num, shift) for p in chain)
+             if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def cauchy_bound(coeffs) -> Fraction:
-    """Power-of-two bound B with every real root in (-B, B); dyadic so all
-    bisection midpoints are dyadic and exact rational roots get detected."""
+def cauchy_bound(coeffs) -> int:
+    """Power-of-two bound B >= 1 with every real root in (-B, B), so every
+    interval of the bisection is a cell of a dyadic grid."""
     p = _primitive(coeffs)
     lead = abs(p[-1])
     top = lead + max(map(abs, p[:-1]), default=0)
     bound = 1
     while bound * lead < top:
         bound *= 2
-    return Fraction(bound)
+    return bound
 
 
 @dataclass(frozen=True)
@@ -263,37 +253,31 @@ def real_roots_exact(coeffs, width=REFINE_WIDTH) -> tuple:
     return roots, had_multiple
 
 
-def _roots_squarefree(coeffs, width):
-    """Roots of the squarefree primitive integer polynomial *coeffs*."""
-    if len(coeffs) == 1:
-        return []
-    if len(coeffs) == 2:
-        value = Fraction(-coeffs[0], coeffs[1])
-        return [IsolatedRoot(value, True, value, value)]
-    chain = sturm_chain(coeffs)
-    p = chain[0]
-    bound = cauchy_bound(coeffs)
+def _roots_squarefree(p, width):
+    """Roots of the squarefree primitive integer polynomial *p*, by the walk
+    of the module docstring.  The Sturm count of (lo, hi] leaves out a root
+    at lo, so an interval whose left end is a root is split, not refined."""
+    chain = sturm_chain(p)
+    bound = cauchy_bound(p)
     roots = []
-    # Intervals are half-open (a, b]; the Cauchy bound keeps all roots inside.
-    stack = [(-bound, bound)]
+    stack = [(-bound, bound, 0, sign_variations(chain, -bound, 0),
+              sign_variations(chain, bound, 0))]
     while stack:
-        a, b = stack.pop()
-        count = sign_variations(chain, a) - sign_variations(chain, b)
-        if count == 0:
-            continue
-        mid = (a + b) / 2
-        if _values_at([p], mid)[0] == 0:
-            # Exact (dyadic) root: deflate and restart isolation on the
-            # quotient.  Roots already accumulated are roots of the quotient
-            # too, so only the exact hit and the recursion are returned.
-            quot = _exact_quotient(p, [-mid.numerator, mid.denominator])
-            return ([IsolatedRoot(mid, True, mid, mid)]
-                    + _roots_squarefree(quot, width))
-        if count == 1:
-            roots.append(_refine(p, a, b, width))
-        else:
-            stack.append((a, mid))
-            stack.append((mid, b))
+        lo, hi, k, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1 and _dyadic_value(p, lo, k) != 0:
+            roots.append(_refine(p, lo, hi, k, width))
+        elif v_lo > v_hi:
+            mid = lo + hi
+            v_mid = sign_variations(chain, mid, k + 1)
+            stack.append((lo << 1, mid, k + 1, v_lo, v_mid))
+            stack.append((mid, hi << 1, k + 1, v_mid, v_hi))
+    inexact = [i for i, r in enumerate(roots) if not r.exact]
+    if len(roots) == len(p) - 1 and len(inexact) == 1:
+        i, = inexact
+        value = Fraction(-p[-2], p[-1]) - sum(r.value for r in roots
+                                              if r.exact)
+        assert roots[i].low < value < roots[i].high
+        roots[i] = IsolatedRoot(value, True, value, value)
     return roots
 
 
@@ -307,32 +291,22 @@ def _dyadic_value(p, num, shift) -> int:
     return total
 
 
-def _refine(p, a, b, width):
-    """Bisect the isolating interval (a, b] of the integer polynomial *p*.
-
-    The dyadic endpoints are kept as integer numerators lo, hi over one
-    denominator 2**k, so each step is integer shifts and one evaluation."""
-    assert all(d & (d - 1) == 0 for d in (a.denominator, b.denominator))
-    k = max(a.denominator, b.denominator).bit_length() - 1
-    lo = a.numerator << (k - a.denominator.bit_length() + 1)
-    hi = b.numerator << (k - b.denominator.bit_length() + 1)
-    fb = _dyadic_value(p, hi, k)
-    if fb == 0:
-        return IsolatedRoot(b, True, b, b)
-    fa = _dyadic_value(p, lo, k)
-    assert fa != 0 and (fa > 0) != (fb > 0)
-    positive = fa > 0
+def _refine(p, lo, hi, k, width):
+    """Bisect the isolating interval (lo, hi] / 2**k of the integer
+    polynomial *p*; each step is integer shifts and one evaluation."""
+    fa, fb = _dyadic_value(p, lo, k), _dyadic_value(p, hi, k)
+    assert fa != 0 and fa * fb <= 0
     wnum, wden = width.numerator, width.denominator
-    while (hi - lo) * wden > wnum << k:
+    while fb and (hi - lo) * wden > wnum << k:
         lo, hi, k = lo << 1, hi << 1, k + 1
         mid = (lo + hi) >> 1
         fm = _dyadic_value(p, mid, k)
-        if fm == 0:
-            value = Fraction(mid, 1 << k)
-            return IsolatedRoot(value, True, value, value)
-        if (fm > 0) == positive:
+        if fm and (fm > 0) == (fa > 0):
             lo = mid
         else:
-            hi = mid
+            hi, fb = mid, fm
+    if fb == 0:
+        value = Fraction(hi, 1 << k)
+        return IsolatedRoot(value, True, value, value)
     return IsolatedRoot(Fraction(lo + hi, 2 << k), False,
                         Fraction(lo, 1 << k), Fraction(hi, 1 << k))

@@ -35,6 +35,7 @@ from .polycore import (
     Polynomial,
     Scalar,
     is_exact,
+    magnitude,
     monomial_basis,
     significant,
     total_degree,
@@ -134,7 +135,7 @@ def propagate_recursive_extension(matrix: MomentMatrix,
               if total_degree(idx) > 2 * n]
     undetermined = tuple(idx for idx in wanted if idx not in known)
 
-    scale = max(1.0, max((abs(float(v)) for v in known.values()), default=1.0))
+    scale = magnitude(known.values())
     conflicts = []
     for coeffs, source in equations:
         if any(idx not in known for idx in coeffs):
@@ -166,8 +167,8 @@ def flat_extension_check(m_n: MomentMatrix,
         raise ValueError("expected matrices at consecutive degrees")
     size = m_n.size
     compression_ok = True
-    scale = max(1.0, max(abs(float(m_n.entry(i, j)))
-                         for i in range(size) for j in range(size)))
+    scale = magnitude(m_n.entry(i, j) for i in range(size)
+                      for j in range(size))
     for i in range(size):
         for j in range(size):
             diff = m_n1.entry(i, j) - m_n.entry(i, j)

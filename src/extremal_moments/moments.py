@@ -24,6 +24,7 @@ from .polycore import (
     all_exact,
     ensure_scalar,
     format_scalar,
+    magnitude,
     monomial_basis,
     significant,
     total_degree,
@@ -73,7 +74,7 @@ class Multisequence:
 
     def scale(self) -> float:
         """Magnitude reference for relative tolerances."""
-        return max(1.0, max(abs(float(v)) for v in self.values.values()))
+        return magnitude(self.values.values())
 
 
 def multisequence_combine(parts: Sequence, coeffs: Sequence) -> Multisequence:
@@ -250,9 +251,8 @@ def recursiveness_check(matrix: MomentMatrix,
                         report: KernelReport) -> RecursivenessVerdict:
     """Check that p in ker M(n) forces (u*p) in ker M(n) for every monomial u
     with deg(u*p) <= n."""
-    scale = max(1.0, max(abs(float(matrix.entry(i, j)))
-                         for i in range(matrix.size)
-                         for j in range(matrix.size)))
+    scale = magnitude(matrix.entry(i, j) for i in range(matrix.size)
+                      for j in range(matrix.size))
     exact = matrix.is_exact
     for p, s, terms in kernel_products(report.kernel, matrix.n):
         if not any(s):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -77,7 +78,7 @@ def parse_scalar(text: str, mode: str | None = None) -> Scalar:
     to the exact rational they denote; ``mode="float"`` forces a double.
     """
     if not isinstance(text, str):
-        return ensure_scalar(text)
+        return _in_float_range(ensure_scalar(text), text)
     text = text.strip()
     if mode not in (None, "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -96,8 +97,19 @@ def parse_scalar(text: str, mode: str | None = None) -> Scalar:
                     raise InputError(f"non-finite scalar: {text!r}")
     except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
         raise InputError(f"cannot parse scalar {text!r}") from exc
+    value = _in_float_range(value, text)
     if mode == "float":
         return float(value)
+    return value
+
+
+def _in_float_range(value: Scalar, text) -> Scalar:
+    """*value*, unless it lies beyond the float range: every printed value
+    and residual is a float, so such a scalar is rejected in both modes."""
+    try:
+        float(value)
+    except OverflowError:
+        raise InputError(f"scalar beyond the float range: {text!r}") from None
     return value
 
 
@@ -135,6 +147,15 @@ RANK_TOL = 1e-10
 RESIDUAL_TOL = 1e-7
 
 
+def magnitude(values: Iterable[Scalar]) -> float:
+    """max(1, largest |v|) as a float, the reference of relative
+    tolerances; it saturates at the largest float."""
+    try:
+        return max(1.0, max((abs(float(v)) for v in values), default=1.0))
+    except OverflowError:
+        return sys.float_info.max
+
+
 def negligible(value: Scalar, scale: float = 1.0,
                exact: bool = False) -> bool:
     """Is *value* zero: ``value == 0`` when *exact*, else within
@@ -163,7 +184,8 @@ class JsonInput:
     Every accessor raises InputError naming the file when a value has the
     wrong shape, so malformed input never escapes as a TypeError.  Scalars
     follow one rule: strings go through ``parse_scalar`` in the file's mode,
-    JSON numbers through ``ensure_scalar``.
+    JSON numbers through ``ensure_scalar``, and neither may lie beyond the
+    float range.
     """
 
     def __init__(self, path, kind: str, required: Sequence[str],
@@ -203,11 +225,9 @@ class JsonInput:
         return value
 
     def scalar(self, value) -> Scalar:
-        if isinstance(value, str):
-            return parse_scalar(value, self.mode)
         if isinstance(value, float) and not math.isfinite(value):
             raise self.error(f"non-finite scalar: {value!r}")
-        return ensure_scalar(value)
+        return parse_scalar(value, self.mode)
 
     def scalars(self, value, what: str, length: int | None = None) -> tuple:
         return tuple(self.scalar(x) for x in self.array(value, what, length))

@@ -5,12 +5,14 @@ the quotient algebra A = R[x]/I of its ideal I, whose multiplication
 matrices come from one Macaulay matrix of the kernel's products.  Exact
 kernels read the real points from A exactly: the real roots of the minimal
 polynomial of a separating linear form are the points, and each coordinate
-is a root of its own minimal polynomial, isolated exactly (rational if the
-isolator hits it, else the midpoint of a refined interval); an ideal with a
-multiple zero is replaced by its radical first.  In two
-variables a nonconstant gcd of an exact kernel first certifies an infinite
-variety; this module only converts the kernel polynomials to and from the
-integer lists of ``_roots``, whose primitive remainder sequence finds it.
+is a root of its own minimal polynomial, isolated exactly: rational when
+it is dyadic, or by Vieta's rule when all roots of that polynomial are real
+and it is the only one left inexact, else the midpoint of a refined
+interval.  An ideal with a multiple zero is replaced by its radical first.
+In two variables a nonconstant gcd of an exact kernel first certifies an
+infinite variety; this module only converts the kernel polynomials to and
+from the integer lists of ``_roots``, whose primitive remainder sequence
+finds it.
 Float kernels read the points from the eigenvectors of one generic
 combination of the multiplication matrices, average each cluster (a
 multiple zero), and filter every real point by the residuals of *all*

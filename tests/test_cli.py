@@ -101,6 +101,33 @@ class TestExitCodes:
         assert run(["extend", str(moments)]) == 0
         assert "search: FlatAt" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("command", ["analyze", "solve", "variety",
+                                         "extend"])
+    def test_values_beyond_the_float_range(self, command, mode, capsys,
+                                           tmp_path):
+        # One atom at 10^100: its data is in range, but extend's new moment
+        # 10^400 is not.  Data of 10^400 itself is rejected as input.
+        atom = tmp_path / "atom.json"
+        em.dump_multisequence(em.Multisequence(
+            1, 2, {(k,): F(10**(100 * k)) for k in range(3)}), atom)
+        code = run([command, str(atom), "--mode", mode])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if mode == "exact":
+            assert code == 0
+            if command == "extend":
+                assert "search: FlatAt" in captured.out
+        else:
+            assert code in (0, 3)
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"d": 1, "degree": 4, "moments": [
+            {"idx": [k], "value": str(10**400)} for k in range(5)]}))
+        assert run([command, str(huge), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scalar beyond the float range")
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_text_battery(self, capsys):
@@ -292,6 +319,13 @@ MALFORMED = {
                               {"f": '{"d": 1, "atoms": [["0"]], '
                                     '"weights": ["1"]}'}),
     "example14-zero": (["synth", "--example14", "0", "1/2"], {}),
+    "example14-beyond-float-range": (["synth", "--example14", "2",
+                                      str(10**400), "--mode", "float"], {}),
+    "point-beyond-float-range": (["solve", "{m}", "--points", "{p}"],
+                                 {"m": VALID_D1, "p": '{"d": 1, "points": '
+                                  f'[["{10**400}"]]}}'}),
+    "json-number-beyond-float-range": (["solve", "{m}"], {
+        "m": VALID_D1.replace('"0"', str(10**400))}),
     "example14-not-integer": (["synth", "--example14", "x", "1/2"], {}),
     "extend-steps-zero": (["extend", "{m}", "--steps", "0"], {"m": VALID_D1}),
     "extend-steps-negative": (["extend", "{m}", "--steps", "-1"],

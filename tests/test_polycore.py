@@ -1,5 +1,6 @@
 """Unit tests: scalars, monomial orders, polynomial arithmetic."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from extremal_moments.polycore import (
     Polynomial,
     basis_size,
     format_scalar,
+    magnitude,
     monomial_basis,
     monomial_to_string,
     parse_scalar,
@@ -42,6 +44,22 @@ class TestScalars:
     def test_parse_rejects_garbage(self):
         with pytest.raises(InputError):
             parse_scalar("one half")
+
+    def test_parse_rejects_values_beyond_the_float_range(self):
+        for text in [str(10**400), f"-{10**400}/3", "1e400"]:
+            for mode in (None, "exact", "float"):
+                if text == "1e400" and mode != "exact":
+                    continue  # a float literal that overflows is inf
+                with pytest.raises(InputError, match="float range"):
+                    parse_scalar(text, mode)
+        with pytest.raises(InputError, match="float range"):
+            parse_scalar(10**400)
+        assert parse_scalar(f"1/{10**400}") == Fraction(1, 10**400)
+
+    def test_magnitude_saturates(self):
+        assert magnitude([]) == magnitude([Fraction(1, 2)]) == 1.0
+        assert magnitude([Fraction(-3), 2.0]) == 3.0
+        assert magnitude([Fraction(10**400), 1.0]) == sys.float_info.max
 
     def test_format_round_trip(self):
         for text in ["3/4", "-7", "0"]:

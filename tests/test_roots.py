@@ -5,9 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
-from extremal_moments import _roots
+from extremal_moments import _roots, beta_from_atoms, solve_extremal
+from extremal_moments._roots import IsolatedRoot, horner
 
 
 def F(*args):
@@ -216,11 +218,90 @@ class TestAgainstSympy:
             assert dyadic <= {r.value for r in roots if r.exact}
 
 
+class TestWalk:
+    """One bisection walk over dyadic intervals (lo, hi] / 2**k."""
+
+    def test_one_sturm_chain_per_call(self, monkeypatch):
+        # Squarefree, with several dyadic roots, some of them hit by split
+        # points, next to a third and two square roots.
+        calls = []
+        chain = _roots.sturm_chain
+        monkeypatch.setattr(_roots, "sturm_chain",
+                            lambda p: calls.append(p) or chain(p))
+        dyadic = {F(-1, 2), F(0), F(1), F(2), F(3, 4), F(-5, 8)}
+        coeffs = from_roots(dyadic | {F(1, 3)}, F(3), F(2))
+        roots, multiple = _roots.real_roots_exact(coeffs)
+        assert len(calls) == 1 and not multiple
+        assert len(roots) == 9
+        assert dyadic == {r.value for r in roots if r.exact}
+
+    def test_refined_roots_are_cells_of_one_grid(self):
+        # An inexact root's interval is the 2**-133 cell that holds it,
+        # whatever the bound and the path: an extra dyadic root moves none.
+        rng = random.Random(16)
+        cell = F(1, 2**133)
+        for _ in range(12):
+            dyadic = {F(rng.randint(-64, 64), 2 ** rng.randint(0, 6))
+                      for _ in range(rng.randint(0, 3))}
+            thirds = {F(rng.randint(-9, 9), 3)
+                      for _ in range(rng.randint(0, 2))}
+            square = F(rng.randint(2, 7)) if rng.random() < 0.7 else None
+            coeffs = multiply(from_roots(dyadic | thirds, F(1), square),
+                              random_product(rng, 4, repeat=1))
+            roots, _ = _roots.real_roots_exact(coeffs)
+            for r in roots:
+                if not r.exact:
+                    assert r.high - r.low == cell
+                    assert (r.low / cell).denominator == 1
+            extra, _ = _roots.real_roots_exact(
+                multiply(coeffs, [F(-5, 8), F(1)]))
+            assert IsolatedRoot(F(5, 8), True, F(5, 8), F(5, 8)) in extra
+            assert ([r for r in extra if r.value != F(5, 8)]
+                    == [r for r in roots if r.value != F(5, 8)])
+
+    @pytest.mark.parametrize("coeffs, exact", [
+        (from_roots([F(1, 3), F(1, 2), F(1)], F(1)), [True] * 3),
+        (from_roots([F(1, 3), F(2, 3)], F(1)), [False] * 2),
+        (multiply([F(-1, 3), F(1)], [F(1), F(0), F(1)]), [False]),
+        ([F(-1), F(3)], [True]),
+    ])
+    def test_exact_by_vieta_when_one_real_root_is_left(self, coeffs, exact):
+        # A root is exact when the walk meets it (dyadic), or when all
+        # deg p roots are real and it is the only one left inexact.
+        roots, _ = _roots.real_roots_exact(coeffs)
+        assert [r.exact for r in roots] == exact
+        for r in roots:
+            if r.exact:
+                assert horner(coeffs, r.value) == 0
+            else:
+                assert r.low < r.value < r.high
+        if all(exact):
+            assert F(1, 3) in {r.value for r in roots}
+
+    def test_rational_atoms_solve_with_exact_densities(self):
+        atoms = [(F(1, 3),), (F(1, 2),), (F(1),)]
+        beta = beta_from_atoms(atoms, [F(1), F(2), F(3)], d=1, degree=6)
+        report = solve_extremal(beta)
+        assert report.status == "Measure"
+        assert report.measure.atoms == tuple(atoms)
+        assert report.measure.densities == (F(1), F(2), F(3))
+        assert report.residual == 0.0
+        assert report.variety.exact_mask == (True, True, True)
+
+
 class TestHelpers:
     def test_sturm_sign_count_interval(self):
         chain = _roots.sturm_chain([F(-2), F(0), F(1)])  # x^2 - 2
-        assert (_roots.sign_variations(chain, F(0))
-                - _roots.sign_variations(chain, F(2))) == 1
+        # Counts at the dyadic num / 2**shift: sqrt(2) is in (0, 2] and in
+        # (5/4, 3/2], and not in (0, 5/4].
+        assert (_roots.sign_variations(chain, 0, 0)
+                - _roots.sign_variations(chain, 2, 0)) == 1
+        assert (_roots.sign_variations(chain, 5, 2)
+                - _roots.sign_variations(chain, 3, 1)) == 1
+        assert (_roots.sign_variations(chain, 0, 0)
+                - _roots.sign_variations(chain, 5, 2)) == 0
+        assert (_roots.sign_variations(chain, -2, 0)
+                - _roots.sign_variations(chain, 2, 0)) == 2
 
     def test_cauchy_bound_is_power_of_two(self):
         bound = _roots.cauchy_bound([F(-2), F(0), F(1)])
