@@ -289,7 +289,7 @@ def _cmd_extend(args) -> int:
              + (f" at M({search.flat_level})" if search.flat_level else ""))
     if search.status == "FlatAt":
         final = search.final
-        handoff = solve_extremal(final.beta, pipe=final)
+        handoff = solve_extremal(final)
         out.set("solve_status", handoff.status)
         out.line(f"handoff solve: {handoff.status}")
         if handoff.measure is not None:

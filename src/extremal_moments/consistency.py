@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import _linalg, _roots
+# pipeline imports this module: Pipeline is read from it at call time.
+from . import _linalg, _roots, pipeline
 from .moments import Multisequence, riesz
 from .polycore import (
     RANK_TOL,
@@ -29,7 +30,6 @@ from .polycore import (
     Point,
     Polynomial,
     Scalar,
-    all_exact,
     negligible,
     significant,
 )
@@ -81,29 +81,27 @@ class CertificateVerdict:
     reasons: tuple = ()
 
 
-def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
+def consistency_check(beta: Multisequence,
+                      variety: VarietyReport) -> ConsistencyVerdict:
     """Check Lambda(p) = 0 for every p of degree <= 2n vanishing on the
     variety: the first relation of ``vanishing_ideal`` that Lambda does not
-    annihilate is the witness.  Unknown when the variety is not a finite
-    point list, for an empty point list (a Finite report with no points is
-    the empty set), when the relations need not span the ideal, and when
-    a float witness fails ``variety._residual_ok`` at some point."""
-    if isinstance(variety, VarietyReport) and variety.status != "Finite":
+    annihilate is the witness.  Unknown when the variety is not finite
+    (a Finite report with no points is the empty set), when the relations
+    need not span the ideal, and when a float witness fails
+    ``variety._residual_ok`` at some point."""
+    if variety.status != "Finite":
         return ConsistencyVerdict(
             "Unknown",
             reason=f"variety is {variety.status}; the vanishing ideal "
                    "cannot be enumerated from points")
-    if not isinstance(variety, VarietyReport) and not variety:
-        return ConsistencyVerdict("Unknown", reason="no variety points")
     relations, complete = vanishing_ideal(variety, beta.degree, beta.d)
     scale, exact = beta.scale(), beta.is_exact
-    points = variety.points if isinstance(variety, VarietyReport) else variety
     for p in relations.values():
         value = riesz(beta, p)
         certain = exact and p.is_exact
         if significant(value, scale, certain):
             if not certain and not all(_residual_ok(p, w, False)
-                                       for w in points):
+                                       for w in variety.points):
                 return ConsistencyVerdict(
                     "Unknown", reason="the float witness does not vanish "
                                       "at every variety point")
@@ -117,19 +115,15 @@ def consistency_check(beta: Multisequence, variety) -> ConsistencyVerdict:
 
 
 def signed_representation(beta: Multisequence,
-                          variety) -> SignedRepresentation:
+                          variety: VarietyReport) -> SignedRepresentation:
     """Weights alpha with Lambda = sum alpha_i * evaluation at w_i on all
-    monomials of degree <= 2n, supported on a row basis of W_{2n}.  A
+    monomials of degree <= 2n, supported on a row basis of W_{2n}.  The
     report's mask says whether its points are the variety or refined
-    approximations; a raw point list is taken at face value."""
-    if isinstance(variety, VarietyReport):
-        points = variety.points if variety.status == "Finite" else ()
-        exact_points = all(variety.exact_mask)
-    else:
-        points = tuple(tuple(w) for w in variety)
-        exact_points = all(all_exact(w) for w in points)
+    approximations."""
+    points = variety.points if variety.status == "Finite" else ()
     if not points:
         raise ValueError("signed_representation needs a finite point list")
+    exact_points = all(variety.exact_mask)
     w_matrix = build_W(points, beta.degree, beta.d)
     # Independent rows of W = pivot columns of its transpose.
     row_pick = _linalg.row_reduce(_linalg.transpose(w_matrix.rows)).pivots
@@ -184,18 +178,16 @@ def compute_h(points: Sequence[Point],
     return h
 
 
-def reduced_consistency_test(beta: Multisequence, *,
-                             pipe=None) -> ReducedVerdict:
+def reduced_consistency_test(beta) -> ReducedVerdict:
     """Decide measure existence in the curve scenario via Lambda(h).
 
     Preconditions checked: d=2, degree 6, M(3) PSD with rank 8, pivot basis
     SCENARIO_BASIS (so X^3 = Y is a column relation), finite variety of
-    exactly eight points.  Outside the scenario: NotApplicable.  *pipe*, a
-    pipeline of beta, lends the stages it has already computed.
+    exactly eight points.  Outside the scenario: NotApplicable.  *beta* is
+    the data, or a Pipeline of it whose computed stages the test reads.
     """
-    from .pipeline import solver_pipeline  # the pipeline imports this module
-
-    pipe = solver_pipeline(beta, pipe)
+    pipe = pipeline.Pipeline.of(beta)
+    beta = pipe.beta
     if beta.d != 2 or beta.degree != 6:
         return ReducedVerdict("NotApplicable",
                               reason="scenario needs d=2, degree-6 data")

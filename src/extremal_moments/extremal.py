@@ -22,9 +22,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from . import _linalg
-from .consistency import consistency_check
 from .moments import KernelReport, Multisequence, PsdVerdict, riesz
-from .pipeline import Pipeline, solver_pipeline
+from .pipeline import Pipeline
 from .polycore import (
     JsonInput,
     Point,
@@ -37,12 +36,7 @@ from .polycore import (
     negligible,
 )
 from .synth import moments_of_atoms
-from .variety import (
-    VarietyReport,
-    adopt_points,
-    injectivity_check,
-    vandermonde_rows,
-)
+from .variety import VarietyReport, vandermonde_rows
 
 
 @dataclass(frozen=True)
@@ -116,15 +110,16 @@ def verify_measure(beta: Multisequence,
                               exact, worst)
 
 
-def solve_extremal(beta: Multisequence,
+def solve_extremal(beta: Multisequence | Pipeline,
                    points: Optional[Sequence[Point]] = None,
-                   basis: Optional[Sequence] = None, *,
-                   pipe: Optional[Pipeline] = None) -> SolveReport:
+                   basis: Optional[Sequence] = None) -> SolveReport:
     """Decide solvability in the extremal case and recover the measure.
 
-    *pipe*, a pipeline of beta, lends the stages it has already computed;
-    supplied *points* replace its variety."""
-    pipe = solver_pipeline(beta, pipe)
+    *beta* is the data, or a Pipeline of it whose computed stages the
+    solver reads; supplied *points* become the variety of a new Pipeline
+    of the data (``Pipeline.of``)."""
+    pipe = Pipeline.of(beta, points)
+    beta = pipe.beta
     psd = pipe.psd
     if not psd.ok:
         return SolveReport("NoMeasure", reason="NotPSD",
@@ -132,8 +127,7 @@ def solve_extremal(beta: Multisequence,
     kernel_report = pipe.kernel
     r = kernel_report.rank
     report = partial(SolveReport, rank=r, kernel=kernel_report, psd=psd)
-    variety = pipe.variety if points is None \
-        else adopt_points(kernel_report, points)
+    variety = pipe.variety
     if variety is None:
         return report("NotExtremal", v=math.inf,
                       reason="M(n) is invertible, so the variety is all of "
@@ -151,35 +145,28 @@ def solve_extremal(beta: Multisequence,
         return report("NotExtremal",
                       reason=f"rank {r} != variety cardinality {v}")
 
-    def consistency():  # supplied points check the adopted variety
-        return pipe.consistency if points is None \
-            else consistency_check(beta, variety)
-
     basis_elems = tuple(basis) if basis is not None else kernel_report.pivots
     if len(basis_elems) != r:
         raise ValueError(f"basis must have {r} elements, got {len(basis_elems)}")
     if beta.is_exact:
         # The paper's theorem: PSD, r = card V and consistency decide.
-        cons = consistency()
-        if not cons.ok:
-            return _from_consistency(report, cons)
+        if not pipe.consistency.ok:
+            return _from_consistency(report, pipe.consistency)
     polys, rows = vandermonde_rows(basis_elems, variety.points)
     try:
         densities = _linalg.solve_linear(rows, [riesz(beta, b)
                                                 for b in polys])
     except _linalg.SingularMatrixError:
-        inj = injectivity_check(kernel_report, variety)
-        return report("NoMeasure", reason="SingularVB", witness=inj.witness)
+        return report("NoMeasure", reason="SingularVB",
+                      witness=pipe.injectivity.witness)
     measure = AtomicMeasure(beta.d, variety.points, tuple(densities))
     verification = verify_measure(beta, measure)
     report = partial(report, residual=verification.residual)
     if not verification.ok:
         # Exact data is consistent here; float data looks for an
         # inconsistency witness on the variety's vanishing ideal.
-        if not beta.is_exact:
-            cons = consistency()
-            if cons.status == "Inconsistent":
-                return _from_consistency(report, cons)
+        if not beta.is_exact and pipe.consistency.status == "Inconsistent":
+            return _from_consistency(report, pipe.consistency)
         return report("Unknown", reason="interpolation failed without an "
                                         "inconsistency witness")
     if any(float(rho) <= 0 for rho in densities):

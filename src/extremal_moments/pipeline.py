@@ -5,13 +5,15 @@ M(n), its column relations, the variety V, the extremal comparison
 rank M(n) = card V, then consistency.  A ``Pipeline`` holds that chain for
 one beta: each stage is computed by its module-level function on
 first use and kept, so every subcommand reads M(n), its kernel and the
-variety from one object and no stage runs twice for a command.
+variety from one object and no stage runs twice for a command.  Supplied
+points take the place of the computed variety; every later stage reads
+them the same way.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .consistency import ConsistencyVerdict, consistency_check
 from .moments import (
@@ -27,19 +29,34 @@ from .moments import (
     rank_kernel,
     recursiveness_check,
 )
+from .polycore import Point
 from .variety import (
     InjectivityVerdict,
     VarietyReport,
+    adopt_points,
     compute_variety,
     injectivity_check,
 )
 
 
 class Pipeline:
-    """Lazily evaluated stages of M(n) for *beta*."""
+    """Lazily evaluated stages of M(n) for *beta*; supplied *points* are
+    its variety once they satisfy every kernel relation."""
 
-    def __init__(self, beta: Multisequence):
+    def __init__(self, beta: Multisequence,
+                 points: Optional[Sequence[Point]] = None):
         self.beta = beta
+        self.points = points
+
+    @classmethod
+    def of(cls, data, points: Optional[Sequence[Point]] = None) -> Pipeline:
+        """*data* itself when it is a Pipeline, else a new Pipeline of the
+        data and *points*; a given Pipeline takes no points."""
+        if not isinstance(data, Pipeline):
+            return cls(data, points)
+        if points is not None:
+            raise ValueError("points cannot be supplied with a Pipeline")
+        return data
 
     @cached_property
     def matrix(self) -> MomentMatrix:
@@ -68,8 +85,10 @@ class Pipeline:
 
     @cached_property
     def variety(self) -> Optional[VarietyReport]:
-        """Zero set of the kernel in any d; None when the kernel is
-        trivial."""
+        """The supplied points, or the zero set of the kernel in any d;
+        None when neither is there (no points and a trivial kernel)."""
+        if self.points is not None:
+            return adopt_points(self.kernel, self.points)
         if self.kernel.nullity == 0:
             return None
         return compute_variety(list(self.kernel.kernel))
@@ -89,14 +108,3 @@ class Pipeline:
                 or not variety.points:
             return None
         return injectivity_check(self.kernel, variety)
-
-
-def solver_pipeline(beta: Multisequence,
-                    pipe: Optional[Pipeline] = None) -> Pipeline:
-    """The pipeline of *beta* that the solver and the reduced test read:
-    *pipe*, once checked to be one, or a new one."""
-    if pipe is None:
-        return Pipeline(beta)
-    if pipe.beta is not beta:
-        raise ValueError("pipe must hold beta")
-    return pipe

@@ -263,11 +263,6 @@ def monomial_basis(d: int, k: int) -> list:
     return basis
 
 
-def basis_size(d: int, k: int) -> int:
-    """Number of monomials in d variables of total degree <= k."""
-    return math.comb(k + d, d)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

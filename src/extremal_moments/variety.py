@@ -75,6 +75,13 @@ class VarietyReport:
     multiple_roots: bool = False
     quotient: Optional[tuple] = field(default=None, repr=False)
 
+    @classmethod
+    def of_points(cls, points: Sequence[Point]) -> VarietyReport:
+        """The finite set of *points*, in their order; a point is exact when
+        all its coordinates are rational."""
+        points = tuple(map(tuple, points))
+        return cls("Finite", points, tuple(map(all_exact, points)))
+
     @property
     def v(self):
         """Cardinality: an int when finite, ``math.inf`` when infinite,
@@ -445,23 +452,27 @@ def _residual_ok(p: Polynomial, point, point_exact: bool) -> bool:
 def adopt_points(report: KernelReport,
                  points: Sequence[Point]) -> VarietyReport:
     """Supplied points as the variety, after checking that each satisfies
-    every kernel relation; exact where point and kernel are both exact."""
-    adopted, mask = [], []
+    every kernel relation.  A rational point at which an exact kernel
+    vanishes exactly stays exact; any other point, such as a refined
+    midpoint of an irrational one, is adopted as its float approximation
+    once the relations vanish there within tolerance."""
+    adopted = []
     exact_kernel = all(p.is_exact for p in report.kernel)
     for w in points:
         w = tuple(ensure_scalar(x) for x in w)
         if len(w) != report.d:
             raise InputError(f"supplied point {tuple(float(x) for x in w)} "
                              f"does not have dimension {report.d}")
-        point_exact = all_exact(w) and exact_kernel
+        if not (exact_kernel and all_exact(w) and all(
+                _residual_ok(p, w, True) for p in report.kernel)):
+            w = tuple(float(x) for x in w)
         for p in report.kernel:
-            if not _residual_ok(p, w, point_exact):
+            if not _residual_ok(p, w, all_exact(w)):
                 raise InputError(
-                    f"supplied point {tuple(float(x) for x in w)} does not "
-                    f"satisfy kernel relation {p}")
+                    f"supplied point {w} does not satisfy kernel "
+                    f"relation {p}")
         adopted.append(w)
-        mask.append(point_exact)
-    return VarietyReport("Finite", tuple(adopted), tuple(mask))
+    return VarietyReport.of_points(adopted)
 
 
 def _finite(points, mask, multiple_roots: bool,
@@ -510,10 +521,10 @@ def hilbert_function(points: Sequence[Point], k: int) -> int:
     return eval_matrix_rank(build_W(points, k))
 
 
-def vanishing_ideal(variety, k: int, d: int) -> tuple:
+def vanishing_ideal(variety: VarietyReport, k: int, d: int) -> tuple:
     """``(relations, complete)``: the x^a - NF(x^a) of degree <= k vanishing
-    on *variety* (a report or a point list), one for each monomial a outside
-    the degree-lex normal set, NF(x^a) over the normal monomials before a.
+    on *variety*, one for each monomial a outside the degree-lex normal
+    set, NF(x^a) over the normal monomials before a.
 
     An exact report's basis of A/sqrt(I) is that normal set: each pivot of
     its Macaulay matrix leads an element of sqrt(I), so the normal set lies
@@ -523,9 +534,7 @@ def vanishing_ideal(variety, k: int, d: int) -> tuple:
     relations vanish on V but need not span its ideal, and ``complete`` is
     False unless the points are exact and decide.  Otherwise NF(x^a) comes
     from the pivot columns of the evaluations W_k before a."""
-    is_report = isinstance(variety, VarietyReport)
-    points = variety.points if is_report else tuple(map(tuple, variety))
-    quotient = variety.quotient if is_report else None
+    points, quotient = variety.points, variety.quotient
     columns = monomial_basis(d, k)
     complete = quotient is None or len(quotient[0]) == len(points)
     if quotient is not None and (complete or not all(variety.exact_mask)):
@@ -547,14 +556,15 @@ def vanishing_ideal(variety, k: int, d: int) -> tuple:
 
 
 def injectivity_check(report: KernelReport,
-                      variety) -> InjectivityVerdict:
+                      variety: VarietyReport) -> InjectivityVerdict:
     """Decide rank M(n) = rank W_n, i.e. whether point evaluations separate
     the column space, from ``vanishing_ideal``.  When they do not, returns
-    a polynomial vanishing on the variety (a report or a point list) that
-    is not in the kernel of M(n)."""
+    a polynomial vanishing on the variety that is not in the kernel of
+    M(n)."""
     relations, complete = vanishing_ideal(variety, report.n, report.d)
     if not complete:  # sqrt(I) is not all: rank W at the refined points
-        relations, _ = vanishing_ideal(variety.points, report.n, report.d)
+        relations, _ = vanishing_ideal(
+            VarietyReport.of_points(variety.points), report.n, report.d)
     rank_w = len(report.basis) - len(relations)
     if rank_w == report.rank:
         return InjectivityVerdict(True, report.rank, rank_w)

@@ -207,6 +207,27 @@ class TestArtifacts:
         points = em.load_points(out_file)
         assert len(points) == 4
 
+    @pytest.mark.parametrize("mode", ("exact", "float"))
+    @pytest.mark.parametrize("fixture", ("example15", "prop61", "ex44",
+                                         "prop61_deg8", "ex71", "thm62_a8_8"))
+    def test_variety_points_solve_back(self, fixture, mode, capsys,
+                                       tmp_path):
+        # Refined points are adopted as approximations: solving with them
+        # answers as the plain solve does, or Unknown, and never exits 1.
+        moments = str(fixture_path(f"{fixture}.moments.json"))
+        points = str(tmp_path / "points.json")
+        assert run(["variety", moments, "--mode", mode, "--out", points]) == 0
+        capsys.readouterr()
+        statuses = []
+        for extra in ([], ["--points", points]):
+            assert run(["solve", moments, "--mode", mode,
+                        "--format", "structured", *extra]) != 1
+            statuses.append(json.loads(capsys.readouterr().out)["status"])
+        plain, supplied = statuses
+        assert supplied in (plain, "Unknown")
+        if fixture == "example15":
+            assert supplied == "Measure"
+
     def test_extend_writes_measure(self, capsys, tmp_path, ex71):
         out_file = tmp_path / "measure.json"
         assert run(["extend", EX71, "--out", str(out_file)]) == 0

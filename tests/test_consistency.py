@@ -55,7 +55,7 @@ class TestConsistencyCheck:
         beta = em.Multisequence(1, 4, {(0,): F(3), (1,): F(3), (2,): F(5),
                                        (3,): F(9), (4,): F(18)})
         points = [(F(0),), (F(1),), (F(2),)]
-        verdict = em.consistency_check(beta, points)
+        verdict = em.consistency_check(beta, VarietyReport.of_points(points))
         assert verdict.status == "Inconsistent"
         assert verdict.value != 0
         for w in points:
@@ -105,16 +105,20 @@ class TestConsistencyCheck:
         assert verdict.witness == Polynomial.monomial(2, (1, 0))
         assert verdict.value == 3
 
-    def test_no_points_is_unknown(self):
+    def test_no_points_is_the_empty_set(self):
+        # An empty point list is the empty variety, on which 1 vanishes.
         beta = em.Multisequence(1, 2, {(0,): F(1), (1,): F(0), (2,): F(1)})
-        verdict = em.consistency_check(beta, [])
-        assert verdict.status == "Unknown"
+        verdict = em.consistency_check(beta, VarietyReport.of_points([]))
+        assert verdict.status == "Inconsistent"
+        assert verdict.witness == Polynomial.monomial(1, (0,))
+        assert verdict.value == 1
 
 
 class TestSignedRepresentation:
     def test_exact_two_atoms(self):
         beta = em.beta_from_atoms([(F(0),), (F(1),)], [F(2), F(3)], degree=2)
-        rep = em.signed_representation(beta, [(F(0),), (F(1),)])
+        rep = em.signed_representation(
+            beta, VarietyReport.of_points([(F(0),), (F(1),)]))
         assert rep.valid
         assert rep.residual == 0.0
         weights = dict(zip(rep.atoms, rep.weights))
@@ -136,7 +140,7 @@ class TestSignedRepresentation:
 
     def test_requires_points(self, prop61):
         with pytest.raises(ValueError):
-            em.signed_representation(prop61, [])
+            em.signed_representation(prop61, VarietyReport.of_points([]))
 
 
 class TestComputeH:
@@ -267,7 +271,7 @@ class TestQuotientConsistency:
                 pipe.injectivity.rank_w) == (True, 8, 8)
         search = em.extension_search(beta)
         assert search.status == "FlatAt"
-        handoff = em.solve_extremal(search.final.beta, pipe=search.final)
+        handoff = em.solve_extremal(search.final)
         assert handoff.status == "Measure"
 
     def test_exact_point_decides_beside_nonreal_zeros(self):

@@ -1,6 +1,8 @@
 """One pipeline per command: every distinct M(n) is built, PSD-checked and
 reduced once, and the variety is computed once.  The solver and the reduced
-test are still reached through their module-level names.
+test are still reached through their module-level names, and read every
+stage from one pipeline, given or built from the data and any supplied
+points.
 
 Calls are counted at every binding of the stage functions (the package
 imports them by name into many modules), so a stage that some module calls
@@ -19,6 +21,7 @@ import extremal_moments as em
 from extremal_moments import _linalg
 from extremal_moments import cli as cli_module
 from extremal_moments.cli import run
+from extremal_moments.variety import VarietyReport
 
 from conftest import fixture_path
 
@@ -153,17 +156,11 @@ def test_trivial_kernel_has_no_variety():
     assert pipe.injectivity is None
 
 
-def test_solver_rejects_a_pipeline_of_other_data(ex15, ex71):
-    pipe = em.Pipeline(ex71)
-    with pytest.raises(ValueError):
-        em.solve_extremal(ex15, pipe=pipe)
-
-
 def test_solver_reads_a_given_pipeline(ex15, calls):
     pipe = em.Pipeline(ex15)
     pipe.variety
     calls.clear()
-    given, fresh = em.solve_extremal(ex15, pipe=pipe), em.solve_extremal(ex15)
+    given, fresh = em.solve_extremal(pipe), em.solve_extremal(ex15)
     assert given.status == fresh.status == "Measure"
     assert given.measure == fresh.measure
     assert calls["compute_variety"] == 1  # the second, fresh solve only
@@ -180,10 +177,24 @@ def test_solver_reads_the_pipeline_analyze_built(monkeypatch, calls):
     cli("analyze", moments("example15"))
     (pipe,) = built
     calls.clear()
-    report = em.solve_extremal(pipe.beta, pipe=pipe)
+    report = em.solve_extremal(pipe)
     assert report.status == "Measure"
     assert report.variety is pipe.variety
     assert calls["compute_variety"] == 0
+
+
+def test_reduced_test_reads_a_given_pipeline(prop61, calls):
+    pipe = em.Pipeline(prop61)
+    pipe.psd, pipe.variety
+    calls.clear()
+    assert em.reduced_consistency_test(pipe).status == "MeasureExists"
+    assert calls == {"reduced_consistency_test": 1}
+
+
+def test_a_given_pipeline_takes_no_points(ex15):
+    # Points belong to the pipeline they are the variety of.
+    with pytest.raises(ValueError):
+        em.solve_extremal(em.Pipeline(ex15), [(0, 0)])
 
 
 @pytest.fixture
@@ -212,15 +223,30 @@ def test_solver_reads_the_pipeline_consistency(fixture, mode,
     # the check the pipeline holds.
     pipe = em.Pipeline(em.load_multisequence(moments(fixture), mode))
     held = pipe.consistency
-    report = em.solve_extremal(pipe.beta, pipe=pipe)
+    report = em.solve_extremal(pipe)
     assert consistency_checks == [pipe.variety]
     assert report.status == ("Measure" if held.ok else "NoMeasure")
 
 
-def test_supplied_points_check_their_own_variety(consistency_checks):
+def test_supplied_points_check_their_own_variety(consistency_checks, calls):
     grid = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    pipe = em.Pipeline(em.beta_from_atoms(grid, [1, 2, 3, 4], degree=4))
-    assert pipe.consistency.ok
-    report = em.solve_extremal(pipe.beta, grid, pipe=pipe)
+    pipe = em.Pipeline(em.beta_from_atoms(grid, [1, 2, 3, 4], degree=4), grid)
+    assert pipe.variety == VarietyReport.of_points(grid)
+    assert pipe.variety.exact_mask == (True,) * 4
+    report = em.solve_extremal(pipe)
     assert report.status == "Measure"
-    assert consistency_checks == [pipe.variety, report.variety]
+    assert report.variety is pipe.variety
+    assert consistency_checks == [pipe.variety]
+    assert calls["compute_variety"] == 0
+
+
+def test_supplied_points_of_an_invertible_matrix_are_the_measure():
+    # M(2) of three atoms on the line is invertible: no kernel relation to
+    # check, and the supplied points are the atoms.
+    atoms = [(0,), (1,), (2,)]
+    beta = em.beta_from_atoms(atoms, [1, 1, 1], degree=4)
+    for report in (em.solve_extremal(beta, atoms),
+                   em.solve_extremal(em.Pipeline(beta, atoms))):
+        assert (report.status, report.rank, report.v) == ("Measure", 3, 3)
+        assert report.measure.atoms == tuple(atoms)
+    assert em.solve_extremal(beta).status == "NotExtremal"

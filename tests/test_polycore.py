@@ -9,7 +9,6 @@ from extremal_moments.polycore import (
     InputError,
     MINUS_INFINITY,
     Polynomial,
-    basis_size,
     format_scalar,
     magnitude,
     monomial_basis,
@@ -74,11 +73,6 @@ class TestMonomials:
     def test_degree_lex_order_d3_head(self):
         basis = monomial_basis(3, 1)
         assert basis == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-    def test_basis_size_matches_enumeration(self):
-        for d in (1, 2, 3):
-            for k in range(5):
-                assert basis_size(d, k) == len(monomial_basis(d, k))
 
     def test_total_degree(self):
         assert total_degree((2, 3)) == 5

@@ -12,7 +12,7 @@ import extremal_moments as em
 from extremal_moments import _linalg
 from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.polycore import InputError, Polynomial
-from extremal_moments.variety import vanishing_ideal
+from extremal_moments.variety import VarietyReport, vanishing_ideal
 
 from conftest import d3_measure, fixture_path
 
@@ -313,7 +313,8 @@ class TestEvalMatrices:
     def test_injectivity_holds_on_recovered_variety(self, ex15):
         report = em.rank_kernel(em.build_moment_matrix(ex15))
         variety = em.compute_variety(report.kernel)
-        verdict = em.injectivity_check(report, variety.points)
+        verdict = em.injectivity_check(report,
+                                       VarietyReport.of_points(variety.points))
         assert verdict.injective
         assert verdict.rank_m == 4
         assert verdict.rank_w == 4
@@ -324,7 +325,8 @@ class TestEvalMatrices:
                                   [F(1), F(1), F(1)], degree=4)
         report = em.rank_kernel(em.build_moment_matrix(beta))
         assert report.rank == 3
-        verdict = em.injectivity_check(report, [(F(0),), (F(1),)])
+        verdict = em.injectivity_check(
+            report, VarietyReport.of_points([(F(0),), (F(1),)]))
         assert not verdict.injective
         assert verdict.rank_w == 2
         assert verdict.witness is not None
@@ -355,8 +357,8 @@ class TestVanishingIdealFromQuotient:
         assert report.quotient is not None and all(report.exact_mask)
         d = len(report.points[0])
         for k in (n, 2 * n):
-            assert vanishing_ideal(report, k, d) \
-                == vanishing_ideal(report.points, k, d)
+            assert vanishing_ideal(report, k, d) == vanishing_ideal(
+                VarietyReport.of_points(report.points), k, d)
 
     def test_dyadic_atoms_in_general_position(self):
         rng = random.Random(71)
