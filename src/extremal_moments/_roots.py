@@ -4,16 +4,15 @@ Exact path: one bisection walk over integer dyadic intervals (lo, hi] / 2**k,
 from a power-of-two Cauchy bound (-B, B], with Sturm counts at the ends that
 are passed down, so a split counts only at its midpoint.  An interval that
 holds one root is refined by bisection to a requested width; one that holds
-more is split in two.  A root that an end or midpoint hits is
-dyadic and returned exactly; if all roots are real and one is left inexact,
-Vieta's sum of the roots gives it exactly too.  Everything runs in plain
-integers: the Sturm chain, the gcd and the squarefree part come from one
-primitive remainder sequence on integer polynomials, and every sign is an
-integer Horner evaluation at num / 2**k.  The same sequence, run in
-(Z[x])[y] with contents taken out in Z[x], gives the bivariate gcd that
-``variety`` uses to find a common factor of a kernel.  Float data never
-comes here: float varieties are read from the eigenvectors of
-multiplication matrices (see ``variety``).
+more is split in two.  A root is exact iff it is rational: a midpoint hits
+it, or it is N / |lead| (rational root theorem), N rounded from a refined
+midpoint.  Everything runs in plain integers: the Sturm chain, the gcd and
+the squarefree part come from one primitive remainder sequence on integer
+polynomials, and every sign is an integer Horner evaluation at num / 2**k.
+The same sequence, run in (Z[x])[y] with contents taken out in Z[x], gives
+the bivariate gcd that ``variety`` uses to find a common factor of a
+kernel.  Float data never comes here: float varieties are read from the
+eigenvectors of multiplication matrices (see ``variety``).
 
 Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.  A
 polynomial in (Z[x])[y] is a list of such integer lists, one per power of y.
@@ -231,7 +230,7 @@ def cauchy_bound(coeffs) -> int:
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """One real root: exact rational, or an enclosing interval midpoint."""
+    """One real root: exact iff rational, else an enclosing cell's midpoint."""
 
     value: Fraction
     exact: bool
@@ -265,20 +264,27 @@ def _roots_squarefree(p, width):
     while stack:
         lo, hi, k, v_lo, v_hi = stack.pop()
         if v_lo - v_hi == 1 and _dyadic_value(p, lo, k) != 0:
-            roots.append(_refine(p, lo, hi, k, width))
+            roots.append(_isolate(p, lo, hi, k, width))
         elif v_lo > v_hi:
             mid = lo + hi
             v_mid = sign_variations(chain, mid, k + 1)
             stack.append((lo << 1, mid, k + 1, v_lo, v_mid))
             stack.append((mid, hi << 1, k + 1, v_mid, v_hi))
-    inexact = [i for i, r in enumerate(roots) if not r.exact]
-    if len(roots) == len(p) - 1 and len(inexact) == 1:
-        i, = inexact
-        value = Fraction(-p[-2], p[-1]) - sum(r.value for r in roots
-                                              if r.exact)
-        assert roots[i].low < value < roots[i].high
-        roots[i] = IsolatedRoot(value, True, value, value)
     return roots
+
+
+def _isolate(p, lo, hi, k, width):
+    """The root of p in (lo, hi] / 2**k: exact if rational, else refined to
+    *width*.  A rational root is N / |lead| (rational root theorem), and N
+    rounds from a midpoint within 1 / (2 |lead|) of it."""
+    root = _refine(p, lo, hi, k, width)
+    lead = abs(p[-1])
+    near = root if 2 * lead * width <= 1 \
+        else _refine(p, lo, hi, k, Fraction(1, 2 * lead))
+    value = Fraction(round(near.value * lead), lead)
+    if near.low <= value <= near.high and horner(p, value) == 0:
+        return IsolatedRoot(value, True, value, value)
+    return root
 
 
 def _dyadic_value(p, num, shift) -> int:

@@ -30,6 +30,7 @@ from .polycore import (
     Point,
     Polynomial,
     Scalar,
+    is_exact,
     negligible,
     significant,
 )
@@ -95,13 +96,12 @@ def consistency_check(beta: Multisequence,
             reason=f"variety is {variety.status}; the vanishing ideal "
                    "cannot be enumerated from points")
     relations, complete = vanishing_ideal(variety, beta.degree, beta.d)
-    scale, exact = beta.scale(), beta.is_exact
+    scale = beta.scale()
     for p in relations.values():
         value = riesz(beta, p)
-        certain = exact and p.is_exact
-        if significant(value, scale, certain):
-            if not certain and not all(_residual_ok(p, w, False)
-                                       for w in variety.points):
+        if significant(value, scale):
+            if not is_exact(value) and not all(_residual_ok(p, w)
+                                               for w in variety.points):
                 return ConsistencyVerdict(
                     "Unknown", reason="the float witness does not vanish "
                                       "at every variety point")
@@ -217,7 +217,7 @@ def reduced_consistency_test(beta) -> ReducedVerdict:
         return ReducedVerdict("Unknown", reason="Y^2X^2 has no normal form "
                                                 "over the scenario basis")
     value = riesz(beta, h)
-    if not negligible(value, beta.scale(), beta.is_exact and h.is_exact):
+    if not negligible(value, beta.scale()):
         return ReducedVerdict("NoMeasure", value, h, reason="Lambda(h) != 0 "
                               "for the correction h vanishing on the variety")
     if not complete:

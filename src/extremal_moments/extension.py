@@ -108,7 +108,6 @@ def propagate_recursive_extension(matrix: MomentMatrix,
     d, n = matrix.d, matrix.n
     beta = matrix.beta
     known = dict(beta.values)
-    exact = beta.is_exact and all(p.is_exact for p in report.kernel)
 
     equations = [(terms, (p, s)) for p, s, terms
                  in kernel_products(report.kernel, 2 * n + 2)]
@@ -143,7 +142,7 @@ def propagate_recursive_extension(matrix: MomentMatrix,
         value: Scalar = Fraction(0)
         for idx, c in coeffs.items():
             value = value + c * known[idx]
-        if significant(value, scale, exact and is_exact(value)):
+        if significant(value, scale):
             conflicts.append((*source, value))
 
     well_defined = not conflicts and not undetermined
@@ -172,7 +171,7 @@ def flat_extension_check(m_n: MomentMatrix,
     for i in range(size):
         for j in range(size):
             diff = m_n1.entry(i, j) - m_n.entry(i, j)
-            if significant(diff, scale, is_exact(diff)):
+            if significant(diff, scale):
                 compression_ok = False
     rank_n = rank_kernel(m_n).rank
     rank_n1 = rank_kernel(m_n1).rank
@@ -204,13 +203,13 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
         for p in k_n.kernel:
             at_point = p.evaluate(derivation.point)
             derived = derivation.apply(p)
-            if significant(at_point) or significant(derived):
+            if significant(float(at_point)) or significant(float(derived)):
                 valid = False
                 break
         if valid:
             for q in k_n1.kernel:
                 derived = derivation.apply(q)
-                if significant(derived):
+                if significant(float(derived)):
                     witness = q
                     value = derived
                     break

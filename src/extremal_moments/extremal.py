@@ -9,8 +9,9 @@ the verdict is the paper's theorem: PSD, r = v and the exact consistency
 check of the quotient algebra decide, and the densities' residual only
 guards the measure (a failure is Unknown).  Float data accepts a candidate
 whose moments interpolate the data, and looks for an inconsistency witness
-when they do not.  Irrational coordinates enter exact densities as rational
-midpoints of isolating intervals of width REFINE_WIDTH.
+when they do not.  Rational coordinates enter exact densities exactly,
+irrational ones as midpoints of isolating intervals of width REFINE_WIDTH.
+Supplied points may be only part of the variety, so they never refute.
 """
 
 from __future__ import annotations
@@ -151,14 +152,14 @@ def solve_extremal(beta: Multisequence | Pipeline,
     if beta.is_exact:
         # The paper's theorem: PSD, r = card V and consistency decide.
         if not pipe.consistency.ok:
-            return _from_consistency(report, pipe.consistency)
+            return _from_consistency(report, pipe)
     polys, rows = vandermonde_rows(basis_elems, variety.points)
     try:
         densities = _linalg.solve_linear(rows, [riesz(beta, b)
                                                 for b in polys])
     except _linalg.SingularMatrixError:
-        return report("NoMeasure", reason="SingularVB",
-                      witness=pipe.injectivity.witness)
+        return _refuted(report, pipe, reason="SingularVB",
+                        witness=pipe.injectivity.witness)
     measure = AtomicMeasure(beta.d, variety.points, tuple(densities))
     verification = verify_measure(beta, measure)
     report = partial(report, residual=verification.residual)
@@ -166,7 +167,7 @@ def solve_extremal(beta: Multisequence | Pipeline,
         # Exact data is consistent here; float data looks for an
         # inconsistency witness on the variety's vanishing ideal.
         if not beta.is_exact and pipe.consistency.status == "Inconsistent":
-            return _from_consistency(report, pipe.consistency)
+            return _from_consistency(report, pipe)
         return report("Unknown", reason="interpolation failed without an "
                                         "inconsistency witness")
     if any(float(rho) <= 0 for rho in densities):
@@ -176,12 +177,23 @@ def solve_extremal(beta: Multisequence | Pipeline,
     return report("Measure", measure=measure, basis=polys)
 
 
-def _from_consistency(report, cons) -> SolveReport:
+def _from_consistency(report, pipe) -> SolveReport:
     """The verdict of a consistency check that is not Consistent."""
+    cons = pipe.consistency
     if cons.status == "Inconsistent":
-        return report("NoMeasure", reason="Inconsistent",
-                      witness=cons.witness, value=cons.value)
+        return _refuted(report, pipe, reason="Inconsistent",
+                        witness=cons.witness, value=cons.value)
     return report("Unknown", reason=cons.reason)
+
+
+def _refuted(report, pipe, **certificate) -> SolveReport:
+    """NoMeasure with its *certificate*, found from the variety; Unknown
+    when that is supplied points, which may be only part of V."""
+    if pipe.points is not None:
+        return report("Unknown", reason=f"{certificate['reason']} at the "
+                      "supplied points, which may be only part of the "
+                      "variety")
+    return report("NoMeasure", **certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -253,13 +253,11 @@ def recursiveness_check(matrix: MomentMatrix,
     with deg(u*p) <= n."""
     scale = magnitude(matrix.entry(i, j) for i in range(matrix.size)
                       for j in range(matrix.size))
-    exact = matrix.is_exact
     for p, s, terms in kernel_products(report.kernel, matrix.n):
         if not any(s):
             continue
         product = Polynomial(matrix.d, terms)
-        if any(significant(x, scale, exact and p.is_exact)
-               for x in matrix.apply(product)):
+        if any(significant(x, scale) for x in matrix.apply(product)):
             return RecursivenessVerdict(
                 "Violation", (p, Polynomial.monomial(matrix.d, s), product))
     return RecursivenessVerdict("RecursivelyGenerated")

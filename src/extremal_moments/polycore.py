@@ -156,20 +156,18 @@ def magnitude(values: Iterable[Scalar]) -> float:
         return sys.float_info.max
 
 
-def negligible(value: Scalar, scale: float = 1.0,
-               exact: bool = False) -> bool:
-    """Is *value* zero: ``value == 0`` when *exact*, else within
+def negligible(value: Scalar, scale: float = 1.0) -> bool:
+    """Is *value* zero: ``value == 0`` when it is exact, else within
     ``RESIDUAL_TOL * scale``?  NaN is not negligible."""
-    if exact:
+    if is_exact(value):
         return value == 0
     return abs(float(value)) <= RESIDUAL_TOL * scale
 
 
-def significant(value: Scalar, scale: float = 1.0,
-                exact: bool = False) -> bool:
+def significant(value: Scalar, scale: float = 1.0) -> bool:
     """Is *value* certainly nonzero?  The complement of ``negligible``,
-    except that NaN is neither: a NaN residual certifies nothing."""
-    if exact:
+    exact or not, except that NaN is neither: it certifies nothing."""
+    if is_exact(value):
         return value != 0
     return abs(float(value)) > RESIDUAL_TOL * scale
 

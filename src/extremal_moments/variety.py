@@ -5,10 +5,9 @@ the quotient algebra A = R[x]/I of its ideal I, whose multiplication
 matrices come from one Macaulay matrix of the kernel's products.  Exact
 kernels read the real points from A exactly: the real roots of the minimal
 polynomial of a separating linear form are the points, and each coordinate
-is a root of its own minimal polynomial, isolated exactly: rational when
-it is dyadic, or by Vieta's rule when all roots of that polynomial are real
-and it is the only one left inexact, else the midpoint of a refined
-interval.  An ideal with a multiple zero is replaced by its radical first.
+is a root of its own minimal polynomial: exact when it is rational, else
+the midpoint of a refined interval.  An ideal with a multiple zero is
+replaced by its radical first.
 In two variables a nonconstant gcd of an exact kernel first certifies an
 infinite variety; this module only converts the kernel polynomials to and
 from the integer lists of ``_roots``, whose primitive remainder sequence
@@ -16,7 +15,8 @@ finds it.
 Float kernels read the points from the eigenvectors of one generic
 combination of the multiplication matrices, average each cluster (a
 multiple zero), and filter every real point by the residuals of *all*
-kernel elements.
+kernel elements.  A float kernel whose reduction puts 1 in its ideal
+certifies no empty set: rounding alone can do that (one atom at 1e100).
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .polycore import (
     clear_denominators,
     ensure_scalar,
     format_scalar,
+    is_exact,
+    magnitude,
     monomial_basis,
     negligible,
     total_degree,
@@ -163,8 +165,9 @@ def _normalize_gcd(p: Polynomial) -> Polynomial:
 
 def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
     """Common real zero set of a nonempty kernel basis in any d, from the
-    quotient algebra of its ideal; exact irrational coordinates are refined
-    to width ``_roots.REFINE_WIDTH``."""
+    quotient algebra of its ideal; exact rational coordinates are exact,
+    irrational ones refined to width ``_roots.REFINE_WIDTH``.  A float
+    kernel whose ideal reduces to (1) gives Unknown, not the empty set."""
     kernel = [p for p in kernel]
     if not kernel:
         raise ValueError("compute_variety requires a nonempty kernel list")
@@ -189,8 +192,10 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
         return VarietyReport("Unknown", reason="no normal set of the kernel "
                                                "ideal up to degree 2n+2")
     basis, mats, scale = quotient
-    if not basis:
-        return VarietyReport("Finite")  # 1 lies in I: no zeros at all
+    if not basis:  # 1 lies in I: no zeros at all, when I is exact
+        return VarietyReport("Finite") if exact else VarietyReport(
+            "Unknown", reason="the float reduction puts 1 in the kernel "
+                              "ideal")
     if exact:
         return _variety_exact(kernel, basis, mats, scale)
     return _variety_float(kernel, mats)
@@ -279,7 +284,7 @@ def _commute(a, b, exact: bool) -> bool:
     bound = 1.0 if exact else len(a) * max(
         (abs(x) for row in a for x in row), default=0) * max(
         (abs(x) for row in b for x in row), default=0)
-    return all(negligible(x - y, bound, exact)
+    return all(negligible(x - y, bound)
                for u, v in zip(ab, ba) for x, y in zip(u, v))
 
 
@@ -296,7 +301,7 @@ def _annihilates(kernel, mats, scale, exact: bool) -> bool:
                  for a, c in zip(p.terms, coeffs)]
         bound = 1.0 if exact else sum(max(map(abs, t), default=0)
                                        for t in terms)
-        if not all(negligible(sum(column), bound, exact)
+        if not all(negligible(sum(column), bound)
                    for column in zip(*terms)):
             return False
     return True
@@ -431,22 +436,18 @@ def _variety_float(kernel, mats) -> VarietyReport:
         if negligible(np.max(np.abs(w.imag)),
                       max(1.0, float(np.max(np.abs(w))))):
             point = tuple(float(x) for x in w.real)
-            if all(_residual_ok(p, point, False) for p in kernel):
+            if all(_residual_ok(p, point) for p in kernel):
                 points.append(point)
     return _finite(points, [False] * len(points),
                    any(len(c) > 1 for c in clusters))
 
 
-def _residual_ok(p: Polynomial, point, point_exact: bool) -> bool:
-    """Does p vanish at *point*: exactly, or within ``negligible`` of
-    sum |c_a| * max(1, |w|_inf)**|a|?"""
-    exact = point_exact and p.is_exact
-    scale = 1.0
-    if not exact:  # the exact test needs no scale
-        size = max(1.0, max(abs(float(x)) for x in point))
-        scale = sum(abs(float(c)) * size**total_degree(idx)
-                    for idx, c in p.terms.items())
-    return negligible(p.evaluate(point), scale, exact)
+def _residual_ok(p: Polynomial, point) -> bool:
+    """Does p vanish at *point*: exactly when its value there is exact,
+    else within ``negligible`` of sum |c_a| * max(1, |w|_inf)**|a|?"""
+    value, size = p.evaluate(point), magnitude(point)
+    return negligible(value, 1.0 if is_exact(value) else sum(
+        abs(float(c)) * size**total_degree(idx) for idx, c in p.terms.items()))
 
 
 def adopt_points(report: KernelReport,
@@ -464,10 +465,10 @@ def adopt_points(report: KernelReport,
             raise InputError(f"supplied point {tuple(float(x) for x in w)} "
                              f"does not have dimension {report.d}")
         if not (exact_kernel and all_exact(w) and all(
-                _residual_ok(p, w, True) for p in report.kernel)):
+                _residual_ok(p, w) for p in report.kernel)):
             w = tuple(float(x) for x in w)
         for p in report.kernel:
-            if not _residual_ok(p, w, all_exact(w)):
+            if not _residual_ok(p, w):
                 raise InputError(
                     f"supplied point {w} does not satisfy kernel "
                     f"relation {p}")
@@ -579,8 +580,7 @@ def injectivity_check(report: KernelReport,
             c = reduced.coefficient(idx)
             if c != 0:
                 reduced = reduced - p.scale(c)
-        if not all(negligible(c, exact=reduced.is_exact)
-                   for c in reduced.terms.values()):
+        if not all(map(negligible, reduced.terms.values())):
             return InjectivityVerdict(False, report.rank, rank_w, candidate)
     return InjectivityVerdict(False, report.rank, rank_w)
 

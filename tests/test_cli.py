@@ -228,6 +228,21 @@ class TestArtifacts:
         if fixture == "example15":
             assert supplied == "Measure"
 
+    def test_supplied_points_give_no_witness(self, capsys, tmp_path):
+        # thm62's refined points are adopted as floats; a witness from them
+        # would be a float certificate in exact mode, and the points need
+        # not be all of the variety, so the answer is Unknown.
+        moments = str(fixture_path("thm62_a8_8.moments.json"))
+        points = str(tmp_path / "points.json")
+        assert run(["variety", moments, "--out", points]) == 0
+        capsys.readouterr()
+        assert run(["solve", moments, "--points", points, "--format",
+                    "structured"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "Unknown"
+        assert payload.get("witness") is None
+        assert "part of the variety" in payload["reason"]
+
     def test_extend_writes_measure(self, capsys, tmp_path, ex71):
         out_file = tmp_path / "measure.json"
         assert run(["extend", EX71, "--out", str(out_file)]) == 0

@@ -7,7 +7,7 @@ import pytest
 
 import extremal_moments as em
 from extremal_moments import consistency
-from extremal_moments.polycore import Polynomial, monomial_basis
+from extremal_moments.polycore import Polynomial, is_exact, monomial_basis
 from extremal_moments.variety import VarietyReport, _residual_ok
 
 from conftest import as_float, fixture_path
@@ -86,7 +86,7 @@ class TestConsistencyCheck:
         if status == "Unknown":
             assert "witness" in verdict.reason
         else:
-            assert all(_residual_ok(verdict.witness, w, False)
+            assert all(_residual_ok(verdict.witness, w)
                        for w in variety.points)
 
     def test_empty_variety_and_zero_data_is_consistent(self):
@@ -316,9 +316,9 @@ class TestQuotientConsistency:
         flags = []
         significant = consistency.significant
 
-        def recorded(value, scale=1.0, exact=False):
-            flags.append(exact)
-            return significant(value, scale, exact)
+        def recorded(value, scale=1.0):
+            flags.append(is_exact(value))
+            return significant(value, scale)
 
         monkeypatch.setattr(consistency, "significant", recorded)
         beta = em.load_multisequence(fixture_path(f"{fixture}.moments.json"))

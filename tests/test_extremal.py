@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import extremal_moments as em
+from extremal_moments import polycore
 from extremal_moments.polycore import InputError, monomial_basis
 
 from conftest import as_float, d3_measure, fixture_path
@@ -133,29 +134,48 @@ def ladder_measure(shapes, seed=1):
     return atoms, densities
 
 
-class TestExactLadder:
-    def test_ladder_5_18_recovers_the_generating_measure(self):
-        atoms, densities = ladder_measure([(3, 8), (4, 12), (5, 18)])
-        beta = em.beta_from_atoms(atoms, densities, d=2, degree=10)
-        report = em.solve_extremal(beta)
-        assert report.status == "Measure"
-        assert len(report.measure.atoms) == 18
-        pairs = sorted(zip(report.measure.atoms, report.measure.densities))
-        for (got, density), want, weight in zip(pairs, atoms, densities):
-            assert all(abs(g - w) < F(1, 10**30) for g, w in zip(got, want))
-            assert abs(float(density) - float(weight)) < 1e-9
+def d1_measure(count, seed=1):
+    """The seeded d=1 measure of *count* atoms, drawn as the d=1 cases of
+    the benchmark are: after the measures of every smaller count of
+    D1_COUNTS, atoms randint(-40, 40)/randint(1, 4), sorted, then
+    densities randint(1, 9)/randint(1, 9)."""
+    rng = random.Random(seed)
+    for size in D1_COUNTS[:D1_COUNTS.index(count) + 1]:
+        atoms = set()
+        while len(atoms) < size:
+            atoms.add((F(rng.randint(-40, 40), rng.randint(1, 4)),))
+        atoms = sorted(atoms)
+        densities = [F(rng.randint(1, 9), rng.randint(1, 9))
+                     for _ in range(size)]
+    return atoms, densities
 
 
 FIXTURES = ("ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
             "ex71", "thm62_a8_8")
 LADDER = ((3, 8), (4, 12), (5, 18), (6, 24))
+D1_COUNTS = (10, 12, 15, 16, 20)
 
 
-def _float_rank_defect(n, count):
-    return pytest.mark.xfail(
-        strict=True, reason=f"float rank defect: float mode finds rank "
-                            f"M({n}) = {count - 1}, not {count}, and a "
-                            f"wrong NotExtremal")
+class TestExactLadder:
+    """Rational atoms come back exactly, with their exact densities."""
+
+    @staticmethod
+    def _assert_recovers_the_generating_measure(stop):
+        atoms, densities = ladder_measure(LADDER[:stop])
+        n = LADDER[stop - 1][0]
+        beta = em.beta_from_atoms(atoms, densities, d=2, degree=2 * n)
+        report = em.solve_extremal(beta)
+        assert report.status == "Measure"
+        assert report.residual == 0.0
+        assert all(report.variety.exact_mask)
+        assert sorted(zip(report.measure.atoms, report.measure.densities)) \
+            == list(zip(atoms, densities))
+
+    def test_ladder_4_12_recovers_the_generating_measure(self):
+        self._assert_recovers_the_generating_measure(2)
+
+    def test_ladder_5_18_recovers_the_generating_measure(self):
+        self._assert_recovers_the_generating_measure(3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,15 +201,29 @@ class TestFloatAgreesWithExact:
         assert got in (want, "Unknown")
 
     @pytest.mark.parametrize("mirror", (False, True), ids=("x", "-x"))
-    @pytest.mark.parametrize("stop", [
-        1, 2,
-        pytest.param(3, marks=_float_rank_defect(5, 18)),
-        pytest.param(4, marks=_float_rank_defect(6, 24)),
-    ], ids=[f"{n}/{count}" for n, count in LADDER])
+    @pytest.mark.parametrize("stop", (1, 2, 3, 4),
+                             ids=[f"{n}/{count}" for n, count in LADDER])
     def test_ladder(self, stop, mirror):
         beta, mirrored, want = _ladder(stop)
         got = em.solve_extremal(as_float(mirrored if mirror else beta))
         assert got.status in (want, "Unknown")
+
+    @pytest.mark.parametrize("count", D1_COUNTS)
+    def test_d1(self, count):
+        atoms, densities = d1_measure(count)
+        beta = em.beta_from_atoms(atoms, densities, d=1, degree=2 * count)
+        want = em.solve_extremal(beta).status
+        assert want == "Measure"
+        assert em.solve_extremal(as_float(beta)).status in (want, "Unknown")
+
+    def test_atom_far_from_the_origin(self):
+        # Moments 1, 1e100, 1e200: the float kernel 1 - 1e-100 X reduces to
+        # 1 in the ideal, which certifies no empty variety.
+        beta = em.beta_from_atoms([(F(10**100),)], [F(1)], d=1, degree=2)
+        assert em.solve_extremal(beta).status == "Measure"
+        report = em.solve_extremal(as_float(beta))
+        assert report.status == "Unknown"
+        assert report.variety.status == "Unknown"
 
 
 class TestHigherDimension:
@@ -248,9 +282,37 @@ class TestSolveVariants:
                 tuple(map(float, wb)), abs=1e-12)
             assert float(ra) == pytest.approx(float(rb), abs=1e-9)
 
+    def test_supplied_points_never_refute(self):
+        # Ladder 3/8: rank 8 and nine points, so NotExtremal.  Seven atoms
+        # and the ninth point are eight points on which some relation is
+        # not annihilated, but the eight atoms carry a measure.
+        atoms, densities = ladder_measure(LADDER[:1])
+        beta = em.beta_from_atoms(atoms, densities, d=2, degree=6)
+        plain = em.solve_extremal(beta)
+        assert (plain.status, plain.rank, plain.v) == ("NotExtremal", 8, 9)
+        extra = [w for w in plain.variety.points if w not in atoms]
+        assert len(extra) == 1
+        report = em.solve_extremal(beta, points=atoms[:7] + extra)
+        assert report.status == "Unknown"
+        assert report.witness is None
+        assert "part of the variety" in report.reason
+        assert em.solve_extremal(beta, points=atoms).status == "Measure"
+
     def test_basis_size_enforced(self, ex15):
         with pytest.raises(ValueError):
             em.solve_extremal(ex15, basis=((0, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_exact_verdicts_ignore_the_tolerance(name, monkeypatch):
+    # Every zero test of an exact value is exact, so a tolerance that calls
+    # every float zero changes no exact verdict.
+    beta = em.load_multisequence(fixture_path(f"{name}.moments.json"))
+    want = em.solve_extremal(beta)
+    monkeypatch.setattr(polycore, "RESIDUAL_TOL", 1e10)
+    got = em.solve_extremal(beta)
+    assert (got.status, got.reason, got.witness, got.value) \
+        == (want.status, want.reason, want.witness, want.value)
 
 
 class TestVerifyMeasure:

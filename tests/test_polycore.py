@@ -13,8 +13,10 @@ from extremal_moments.polycore import (
     magnitude,
     monomial_basis,
     monomial_to_string,
+    negligible,
     parse_scalar,
     poly_to_string,
+    significant,
     total_degree,
 )
 
@@ -63,6 +65,30 @@ class TestScalars:
     def test_format_round_trip(self):
         for text in ["3/4", "-7", "0"]:
             assert format_scalar(parse_scalar(text)) == text
+
+
+class TestZeroTests:
+    """The value decides: exact values compare exactly, floats within
+    RESIDUAL_TOL * scale, and NaN is neither zero nor nonzero."""
+
+    @pytest.mark.parametrize("value, zero, nonzero", [
+        (Fraction(1, 10**50), False, True),
+        (1e-50, True, False),
+        (0, True, False),
+        (Fraction(0), True, False),
+        (0.0, True, False),
+        (float("nan"), False, False),
+    ], ids=["tiny-fraction", "tiny-float", "int-zero", "fraction-zero",
+            "float-zero", "nan"])
+    def test_negligible_and_significant(self, value, zero, nonzero):
+        assert negligible(value) is zero
+        assert significant(value) is nonzero
+
+    def test_scale_moves_only_the_float_threshold(self):
+        assert not negligible(Fraction(1, 10**50), 1e60)
+        assert significant(Fraction(1, 10**50), 1e60)
+        assert negligible(1e-3, 1e5) and not significant(1e-3, 1e5)
+        assert significant(1e-3) and not negligible(1e-3)
 
 
 class TestMonomials:

@@ -89,6 +89,13 @@ def from_roots(roots, lead, square=None):
     return coeffs
 
 
+#: The 34 roots (2j+1)/16 and 1/3: the primitive polynomial's lead is
+#: 3 * 2**136, so rounding the midpoint of the 2**-133 cell of 1/3 misses
+#: it, and a copy of the cell must be bisected further.
+BIG_LEAD = from_roots([F(2 * j + 1, 16) for j in range(34)] + [F(1, 3)],
+                      F(1))
+
+
 def assert_isolated_like_sympy(coeffs, width):
     """sympy counts as many distinct real roots; each reported root is a
     root (exact) or the only one in its interval of at most *width*."""
@@ -193,6 +200,37 @@ class TestAgainstSympy:
                 roots, _ = _roots.real_roots_exact(coeffs)
                 assert len(roots) == sympy_poly(coeffs).count_roots()
 
+    def test_exact_roots_are_the_rational_roots(self):
+        # Rational roots with small and with 70-bit denominators (a lead
+        # beyond 2**133) next to random factors: exactly the rational roots
+        # come back exact, every other one in its 2**-133 grid cell.
+        rng = random.Random(17)
+        cell = F(1, 2**133)
+        inexact = 0
+        for bits in (3, 3, 3, 70, 70):
+            rational = {F(rng.randint(-2**bits, 2**bits),
+                          rng.randint(1, 2**bits))
+                        for _ in range(rng.randint(2, 4))}
+            coeffs = multiply(from_roots(rational, F(1)),
+                              random_product(rng, 4, repeat=1))
+            lead = _roots.squarefree_part(coeffs)[0][-1]
+            assert (abs(lead) > 2**133) == (bits == 70)
+            roots, _ = _roots.real_roots_exact(coeffs)
+            inexact += sum(not r.exact for r in roots)
+            poly = sympy_poly(coeffs)
+            want = {F(int(r.p), int(r.q)) for r in poly.real_roots()
+                    if r.is_Rational}
+            assert rational <= want
+            assert {r.value for r in roots if r.exact} == want
+            for r in roots:
+                if not r.exact:
+                    assert r.high - r.low == cell
+                    assert (r.low / cell).denominator == 1
+                    assert poly.count_roots(
+                        *(sympy.Rational(v.numerator, v.denominator)
+                          for v in (r.low, r.high))) == 1
+        assert inexact
+
     def test_coefficients_over_500_bits(self):
         rng = random.Random(11)
         for _ in range(6):
@@ -223,7 +261,8 @@ class TestWalk:
 
     def test_one_sturm_chain_per_call(self, monkeypatch):
         # Squarefree, with several dyadic roots, some of them hit by split
-        # points, next to a third and two square roots.
+        # points, next to a third and two square roots; the rational roots
+        # are exact.
         calls = []
         chain = _roots.sturm_chain
         monkeypatch.setattr(_roots, "sturm_chain",
@@ -233,7 +272,7 @@ class TestWalk:
         roots, multiple = _roots.real_roots_exact(coeffs)
         assert len(calls) == 1 and not multiple
         assert len(roots) == 9
-        assert dyadic == {r.value for r in roots if r.exact}
+        assert dyadic | {F(1, 3)} == {r.value for r in roots if r.exact}
 
     def test_refined_roots_are_cells_of_one_grid(self):
         # An inexact root's interval is the 2**-133 cell that holds it,
@@ -261,22 +300,25 @@ class TestWalk:
 
     @pytest.mark.parametrize("coeffs, exact", [
         (from_roots([F(1, 3), F(1, 2), F(1)], F(1)), [True] * 3),
-        (from_roots([F(1, 3), F(2, 3)], F(1)), [False] * 2),
-        (multiply([F(-1, 3), F(1)], [F(1), F(0), F(1)]), [False]),
+        (from_roots([F(1, 3), F(2, 3)], F(1)), [True] * 2),
+        (multiply([F(-1, 3), F(1)], [F(1), F(0), F(1)]), [True]),
+        (from_roots([F(1, 3)], F(1), F(2)), [False, True, False]),
+        (BIG_LEAD, [True] * 35),
         ([F(-1), F(3)], [True]),
-    ])
-    def test_exact_by_vieta_when_one_real_root_is_left(self, coeffs, exact):
-        # A root is exact when the walk meets it (dyadic), or when all
-        # deg p roots are real and it is the only one left inexact.
+    ], ids=["thirds-half-one", "thirds", "third-beside-complex",
+            "third-between-root-2", "138-bit-lead", "linear"])
+    def test_exact_iff_rational(self, coeffs, exact):
+        # A root is exact iff it is rational; +-sqrt(2) keep their cells.
         roots, _ = _roots.real_roots_exact(coeffs)
         assert [r.exact for r in roots] == exact
         for r in roots:
             if r.exact:
                 assert horner(coeffs, r.value) == 0
+                assert r.low == r.value == r.high
             else:
                 assert r.low < r.value < r.high
-        if all(exact):
-            assert F(1, 3) in {r.value for r in roots}
+                assert r.high - r.low == F(1, 2**133)
+        assert F(1, 3) in {r.value for r in roots if r.exact}
 
     def test_rational_atoms_solve_with_exact_densities(self):
         atoms = [(F(1, 3),), (F(1, 2),), (F(1),)]
