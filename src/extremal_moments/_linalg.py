@@ -213,10 +213,17 @@ def solve_linear(rows, rhs):
         return x
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     b = np.array([float(x) for x in rhs], dtype=float)
+    # Rounding leaves a singular matrix invertible, so its rank is judged
+    # too, with its columns scaled to unit length: their scales are no rank.
+    norms = np.linalg.norm(a, axis=0)
     try:
         x = np.linalg.solve(a, b)
+        sigma = np.linalg.svd(a / np.where(norms > 0.0, norms, 1.0),
+                              compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
+    if sigma[-1] <= RANK_TOL * sigma[0]:
+        raise SingularMatrixError("float solve: numerically singular matrix")
     return [float(v) for v in x]
 
 

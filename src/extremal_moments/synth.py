@@ -22,6 +22,8 @@ from .polycore import (
     JsonInput,
     Polynomial,
     Scalar,
+    all_exact,
+    clear_denominators,
     ensure_scalar,
     format_scalar,
     is_exact,
@@ -34,9 +36,39 @@ from .polycore import (
 # ---------------------------------------------------------------------------
 
 def moments_of_atoms(d: int, degree: int, atoms, densities) -> dict:
-    """Raw moment dict of a finitely-atomic (possibly signed) combination."""
+    """Raw moment dict of a finitely-atomic (possibly signed) combination.
+
+    Exact atoms and densities are summed in integers: each coordinate over
+    its common denominator and the densities over theirs, with one power
+    table per atom and coordinate, and one Fraction per moment.  Any float
+    takes the Scalar loop, whose operations fix the float results."""
+    basis = monomial_basis(d, degree)
+    if not (len(atoms) == len(densities) and all_exact(densities)
+            and all(len(w) == d and all_exact(w) for w in atoms)):
+        return _moments_of_scalar_atoms(basis, atoms, densities)
+    weights, den = clear_denominators(densities)
+    tables, scales = [], []
+    for coords in zip(*atoms):
+        nums, scale = clear_denominators(coords)
+        tables.append([[x**e for e in range(degree + 1)] for x in nums])
+        scales.append([scale**e for e in range(degree + 1)])
     values = {}
-    for idx in monomial_basis(d, degree):
+    for idx in basis:
+        total = 0
+        for atom, term in enumerate(weights):
+            for table, e in zip(tables, idx):
+                term *= table[atom][e]
+            total += term
+        scale = den
+        for powers, e in zip(scales, idx):
+            scale *= powers[e]
+        values[idx] = Fraction(total, scale)
+    return values
+
+
+def _moments_of_scalar_atoms(basis, atoms, densities) -> dict:
+    values = {}
+    for idx in basis:
         total: Scalar = Fraction(0)
         for w, rho in zip(atoms, densities):
             term = ensure_scalar(rho)

@@ -298,6 +298,18 @@ class TestSolveVariants:
         assert "part of the variety" in report.reason
         assert em.solve_extremal(beta, points=atoms).status == "Measure"
 
+    def test_float_singular_vandermonde(self, ex15):
+        # Example 15's first point twice: V_B has two equal columns, which
+        # rounding leaves invertible (densities near 1e46); the rank test
+        # finds it singular.
+        beta = as_float(ex15)
+        points = sorted(em.solve_extremal(beta).variety.points)
+        report = em.solve_extremal(beta, points=points[:1] + points[:1]
+                                   + points[2:])
+        assert report.status == "Unknown"
+        assert report.reason.startswith("SingularVB")
+        assert report.measure is None
+
     def test_basis_size_enforced(self, ex15):
         with pytest.raises(ValueError):
             em.solve_extremal(ex15, basis=((0, 0), (1, 0)))

@@ -86,6 +86,16 @@ class TestSolveAndDeterminant:
         with pytest.raises(_linalg.SingularMatrixError):
             _linalg.solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
 
+    def test_float_solve_singular_raises(self):
+        # 0.1 * 0.9 - 0.3 * 0.3 is 1.4e-17 in floats, not 0; scaling a
+        # column changes nothing, and an equilibrated invertible matrix
+        # with a column of tiny scale still solves.
+        for rows in ([[0.1, 0.3], [0.3, 0.9]], [[0.1, 3e20], [0.3, 9e20]]):
+            with pytest.raises(_linalg.SingularMatrixError):
+                _linalg.solve_linear(rows, [1.0, 1.0])
+        x = _linalg.solve_linear([[1.0, 1e-30], [0.0, 2e-30]], [1.0, 2.0])
+        assert x == pytest.approx([0.0, 1e30])
+
     def test_determinant_exact_sign(self):
         rows = [[F(0), F(1)], [F(1), F(0)]]
         assert _linalg.determinant(rows) == F(-1)

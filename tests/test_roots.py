@@ -331,6 +331,104 @@ class TestWalk:
         assert report.variety.exact_mask == (True, True, True)
 
 
+def bisection_isolate(p, lo, hi, k, width):
+    """The bisection refinement that quadratic interval refinement replaced,
+    kept as a reference: refine to *width* (and, for a lead over
+    1 / (2 width), a copy to 1 / (2 |lead|)), then round N / |lead| from the
+    midpoint and test it by Fraction evaluation."""
+    root = bisection_refine(p, lo, hi, k, width)
+    lead = abs(p[-1])
+    near = root if 2 * lead * width <= 1 \
+        else bisection_refine(p, lo, hi, k, F(1, 2 * lead))
+    value = F(round(near.value * lead), lead)
+    if near.low <= value <= near.high and horner(p, value) == 0:
+        return IsolatedRoot(value, True, value, value)
+    return root
+
+
+def bisection_refine(p, lo, hi, k, width):
+    fa, fb = _roots._dyadic_value(p, lo, k), _roots._dyadic_value(p, hi, k)
+    while fb and (hi - lo) * width.denominator > width.numerator << k:
+        lo, hi, k = lo << 1, hi << 1, k + 1
+        mid = (lo + hi) >> 1
+        fm = _roots._dyadic_value(p, mid, k)
+        if fm and (fm > 0) == (fa > 0):
+            lo = mid
+        else:
+            hi, fb = mid, fm
+    if fb == 0:
+        value = F(hi, 1 << k)
+        return IsolatedRoot(value, True, value, value)
+    return IsolatedRoot(F(lo + hi, 2 << k), False, F(lo, 1 << k),
+                        F(hi, 1 << k))
+
+
+def count_values(monkeypatch):
+    """A list that grows by one entry per ``_dyadic_value`` call."""
+    calls = []
+    value = _roots._dyadic_value
+    monkeypatch.setattr(_roots, "_dyadic_value",
+                        lambda *args: calls.append(args) or value(*args))
+    return calls
+
+
+def mixed_product(rng):
+    """Dyadic roots, thirds, a quadratic irrational pair and a complex pair
+    (x^2 + c), in random combination."""
+    dyadic = {F(rng.randint(-64, 64), 2 ** rng.randint(0, 8))
+              for _ in range(rng.randint(0, 4))}
+    thirds = {F(rng.randint(-30, 30), 3) for _ in range(rng.randint(0, 2))}
+    square = F(rng.randint(2, 30), rng.randint(1, 5)) \
+        if rng.random() < 0.7 else None
+    coeffs = from_roots(dyadic | thirds | {F(rng.randint(-9, 9), 7)},
+                        F(rng.randint(1, 9), rng.randint(1, 9)), square)
+    if rng.random() < 0.5:
+        coeffs = multiply(coeffs, [F(rng.randint(1, 9)), F(0), F(1)])
+    return coeffs
+
+
+class TestRefinement:
+    """Quadratic interval refinement lands on the bisection's grid cells."""
+
+    @pytest.mark.parametrize("width", [F(1, 10**40), F(1, 10**20), F(1, 3),
+                                       F(1, 2**50)],
+                             ids=["1e-40", "1e-20", "third", "2**-50"])
+    def test_same_roots_as_bisection(self, width, monkeypatch):
+        rng = random.Random(21)
+        cases = [mixed_product(rng) for _ in range(25)] + [
+            random_product(rng, 4, repeat=2) for _ in range(10)] + [
+            BIG_LEAD, multiply(BIG_LEAD, [F(-2), F(0), F(1)])]
+        found = [_roots.real_roots_exact(c, width) for c in cases]
+        monkeypatch.setattr(_roots, "_isolate", bisection_isolate)
+        assert found == [_roots.real_roots_exact(c, width) for c in cases]
+        assert any(not r.exact for roots, _ in found for r in roots)
+
+    @pytest.mark.parametrize("p, lo, hi, k, root", [
+        ([-1, 4], 0, 1, 0, F(1, 4)), ([-3, 4], 0, 1, 0, F(3, 4)),
+        ([-1, 4], -1, 1, 1, F(1, 4))])
+    def test_zero_at_a_sub_cell_end(self, p, lo, hi, k, root):
+        # The secant of 4x - 1 on (0, 1] picks the quarter (1/4, 1/2],
+        # whose left end is the root: it comes back as the right end of
+        # its cell, with fb == 0 (cells are half-open, (lo, hi]).
+        fa, fb = (_roots._dyadic_value(p, x, k) for x in (lo, hi))
+        lo, hi, k, fa, fb = _roots._refine(p, lo, hi, k, fa, fb, 10)
+        assert fb == 0 and F(hi, 1 << k) == root
+        assert F(lo, 1 << k) < root
+
+    def test_quadratic_count(self, monkeypatch):
+        # sqrt(2) in (0, 4] to its 2**-133 cell: bisection evaluates p at
+        # 133 and more points, the secant steps at 23 (35 if s grew by one
+        # level per hit rather than doubling).
+        p = [-2, 0, 1]
+        calls = count_values(monkeypatch)
+        root = _roots._isolate(p, 0, 8, 1, _roots.REFINE_WIDTH)
+        assert root.high - root.low == F(1, 2**133)
+        assert len(calls) <= 30
+        calls.clear()
+        assert bisection_isolate(p, 0, 8, 1, _roots.REFINE_WIDTH) == root
+        assert len(calls) >= 133
+
+
 class TestHelpers:
     def test_sturm_sign_count_interval(self):
         chain = _roots.sturm_chain([F(-2), F(0), F(1)])  # x^2 - 2

@@ -1,11 +1,13 @@
 """Synthesis of moment data: atoms, signed functionals, complex families."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import extremal_moments as em
-from extremal_moments.polycore import InputError, Polynomial
+from extremal_moments.polycore import (InputError, Polynomial,
+                                       monomial_basis)
 
 from conftest import fixture_path
 
@@ -30,6 +32,69 @@ class TestAtoms:
             em.beta_from_atoms([], [], degree=2)
         with pytest.raises(ValueError):
             em.beta_from_atoms([(F(0),)], [F(1), F(2)], degree=2)
+
+
+def naive_moments(d, degree, atoms, densities):
+    """sum_i densities[i] * atoms[i]**idx term by term, in the order of
+    the Scalar loop: a Fraction zero plus each density times its powers."""
+    values = {}
+    for idx in monomial_basis(d, degree):
+        total = F(0)
+        for w, rho in zip(atoms, densities):
+            term = rho
+            for x, e in zip(w, idx):
+                if e:
+                    term = term * x**e
+            total = total + term
+        values[idx] = total
+    return values
+
+
+def random_atoms(rng, d, count):
+    atoms = [tuple(F(rng.randint(-40, 40), rng.randint(1, 12))
+                   for _ in range(d)) for _ in range(count)]
+    return atoms, [F(rng.randint(-9, 9), rng.randint(1, 9))
+                   for _ in range(count)]
+
+
+class TestMomentsOfAtoms:
+    """Exact atoms are summed in integers, to the same Fractions."""
+
+    @pytest.mark.parametrize("d, degree", [(1, 16), (2, 8), (3, 6)])
+    def test_exact_equals_fraction_loop(self, d, degree):
+        rng = random.Random(d)
+        for count in (1, 3, 9):
+            atoms, densities = random_atoms(rng, d, count)
+            assert any(rho < 0 for rho in densities) or count == 1
+            got = em.moments_of_atoms(d, degree, atoms, densities)
+            want = naive_moments(d, degree, atoms, densities)
+            assert list(got) == list(want)
+            assert all(type(v) is F and v == want[idx]
+                       for idx, v in got.items())
+
+    def test_integer_entries_are_exact(self):
+        got = em.moments_of_atoms(2, 4, [(1, F(1, 2)), (-3, 2)], [2, F(-1, 3)])
+        assert got == naive_moments(2, 4, [(F(1), F(1, 2)), (F(-3), F(2))],
+                                    [F(2), F(-1, 3)])
+        assert all(type(v) is F for v in got.values())
+
+    @pytest.mark.parametrize("d, degree", [(1, 16), (2, 8), (3, 6)])
+    def test_float_and_mixed_bit_identical(self, d, degree):
+        rng = random.Random(10 + d)
+        atoms, densities = random_atoms(rng, d, 7)
+        floats = ([tuple(float(x) for x in w) for w in atoms],
+                  [float(r) for r in densities])
+        mixed = ([(float(atoms[0][0]),) + atoms[0][1:]] + atoms[1:],
+                 densities)
+        float_densities = (atoms, [float(r) for r in densities])
+        for data in (floats, mixed, float_densities):
+            got = em.moments_of_atoms(d, degree, *data)
+            want = naive_moments(d, degree, *data)
+            assert list(got) == list(want)
+            for idx, value in got.items():
+                assert type(value) is type(want[idx])
+                assert value == want[idx]
+            assert type(got[(degree,) + (0,) * (d - 1)]) is float
 
 
 class TestSignedFunctional:
