@@ -2,9 +2,14 @@
 
 A multisequence is consistent when every polynomial of degree <= 2n vanishing
 on the variety is annihilated by the Riesz functional.  The check runs over
-the relations x^a - NF(x^a) of ``variety.vanishing_ideal``, read exactly off
-the normal forms in the quotient algebra modulo the radical of the kernel
-ideal for exact data, and from the point-evaluation matrix W_{2n} otherwise.
+the relations x^a - NF(x^a) of ``variety.vanishing_ideal``.  For exact data
+they are read off the normal forms in the quotient algebra modulo the
+radical of the kernel ideal, and each is tested as an integer identity
+between the image scale**|a| * x^a * 1 of x^a and the moments cleared of
+their denominators; only the first relation that fails becomes a
+polynomial, the witness.  Float data, supplied points and exact points
+beside non-real zeros read the relations from the point-evaluation matrix
+W_{2n}.
 Signed representations realize the functional as a combination of point
 evaluations with (possibly negative) weights from a row basis of W_{2n}.
 
@@ -30,12 +35,16 @@ from .polycore import (
     Point,
     Polynomial,
     Scalar,
+    clear_denominators,
     is_exact,
     negligible,
     significant,
+    total_degree,
 )
 from .variety import (
     VarietyReport,
+    _relation,
+    _relation_images,
     _residual_ok,
     bivariate_gcd,
     build_W,
@@ -86,26 +95,43 @@ def consistency_check(beta: Multisequence,
                       variety: VarietyReport) -> ConsistencyVerdict:
     """Check Lambda(p) = 0 for every p of degree <= 2n vanishing on the
     variety: the first relation of ``vanishing_ideal`` that Lambda does not
-    annihilate is the witness.  Unknown when the variety is not finite
-    (a Finite report with no points is the empty set), when the relations
-    need not span the ideal, and when a float witness fails
-    ``variety._residual_ok`` at some point."""
+    annihilate is the witness.  Exact data whose relations are read off
+    the report's quotient tests each x^a - NF(x^a) as the integer identity
+    scale**|a| * B_a = sum_b img_a[b] * B_b, for B the moments times the
+    lcm of their denominators and img_a = scale**|a| * x^a * 1 on the
+    basis b; only a failing relation becomes a polynomial.  Unknown when
+    the variety is not finite (a Finite report with no points is the empty
+    set), when the relations need not span the ideal, and when a float
+    witness fails ``variety._residual_ok`` at some point."""
     if variety.status != "Finite":
         return ConsistencyVerdict(
             "Unknown",
             reason=f"variety is {variety.status}; the vanishing ideal "
                    "cannot be enumerated from points")
-    relations, complete = vanishing_ideal(variety, beta.degree, beta.d)
-    scale = beta.scale()
-    for p in relations.values():
-        value = riesz(beta, p)
-        if significant(value, scale):
-            if not is_exact(value) and not all(_residual_ok(p, w)
-                                               for w in variety.points):
-                return ConsistencyVerdict(
-                    "Unknown", reason="the float witness does not vanish "
-                                      "at every variety point")
-            return ConsistencyVerdict("Inconsistent", p, value)
+    images = _relation_images(variety, beta.degree, beta.d)
+    if images is not None and beta.is_exact:
+        basis, _, scale = variety.quotient
+        moments = dict(zip(beta.values,
+                           clear_denominators(beta.values.values())[0]))
+        powers = [scale**e for e in range(beta.degree + 1)]
+        for a, image in images.items():
+            if powers[total_degree(a)] * moments[a] != sum(
+                    x * moments[b] for b, x in zip(basis, image) if x):
+                p = _relation(variety.quotient, a, image)
+                return ConsistencyVerdict("Inconsistent", p, riesz(beta, p))
+        complete = len(basis) == len(variety.points)
+    else:
+        relations, complete = vanishing_ideal(variety, beta.degree, beta.d)
+        scale = beta.scale()
+        for p in relations.values():
+            value = riesz(beta, p)
+            if significant(value, scale):
+                if not is_exact(value) and not all(_residual_ok(p, w)
+                                                   for w in variety.points):
+                    return ConsistencyVerdict(
+                        "Unknown", reason="the float witness does not "
+                                          "vanish at every variety point")
+                return ConsistencyVerdict("Inconsistent", p, value)
     if complete:
         return ConsistencyVerdict("Consistent")
     return ConsistencyVerdict(

@@ -142,6 +142,10 @@ def solve_extremal(beta: Multisequence | Pipeline,
         return report("Unknown", reason=variety.reason)
     v = len(variety.points)
     report = partial(report, v=v)
+    if v < r and not beta.is_exact:
+        return report("Unknown", reason=f"FloatVarietyBelowRank: rank {r} "
+                      f"> float variety cardinality {v}; rounding may have "
+                      "merged or lost points")
     if v != r:
         return report("NotExtremal",
                       reason=f"rank {r} != variety cardinality {v}")

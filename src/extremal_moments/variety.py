@@ -3,10 +3,15 @@
 Every kernel, exact or float and in any number of variables, is solved in
 the quotient algebra A = R[x]/I of its ideal I, whose multiplication
 matrices come from one Macaulay matrix of the kernel's products.  Exact
-kernels read the real points from A exactly: the real roots of the minimal
-polynomial of a separating linear form are the points, and each coordinate
-is a root of its own minimal polynomial: exact when it is rational, else
-the midpoint of a refined interval.  An ideal with a multiple zero is
+kernels read the real points from A exactly, by the rational univariate
+representation: a linear form t separating them gives every coordinate as
+a polynomial x_i = h_i(t), so the points are the real roots tau of t's
+minimal polynomial, isolated first.  At a rational tau each coordinate is
+h_i(tau), evaluated in integers; only at an irrational tau is a
+coordinate's own minimal polynomial isolated (once), its root that h_i
+meets on tau's interval being the coordinate: exact when it is rational,
+else the midpoint of a refined interval.  An ideal with a multiple zero,
+told by the squarefree parts of the coordinates' minimal polynomials, is
 replaced by its radical first.
 In two variables a nonconstant gcd of an exact kernel first certifies an
 infinite variety; this module only converts the kernel polynomials to and
@@ -313,48 +318,72 @@ def _annihilates(kernel, mats, scale, exact: bool) -> bool:
 
 def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
     """Real zeros of the ideal I of an exact kernel from A = Q[x]/I
-    (Moeller & Stetter 1995): the real roots of the minimal polynomial of a
-    form t = sum c**i x_i separating them, each coordinate x_i being the
-    root of its own minimal polynomial that h_i(t) = x_i mod sqrt(I) meets
-    on the isolating interval of t.  If some x_i has a multiple root, A
-    becomes A/sqrt(I), sqrt(I) = I + (f(x_i)) for f the squarefree part of
-    its minimal polynomial (Seidenberg 1974); the report keeps A/sqrt(I)."""
+    (Moeller & Stetter 1995) by the rational univariate representation
+    (Rouillier 1999): a form t = sum c**i x_i whose powers span A gives
+    x_i = h_i(t) mod sqrt(I), and the points are the real roots tau of
+    t's minimal polynomial.  At a rational tau each x_i is h_i(tau); at
+    an irrational one it is the root of x_i's own minimal polynomial,
+    isolated once, that h_i meets on tau's interval.  The try c = 0 also
+    gives x_1's minimal polynomial.  If some x_i has a multiple root, A
+    becomes A/sqrt(I), sqrt(I) = I + (f(x_i)) for f the squarefree part
+    of its minimal polynomial (Seidenberg 1974), kept in the report."""
     d = len(mats)
-    minimal = [_krylov(m, scale, [])[0] for m in mats]
-    roots, multiple = zip(*(_roots.real_roots_exact(m) for m in minimal))
+    xs = _coordinates(mats, scale)
+    t_minimal, h = _krylov(mats[0], scale, xs)
+    minimal = [t_minimal] + [_krylov(m, scale, [])[0] for m in mats[1:]]
+    squarefree, multiple = zip(*map(_roots.squarefree_part, minimal))
     if any(multiple):
         radical = [_squarefree_at(basis, m, scale, f)
-                   for m, f in zip(mats, minimal)]
+                   for m, f in zip(mats, squarefree)]
         quotient = _quotient(kernel + [p for p in radical if not p.is_zero],
                              True)
         if quotient is None:
             return VarietyReport("Unknown", reason="no normal set of the "
                                                    "radical ideal")
         basis, mats, scale = quotient
-    xs = [[Fraction(row[-1], scale) for row in m] for m in mats]
-    for c in _integer_nodes(2 * d * len(basis)**2 + 1):
+        xs = _coordinates(mats, scale)
+        t_minimal, h = _krylov(mats[0], scale, xs)
+    nodes = iter(_integer_nodes(2 * d * len(basis)**2 + 1))
+    c = next(nodes)
+    while h is None:
+        c = next(nodes, None)
+        if c is None:
+            return VarietyReport("Unknown", reason="no separating linear "
+                                                   "form")
         t = [[sum(c**i * m[r][k] for i, m in enumerate(mats))
               for k in range(len(basis))] for r in range(len(basis))]
         t_minimal, h = _krylov(t, scale, xs)
-        if h is not None:
-            break
-    else:
-        return VarietyReport("Unknown", reason="no separating linear form")
-    t_roots = roots[0] if c == 0 else _roots.real_roots_exact(t_minimal)[0]
-    points = []
-    for k, tau in enumerate(t_roots):
-        point = [roots[0][k]] if c == 0 else []
-        for h_i, candidates in list(zip(h, roots))[len(point):]:
-            low, high = _enclose(h_i, tau)
-            hits = [r for r in candidates if r.low <= high and low <= r.high]
+    t_roots = _roots.real_roots_exact(t_minimal)[0]
+    cleared = [clear_denominators(h_i) for h_i in h]
+    isolated = {}
+    points, mask = [], []
+    for tau in t_roots:
+        if tau.exact:
+            num, den = tau.value.numerator, tau.value.denominator
+            points.append(tuple(
+                Fraction(_roots._scaled_value(ints, num, den),
+                         lcm * den**(len(ints) - 1))
+                for ints, lcm in cleared))
+            mask.append(True)
+            continue
+        point = [tau] if c == 0 else []
+        for i in range(len(point), d):
+            if i not in isolated:
+                isolated[i] = _roots.real_roots_exact(minimal[i])[0]
+            low, high = _enclose(h[i], tau)
+            hits = [r for r in isolated[i] if r.low <= high and low <= r.high]
             if len(hits) != 1:
                 return VarietyReport("Unknown", reason="coordinates not "
                                                        "paired by the form")
             point.append(hits[0])
-        points.append(point)
-    return _finite([tuple(r.value for r in w) for w in points],
-                   [all(r.exact for r in w) for w in points], any(multiple),
-                   (basis, mats, scale))
+        points.append(tuple(r.value for r in point))
+        mask.append(all(r.exact for r in point))
+    return _finite(points, mask, any(multiple), (basis, mats, scale))
+
+
+def _coordinates(mats, scale) -> list:
+    """x_i * 1 on the basis of A, for each multiplication matrix."""
+    return [[Fraction(row[-1], scale) for row in m] for m in mats]
 
 
 def _integer_nodes(count: int) -> list:
@@ -383,11 +412,11 @@ def _krylov(matrix, scale, xs) -> tuple:
                      for j in range(len(vectors), len(vectors) + len(xs))]
 
 
-def _squarefree_at(basis, matrix, scale, minimal) -> Polynomial:
+def _squarefree_at(basis, matrix, scale, squarefree) -> Polynomial:
     """scale**deg(f) * f(x_i) * 1 on *basis* as a polynomial, by Horner:
-    f the squarefree part of *minimal*, x_i = matrix / scale."""
+    f the integer list *squarefree*, x_i = matrix / scale."""
     value = [0] * len(basis)
-    for k, a in enumerate(reversed(_roots.squarefree_part(minimal)[0])):
+    for k, a in enumerate(reversed(squarefree)):
         value = _times(matrix, value)
         value[-1] += a * scale**k
     return Polynomial(len(basis[0]), dict(zip(basis, value)))
@@ -535,25 +564,45 @@ def vanishing_ideal(variety: VarietyReport, k: int, d: int) -> tuple:
     relations vanish on V but need not span its ideal, and ``complete`` is
     False unless the points are exact and decide.  Otherwise NF(x^a) comes
     from the pivot columns of the evaluations W_k before a."""
-    points, quotient = variety.points, variety.quotient
+    images = _relation_images(variety, k, d)
+    if images is not None:
+        return {a: _relation(variety.quotient, a, image)
+                for a, image in images.items()}, \
+            len(variety.quotient[0]) == len(variety.points)
+    # W_k; no point at all is the empty set
     columns = monomial_basis(d, k)
-    complete = quotient is None or len(quotient[0]) == len(points)
-    if quotient is not None and (complete or not all(variety.exact_mask)):
-        basis, mats, scale = quotient
-        images = _images(columns, mats, [0] * (len(basis) - 1) + [1])
-        forms = {a: {b: Fraction(x, scale**total_degree(a)) for b, x in
-                     zip(basis[::-1], images[a][::-1])}
-                 for a in columns if a not in basis}
-    else:  # W_k; no point at all is the empty set
-        reduction = _linalg.row_reduce(build_W(points, k, d).rows
-                                       if points else ())
-        forms = {a: {columns[p]: row[j] for row, p in
-                     zip(reduction.rref, reduction.pivots)}
-                 for j, a in enumerate(columns) if j not in reduction.pivots}
-        complete = True
-    return {a: Polynomial(d, {**{b: -c for b, c in form.items()},
+    reduction = _linalg.row_reduce(build_W(variety.points, k, d).rows
+                                   if variety.points else ())
+    return {a: Polynomial(d, {**{columns[p]: -row[j] for row, p in
+                                 zip(reduction.rref, reduction.pivots)},
                               a: Fraction(1)})
-            for a, form in forms.items()}, complete
+            for j, a in enumerate(columns) if j not in reduction.pivots}, True
+
+
+def _relation_images(variety: VarietyReport, k: int, d: int):
+    """``{a: scale**|a| * x^a * 1}`` on the basis of A/sqrt(I), for the
+    monomials a of degree <= k outside that basis in degree-lex order, when
+    the relations of degree <= k are read off the report's quotient; None
+    when they come from W_k: no quotient, or exact points that decide
+    beside non-real zeros."""
+    quotient = variety.quotient
+    if quotient is None or (len(quotient[0]) != len(variety.points)
+                            and all(variety.exact_mask)):
+        return None
+    basis, mats, _ = quotient
+    normal = set(basis)
+    images = _images(monomial_basis(d, k), mats, [0] * (len(basis) - 1) + [1])
+    return {a: image for a, image in images.items() if a not in normal}
+
+
+def _relation(quotient, a, image) -> Polynomial:
+    """x^a - NF(x^a) from the image scale**|a| * x^a * 1 of x^a on the
+    basis of *quotient*."""
+    basis, _, scale = quotient
+    den = scale**total_degree(a)
+    return Polynomial(len(a), {**{b: -Fraction(x, den) for b, x in
+                                  zip(basis[::-1], image[::-1])},
+                               a: Fraction(1)})
 
 
 def injectivity_check(report: KernelReport,

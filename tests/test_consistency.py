@@ -1,14 +1,20 @@
 """Consistency checks, signed representations, and the curve-scenario test."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import extremal_moments as em
 from extremal_moments import consistency
+from extremal_moments.moments import riesz
 from extremal_moments.polycore import Polynomial, is_exact, monomial_basis
-from extremal_moments.variety import VarietyReport, _residual_ok
+from extremal_moments.variety import (
+    VarietyReport,
+    _residual_ok,
+    vanishing_ideal,
+)
 
 from conftest import as_float, fixture_path
 
@@ -312,7 +318,9 @@ class TestQuotientConsistency:
     @pytest.mark.parametrize("fixture", ("example15", "prop61", "ex44",
                                          "prop61_deg8", "thm62_a8_8"))
     def test_exact_verdicts_compare_exactly(self, fixture, monkeypatch):
-        # Every comparison of an exact verdict is exact.
+        # Any comparison an exact verdict makes is exact, and the verdict,
+        # witness and value are those of riesz in Fractions over every
+        # relation of vanishing_ideal.
         flags = []
         significant = consistency.significant
 
@@ -322,5 +330,49 @@ class TestQuotientConsistency:
 
         monkeypatch.setattr(consistency, "significant", recorded)
         beta = em.load_multisequence(fixture_path(f"{fixture}.moments.json"))
-        assert em.Pipeline(beta).consistency.status != "Unknown"
-        assert flags and all(flags)
+        pipe = em.Pipeline(beta)
+        verdict = pipe.consistency
+        assert verdict.status != "Unknown"
+        assert all(flags)
+        assert verdict_of(verdict) == riesz_verdict(beta, pipe.variety)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_moment_matches_riesz(self, seed):
+        # Seeded exact d=2 atoms; one moment of the data is moved off the
+        # variety's functional, and the integer identities must find the
+        # first relation that riesz finds.
+        rng = random.Random(40 + seed)
+        atoms = set()
+        while len(atoms) < 6 + seed % 2:
+            atoms.add((F(rng.randint(-9, 9), rng.randint(1, 4)),
+                       F(rng.randint(-9, 9), rng.randint(1, 4))))
+        atoms = sorted(atoms)
+        beta = em.beta_from_atoms(
+            atoms, [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in atoms],
+            degree=6)
+        variety = em.Pipeline(beta).variety
+        assert variety.quotient is not None
+        assert em.consistency_check(beta, variety).status == "Consistent"
+        values = dict(beta.values)
+        moved = rng.choice(sorted(values))
+        values[moved] += F(1, rng.randint(1, 9))
+        perturbed = em.Multisequence(2, 6, values)
+        verdict = em.consistency_check(perturbed, variety)
+        assert verdict.status == "Inconsistent"
+        assert verdict_of(verdict) == riesz_verdict(perturbed, variety)
+
+
+def verdict_of(verdict):
+    return verdict.status, verdict.witness, verdict.value
+
+
+def riesz_verdict(beta, variety):
+    """(status, witness, value): the first relation of vanishing_ideal that
+    riesz, in Fractions, does not take to 0."""
+    relations, complete = vanishing_ideal(variety, beta.degree, beta.d)
+    for p in relations.values():
+        value = riesz(beta, p)
+        assert isinstance(value, F)
+        if value != 0:
+            return "Inconsistent", p, value
+    return ("Consistent" if complete else "Unknown"), None, None

@@ -225,6 +225,26 @@ class TestFloatAgreesWithExact:
         assert report.status == "Unknown"
         assert report.variety.status == "Unknown"
 
+    @pytest.mark.parametrize("d, atoms, degree", [
+        (1, [(0,), (F(1, 10**4),), (1,), (2,)], 8),
+        (2, [(0, 0), (F(1, 10**4), 0), (1, 1), (-1, 2), (2, -1),
+             (F(1, 2), 3)], 6),
+    ], ids=("d1", "d2"))
+    def test_close_atoms_merged_below_the_rank(self, d, atoms, degree):
+        # The float variety merges the two atoms 1e-4 apart into one point
+        # (and in d=2 loses more), so it has fewer points than rank M(n):
+        # rounding, not the data, refutes, and the answer is Unknown.
+        atoms = [tuple(map(F, w)) for w in atoms]
+        beta = em.beta_from_atoms(atoms, [F(1)] * len(atoms), d=d,
+                                  degree=degree)
+        exact = em.solve_extremal(beta)
+        assert exact.status == "Measure"
+        assert sorted(exact.measure.atoms) == sorted(atoms)
+        report = em.solve_extremal(as_float(beta))
+        assert report.v < report.rank == len(atoms)
+        assert report.status == "Unknown"
+        assert report.reason.startswith("FloatVarietyBelowRank")
+
 
 class TestHigherDimension:
     def test_d3_atoms_solve_without_points(self):

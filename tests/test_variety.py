@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 import extremal_moments as em
-from extremal_moments import _linalg
+from extremal_moments import _linalg, _roots, variety
 from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.polycore import InputError, Polynomial
 from extremal_moments.variety import VarietyReport, vanishing_ideal
@@ -131,6 +131,65 @@ class TestComputeVariety:
             em.compute_variety([Polynomial(2, {})])
 
 
+class TestRationalPointsReadOffTheForm:
+    """At rational roots of the separating form's minimal polynomial every
+    coordinate is h_i(tau): one isolation, no enclosure, and no Krylov
+    elimination beyond one per coordinate and one per failed form."""
+
+    @staticmethod
+    def solve(kernel, monkeypatch):
+        calls = {"roots": 0, "enclose": 0, "krylov": 0, "failed": 0}
+        real_roots, enclose, krylov = (_roots.real_roots_exact,
+                                       variety._enclose, variety._krylov)
+
+        def counted_roots(*args, **kwargs):
+            calls["roots"] += 1
+            return real_roots(*args, **kwargs)
+
+        def counted_enclose(*args):
+            calls["enclose"] += 1
+            return enclose(*args)
+
+        def counted_krylov(matrix, scale, xs):
+            calls["krylov"] += 1
+            minimal, h = krylov(matrix, scale, xs)
+            calls["failed"] += bool(xs) and h is None
+            return minimal, h
+
+        monkeypatch.setattr(_roots, "real_roots_exact", counted_roots)
+        monkeypatch.setattr(variety, "_enclose", counted_enclose)
+        monkeypatch.setattr(variety, "_krylov", counted_krylov)
+        return em.compute_variety(kernel), calls
+
+    @pytest.mark.parametrize("atoms, failed", [
+        ([(F(-3, 2), F(1)), (F(0), F(2)), (F(1, 4), F(-1)), (F(2), F(0)),
+          (F(3), F(5, 2)), (F(-1), F(-3))], 0),
+        # t = x, x + y and x - y each take one value at two atoms.
+        ([(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(-2)),
+          (F(2), F(1)), (F(-1, 2), F(3))], 3),
+        ([(F(-2),), (F(1, 3),), (F(5, 2),)], 0),
+    ], ids=("distinct-x", "shared-x", "d1"))
+    def test_one_isolation_for_rational_points(self, atoms, failed,
+                                               monkeypatch):
+        d = len(atoms[0])
+        beta = em.beta_from_atoms(atoms, [F(1)] * len(atoms), d=d,
+                                  degree=6 if d == 2 else 2 * len(atoms))
+        report, calls = self.solve(kernel_of(beta), monkeypatch)
+        assert sorted(report.points) == sorted(atoms)
+        assert all(report.exact_mask) and not report.multiple_roots
+        assert (calls["roots"], calls["enclose"]) == (1, 0)
+        assert calls["failed"] == failed
+        assert calls["krylov"] == d + failed
+
+    def test_d3_measure(self, monkeypatch):
+        atoms, densities = d3_measure()
+        beta = em.beta_from_atoms(atoms, densities, d=3, degree=4)
+        report, calls = self.solve(kernel_of(beta), monkeypatch)
+        assert sorted(report.points) == atoms
+        assert (calls["roots"], calls["enclose"]) == (1, 0)
+        assert calls["krylov"] == 3 + calls["failed"]
+
+
 def _poly(expr, x, y):
     """A sympy polynomial in x, y as a Polynomial in d = 2."""
     terms = sympy.Poly(sympy.expand(expr), x, y).terms()
@@ -214,6 +273,21 @@ class TestQuotientRouteAgainstSympy:
         # whose multiples lie beyond D, so early normal sets are wrong.
         self.check(list(sympy.sympify(exprs, locals={"x": self.X,
                                                      "y": self.Y})), None)
+
+    def test_rational_coordinate_at_irrational_form_root(self, monkeypatch):
+        # (0, +-sqrt(2)) and (1, 0): t = x does not separate, and t = x + y
+        # has the irrational roots +-sqrt(2), where x = 0 must still come
+        # back exact.  Each coordinate's own polynomial is isolated once.
+        x, y = self.X, self.Y
+        calls = []
+        real_roots = _roots.real_roots_exact
+        monkeypatch.setattr(_roots, "real_roots_exact",
+                            lambda *a: calls.append(a) or real_roots(*a))
+        report = self.check([x**2 - x, x * y, y**2 + 2 * x - 2], False)
+        assert [w[0] for w in report.points] == [F(0), F(0), F(1)]
+        assert all(type(w[0]) is F for w in report.points)
+        assert report.exact_mask == (False, False, True)
+        assert len(calls) == 3  # t, then x and y once each
 
     def test_kernel_without_real_zeros(self):
         rng = random.Random(33)
