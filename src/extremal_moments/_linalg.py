@@ -3,8 +3,13 @@
 Every exact path runs through one fraction-free elimination, ``_eliminate``:
 each row is scaled to integers and the forward elimination uses Bareiss
 one-step updates, so ranks, pivot columns, kernels, solutions, determinants
-and the positive-semidefinite decision are computed without rounding.  Float
-paths delegate to numpy and use relative pivot thresholds.
+and the positive-semidefinite decision are computed without rounding.  The
+RREF and exact solutions come from one fraction-free back substitution,
+``_back_substitute``, in integers and on the free columns only (a solve's
+one free column is its right-hand side): the last pivot D times the RREF is
+an integer matrix, so each entry takes one exact division, and only the
+RREF's nonzero free entries become Fractions, over D.  Float paths delegate
+to numpy and use relative pivot thresholds.
 
 Pivot columns are always the *first* linearly independent columns in the given
 column order; kernel bases carry the delta structure (unit coefficient on one
@@ -13,7 +18,6 @@ free column, support otherwise restricted to pivot columns).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -96,22 +100,46 @@ def row_reduce(rows: Sequence[Sequence[Scalar]]) -> LinearReduction:
 
 def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
     work, pivots, _, _ = _eliminate(rows, ncols)
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    den, xs = _back_substitute(work, pivots, free)
+    one, zero = Fraction(1), Fraction(0)
+    rref = []
+    for i, p in enumerate(pivots):
+        row = [zero] * ncols
+        row[p] = one
+        for j, x in zip(free, xs[i]):
+            if x:
+                row[j] = Fraction(x, den)
+        rref.append(tuple(row))
+    return LinearReduction(nrows, ncols, len(pivots), tuple(pivots),
+                           tuple(rref))
+
+
+def _back_substitute(work, pivots, free):
+    """Fraction-free back substitution (Nakos, Turner & Williams 1997) of
+    the echelon rows of ``_eliminate`` on the columns *free*.
+
+    Returns ``(den, xs)`` with ``xs[i][t] / den`` the RREF entry of row i in
+    column ``free[t]``.  The last pivot *den* is the r x r minor of the
+    scaled rows on the pivot columns, so den times the RREF is an integer
+    matrix (Cramer's rule).  With E the r echelon rows and U their block on
+    the pivot columns (upper triangular), the rows of ``xs`` solve
+    U xs = den * E[:, free] from the bottom up, by one exact division per
+    entry.  With no pivot, den is 1 and xs is empty."""
     rank = len(pivots)
-    # Back-substitute the integer echelon form in integers, keeping each row
-    # primitive, and divide by the pivots last (the RREF is unique).
-    echelon = work[:rank]
+    den = work[rank - 1][pivots[-1]] if rank else 1
+    xs = [None] * rank
     for i in range(rank - 1, -1, -1):
-        row_i, piv = echelon[i], echelon[i][pivots[i]]
-        for k in range(i):
-            factor = echelon[k][pivots[i]]
-            if factor != 0:
-                row = [a * piv - factor * b
-                       for a, b in zip(echelon[k], row_i)]
-                content = math.gcd(*row)
-                echelon[k] = [x // content for x in row]
-    rref = tuple(tuple(Fraction(x, row[p]) for x in row)
-                 for row, p in zip(echelon, pivots))
-    return LinearReduction(nrows, ncols, rank, tuple(pivots), rref)
+        row = work[i]
+        acc = [den * row[j] for j in free]
+        for k in range(i + 1, rank):
+            u = row[pivots[k]]
+            if u:
+                acc = [a - u * x for a, x in zip(acc, xs[k])]
+        piv = row[pivots[i]]
+        xs[i] = [a // piv for a in acc]
+    return den, xs
 
 
 def _eliminate(rows, ncols):
@@ -203,14 +231,8 @@ def solve_linear(rows, rhs):
             [list(row) + [b] for row, b in zip(rows, rhs)], n)
         if len(pivots) < n:
             raise SingularMatrixError("exact solve: singular matrix")
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            row = work[i]
-            total = Fraction(row[n])
-            for j in range(i + 1, n):
-                total -= row[j] * x[j]
-            x[i] = total / row[i]
-        return x
+        den, xs = _back_substitute(work, pivots, [n])
+        return [Fraction(row[0], den) for row in xs]
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     b = np.array([float(x) for x in rhs], dtype=float)
     # Rounding leaves a singular matrix invertible, so its rank is judged

@@ -1,8 +1,11 @@
 """Univariate real-root location.
 
 Exact path: one bisection walk over integer dyadic intervals (lo, hi] / 2**k,
-from a power-of-two Cauchy bound (-B, B], with Sturm counts at the ends that
-are passed down, so a split counts only at its midpoint.  An interval that
+from (-B, B] for a power-of-two root bound B (the tighter of Cauchy's and
+Fujiwara's, ``root_bound``), with Sturm counts at the ends that are passed
+down, so a split counts only at its midpoint.  Every cell of the walk is a
+cell of one dyadic grid for any power-of-two B, so the bound moves no root
+and no cell, only the number of splits above the roots.  An interval that
 holds more than one root is split in two; one that holds one is refined on
 the same grid of cells.  A root is exact iff it is rational, and then it is
 N / |lead| (rational root theorem): the interval is refined to its first
@@ -222,16 +225,27 @@ def sign_variations(chain, num, shift) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def cauchy_bound(coeffs) -> int:
+def root_bound(coeffs) -> int:
     """Power-of-two bound B >= 1 with every real root in (-B, B), so every
-    interval of the bisection is a cell of a dyadic grid."""
+    interval of the bisection is a cell of a dyadic grid.
+
+    B is the first power of two that passes either Cauchy's test,
+    B |a_m| >= |a_m| + max |a_i|, or Fujiwara's (1916) with strict
+    inequalities, |a_(m-i)| < |a_m| (B/2)**i for 0 < i < m and
+    |a_0| < 2 |a_m| (B/2)**m.  So it is never looser than Cauchy's bound,
+    and far tighter when the coefficients grow with the degree, as they do
+    for a polynomial whose roots are all of moderate size."""
     p = _primitive(coeffs)
-    lead = abs(p[-1])
+    m, lead = len(p) - 1, abs(p[-1])
     top = lead + max(map(abs, p[:-1]), default=0)
-    bound = 1
-    while bound * lead < top:
-        bound *= 2
-    return bound
+    tail = [abs(c) << i for i, c in enumerate(reversed(p[:-1]), 1)]
+    if tail:
+        tail[-1] >>= 1
+    e = 0
+    while (lead << e) < top and any(
+            a >= lead << (e * i) for i, a in enumerate(tail, 1)):
+        e += 1
+    return 1 << e
 
 
 @dataclass(frozen=True)
@@ -263,7 +277,7 @@ def _roots_squarefree(p, width):
     of the module docstring.  The Sturm count of (lo, hi] leaves out a root
     at lo, so an interval whose left end is a root is split, not refined."""
     chain = sturm_chain(p)
-    bound = cauchy_bound(p)
+    bound = root_bound(p)
     roots = []
     stack = [(-bound, bound, 0, sign_variations(chain, -bound, 0),
               sign_variations(chain, bound, 0))]

@@ -11,7 +11,7 @@ up by its index sum, so equal sums can never disagree).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -41,6 +41,8 @@ class Multisequence:
     d: int
     degree: int
     values: Mapping
+    #: Whether every value is exact, decided once from the normalised values.
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -60,14 +62,11 @@ class Multisequence:
             if idx not in clean:
                 raise InputError(f"missing moment for index {idx}")
         object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "is_exact", all_exact(clean.values()))
 
     @property
     def n(self) -> int:
         return self.degree // 2
-
-    @property
-    def is_exact(self) -> bool:
-        return all_exact(self.values.values())
 
     def __getitem__(self, idx) -> Scalar:
         return self.values[tuple(idx)]
@@ -130,7 +129,7 @@ class MomentMatrix:
 
     @property
     def is_exact(self) -> bool:
-        return all(all_exact(row) for row in self.rows)
+        return self.beta.is_exact
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]

@@ -639,7 +639,25 @@ def vandermonde_rows(basis, points: Sequence[Point]) -> tuple:
     polynomials) as polynomials, and V_B[i][j] = b_i(w_j)."""
     polys = tuple(b if isinstance(b, Polynomial)
                   else Polynomial.monomial(len(points[0]), b) for b in basis)
-    return polys, tuple(tuple(b.evaluate(w) for w in points) for b in polys)
+    top = max((e for b in polys for idx in b.terms for e in idx), default=0)
+    rows = [[] for _ in polys]
+    for w in points:
+        # Each point's coordinate powers once, as Polynomial.evaluate
+        # computes them (x**e), so float values keep their bytes.
+        table = [[x**e for e in range(top + 1)] for x in map(ensure_scalar, w)]
+        for b, row in zip(polys, rows):
+            if b.d != len(w):
+                raise ValueError(f"point has {len(w)} coordinates, "
+                                 f"expected {b.d}")
+            total: Scalar = Fraction(0)
+            for idx, coeff in b.terms.items():
+                value = coeff
+                for powers, e in zip(table, idx):
+                    if e:
+                        value = value * powers[e]
+                total = total + value
+            row.append(total)
+    return polys, tuple(map(tuple, rows))
 
 
 def vandermonde_VB(basis, points: Sequence[Point]) -> VandermondeReport:

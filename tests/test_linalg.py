@@ -132,6 +132,149 @@ class TestSolveAndDeterminant:
             assert x == [F(int(v.p), int(v.q)) for v in expected]
 
 
+def gauss_jordan(rows, ncols):
+    """``(pivots, rref, det)`` by plain Fraction Gauss-Jordan elimination on
+    the first *ncols* columns; *det* is the determinant when the matrix is
+    square."""
+    work = [[F(x) for x in row] for row in rows]
+    pivots, det, r = [], F(1), 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if p is None:
+            det = F(0)
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            det = -det
+        head = work[r][c]
+        det *= head
+        work[r] = [x / head for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(pivots), tuple(map(tuple, work[:r])), det
+
+
+def _entry(rng, bits):
+    return F(rng.getrandbits(bits) - (1 << (bits - 1)),
+             rng.getrandbits(bits) + 1)
+
+
+def _small(rng):
+    return F(rng.choice([0, 0, 1, -1, 2, -3]), rng.choice([1, 2, 3]))
+
+
+def _zero(rng, shape):
+    return [[F(0)] * shape[1] for _ in range(shape[0])]
+
+
+def _of_rank(rng, shape, rank, entry):
+    """A product of shape[0] x rank and rank x shape[1] random matrices."""
+    left = [[entry(rng) for _ in range(rank)] for _ in range(shape[0])]
+    right = [[entry(rng) for _ in range(shape[1])] for _ in range(rank)]
+    return [[sum((a * right[k][j] for k, a in enumerate(row)), F(0))
+             for j in range(shape[1])] for row in left]
+
+
+def _wide(rng, shape):
+    """r x (r + 1) of rank r: one free column, as for d=1 Hankel kernels."""
+    r = shape[0]
+    return _of_rank(rng, (r, r + 1), r, _small)
+
+
+def _hankel(rng, shape):
+    """The (k+1) x (k+1) Hankel matrix of k rational atoms: rank k."""
+    k = shape[0]
+    atoms = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+    weights = [F(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(k)]
+    moments = [sum((w * x**e for w, x in zip(weights, atoms)), F(0))
+               for e in range(2 * k + 1)]
+    return [[moments[i + j] for j in range(k + 1)] for i in range(k + 1)]
+
+
+def _tall(rng, shape):
+    return _of_rank(rng, (shape[0] + shape[1], shape[1]),
+                    rng.randint(1, shape[1]), _small)
+
+
+def _exchanges(rng, shape):
+    """Rows permuted so that leading entries are zero: every step of the
+    elimination must exchange rows."""
+    n = shape[0]
+    rows = [[F(0)] * i + [F(rng.randint(1, 5))]
+            + [_small(rng) for _ in range(n - i - 1)] for i in range(n)]
+    return rows[::-1]
+
+
+def _big(rng, shape):
+    """Entries of 200 to 260 bits, full or deficient rank."""
+    bits = rng.randint(200, 260)
+    rank = rng.randint(1, min(shape))
+    return _of_rank(rng, shape, rank, lambda g: _entry(g, bits))
+
+
+ORACLE_FAMILIES = [_zero, _wide, _hankel, _tall, _exchanges, _big]
+
+
+class TestAgainstGaussJordan:
+    """The fraction-free elimination and back substitution against plain
+    Fraction Gauss-Jordan elimination."""
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES,
+                             ids=[f.__name__[1:] for f in ORACLE_FAMILIES])
+    def test_row_reduce(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(25):
+            rows = family(rng, (rng.randint(1, 6), rng.randint(1, 6)))
+            ncols = len(rows[0])
+            pivots, rref, _ = gauss_jordan(rows, ncols)
+            red = _linalg._row_reduce_exact(rows, len(rows), ncols)
+            assert red == _linalg.row_reduce(rows)
+            assert (red.rank, red.pivots, red.rref) == (len(pivots), pivots,
+                                                        rref)
+            for i, row in enumerate(red.rref):
+                assert all(type(x) is Fraction for x in row)
+                assert [row[p] for p in red.pivots] == [
+                    F(int(i == k)) for k in range(red.rank)]
+
+    def test_rank_zero(self):
+        red = _linalg.row_reduce(_zero(None, (3, 4)))
+        assert (red.rank, red.pivots, red.rref) == (0, (), ())
+        assert red.kernel_basis() == [[F(int(i == j)) for i in range(4)]
+                                      for j in range(4)]
+
+    @pytest.mark.parametrize("family", [_exchanges, _big, _hankel],
+                             ids=["exchanges", "big", "hankel"])
+    def test_solve_and_determinant(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            rows = family(rng, (n, n))
+            n = len(rows)
+            if family is _big and rng.random() < 0.5:
+                rows = _of_rank(rng, (n, n), n, lambda g: _entry(g, 220))
+            rhs = [_entry(rng, 210) for _ in range(n)]
+            pivots, rref, det = gauss_jordan(
+                [row + [b] for row, b in zip(rows, rhs)], n)
+            assert _linalg.determinant(rows) == det
+            if len(pivots) < n:
+                with pytest.raises(_linalg.SingularMatrixError):
+                    _linalg.solve_linear(rows, rhs)
+                continue
+            x = _linalg.solve_linear(rows, rhs)
+            assert x == [row[n] for row in rref]
+            assert all(type(v) is Fraction for v in x)
+
+    def test_empty_solve(self):
+        assert _linalg.solve_linear([], []) == []
+        assert _linalg.determinant([]) == 1
+
+
 class TestPsd:
     def test_psd_exact_accepts_gram(self):
         rows = [[F(2), F(1)], [F(1), F(1)]]

@@ -387,6 +387,13 @@ def mixed_product(rng):
     return coeffs
 
 
+def refinement_cases():
+    rng = random.Random(21)
+    return [mixed_product(rng) for _ in range(25)] + [
+        random_product(rng, 4, repeat=2) for _ in range(10)] + [
+        BIG_LEAD, multiply(BIG_LEAD, [F(-2), F(0), F(1)])]
+
+
 class TestRefinement:
     """Quadratic interval refinement lands on the bisection's grid cells."""
 
@@ -394,14 +401,21 @@ class TestRefinement:
                                        F(1, 2**50)],
                              ids=["1e-40", "1e-20", "third", "2**-50"])
     def test_same_roots_as_bisection(self, width, monkeypatch):
-        rng = random.Random(21)
-        cases = [mixed_product(rng) for _ in range(25)] + [
-            random_product(rng, 4, repeat=2) for _ in range(10)] + [
-            BIG_LEAD, multiply(BIG_LEAD, [F(-2), F(0), F(1)])]
+        cases = refinement_cases()
         found = [_roots.real_roots_exact(c, width) for c in cases]
         monkeypatch.setattr(_roots, "_isolate", bisection_isolate)
         assert found == [_roots.real_roots_exact(c, width) for c in cases]
         assert any(not r.exact for roots, _ in found for r in roots)
+
+    def test_same_roots_from_the_cauchy_bound(self, monkeypatch):
+        # Every cell of the walk is a cell of one dyadic grid for any
+        # power-of-two bound, so the looser Cauchy bound gives the same
+        # roots and cells.
+        cases = refinement_cases()
+        assert any(_roots.root_bound(c) < cauchy_bound(c) for c in cases)
+        found = [_roots.real_roots_exact(c) for c in cases]
+        monkeypatch.setattr(_roots, "root_bound", cauchy_bound)
+        assert found == [_roots.real_roots_exact(c) for c in cases]
 
     @pytest.mark.parametrize("p, lo, hi, k, root", [
         ([-1, 4], 0, 1, 0, F(1, 4)), ([-3, 4], 0, 1, 0, F(3, 4)),
@@ -429,6 +443,61 @@ class TestRefinement:
         assert len(calls) >= 133
 
 
+def cauchy_bound(coeffs):
+    """The first power of two B with B |lead| >= |lead| + max |a_i|."""
+    p = _roots._primitive(coeffs)
+    lead = abs(p[-1])
+    bound = 1
+    while bound * lead < lead + max(map(abs, p[:-1]), default=0):
+        bound *= 2
+    return bound
+
+
+class TestRootBound:
+    """Every real root lies strictly inside (-B, B), and B is never looser
+    than Cauchy's bound."""
+
+    def assert_bounds(self, coeffs):
+        bound = _roots.root_bound(coeffs)
+        assert bound & (bound - 1) == 0 and bound >= 1
+        assert bound <= cauchy_bound(coeffs)
+        poly = sympy_poly(coeffs)
+        assert poly.eval(bound) != 0 and poly.eval(-bound) != 0
+        assert poly.count_roots(-bound, bound) == poly.count_roots()
+        return bound
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 10, 40])
+    def test_roots_at_powers_of_two(self, k):
+        # A root at +-2**k sits on the edge of a power-of-two bound 2**k:
+        # the bound must pass it.
+        for roots in ([F(2**k)], [F(-2**k)], [F(2**k), F(-2**k)],
+                      [F(2**k), F(1, 3), F(-1)]):
+            for lead in (F(1), F(3), F(-1, 5)):
+                assert self.assert_bounds(from_roots(roots, lead)) > 2**k
+
+    def test_linear_polynomials(self):
+        for a in (F(1), F(-7), F(1, 9), F(2**60)):
+            for b in (F(0), F(1), F(-8), F(5, 3), F(-2**30)):
+                self.assert_bounds([b, a])
+
+    def test_big_lead(self):
+        self.assert_bounds(BIG_LEAD)
+        self.assert_bounds(multiply(BIG_LEAD, [F(-2), F(0), F(1)]))
+
+    def test_random_products(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            self.assert_bounds(mixed_product(rng))
+            self.assert_bounds(random_product(rng, 8, repeat=2))
+
+    def test_tighter_than_cauchy_on_moderate_roots(self):
+        # Roots -9..2 at degree 12: Cauchy's bound is 2**20, Fujiwara's
+        # 2 * |a_11 / a_12| = 2 * 42 rounds up to 2**7.
+        coeffs = from_roots([F(j) for j in range(-9, 3)], F(1))
+        assert cauchy_bound(coeffs) == 2**20
+        assert self.assert_bounds(coeffs) == 2**7
+
+
 class TestHelpers:
     def test_sturm_sign_count_interval(self):
         chain = _roots.sturm_chain([F(-2), F(0), F(1)])  # x^2 - 2
@@ -443,8 +512,8 @@ class TestHelpers:
         assert (_roots.sign_variations(chain, -2, 0)
                 - _roots.sign_variations(chain, 2, 0)) == 2
 
-    def test_cauchy_bound_is_power_of_two(self):
-        bound = _roots.cauchy_bound([F(-2), F(0), F(1)])
+    def test_root_bound_is_power_of_two(self):
+        bound = _roots.root_bound([F(-2), F(0), F(1)])
         assert bound >= 2
         assert bound.denominator == 1
         n = int(bound)
