@@ -39,21 +39,14 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def mat_vec(rows, vec):
-    out = []
-    for row in rows:
-        total = Fraction(0)
-        for a, x in zip(row, vec):
-            total = total + a * x
-        out.append(total)
-    return out
+def mat_vec(rows, vec) -> list:
+    """rows times vec, skipping zero entries: integers stay integers."""
+    return [sum(a * x for a, x in zip(row, vec) if a) for row in rows]
 
 
 def dot(u, v):
-    total = Fraction(0)
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
+    """sum u_i * v_i, added in order from Fraction(0)."""
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ the functional annihilates h, the relation of Y^2X^2 among those above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 # pipeline imports this module: Pipeline is read from it at call time.
@@ -40,6 +39,7 @@ from .polycore import (
     negligible,
     significant,
     total_degree,
+    values_at,
 )
 from .variety import (
     VarietyReport,
@@ -169,8 +169,7 @@ def signed_representation(beta: Multisequence,
     weights = _linalg.solve_linear(square, target)
     residual = 0.0
     for j, idx in enumerate(w_matrix.monomials):
-        predicted = sum((w * rows[i][j] for i, w in enumerate(weights)),
-                        start=Fraction(0))
+        predicted = _linalg.dot(weights, (row[j] for row in rows))
         residual = max(residual, abs(float(predicted - beta[idx])))
     valid = negligible(residual, beta.scale())
     atoms = tuple(points[i] for i in row_pick)
@@ -190,14 +189,10 @@ def compute_h(points: Sequence[Point],
         raise ValueError(
             f"need exactly {len(basis)} points, got {len(points)}")
     d = len(points[0])
-    rows = []
-    rhs = []
     target_poly = Polynomial.monomial(d, target)
     basis_polys = [Polynomial.monomial(d, idx) for idx in basis]
-    for w in points:
-        rows.append([b.evaluate(w) for b in basis_polys])
-        rhs.append(target_poly.evaluate(w))
-    alpha = _linalg.solve_linear(rows, rhs)
+    *columns, rhs = values_at([*basis_polys, target_poly], points)
+    alpha = _linalg.solve_linear(_linalg.transpose(columns), rhs)
     h = target_poly
     for a, b in zip(alpha, basis_polys):
         h = h - b.scale(a)
@@ -277,13 +272,10 @@ def simple_zero_certificate(r1: Polynomial, r2: Polynomial,
     if len(points) != expected:
         reasons.append(
             f"point count {len(points)} != deg(r1)*deg(r2) = {expected}")
-    j11, j12 = r1.partial(0), r1.partial(1)
-    j21, j22 = r2.partial(0), r2.partial(1)
-    for w in points:
-        det = j11.evaluate(w) * j22.evaluate(w) \
-            - j12.evaluate(w) * j21.evaluate(w)
-        scale = max(1.0, *(abs(float(p.evaluate(w)))
-                           for p in (j11, j12, j21, j22)))
+    partials = [r.partial(i) for r in (r1, r2) for i in (0, 1)]
+    for w, jacobian in zip(points, zip(*values_at(partials, points))):
+        det = jacobian[0] * jacobian[3] - jacobian[1] * jacobian[2]
+        scale = max(1.0, *(abs(float(v)) for v in jacobian))
         if abs(float(det)) <= RANK_TOL * scale:
             reasons.append(
                 f"Jacobian rank < 2 at point "

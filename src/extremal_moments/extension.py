@@ -15,7 +15,6 @@ by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import _linalg
@@ -123,10 +122,8 @@ def propagate_recursive_extension(matrix: MomentMatrix,
             c0 = coeffs[target]
             if not is_exact(c0) and abs(float(c0)) <= RANK_TOL:
                 continue
-            rest: Scalar = Fraction(0)
-            for idx, c in coeffs.items():
-                if idx != target:
-                    rest = rest + c * known[idx]
+            others = [idx for idx in coeffs if idx != target]
+            rest = _linalg.dot(map(coeffs.get, others), map(known.get, others))
             known[target] = -rest / c0
             changed = True
 
@@ -139,9 +136,7 @@ def propagate_recursive_extension(matrix: MomentMatrix,
     for coeffs, source in equations:
         if any(idx not in known for idx in coeffs):
             continue
-        value: Scalar = Fraction(0)
-        for idx, c in coeffs.items():
-            value = value + c * known[idx]
+        value = _linalg.dot(coeffs.values(), map(known.__getitem__, coeffs))
         if significant(value, scale):
             conflicts.append((*source, value))
 

@@ -174,7 +174,7 @@ def solve_extremal(beta: Multisequence | Pipeline,
             return _from_consistency(report, pipe)
         return report("Unknown", reason="interpolation failed without an "
                                         "inconsistency witness")
-    if any(float(rho) <= 0 for rho in densities):
+    if any(rho <= 0 for rho in densities):
         return report("Unknown",
                       reason="interpolation verified but a density is "
                              "nonpositive; numerically inconclusive")

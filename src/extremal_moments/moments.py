@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg
@@ -84,13 +83,10 @@ def multisequence_combine(parts: Sequence, coeffs: Sequence) -> Multisequence:
     for p in parts:
         if (p.d, p.degree) != (d, degree):
             raise ValueError("multisequence shapes differ")
-    values = {}
-    for idx in monomial_basis(d, degree):
-        total = Fraction(0)
-        for part, c in zip(parts, coeffs):
-            total = total + ensure_scalar(c) * part[idx]
-        values[idx] = total
-    return Multisequence(d, degree, values)
+    return Multisequence(d, degree, {
+        idx: _linalg.dot(map(ensure_scalar, coeffs),
+                         (part[idx] for part in parts))
+        for idx in monomial_basis(d, degree)})
 
 
 def riesz(beta: Multisequence, p: Polynomial) -> Scalar:
@@ -100,10 +96,7 @@ def riesz(beta: Multisequence, p: Polynomial) -> Scalar:
     if p.degree > beta.degree:
         raise ValueError(
             f"polynomial degree {p.degree} exceeds data degree {beta.degree}")
-    total: Scalar = Fraction(0)
-    for idx, coeff in p.terms.items():
-        total = total + coeff * beta[idx]
-    return total
+    return _linalg.dot(p.terms.values(), map(beta.__getitem__, p.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +136,12 @@ class MomentMatrix:
         return _linalg.mat_vec(self.rows, vec)
 
 
-def build_moment_matrix(beta: Multisequence, n: Optional[int] = None) -> MomentMatrix:
-    """Assemble M(n) from *beta* (n defaults to degree/2)."""
-    if n is None:
-        n = beta.n
-    if 2 * n > beta.degree:
-        raise ValueError(f"need moments up to degree {2 * n}, have {beta.degree}")
-    basis = tuple(monomial_basis(beta.d, n))
-    rows = []
-    for i in basis:
-        row = []
-        for j in basis:
-            idx = tuple(a + b for a, b in zip(i, j))
-            row.append(beta[idx])
-        rows.append(tuple(row))
-    return MomentMatrix(beta, n, basis, tuple(rows))
+def build_moment_matrix(beta: Multisequence) -> MomentMatrix:
+    """Assemble M(n) from *beta*, n = degree // 2."""
+    basis = tuple(monomial_basis(beta.d, beta.n))
+    rows = tuple(tuple(beta[tuple(a + b for a, b in zip(i, j))]
+                       for j in basis) for i in basis)
+    return MomentMatrix(beta, beta.n, basis, rows)
 
 
 # ---------------------------------------------------------------------------

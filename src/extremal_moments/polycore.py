@@ -9,7 +9,9 @@ Monomials are represented by exponent tuples (``MultiIndex``); polynomials are
 sparse maps from exponent tuples to scalar coefficients.  All orderings use
 *degree-lex*: ascending total degree, and within a degree descending powers of
 the first variable, then the second, and so on.  For two variables this lists
-``1, X, Y, X^2, XY, Y^2, ...``.
+``1, X, Y, X^2, XY, Y^2, ...``.  One routine, :func:`values_at`, evaluates
+polynomials at points: in integers, into one Fraction per value, when both
+are exact, else term by term as coeff * x**e * ..., which fixes float bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 def ensure_scalar(value) -> Scalar:
-    """Normalize *value* to a Scalar (ints become exact rationals)."""
+    """Normalize *value* to a Scalar of type Fraction or float: ints become
+    exact rationals, and float subclasses (numpy's floats) plain floats."""
     if isinstance(value, bool):
         raise InputError(f"not a scalar: {value!r}")
     if isinstance(value, Fraction):
@@ -48,7 +51,7 @@ def ensure_scalar(value) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return value
+        return float(value)
     raise InputError(f"not a scalar: {value!r}")
 
 
@@ -373,17 +376,7 @@ class Polynomial:
         return Polynomial(self.d, {idx: c * v for idx, v in self.terms.items()})
 
     def evaluate(self, point: Sequence) -> Scalar:
-        if len(point) != self.d:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.d}")
-        point = [ensure_scalar(x) for x in point]
-        total: Scalar = Fraction(0)
-        for idx, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, idx):
-                if e:
-                    value = value * x**e
-            total = total + value
-        return total
+        return values_at([self], [point])[0][0]
 
     def partial(self, i: int) -> "Polynomial":
         if not 0 <= i < self.d:
@@ -403,6 +396,46 @@ class Polynomial:
 
     def __str__(self) -> str:
         return poly_to_string(self)
+
+
+def values_at(polys: Sequence[Polynomial], points: Sequence) -> list:
+    """``rows[i][j] = polys[i](points[j])``, the one routine that evaluates
+    polynomials at points.  An exact p of degree t at an exact point is
+    summed in integers: over the lcms L of p's denominators and D of the
+    point's, x = N/D, each term c*x^a enters as L*c * N^a * D^(t-|a|), and
+    the value is one Fraction over L*D^t.  Any other value is summed from
+    Fraction(0) as coeff * x**e * ..., term by term, the order that fixes
+    the bytes of a float."""
+    # ensure_scalar leaves coefficients and coordinates Fractions or floats.
+    cleared = [float not in map(type, p.terms.values()) and (
+        *clear_denominators(p.terms.values()), max(p.degree, 0))
+        for p in polys]
+    rows: list = [[] for _ in polys]
+    for point in points:
+        point = [ensure_scalar(x) for x in point]
+        nums, den = clear_denominators(point) \
+            if float not in map(type, point) else (None, 1)
+        for p, exact, row in zip(polys, cleared, rows):
+            if len(point) != p.d:
+                raise ValueError(f"point has {len(point)} coordinates, "
+                                 f"expected {p.d}")
+            if exact and nums:
+                ints, lcm, top = exact
+                total = 0
+                for idx, c in zip(p.terms, ints):
+                    for x, e in zip(nums, idx):
+                        c *= x**e
+                    total += c * den**(top - sum(idx))
+                row.append(Fraction(total, lcm * den**top))
+                continue
+            total = Fraction(0)
+            for idx, value in p.terms.items():
+                for x, e in zip(point, idx):
+                    if e:
+                        value = value * x**e
+                total = total + value
+            row.append(total)
+    return rows
 
 
 # ---------------------------------------------------------------------------

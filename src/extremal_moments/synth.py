@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from . import _linalg
 from .moments import Multisequence
 from .polycore import (
     InputError,
@@ -28,6 +29,7 @@ from .polycore import (
     format_scalar,
     is_exact,
     monomial_basis,
+    values_at,
 )
 
 
@@ -110,11 +112,10 @@ class Derivation:
         object.__setattr__(self, "a0", ensure_scalar(self.a0))
 
     def apply(self, p: Polynomial) -> Scalar:
-        total: Scalar = Fraction(0)
-        for i, c in enumerate(self.direction):
-            if c != 0:
-                total = total + c * p.partial(i).evaluate(self.point)
-        return self.a0 * total
+        axes = [i for i, c in enumerate(self.direction) if c != 0]
+        grad = values_at([p.partial(i) for i in axes], [self.point])
+        return self.a0 * _linalg.dot([self.direction[i] for i in axes],
+                                     [row[0] for row in grad])
 
 
 @dataclass(frozen=True)
@@ -137,9 +138,7 @@ class SignedFunctional:
                            tuple(ensure_scalar(w) for w in self.weights))
 
     def apply(self, p: Polynomial) -> Scalar:
-        total: Scalar = Fraction(0)
-        for w, weight in zip(self.atoms, self.weights):
-            total = total + weight * p.evaluate(w)
+        total = _linalg.dot(self.weights, values_at([p], self.atoms)[0])
         if self.derivation is not None:
             total = total + self.derivation.apply(p)
         return total

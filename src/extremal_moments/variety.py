@@ -14,14 +14,17 @@ else the midpoint of a refined interval.  An ideal with a multiple zero,
 told by the squarefree parts of the coordinates' minimal polynomials, is
 replaced by its radical first.
 In two variables a nonconstant gcd of an exact kernel first certifies an
-infinite variety; this module only converts the kernel polynomials to and
-from the integer lists of ``_roots``, whose primitive remainder sequence
-finds it.
+infinite variety when it takes both signs at sampled rational points (its
+zero set then separates the plane), and leaves it Unknown otherwise; this
+module only converts the kernel polynomials to and from the integer lists
+of ``_roots``, whose primitive remainder sequence finds the gcd.
 Float kernels read the points from the eigenvectors of one generic
 combination of the multiplication matrices, average each cluster (a
 multiple zero), and filter every real point by the residuals of *all*
 kernel elements.  A float kernel whose reduction puts 1 in its ideal
 certifies no empty set: rounding alone can do that (one atom at 1e100).
+The evaluation matrices W_k and V_B are ``polycore.values_at`` of monomials
+or basis polynomials at the points, so exact points are summed in integers.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +56,7 @@ from .polycore import (
     monomial_basis,
     negligible,
     total_degree,
+    values_at,
 )
 
 #: Float points closer than this (relative to their size) are one multiple
@@ -164,6 +168,28 @@ def _normalize_gcd(p: Polynomial) -> Polynomial:
     return p.scale(1 / Fraction(p.terms[lead_idx]))
 
 
+def _changes_sign(g: Polynomial) -> bool:
+    """Is the zero set of the exact bivariate g certainly infinite: does g
+    vanish on a line, or take both signs at rational points, so that its
+    zeros separate the plane?  The points sampled lie on the lines y = c
+    and x = c, c = 0, 1, -1, 2, -2: left of, between and right of g's real
+    roots on each."""
+    signs = set()
+    for c, axis in product(_integer_nodes(5), (0, 1)):
+        line = [0] * (int(g.degree) + 1)
+        for idx, coeff in g.terms.items():
+            line[idx[axis]] += coeff * c**idx[1 - axis]
+        if not any(line):
+            return True
+        xs = [r.value for r in _roots.real_roots_exact(line)[0]] or [0]
+        ends = [xs[0] - 2, *xs, xs[-1] + 2]
+        signs.update(v > 0 for a, b in zip(ends, ends[1:])
+                     if (v := _roots.horner(line, Fraction(a + b, 2))))
+        if len(signs) == 2:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # variety computation
 # ---------------------------------------------------------------------------
@@ -191,7 +217,12 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
             if g.degree == 0:
                 break
         if g.degree >= 1:
-            return VarietyReport("Infinite", witness=g)
+            if _changes_sign(g):
+                return VarietyReport("Infinite", witness=g)
+            return VarietyReport("Unknown", reason=f"the common factor {g} "
+                                 "of the kernel takes one sign at every "
+                                 "sampled point, so it may have finitely "
+                                 "many real zeros")
     quotient = _quotient(kernel, exact)
     if quotient is None:
         return VarietyReport("Unknown", reason="no normal set of the kernel "
@@ -269,23 +300,20 @@ def _lower(b) -> tuple:
     return b[:i] + (b[i] - 1,) + b[i + 1:]
 
 
-def _times(rows, vector) -> list:
-    return [sum(a * x for a, x in zip(row, vector) if a) for row in rows]
-
-
 def _images(monomials, mats, vector) -> dict:
     """scale**|a| * x^a * vector for monomials a listed after their _lower."""
     images = {}
     for a in monomials:
-        images[a] = _times(mats[next(i for i, e in enumerate(a) if e)],
-                           images[_lower(a)]) if any(a) else vector
+        images[a] = _linalg.mat_vec(
+            mats[next(i for i, e in enumerate(a) if e)],
+            images[_lower(a)]) if any(a) else vector
     return images
 
 
 def _commute(a, b, exact: bool) -> bool:
     """Is ab = ba, up to ``negligible`` against |a||b| for floats?"""
-    ab = [_times(a, col) for col in zip(*b)]
-    ba = [_times(b, col) for col in zip(*a)]
+    ab = [_linalg.mat_vec(a, col) for col in zip(*b)]
+    ba = [_linalg.mat_vec(b, col) for col in zip(*a)]
     bound = 1.0 if exact else len(a) * max(
         (abs(x) for row in a for x in row), default=0) * max(
         (abs(x) for row in b for x in row), default=0)
@@ -398,7 +426,7 @@ def _krylov(matrix, scale, xs) -> tuple:
     vectors w_j = lifts[j] * t**j * 1."""
     vectors, lifts = [[0] * (len(matrix) - 1) + [1]], [Fraction(1)]
     for _ in matrix:
-        vector = _times(matrix, vectors[-1])
+        vector = _linalg.mat_vec(matrix, vectors[-1])
         content = math.gcd(*vector) or 1
         vectors.append([x // content for x in vector])
         lifts.append(lifts[-1] * scale / content)
@@ -417,7 +445,7 @@ def _squarefree_at(basis, matrix, scale, squarefree) -> Polynomial:
     f the integer list *squarefree*, x_i = matrix / scale."""
     value = [0] * len(basis)
     for k, a in enumerate(reversed(squarefree)):
-        value = _times(matrix, value)
+        value = _linalg.mat_vec(matrix, value)
         value[-1] += a * scale**k
     return Polynomial(len(basis[0]), dict(zip(basis, value)))
 
@@ -527,19 +555,9 @@ def build_W(points: Sequence[Point], k: int, d: Optional[int] = None) -> EvalMat
     if d is None:
         d = len(points[0])
     monomials = tuple(monomial_basis(d, k))
-    rows = []
-    for w in points:
-        if len(w) != d:
-            raise ValueError(f"point {w} does not have dimension {d}")
-        row = []
-        for idx in monomials:
-            value: Scalar = Fraction(1)
-            for x, e in zip(w, idx):
-                if e:
-                    value = value * x**e
-            row.append(value)
-        rows.append(tuple(row))
-    return EvalMatrix(k, tuple(tuple(w) for w in points), monomials, tuple(rows))
+    columns = values_at([Polynomial.monomial(d, m) for m in monomials], points)
+    return EvalMatrix(k, tuple(map(tuple, points)), monomials,
+                      tuple(zip(*columns)))
 
 
 def eval_matrix_rank(matrix: EvalMatrix) -> int:
@@ -639,25 +657,7 @@ def vandermonde_rows(basis, points: Sequence[Point]) -> tuple:
     polynomials) as polynomials, and V_B[i][j] = b_i(w_j)."""
     polys = tuple(b if isinstance(b, Polynomial)
                   else Polynomial.monomial(len(points[0]), b) for b in basis)
-    top = max((e for b in polys for idx in b.terms for e in idx), default=0)
-    rows = [[] for _ in polys]
-    for w in points:
-        # Each point's coordinate powers once, as Polynomial.evaluate
-        # computes them (x**e), so float values keep their bytes.
-        table = [[x**e for e in range(top + 1)] for x in map(ensure_scalar, w)]
-        for b, row in zip(polys, rows):
-            if b.d != len(w):
-                raise ValueError(f"point has {len(w)} coordinates, "
-                                 f"expected {b.d}")
-            total: Scalar = Fraction(0)
-            for idx, coeff in b.terms.items():
-                value = coeff
-                for powers, e in zip(table, idx):
-                    if e:
-                        value = value * powers[e]
-                total = total + value
-            row.append(total)
-    return polys, tuple(map(tuple, rows))
+    return polys, tuple(map(tuple, values_at(polys, points)))
 
 
 def vandermonde_VB(basis, points: Sequence[Point]) -> VandermondeReport:

@@ -10,7 +10,8 @@ import extremal_moments as em
 from extremal_moments import cli
 from extremal_moments.cli import run
 
-from conftest import as_float, d3_measure, fixture_path
+from conftest import (as_float, conic_without_real_points, d3_measure,
+                      fixture_path)
 
 
 EX15 = str(fixture_path("example15.moments.json"))
@@ -178,6 +179,73 @@ class TestOneVariety:
         out = capsys.readouterr().out
         assert "status: Measure" in out
         assert "atoms (0):" in out
+
+
+TRIVIAL_KERNEL_TEXT = {
+    "analyze": (0, "data: d=2, degree=2, mode=exact\n"
+                   "M(1): size 3, rank 3, psd PSD\n"
+                   "recursively generated: RecursivelyGenerated\n"
+                   "flat over M(0): False (rank 1 -> 3)\n"),
+    "solve": (3, "status: NotExtremal\n"
+                 "rank M(n) = 3, card variety = infinite\n"
+                 "reason: M(n) is invertible, so the variety is all of "
+                 "R^d\n"),
+    "variety": (0, "rank M(1) = 3\n"
+                   "kernel is trivial: variety is all of R^d\n"),
+}
+TRIVIAL_KERNEL_STRUCTURED = {
+    "analyze": {"command": "analyze", "d": 2, "degree": 2, "exact": True,
+                "flat": False, "psd": "PSD", "rank": 3,
+                "recursiveness": "RecursivelyGenerated", "relations": []},
+    "solve": {"command": "solve", "rank": 3,
+              "reason": "M(n) is invertible, so the variety is all of R^d",
+              "relations": [], "status": "NotExtremal", "v": "infinite"},
+    "variety": {"command": "variety", "rank": 3, "relations": [],
+                "variety": {"multiple_roots": False, "points": [],
+                            "reason": "trivial kernel",
+                            "status": "Infinite", "witness": None}},
+}
+
+
+class TestTrivialKernel:
+    """Atoms (0,0), (1,0), (0,1) at degree 2: M(1) is invertible."""
+
+    @pytest.fixture
+    def moments(self, tmp_path):
+        path = tmp_path / "trivial.json"
+        em.dump_multisequence(em.beta_from_atoms(
+            [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [F(1)] * 3,
+            degree=2), path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ("analyze", "solve", "variety"))
+    def test_text(self, command, moments, capsys):
+        code, text = TRIVIAL_KERNEL_TEXT[command]
+        assert run([command, moments]) == code
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("command", ("analyze", "solve", "variety"))
+    def test_structured(self, command, moments, capsys):
+        code = TRIVIAL_KERNEL_TEXT[command][0]
+        assert run([command, moments, "--format", "structured"]) == code
+        expected = TRIVIAL_KERNEL_STRUCTURED[command]
+        assert capsys.readouterr().out == json.dumps(
+            expected, indent=2, sort_keys=True) + "\n"
+
+
+class TestCommonFactor:
+    def test_no_real_zero_is_not_infinite(self, capsys, tmp_path):
+        # 1 + X^2 + Y^2 divides the kernel but has no real zero.
+        path = tmp_path / "conic.json"
+        em.dump_multisequence(conic_without_real_points(), path)
+        assert run(["analyze", str(path)]) == 0
+        assert "variety: Unknown, card unknown" in capsys.readouterr().out
+        assert run(["variety", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "variety: Unknown, card unknown" in out
+        assert "common factor:" not in out
+        assert run(["solve", str(path)]) == 2
+        assert "reason: NotPSD" in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -61,6 +61,20 @@ class TestSolveMeasure:
         assert 0 < densities[0] < 1e-8
         assert 0 < densities[-1] < 1e-8
 
+    @pytest.mark.parametrize("d, atoms, densities", (
+        (1, [(F(0),), (F(1),)], [F(1), F(1, 10**400)]),
+        (2, [(F(0), F(0)), (F(1), F(2)), (F(2), F(-1))],
+         [F(1), F(1, 10**400), F(3)]),
+    ), ids=("d1", "d2"))
+    def test_density_below_the_smallest_float(self, d, atoms, densities):
+        # 10**-400 reads as 0.0 in floats; exact densities compare exactly.
+        beta = em.beta_from_atoms(atoms, densities, d=d, degree=4)
+        report = em.solve_extremal(beta)
+        assert report.status == "Measure"
+        assert dict(zip(report.measure.atoms, report.measure.densities)) \
+            == dict(zip(atoms, densities))
+        assert report.residual == 0
+
     def test_curve_scenario_unit_measure(self, prop61):
         report = em.solve_extremal(prop61)
         assert report.status == "Measure"

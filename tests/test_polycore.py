@@ -1,8 +1,10 @@
 """Unit tests: scalars, monomial orders, polynomial arithmetic."""
 
+import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extremal_moments.polycore import (
@@ -18,6 +20,7 @@ from extremal_moments.polycore import (
     poly_to_string,
     significant,
     total_degree,
+    values_at,
 )
 
 
@@ -150,3 +153,101 @@ class TestPolynomial:
         p = Polynomial(2, {(0, 2): Fraction(1), (1, 0): Fraction(-4),
                            (0, 0): Fraction(2)})
         assert poly_to_string(p) == "2 - 4X + Y^2"
+
+
+def _fraction_value(p, point):
+    """p(point) summed in Fractions, the reference of exact values."""
+    total = Fraction(0)
+    for idx, c in p.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, idx):
+            term *= Fraction(x)**e
+        total += term
+    return total
+
+
+def _term_loop_value(p, point):
+    """The term loop that evaluated polynomials before ``values_at``, the
+    reference of float bytes."""
+    total = Fraction(0)
+    for idx, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(point, idx):
+            if e:
+                value = value * x**e
+        total = total + value
+    return total
+
+
+def _random_coordinate(rng):
+    return rng.choice((
+        Fraction(0), Fraction(rng.randint(-9, 9)),
+        Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 50)),
+        Fraction(rng.randint(-10**15, 10**15), 10**12 + rng.randint(0, 999)),
+        Fraction(rng.choice((-1, 1)), 3**rng.randint(26, 40))))
+
+
+def _random_polys(rng, d, count, coefficient):
+    """*count* polynomials of degree <= 6: constants, the zero polynomial,
+    monomials and sums of up to six terms."""
+    polys = [Polynomial.zero(d), Polynomial.constant(d, coefficient(rng))]
+    while len(polys) < count:
+        terms = {tuple(rng.randint(0, 5 // d + 1) for _ in range(d)):
+                 coefficient(rng) for _ in range(rng.randint(1, 6))}
+        polys.append(Polynomial(d, terms))
+    return polys
+
+
+def _exact_coefficient(rng):
+    return rng.choice((Fraction(rng.randint(-20, 20)),
+                       Fraction(rng.randint(-10**9, 10**9),
+                                rng.randint(1, 10**13))))
+
+
+def _float_coefficient(rng):
+    return rng.uniform(-5.0, 5.0)
+
+
+class TestValuesAt:
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_exact_values_are_the_fraction_sums(self, d):
+        rng = random.Random(d)
+        polys = _random_polys(rng, d, 12, _exact_coefficient)
+        points = [tuple(_random_coordinate(rng) for _ in range(d))
+                  for _ in range(10)]
+        points.append((0,) * d)  # integers are exact too
+        rows = values_at(polys, points)
+        for p, row in zip(polys, rows):
+            for w, value in zip(points, row):
+                assert type(value) is Fraction
+                assert value == _fraction_value(p, w)
+                assert p.evaluate(w) == value
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_float_and_mixed_values_keep_their_bytes(self, d):
+        rng = random.Random(10 + d)
+        polys = _random_polys(rng, d, 6, _exact_coefficient) \
+            + _random_polys(rng, d, 6, _float_coefficient)
+        exact = [tuple(_random_coordinate(rng) for _ in range(d))
+                 for _ in range(4)]
+        floats = [tuple(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0)))
+                        for _ in range(d)) for _ in range(4)]
+        mixed = [tuple(rng.choice((float(x), x)) for x in w) for w in exact]
+        points = exact + floats + mixed
+        rows = values_at(polys, points)
+        for p, row in zip(polys, rows):
+            for w, value in zip(points, row):
+                assert repr(value) == repr(_term_loop_value(p, w))
+                assert repr(p.evaluate(w)) == repr(value)
+
+    def test_numpy_floats_take_the_float_path(self):
+        p = Polynomial(1, {(2,): Fraction(1, 3), (0,): Fraction(1)})
+        value = values_at([p], [(np.float64(0.1),)])[0][0]
+        assert type(value) is float
+        assert repr(value) == repr(_term_loop_value(p, (0.1,)))
+
+    def test_rejects_points_of_the_wrong_dimension(self):
+        with pytest.raises(ValueError, match="2 coordinates, expected 3"):
+            values_at([Polynomial.constant(3, 1)], [(1, 2)])
+        with pytest.raises(InputError):
+            values_at([Polynomial.constant(1, 1)], [("1",)])

@@ -14,7 +14,7 @@ from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.polycore import InputError, Polynomial
 from extremal_moments.variety import VarietyReport, vanishing_ideal
 
-from conftest import d3_measure, fixture_path
+from conftest import conic_without_real_points, d3_measure, fixture_path
 
 
 SQRT6 = math.sqrt(6.0)
@@ -51,6 +51,35 @@ class TestComputeVariety:
         assert report.witness is not None
         assert report.witness.terms == {(0, 0): F(-1), (1, 1): F(1)}
 
+    def test_common_factor_without_real_zeros_is_unknown(self):
+        # 1 + X^2 + Y^2 divides the kernel but vanishes nowhere in R^2.
+        kernel = kernel_of(conic_without_real_points())
+        assert [str(p) for p in kernel] == [
+            "1 + X^2 + Y^2", "X + X^3 + Y^2X", "Y + YX^2 + Y^3"]
+        report = em.compute_variety(kernel)
+        assert report.status == "Unknown"
+        assert report.witness is None
+        assert "common factor 1 + X^2 + Y^2" in report.reason
+
+    @pytest.mark.parametrize("atoms, degree, factor", (
+        ([(F(10), F(k)) for k in range(3)], 4,
+         {(0, 0): F(-10), (1, 0): F(1)}),
+        ([(F(k), F(-7, 2)) for k in range(3)], 4,
+         {(0, 0): F(7, 2), (0, 1): F(1)}),
+        ([(F(100 - k), F(k)) for k in range(3)], 4,
+         {(0, 0): F(-100), (1, 0): F(1), (0, 1): F(1)}),
+        ([(F(x, 3), F(k)) for x in (1, 2) for k in range(4)], 6,
+         {(0, 0): F(2, 9), (1, 0): F(-1), (2, 0): F(1)}),
+    ), ids=("x=10", "y=-7/2", "x+y=100", "x=1/3,2/3"))
+    def test_atoms_on_lines_are_infinite(self, atoms, degree, factor):
+        # A fixed grid of points can miss these sign changes, so g is
+        # sampled around its real roots on the lines y = c and x = c.  For
+        # the lines x = 1/3 and x = 2/3, g < 0 only between its roots.
+        beta = em.beta_from_atoms(atoms, [F(1)] * len(atoms), degree=degree)
+        report = em.compute_variety(kernel_of(beta))
+        assert report.status == "Infinite"
+        assert report.witness.terms == factor
+
     def test_cubic_curve_seven_points(self, ex44):
         report = em.compute_variety(kernel_of(ex44))
         assert report.status == "Finite"
@@ -74,9 +103,8 @@ class TestComputeVariety:
         assert report.v == 0
 
     def test_vertical_line_atoms_exact(self):
-        # Atoms on the line x = 0: the lowest-degree kernel pair (x, x^2) is
-        # y-free, so Res_y degenerates to a constant; the gcd fallback must
-        # still recover both points.
+        # Atoms on the line x = 0: the kernel holds x and y^2 + 2y, which
+        # share no factor, so its quotient algebra gives both points.
         beta = em.beta_from_atoms([(F(0), F(0)), (F(0), F(-2))],
                                   [F(2), F(1, 8)], degree=6)
         report = em.compute_variety(kernel_of(beta))
