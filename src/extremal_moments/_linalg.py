@@ -4,6 +4,10 @@ Every exact path runs through one fraction-free elimination, ``_eliminate``:
 each row is scaled to integers and the forward elimination uses Bareiss
 one-step updates, so ranks, pivot columns, kernels, solutions, determinants
 and the positive-semidefinite decision are computed without rounding.  The
+elimination behind a reduction also records whether every pivot came, in
+order, from the row of its column and was positive: for a symmetric matrix
+that is the PSD decision itself, so a reduction of M(n) decides M(n) >= 0
+and ``psd_exact`` eliminates again only to build a witness.  The
 RREF and exact solutions come from one fraction-free back substitution,
 ``_back_substitute``, in integers and on the free columns only (a solve's
 one free column is its right-hand side): the last pivot D times the RREF is
@@ -18,9 +22,9 @@ free column, support otherwise restricted to pivot columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +66,11 @@ class LinearReduction:
     rank: int
     pivots: tuple  # pivot column indices, increasing
     rref: tuple    # rank rows, each of length ncols; pivot entries equal 1
+    #: Exact reductions: did every step k take a positive pivot from input
+    #: row pivots[k] (``_positive_diagonal``)?  For a symmetric matrix that
+    #: holds exactly when it is PSD.  None for float reductions.
+    positive_diagonal: Optional[bool] = field(default=None, repr=False,
+                                              compare=False)
 
     def kernel_basis(self) -> list:
         """Kernel vectors in delta form, one per free column, in column order."""
@@ -92,7 +101,7 @@ def row_reduce(rows: Sequence[Sequence[Scalar]]) -> LinearReduction:
 
 
 def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
-    work, pivots, _, _ = _eliminate(rows, ncols)
+    work, pivots, _, order = _eliminate(rows, ncols)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     den, xs = _back_substitute(work, pivots, free)
@@ -106,7 +115,24 @@ def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
                 row[j] = Fraction(x, den)
         rref.append(tuple(row))
     return LinearReduction(nrows, ncols, len(pivots), tuple(pivots),
-                           tuple(rref))
+                           tuple(rref),
+                           _positive_diagonal(work, pivots, order))
+
+
+def _positive_diagonal(work, pivots, order) -> bool:
+    """Did every step k of ``_eliminate`` take its pivot from input row
+    pivots[k], and was that pivot positive?
+
+    For a symmetric A this holds exactly when A >= 0.  If it holds, the
+    pivots are the leading principal minors of A[P,P] (P the pivot columns)
+    times positive row scales, so A[P,P] > 0 by Sylvester's criterion, and
+    A, of rank |P|, equals A[P,:]^T A[P,P]^-1 A[P,:] >= 0.  Conversely, let
+    A >= 0 and c = pivots[k].  A row i < c outside P is, like column i, a
+    combination of pivot rows before it, so the first k steps make it
+    zero; swaps move only such zero rows, so row c is the first with a
+    nonzero entry in column c, and its pivot is a leading principal minor
+    of A[P,P] > 0 times positive row scales."""
+    return all(order[k] == c and work[k][c] > 0 for k, c in enumerate(pivots))
 
 
 def _back_substitute(work, pivots, free):
@@ -265,29 +291,28 @@ def determinant(rows):
 # ---------------------------------------------------------------------------
 
 def psd_exact(rows, pivots=None):
-    """Exact PSD decision for a symmetric rational matrix A, read from the
-    pivots of ``_eliminate``; *pivots*, A's pivot columns when a reduction
-    of A already found them, spare its elimination.
+    """Exact PSD decision for a symmetric rational matrix A, read off one
+    elimination of A (``_positive_diagonal``); *pivots*, A's pivot columns
+    when a reduction of A already found them and found A not PSD, spare it.
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness vector
-    v satisfies v^T A v < 0.  With P the pivot columns of A, A equals
-    A[P,:]^T A[P,P]^-1 A[P,:], so A >= 0 exactly when A[P,P] > 0: by
-    Sylvester's criterion, when the elimination of A[P,P] takes every pivot
-    from the diagonal, in order, and every pivot (a leading minor times
-    positive row scales) is positive.  At the first step k that fails, the
+    v satisfies v^T A v < 0.  Only a witness eliminates again: with P the
+    pivot columns, A equals A[P,:]^T A[P,P]^-1 A[P,:], so A is not PSD
+    exactly when A[P,P] is not positive definite, that is (Sylvester's
+    criterion) when the elimination of A[P,P] takes some pivot off the
+    diagonal or gets a negative one.  At the first step k that does, the
     lifts u_j = e_j - (A_k^-1 A[:k, j], 0) against the leading block A_k have
     u_j^T A u_l = s_jl, the Schur complement.  Either s_kk < 0 and u_k is the
     witness, or s_kk = 0, row l was swapped in with s_kl != 0, and
     u_k - t u_l with t = s_kl / (|s_ll| + 1) is.
     """
     n = len(rows)
-    known = pivots is not None
-    if not known:
+    if pivots is None:
         work, pivots, _, order = _eliminate(rows, n)
-    block = rows
-    if known or len(pivots) < n:
-        block = [[rows[i][j] for j in pivots] for i in pivots]
-        work, _, _, order = _eliminate(block, len(pivots))
+        if _positive_diagonal(work, pivots, order):
+            return True, None
+    block = [[rows[i][j] for j in pivots] for i in pivots]
+    work, _, _, order = _eliminate(block, len(pivots))
     size = len(block)
     k = next((k for k in range(size) if order[k] != k or work[k][k] < 0),
              None)

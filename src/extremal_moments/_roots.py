@@ -14,13 +14,15 @@ is tested by one integer evaluation of lead**m * p(N / lead).  An irrational
 root's refinement goes on from that cell to its cell of the requested width
 by quadratic interval refinement (Abbott 2006), whose secant steps cut the
 ~133 evaluations of bisection to a few dozen.  Everything runs in plain
-integers: the Sturm chain, the gcd and the squarefree part come from one
-primitive remainder sequence on integer polynomials, and every sign is an
-integer Horner evaluation at num / 2**k.
-The same sequence, run in (Z[x])[y] with contents taken out in Z[x], gives
-the bivariate gcd that ``variety`` uses to find a common factor of a
-kernel.  Float data never comes here: float varieties are read from the
-eigenvectors of multiplication matrices (see ``variety``).
+integers: the Sturm chain is a primitive remainder sequence on integer
+polynomials, and its last member, gcd(p, p'), gives the multiple-root test
+and the squarefree part, so a squarefree p runs one sequence per
+isolation; every sign is an integer Horner evaluation at num / 2**k.
+The same primitive remainders, run in (Z[x])[y] with contents taken out
+in Z[x] (``_gcd``), give the bivariate gcd that ``variety`` uses to find a
+common factor of a kernel.  Float data never comes here: float varieties
+are read from the eigenvectors of multiplication matrices (see
+``variety``).
 
 Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.  A
 polynomial in (Z[x])[y] is a list of such integer lists, one per power of y.
@@ -189,16 +191,21 @@ def _exact_quotient(a, b) -> list:
 
 def squarefree_part(coeffs):
     """p / gcd(p, p') as a primitive integer polynomial, a positive multiple
-    of p's squarefree part; returns (squarefree_coeffs, had_multiple_roots)."""
-    p = _primitive(coeffs)
-    if len(p) <= 2:
-        return p, False
-    g = _gcd(p, _content_free(derivative(p)))
+    of p's squarefree part; returns (squarefree_coeffs, had_multiple_roots).
+    The gcd is the last member of p's ``sturm_chain``."""
+    return _squarefree(sturm_chain(coeffs))
+
+
+def _squarefree(chain):
+    """``squarefree_part`` of the polynomial p whose ``sturm_chain`` is
+    *chain*: its last member is gcd(p, p') up to sign, a constant when p is
+    squarefree (and p itself when p is a constant)."""
+    if not chain:
+        return [], False
+    p, g = chain[0], chain[-1]
     if len(g) == 1:
         return p, False
-    if g[-1] < 0:
-        g = [-c for c in g]
-    return _exact_quotient(p, g), True
+    return _exact_quotient(p, g if g[-1] > 0 else [-c for c in g]), True
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +269,26 @@ def real_roots_exact(coeffs, width=REFINE_WIDTH) -> tuple:
     """All real roots of a nonzero rational polynomial.
 
     Returns ``(roots, had_multiple)`` with roots sorted ascending; multiple
-    roots are reported once (squarefree reduction) with the flag set.
+    roots are reported once (squarefree reduction) with the flag set.  The
+    Sturm chain of the input also gives the multiple-root test, so a
+    squarefree polynomial runs one remainder sequence and any other two.
     """
-    sf, had_multiple = squarefree_part(coeffs)
+    chain = sturm_chain(coeffs)
+    sf, had_multiple = _squarefree(chain)
     if not sf:
         raise ValueError("zero polynomial has every point as a root")
-    roots = _roots_squarefree(sf, Fraction(width))
+    if had_multiple:
+        chain = sturm_chain(sf)
+    roots = _roots_squarefree(sf, chain, Fraction(width))
     roots.sort(key=lambda r: r.value)
     return roots, had_multiple
 
 
-def _roots_squarefree(p, width):
-    """Roots of the squarefree primitive integer polynomial *p*, by the walk
-    of the module docstring.  The Sturm count of (lo, hi] leaves out a root
-    at lo, so an interval whose left end is a root is split, not refined."""
-    chain = sturm_chain(p)
+def _roots_squarefree(p, chain, width):
+    """Roots of the squarefree primitive integer polynomial *p*, whose
+    ``sturm_chain`` is *chain*, by the walk of the module docstring.  The
+    Sturm count of (lo, hi] leaves out a root at lo, so an interval whose
+    left end is a root is split, not refined."""
     bound = root_bound(p)
     roots = []
     stack = [(-bound, bound, 0, sign_variations(chain, -bound, 0),

@@ -167,6 +167,9 @@ class KernelReport:
     rank: int
     pivots: tuple  # pivot monomials (MultiIndex), the first independent columns
     kernel: tuple  # Polynomials in delta form: unit coefficient on a free monomial
+    #: Exact M(n): is M(n) >= 0, read off the elimination that found the
+    #: kernel (``_linalg._positive_diagonal``)?  None for float M(n).
+    psd: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def nullity(self) -> int:
@@ -194,8 +197,11 @@ def psd_check(matrix: MomentMatrix,
               kernel: Optional[KernelReport] = None) -> PsdVerdict:
     """Decide M(n) >= 0; NotPSD carries a polynomial witness with
     Lambda(witness^2) < 0 (exact witness in exact mode).  An exact M(n)
-    reads its pivot columns from *kernel*, its ``rank_kernel``, if given."""
+    reads the decision from *kernel*, its ``rank_kernel``, if given, and
+    eliminates again only to build a witness."""
     if matrix.is_exact:
+        if kernel is not None and kernel.psd:
+            return PsdVerdict("PSD")
         pivots = None if kernel is None else [
             matrix.basis.index(m) for m in kernel.pivots]
         ok, vec = _linalg.psd_exact(matrix.rows, pivots)
@@ -217,7 +223,8 @@ def rank_kernel(matrix: MomentMatrix) -> KernelReport:
     for vec in reduction.kernel_basis():
         kernel.append(Polynomial(matrix.d, dict(zip(matrix.basis, vec))))
     return KernelReport(matrix.d, matrix.n, matrix.basis,
-                        reduction.rank, pivots, tuple(kernel))
+                        reduction.rank, pivots, tuple(kernel),
+                        reduction.positive_diagonal)
 
 
 def kernel_products(kernel, top: int):

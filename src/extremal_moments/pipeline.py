@@ -64,7 +64,8 @@ class Pipeline:
 
     @cached_property
     def psd(self) -> PsdVerdict:
-        """Exact M(n) reuses the pivot columns of its kernel stage."""
+        """Exact M(n) reads the decision off its kernel stage's
+        elimination."""
         return psd_check(self.matrix,
                          self.kernel if self.matrix.is_exact else None)
 

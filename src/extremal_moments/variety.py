@@ -11,8 +11,9 @@ h_i(tau), evaluated in integers; only at an irrational tau is a
 coordinate's own minimal polynomial isolated (once), its root that h_i
 meets on tau's interval being the coordinate: exact when it is rational,
 else the midpoint of a refined interval.  An ideal with a multiple zero,
-told by the squarefree parts of the coordinates' minimal polynomials, is
-replaced by its radical first.
+told by the isolation of x_1 when its powers span A and else by the
+squarefree parts of the coordinates' minimal polynomials, is replaced by
+its radical first.
 In two variables a nonconstant gcd of an exact kernel first certifies an
 infinite variety when it takes both signs at sampled rational points (its
 zero set then separates the plane), and leaves it Unknown otherwise; this
@@ -351,16 +352,29 @@ def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
     x_i = h_i(t) mod sqrt(I), and the points are the real roots tau of
     t's minimal polynomial.  At a rational tau each x_i is h_i(tau); at
     an irrational one it is the root of x_i's own minimal polynomial,
-    isolated once, that h_i meets on tau's interval.  The try c = 0 also
-    gives x_1's minimal polynomial.  If some x_i has a multiple root, A
-    becomes A/sqrt(I), sqrt(I) = I + (f(x_i)) for f the squarefree part
-    of its minimal polynomial (Seidenberg 1974), kept in the report."""
+    isolated once, that h_i meets on tau's interval.  The try c = 0 gives
+    x_1's minimal polynomial f; when it spans A, A = Q[T]/(f) is reduced
+    iff f is squarefree, so the isolation of f is the radical test, and
+    the other coordinates' minimal polynomials are built only when that
+    test fails, when c = 0 does not span A (a multiple root of any x_i's
+    minimal polynomial then tells a multiple zero), or for an irrational
+    tau.  With a
+    multiple zero, A becomes A/sqrt(I), sqrt(I) = I + (f_i(x_i)) for f_i
+    the squarefree part of x_i's minimal polynomial (Seidenberg 1974),
+    kept in the report; x_1's roots are kept, since its minimal
+    polynomial there is f's squarefree part."""
     d = len(mats)
     xs = _coordinates(mats, scale)
     t_minimal, h = _krylov(mats[0], scale, xs)
-    minimal = [t_minimal] + [_krylov(m, scale, [])[0] for m in mats[1:]]
-    squarefree, multiple = zip(*map(_roots.squarefree_part, minimal))
-    if any(multiple):
+    minimal = [t_minimal]
+    t_roots = None
+    if h is not None:
+        t_roots, multiple = _roots.real_roots_exact(t_minimal)
+    if h is None or multiple:
+        minimal += [_krylov(m, scale, [])[0] for m in mats[1:]]
+        squarefree, flags = zip(*map(_roots.squarefree_part, minimal))
+        multiple = any(flags)
+    if multiple:
         radical = [_squarefree_at(basis, m, scale, f)
                    for m, f in zip(mats, squarefree)]
         quotient = _quotient(kernel + [p for p in radical if not p.is_zero],
@@ -381,7 +395,8 @@ def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
         t = [[sum(c**i * m[r][k] for i, m in enumerate(mats))
               for k in range(len(basis))] for r in range(len(basis))]
         t_minimal, h = _krylov(t, scale, xs)
-    t_roots = _roots.real_roots_exact(t_minimal)[0]
+    if t_roots is None:
+        t_roots = _roots.real_roots_exact(t_minimal)[0]
     cleared = [clear_denominators(h_i) for h_i in h]
     isolated = {}
     points, mask = [], []
@@ -397,7 +412,9 @@ def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
         point = [tau] if c == 0 else []
         for i in range(len(point), d):
             if i not in isolated:
-                isolated[i] = _roots.real_roots_exact(minimal[i])[0]
+                isolated[i] = _roots.real_roots_exact(
+                    minimal[i] if i < len(minimal)
+                    else _krylov(mats[i], scale, [])[0])[0]
             low, high = _enclose(h[i], tau)
             hits = [r for r in isolated[i] if r.low <= high and low <= r.high]
             if len(hits) != 1:
@@ -406,7 +423,7 @@ def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
             point.append(hits[0])
         points.append(tuple(r.value for r in point))
         mask.append(all(r.exact for r in point))
-    return _finite(points, mask, any(multiple), (basis, mats, scale))
+    return _finite(points, mask, multiple, (basis, mats, scale))
 
 
 def _coordinates(mats, scale) -> list:

@@ -1,12 +1,15 @@
 """Unit tests: multisequences, moment matrices, Riesz functional, property
 checks (PSD, rank/kernel, recursiveness, flatness)."""
 
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import extremal_moments as em
+from extremal_moments import _linalg
 from extremal_moments.polycore import InputError, Polynomial
 
 
@@ -106,6 +109,111 @@ class TestMomentMatrix:
         verdict = em.psd_check(em.build_moment_matrix(beta))
         assert not verdict.ok
         assert verdict.value < 0
+
+
+def symmetric_matrix(rows):
+    """A d = 1 MomentMatrix whose rows are the symmetric *rows*."""
+    n = len(rows)
+    beta = em.Multisequence(1, 2 * n - 2,
+                            {(k,): F(0) for k in range(2 * n - 1)})
+    return dataclasses.replace(em.build_moment_matrix(beta),
+                               rows=tuple(map(tuple, rows)))
+
+
+def ldl_psd(rows) -> bool:
+    """Independent PSD decision: symmetric elimination in Fractions on the
+    diagonal, in order.  A negative pivot, or a zero pivot with a nonzero
+    entry in its row, refutes A >= 0; otherwise A = L D L^T with D >= 0."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] < 0 or (a[k][k] == 0 and any(a[k][k + 1:])):
+            return False
+        for i in range(k + 1, n):
+            if a[k][k]:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return True
+
+
+def gram_with_dependent_columns(rng, negative):
+    """B^T D B for B with r rows and n > r columns, the dependent columns
+    (combinations of the columns before them, or zero) placed among the
+    independent ones; D > 0, or with one negative entry.  The k-th
+    independent column is nonzero at k and zero below, so B has rank r and
+    B^T D B has the signs of D."""
+    n = rng.randint(2, 7)
+    r = rng.randint(1, n - 1)
+    independent = sorted(rng.sample(range(n), r))
+    columns = []
+    for j in range(n):
+        if j in independent:
+            k = independent.index(j)
+            columns.append([F(rng.randint(1, 5), rng.randint(1, 3))
+                            if i == k else F(rng.randint(-3, 3)) * (i < k)
+                            for i in range(r)])
+        else:
+            weights = [F(rng.randint(-2, 2), rng.randint(1, 2))
+                       for _ in columns]
+            columns.append([sum((w * c[i] for w, c in zip(weights, columns)),
+                                F(0)) for i in range(r)])
+    diagonal = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(r)]
+    if negative:
+        diagonal[rng.randrange(r)] *= -1
+    return [[sum((dk * u[k] * v[k] for k, dk in enumerate(diagonal)), F(0))
+             for v in columns] for u in columns]
+
+
+def zero_leading_entry(rng):
+    """A symmetric matrix with A[0][0] = 0 and a nonzero A[0][j]."""
+    n = rng.randint(2, 6)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = F(rng.randint(-3, 3), rng.randint(1, 2))
+    rows[0][0] = F(0)
+    rows[0][n - 1] = rows[n - 1][0] = F(1)
+    return rows
+
+
+class TestPsdReadOffTheKernel:
+    """An exact M(n) >= 0 is decided by the elimination behind its kernel:
+    every pivot comes, in order, from the row of its column and is
+    positive."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(23)
+        for _ in range(40):
+            yield gram_with_dependent_columns(rng, negative=False), True
+            yield gram_with_dependent_columns(rng, negative=True), False
+            yield zero_leading_entry(rng), False
+        yield [[F(0), F(1)], [F(1), F(0)]], False
+        yield [[F(0), F(0), F(1)], [F(0), F(1), F(0)], [F(1), F(0), F(0)]], \
+            False
+
+    def test_read_off_agrees_with_ldl_and_with_a_fresh_check(self):
+        for rows, psd in self.cases():
+            matrix = symmetric_matrix(rows)
+            kernel = em.rank_kernel(matrix)
+            verdict = em.psd_check(matrix, kernel)
+            assert verdict == em.psd_check(matrix)
+            assert verdict.ok == kernel.psd == ldl_psd(rows) == psd, rows
+            if not verdict.ok:
+                assert verdict.value < 0
+
+    def test_a_psd_read_off_eliminates_nothing(self, monkeypatch):
+        matrix = symmetric_matrix(gram_with_dependent_columns(
+            random.Random(29), negative=False))
+        kernel = em.rank_kernel(matrix)
+        monkeypatch.setattr(_linalg, "_eliminate", None)
+        assert em.psd_check(matrix, kernel).ok
+
+    def test_float_kernel_reads_nothing(self):
+        beta = em.Multisequence(1, 2, {(0,): 1.0, (1,): 2.0, (2,): 1.0})
+        matrix = em.build_moment_matrix(beta)
+        assert em.rank_kernel(matrix).psd is None
+        assert not em.psd_check(matrix, em.rank_kernel(matrix)).ok
 
 
 class TestRecursiveness:

@@ -524,3 +524,62 @@ class TestHelpers:
         sf, had = _roots.squarefree_part([F(2), F(-3), F(0), F(1)])
         assert had
         assert len(sf) - 1 == 2
+
+
+def gcd_route(coeffs):
+    """``real_roots_exact`` by a separate gcd(p, p') before the Sturm chain
+    of the squarefree part: ``(roots, had_multiple)`` and that part."""
+    p = _roots._primitive(coeffs)
+    g = _roots._gcd(p, _roots._content_free(_roots.derivative(p))) \
+        if len(p) > 2 else [1]
+    if len(g) > 1:
+        p = _roots._exact_quotient(p, g if g[-1] > 0 else [-c for c in g])
+    roots, multiple = _roots.real_roots_exact(p)
+    assert not multiple
+    return (roots, len(g) > 1), p
+
+
+class TestOneRemainderSequence:
+    """The Sturm chain is the only remainder sequence: its last member,
+    gcd(p, p'), gives the multiple-root test and the squarefree part."""
+
+    def test_squarefree_input_runs_one_sequence(self, monkeypatch):
+        calls = {"sturm_chain": 0, "_gcd": 0}
+        for name in calls:
+            original = getattr(_roots, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(_roots, name, counted)
+        coeffs = from_roots({F(-1, 2), F(0), F(3, 4)}, F(3), F(2))
+        roots, multiple = _roots.real_roots_exact(coeffs)
+        assert len(roots) == 5 and not multiple
+        assert calls == {"sturm_chain": 1, "_gcd": 0}
+        calls["sturm_chain"] = 0
+        roots, multiple = _roots.real_roots_exact(
+            multiply(coeffs, [F(-3, 4), F(1)]))
+        assert len(roots) == 5 and multiple
+        assert calls == {"sturm_chain": 2, "_gcd": 0}
+
+    def test_same_roots_and_flag_as_a_separate_gcd(self):
+        rng = random.Random(19)
+        cases = [[F(5)], [F(-2, 3)], [F(1), F(-3)], [F(0), F(7, 2)],
+                 [F(1), F(-2), F(1)],
+                 multiply(from_roots([F(1, 2)] * 2 + [F(-3)] * 3, F(-2)),
+                          [F(-2), F(0), F(1)]),
+                 from_roots([F(2, 3)] * 4, F(1), F(5))]
+        cases += [random_product(rng, bits, repeat=3)
+                  for bits in (4, 60) for _ in range(10)]
+        multiple = 0
+        for coeffs in cases:
+            want, part = gcd_route(coeffs)
+            assert _roots.real_roots_exact(coeffs) == want
+            assert _roots.squarefree_part(coeffs) == (part, want[1])
+            multiple += want[1]
+        assert 0 < multiple < len(cases)
+
+    @pytest.mark.parametrize("coeffs", [[F(0)], [F(0), F(0), F(0)]])
+    def test_zero_polynomial_raises(self, coeffs):
+        with pytest.raises(ValueError):
+            _roots.real_roots_exact(coeffs)

@@ -162,16 +162,19 @@ class TestComputeVariety:
 class TestRationalPointsReadOffTheForm:
     """At rational roots of the separating form's minimal polynomial every
     coordinate is h_i(tau): one isolation, no enclosure, and no Krylov
-    elimination beyond one per coordinate and one per failed form."""
+    elimination beyond one per coordinate and one per failed form; when
+    x_1 spans A, only x_1's."""
 
     @staticmethod
     def solve(kernel, monkeypatch):
-        calls = {"roots": 0, "enclose": 0, "krylov": 0, "failed": 0}
+        calls = {"roots": 0, "enclose": 0, "krylov": 0, "failed": 0,
+                 "minimal": 0, "log": []}
         real_roots, enclose, krylov = (_roots.real_roots_exact,
                                        variety._enclose, variety._krylov)
 
         def counted_roots(*args, **kwargs):
             calls["roots"] += 1
+            calls["log"].append("roots")
             return real_roots(*args, **kwargs)
 
         def counted_enclose(*args):
@@ -180,6 +183,8 @@ class TestRationalPointsReadOffTheForm:
 
         def counted_krylov(matrix, scale, xs):
             calls["krylov"] += 1
+            calls["minimal"] += not xs
+            calls["log"].append("krylov" if xs else "minimal")
             minimal, h = krylov(matrix, scale, xs)
             calls["failed"] += bool(xs) and h is None
             return minimal, h
@@ -189,15 +194,15 @@ class TestRationalPointsReadOffTheForm:
         monkeypatch.setattr(variety, "_krylov", counted_krylov)
         return em.compute_variety(kernel), calls
 
-    @pytest.mark.parametrize("atoms, failed", [
+    @pytest.mark.parametrize("atoms, failed, krylov", [
         ([(F(-3, 2), F(1)), (F(0), F(2)), (F(1, 4), F(-1)), (F(2), F(0)),
-          (F(3), F(5, 2)), (F(-1), F(-3))], 0),
+          (F(3), F(5, 2)), (F(-1), F(-3))], 0, 1),
         # t = x, x + y and x - y each take one value at two atoms.
         ([(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(-2)),
-          (F(2), F(1)), (F(-1, 2), F(3))], 3),
-        ([(F(-2),), (F(1, 3),), (F(5, 2),)], 0),
+          (F(2), F(1)), (F(-1, 2), F(3))], 3, 5),
+        ([(F(-2),), (F(1, 3),), (F(5, 2),)], 0, 1),
     ], ids=("distinct-x", "shared-x", "d1"))
-    def test_one_isolation_for_rational_points(self, atoms, failed,
+    def test_one_isolation_for_rational_points(self, atoms, failed, krylov,
                                                monkeypatch):
         d = len(atoms[0])
         beta = em.beta_from_atoms(atoms, [F(1)] * len(atoms), d=d,
@@ -207,7 +212,29 @@ class TestRationalPointsReadOffTheForm:
         assert all(report.exact_mask) and not report.multiple_roots
         assert (calls["roots"], calls["enclose"]) == (1, 0)
         assert calls["failed"] == failed
-        assert calls["krylov"] == d + failed
+        assert calls["krylov"] == krylov
+
+    def test_double_point_spanned_by_x(self, monkeypatch):
+        # A = Q[x]/(x^2 (x - 1)(x - 2)) with y = 9x/2 - 5x^2/2: x spans A,
+        # and the double zero at the origin makes A non-reduced, as x's
+        # isolation tells.  The radical then needs y's minimal polynomial;
+        # x's roots are kept.
+        kernel = [Polynomial(2, {(0, 1): F(1), (1, 0): F(-9, 2),
+                                 (2, 0): F(5, 2)}),
+                  Polynomial(2, {(4, 0): F(1), (3, 0): F(-3), (2, 0): F(2)})]
+        report, calls = self.solve(kernel, monkeypatch)
+        assert report.status == "Finite" and report.multiple_roots
+        assert report.points == ((0, 0), (1, 2), (2, -1))
+        assert all(report.exact_mask)
+        assert len(report.quotient[0]) == 3  # A/sqrt(I)
+        assert calls["log"] == ["krylov", "roots", "minimal", "krylov"]
+
+    def test_irrational_points_build_y_minimal_once(self, ex44, monkeypatch):
+        # x spans A, and six of the seven points are irrational: y's
+        # minimal polynomial is built and isolated once, on demand.
+        report, calls = self.solve(kernel_of(ex44), monkeypatch)
+        assert report.exact_mask.count(False) == 6
+        assert calls["log"] == ["krylov", "roots", "minimal", "roots"]
 
     def test_d3_measure(self, monkeypatch):
         atoms, densities = d3_measure()
