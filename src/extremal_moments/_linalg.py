@@ -13,7 +13,8 @@ RREF and exact solutions come from one fraction-free back substitution,
 one free column is its right-hand side): the last pivot D times the RREF is
 an integer matrix, so each entry takes one exact division, and only the
 RREF's nonzero free entries become Fractions, over D.  Float paths delegate
-to numpy and use relative pivot thresholds.
+to numpy, imported on their first use (exact callers never load it), and
+use relative pivot thresholds.
 
 Pivot columns are always the *first* linearly independent columns in the given
 column order; kernel bases carry the delta structure (unit coefficient on one
@@ -24,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .polycore import RANK_TOL, Scalar, all_exact, clear_denominators
 
@@ -36,7 +36,7 @@ class SingularMatrixError(ValueError):
 
 
 def matrix_is_exact(rows: Sequence[Sequence[Scalar]]) -> bool:
-    return all(all_exact(row) for row in rows)
+    return all_exact(chain.from_iterable(rows))
 
 
 def transpose(rows):
@@ -210,6 +210,8 @@ def _eliminate(rows, ncols):
 
 
 def _row_reduce_float(rows, nrows, ncols) -> LinearReduction:
+    import numpy as np
+
     work = np.array([[float(x) for x in row] for row in rows], dtype=float)
     scale = float(np.max(np.abs(work))) if work.size else 0.0
     if scale == 0.0:
@@ -244,7 +246,7 @@ def _row_reduce_float(rows, nrows, ncols) -> LinearReduction:
 
 def solve_linear(rows, rhs):
     """Solve A x = b for square A; exact iff all inputs are exact."""
-    if matrix_is_exact(rows) and all_exact(rhs):
+    if matrix_is_exact([rhs, *rows]):
         n = len(rows)
         work, pivots, _, _ = _eliminate(
             [list(row) + [b] for row, b in zip(rows, rhs)], n)
@@ -252,6 +254,8 @@ def solve_linear(rows, rhs):
             raise SingularMatrixError("exact solve: singular matrix")
         den, xs = _back_substitute(work, pivots, [n])
         return [Fraction(row[0], den) for row in xs]
+    import numpy as np
+
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     b = np.array([float(x) for x in rhs], dtype=float)
     # Rounding leaves a singular matrix invertible, so its rank is judged
@@ -282,6 +286,8 @@ def determinant(rows):
         inversions = sum(a > b for i, a in enumerate(order)
                          for b in order[i + 1:])
         return Fraction((-1) ** inversions * work[n - 1][n - 1], scale)
+    import numpy as np
+
     return float(np.linalg.det(
         np.array([[float(x) for x in row] for row in rows], dtype=float)))
 
@@ -342,6 +348,8 @@ def psd_exact(rows, pivots=None):
 
 def psd_float(rows):
     """Float PSD decision via eigenvalues; returns (ok, witness_or_None)."""
+    import numpy as np
+
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     if a.size == 0:
         return True, None

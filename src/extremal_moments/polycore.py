@@ -56,12 +56,14 @@ def ensure_scalar(value) -> Scalar:
 
 
 def is_exact(value: Scalar) -> bool:
-    """True when *value* carries exact (rational) provenance."""
-    return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
+    """True when *value* carries exact (rational) provenance: its type is
+    int or Fraction.  bool, float and numpy's scalars are not exact."""
+    return type(value) in (int, Fraction)
 
 
 def all_exact(values: Iterable[Scalar]) -> bool:
-    return all(is_exact(v) for v in values)
+    """``is_exact`` of every value, read off the set of their types."""
+    return {*map(type, values)} <= {int, Fraction}
 
 
 def clear_denominators(values: Iterable[Scalar]) -> tuple:

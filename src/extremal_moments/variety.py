@@ -37,8 +37,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import _linalg, _roots
 from .moments import KernelReport, kernel_products
 from .polycore import (
@@ -489,6 +487,8 @@ def _variety_float(kernel, mats) -> VarietyReport:
     1995).  Points within ``_CLUSTER_TOL`` are one multiple point, their
     mean (Corless, Gianni & Trager 1997); the real ones are kept when every
     kernel element vanishes there."""
+    import numpy as np
+
     mats = [np.array(m, dtype=float) for m in mats]
     t = sum(math.exp(-i) * m for i, m in enumerate(mats))
     vectors = np.linalg.eig(t.T)[1].T

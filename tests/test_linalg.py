@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
 from extremal_moments import _linalg
+from extremal_moments.polycore import all_exact, is_exact
 
 
 def F(*args):
@@ -74,6 +76,55 @@ class TestRowReduceFloat:
         rows = [[1.0, 2.0], [3.0, 4.0]]
         red = _linalg.row_reduce(rows)
         assert red.rank == 2
+
+
+SCALAR_TYPES = [(3, True), (F(3, 2), True), (True, False), (1.5, False),
+                (np.float64(1.5), False), (np.int64(3), False)]
+SCALAR_IDS = ["int", "fraction", "bool", "float", "numpy-float",
+              "numpy-int"]
+
+
+class TestExactnessFromTypes:
+    """Exactness is read off the entries' types: int and Fraction are exact;
+    one entry of any other type sends a reduction or solve down the float
+    path."""
+
+    @pytest.mark.parametrize("value, exact", SCALAR_TYPES, ids=SCALAR_IDS)
+    def test_is_exact_and_all_exact_agree(self, value, exact):
+        assert is_exact(value) is exact
+        assert all_exact([value]) is exact
+        assert all_exact([F(1), 2, value, F(0)]) is exact
+        assert all_exact([]) is True
+
+    @pytest.mark.parametrize("value, exact", SCALAR_TYPES, ids=SCALAR_IDS)
+    def test_row_reduce_path(self, value, exact, monkeypatch):
+        taken = []
+        for name in ("_row_reduce_exact", "_row_reduce_float"):
+            def spy(*args, _inner=getattr(_linalg, name), _name=name):
+                taken.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(_linalg, name, spy)
+        red = _linalg.row_reduce([[F(1), 2, F(1, 3)], [F(0), value, F(5)]])
+        assert taken == ["_row_reduce_exact" if exact
+                         else "_row_reduce_float"]
+        assert red.rank == 2
+        kinds = {type(x) for row in red.rref for x in row}
+        assert kinds == ({Fraction} if exact else {float})
+
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    @pytest.mark.parametrize("value, exact", SCALAR_TYPES, ids=SCALAR_IDS)
+    def test_solve_linear_path(self, value, exact, where, monkeypatch):
+        eliminations = []
+        inner = _linalg._eliminate
+        monkeypatch.setattr(_linalg, "_eliminate", lambda *args: (
+            eliminations.append(args), inner(*args))[1])
+        rows = [[F(2), value if where == "matrix" else 1], [F(1), 3]]
+        rhs = [value if where == "rhs" else 5, F(10)]
+        x = _linalg.solve_linear(rows, rhs)
+        assert len(eliminations) == int(exact)
+        assert {type(v) for v in x} == ({Fraction} if exact else {float})
+        assert _linalg.mat_vec(rows, x) == pytest.approx(
+            [float(b) for b in rhs])
 
 
 class TestSolveAndDeterminant:
