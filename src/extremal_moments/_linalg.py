@@ -23,12 +23,18 @@ free column, support otherwise restricted to pivot columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from .polycore import RANK_TOL, Scalar, all_exact, clear_denominators
+from .polycore import (
+    RANK_TOL,
+    Scalar,
+    all_exact,
+    clear_denominators,
+    field,
+    record,
+)
 
 
 class SingularMatrixError(ValueError):
@@ -57,7 +63,7 @@ def dot(u, v):
 # row reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class LinearReduction:
     """Result of row reduction: rank, pivot columns, RREF rows."""
 

@@ -31,11 +31,10 @@ polynomial in (Z[x])[y] is a list of such integer lists, one per power of y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .polycore import clear_denominators
+from .polycore import clear_denominators, record
 
 #: Interval width for high-precision refinement of irrational roots, so of
 #: every irrational variety coordinate.  Wide enough margins survive
@@ -255,7 +254,7 @@ def root_bound(coeffs) -> int:
     return 1 << e
 
 
-@dataclass(frozen=True)
+@record
 class IsolatedRoot:
     """One real root: exact iff rational, else an enclosing cell's midpoint."""
 

@@ -22,7 +22,6 @@ the functional annihilates h, the relation of Y^2X^2 among those above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 # pipeline imports this module: Pipeline is read from it at call time.
@@ -37,6 +36,7 @@ from .polycore import (
     clear_denominators,
     is_exact,
     negligible,
+    record,
     significant,
     total_degree,
     values_at,
@@ -57,7 +57,7 @@ SCENARIO_BASIS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)
 SCENARIO_TARGET = (2, 2)
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyVerdict:
     status: str  # "Consistent" | "Inconsistent" | "Unknown"
     witness: Optional[Polynomial] = None  # vanishes on V, Lambda(witness) != 0
@@ -69,7 +69,7 @@ class ConsistencyVerdict:
         return self.status == "Consistent"
 
 
-@dataclass(frozen=True)
+@record
 class SignedRepresentation:
     atoms: tuple
     weights: tuple
@@ -77,7 +77,7 @@ class SignedRepresentation:
     valid: bool
 
 
-@dataclass(frozen=True)
+@record
 class ReducedVerdict:
     status: str  # "MeasureExists" | "NoMeasure" | "NotApplicable" | "Unknown"
     value: Optional[Scalar] = None  # Lambda(h)
@@ -85,7 +85,7 @@ class ReducedVerdict:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class CertificateVerdict:
     certified: bool
     reasons: tuple = ()

@@ -14,7 +14,6 @@ by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import _linalg
@@ -36,13 +35,14 @@ from .polycore import (
     is_exact,
     magnitude,
     monomial_basis,
+    record,
     significant,
     total_degree,
 )
 from .synth import Derivation, moments_of_atoms
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionReport:
     source_n: int
     well_defined: bool
@@ -61,7 +61,7 @@ class ExtensionReport:
         return self.extended.matrix if self.extended else None
 
 
-@dataclass(frozen=True)
+@record
 class FlatExtensionVerdict:
     compression_ok: bool
     flat: bool
@@ -69,7 +69,7 @@ class FlatExtensionVerdict:
     rank_n1: int
 
 
-@dataclass(frozen=True)
+@record
 class TightnessVerdict:
     status: str  # "Tight" | "NotTight" | "Inconclusive"
     dim_next: int   # dim of the degree <= n+1 kernel of M(n+1)
@@ -79,7 +79,7 @@ class TightnessVerdict:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionSearchReport:
     steps: tuple
     status: str  # "FlatAt" | "IllDefined" | "Undetermined" | "NotPSD" | "Exhausted"

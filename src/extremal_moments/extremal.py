@@ -7,7 +7,8 @@ the Vandermonde system V_B rho = Lambda(B) over the pivot basis for the
 densities.  For exact data
 the verdict is the paper's theorem: PSD, r = v and the exact consistency
 check of the quotient algebra decide, and the densities' residual only
-guards the measure (a failure is Unknown).  Float data accepts a candidate
+guards the measure (a failure is Unknown); v < r refutes, since r <= v is
+necessary.  Float data accepts a candidate
 whose moments interpolate the data, and looks for an inconsistency witness
 when they do not.  Rational coordinates enter exact densities exactly,
 irrational ones as midpoints of isolating intervals of width REFINE_WIDTH.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -35,12 +35,13 @@ from .polycore import (
     ensure_scalar,
     is_exact,
     negligible,
+    record,
 )
 from .synth import moments_of_atoms
 from .variety import VarietyReport, vandermonde_rows
 
 
-@dataclass(frozen=True)
+@record
 class AtomicMeasure:
     d: int
     atoms: tuple
@@ -65,7 +66,7 @@ class AtomicMeasure:
             and all_exact(self.densities)
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     residual: float
     ok: bool
@@ -73,7 +74,7 @@ class VerificationReport:
     worst_index: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@record
 class SolveReport:
     status: str  # "Measure" | "NoMeasure" | "NotExtremal" | "Unknown"
     rank: Optional[int] = None
@@ -146,7 +147,12 @@ def solve_extremal(beta: Multisequence | Pipeline,
         return report("Unknown", reason=f"FloatVarietyBelowRank: rank {r} "
                       f"> float variety cardinality {v}; rounding may have "
                       "merged or lost points")
-    if v != r:
+    if v < r:
+        # The paper's necessary condition rank M(n) <= card V fails; an
+        # exact variety's count is exact.
+        return _refuted(report, pipe, reason=f"RankAboveCardinality: rank "
+                        f"{r} > variety cardinality {v}")
+    if v > r:
         return report("NotExtremal",
                       reason=f"rank {r} != variety cardinality {v}")
 

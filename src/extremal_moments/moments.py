@@ -11,7 +11,6 @@ up by its index sum, so equal sums can never disagree).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg
@@ -22,9 +21,11 @@ from .polycore import (
     Scalar,
     all_exact,
     ensure_scalar,
+    field,
     format_scalar,
     magnitude,
     monomial_basis,
+    record,
     significant,
     total_degree,
 )
@@ -33,7 +34,7 @@ from .polycore import (
 # multisequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Multisequence:
     """Complete moment data: every |idx| <= degree has a value."""
 
@@ -103,7 +104,7 @@ def riesz(beta: Multisequence, p: Polynomial) -> Scalar:
 # moment matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MomentMatrix:
     """M(n): rows/columns indexed by monomials of degree <= n."""
 
@@ -148,7 +149,7 @@ def build_moment_matrix(beta: Multisequence) -> MomentMatrix:
 # verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class PsdVerdict:
     status: str  # "PSD" | "NotPSD"
     witness: Optional[Polynomial] = None  # Lambda(witness^2) < 0 when NotPSD
@@ -159,7 +160,7 @@ class PsdVerdict:
         return self.status == "PSD"
 
 
-@dataclass(frozen=True)
+@record
 class KernelReport:
     d: int
     n: int
@@ -176,7 +177,7 @@ class KernelReport:
         return len(self.kernel)
 
 
-@dataclass(frozen=True)
+@record
 class RecursivenessVerdict:
     status: str  # "RecursivelyGenerated" | "Violation"
     violation: Optional[tuple] = None  # (p, multiplier, product)
@@ -186,7 +187,7 @@ class RecursivenessVerdict:
         return self.status == "RecursivelyGenerated"
 
 
-@dataclass(frozen=True)
+@record
 class FlatnessVerdict:
     flat: bool
     rank: int

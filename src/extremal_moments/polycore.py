@@ -12,6 +12,8 @@ the first variable, then the second, and so on.  For two variables this lists
 ``1, X, Y, X^2, XY, Y^2, ...``.  One routine, :func:`values_at`, evaluates
 polynomials at points: in integers, into one Fraction per value, when both
 are exact, else term by term as coeff * x**e * ..., which fixes float bytes.
+Polynomials and the package's report types are frozen records made by
+:func:`record`, which installs shared methods and generates no code.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -267,10 +268,122 @@ def monomial_basis(d: int, k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+_setattr = object.__setattr__
+
+
+class field:
+    """Options of one record field: its *default*, and whether ``__init__``
+    takes it (*init*), ``repr`` shows it (*repr*) and ``==`` and ``hash``
+    read it (*compare*)."""
+
+    __slots__ = ("default", "init", "repr", "compare")
+
+    def __init__(self, default=_MISSING, *, init=True, repr=True,
+                 compare=True):
+        self.default = default
+        self.init = init
+        self.repr = repr
+        self.compare = compare
+
+
+def record(cls):
+    """Make *cls* a frozen record of the fields its own annotations name,
+    in order.  A plain class attribute is a field's default; a
+    :class:`field` sets its options.  The methods are shared functions, so
+    no code is generated:
+
+    - ``__init__`` sets the ``init`` fields, in order, from its positional
+      then keyword arguments, else their defaults, then calls
+      ``__post_init__`` if the class has one (it sets fields with
+      ``object.__setattr__``);
+    - assigning or deleting an attribute raises AttributeError;
+    - ``==`` and ``hash`` read the compared fields, ``repr`` the shown
+      ones, as ``Name(field=value, ...)``.
+    """
+    specs = {}
+    for name in cls.__annotations__:
+        spec = cls.__dict__.get(name, _MISSING)
+        if not isinstance(spec, field):
+            spec = field(spec)
+        elif spec.default is _MISSING:
+            delattr(cls, name)
+        else:
+            setattr(cls, name, spec.default)
+        specs[name] = spec
+    names = tuple(name for name, spec in specs.items() if spec.init)
+    defaults = tuple(specs[name].default for name in names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if kwargs or len(args) != len(names):
+            _set_others(self, names, defaults, args, kwargs)
+        if post_init is not None:
+            post_init(self)
+
+    compared = tuple(name for name, spec in specs.items() if spec.compare)
+    shown = tuple(name for name, spec in specs.items() if spec.repr)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _values(self, compared) == _values(other, compared)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_values(self, compared))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in shown) + ")"
+
+    cls.__init__ = __init__
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls.__eq__ = __eq__
+    cls.__hash__ = __hash__
+    cls.__repr__ = __repr__
+    return cls
+
+
+def _set_others(self, names, defaults, args, kwargs) -> None:
+    """Set the fields *names* of *self* after the positional *args*: from
+    *kwargs*, else from *defaults*."""
+    what = type(self).__qualname__
+    if len(args) > len(names):
+        raise TypeError(f"{what}() takes {len(names)} arguments but "
+                        f"{len(args)} were given")
+    for name, default in zip(names[len(args):], defaults[len(args):]):
+        value = kwargs.pop(name, default)
+        if value is _MISSING:
+            raise TypeError(f"{what}() is missing the argument {name!r}")
+        _setattr(self, name, value)
+    if kwargs:
+        raise TypeError(f"{what}() got an unexpected or repeated argument "
+                        f"{next(iter(kwargs))!r}")
+
+
+def _values(obj, names) -> tuple:
+    return tuple(getattr(obj, name) for name in names)
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r} of a record")
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Polynomial:
     """Sparse polynomial: exponent tuple -> nonzero scalar coefficient."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -29,6 +28,7 @@ from .polycore import (
     format_scalar,
     is_exact,
     monomial_basis,
+    record,
     values_at,
 )
 
@@ -96,7 +96,7 @@ def beta_from_atoms(atoms: Sequence, densities: Sequence,
     return Multisequence(d, degree, moments_of_atoms(d, degree, atoms, densities))
 
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     """First-order term a0 * <direction, grad p>(point)."""
 
@@ -118,7 +118,7 @@ class Derivation:
                                      [row[0] for row in grad])
 
 
-@dataclass(frozen=True)
+@record
 class SignedFunctional:
     """sum_i weights[i] * evaluation at atoms[i], plus an optional
     derivation term."""
@@ -158,7 +158,7 @@ def beta_from_functional(functional: SignedFunctional,
 # complex family on the unit circle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ComplexMomentData:
     """Complex moments gamma[(i, j)] = functional of conj(z)^i z^j for
     i + j <= 2n, stored as (real, imag) scalar pairs; must be hermitian."""

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
@@ -49,11 +48,13 @@ from .polycore import (
     all_exact,
     clear_denominators,
     ensure_scalar,
+    field,
     format_scalar,
     is_exact,
     magnitude,
     monomial_basis,
     negligible,
+    record,
     total_degree,
     values_at,
 )
@@ -66,7 +67,7 @@ _CLUSTER_TOL = math.sqrt(RESIDUAL_TOL)
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class VarietyReport:
     """Common zero set of a kernel basis.
 
@@ -103,7 +104,7 @@ class VarietyReport:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class EvalMatrix:
     """W_k: rows are point evaluations of the degree <= k monomials."""
 
@@ -117,7 +118,7 @@ class EvalMatrix:
         return all(all_exact(row) for row in self.rows)
 
 
-@dataclass(frozen=True)
+@record
 class InjectivityVerdict:
     injective: bool
     rank_m: int
@@ -125,7 +126,7 @@ class InjectivityVerdict:
     witness: Optional[Polynomial] = None  # vanishes on V but not in ker M(n)
 
 
-@dataclass(frozen=True)
+@record
 class VandermondeReport:
     """V_B: rows indexed by basis elements, columns by variety points."""
 

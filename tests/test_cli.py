@@ -39,6 +39,17 @@ class TestExitCodes:
         assert "NotExtremal" in out
         assert "infinite" in out
 
+    def test_solve_rank_above_cardinality(self, capsys, tmp_path):
+        # d=1 moments 1, 0, 0, 0, 1: M(2) >= 0 of rank 2, but V = {0}.
+        path = tmp_path / "beta.json"
+        em.dump_multisequence(em.Multisequence(1, 4, {
+            (0,): 1, (1,): 0, (2,): 0, (3,): 0, (4,): 1}), path)
+        assert run(["solve", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "status: NoMeasure\n"
+            "rank M(n) = 2, card variety = 1\n"
+            "reason: RankAboveCardinality: rank 2 > variety cardinality 1\n")
+
     def test_missing_file(self, capsys):
         assert run(["solve", "/nonexistent/nope.json"]) == 1
         assert "error:" in capsys.readouterr().err

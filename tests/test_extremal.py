@@ -132,6 +132,50 @@ class TestSolveMeasure:
         assert "invertible" in report.reason
 
 
+def rank_above_cardinality(d):
+    """Exact data with M(2) >= 0 and a finite variety of fewer than rank
+    M(2) points, and those points.  d=1: moments 1, 0, 0, 0, 1, so rank 2,
+    kernel x and V = {0}.  d=2: the atoms (0, 0) and (1, 0) plus one more
+    on the y^4 moment, so rank 3, kernel Y, XY, X^2 - X and V the atoms."""
+    if d == 1:
+        return em.Multisequence(1, 4, dict(zip(monomial_basis(1, 4),
+                                               (1, 0, 0, 0, 1)))), [(0,)]
+    atoms = [(F(0), F(0)), (F(1), F(0))]
+    beta = em.beta_from_atoms(atoms, [F(1), F(1)], d=2, degree=4)
+    return em.Multisequence(2, 4, {**beta.values,
+                                   (0, 4): beta[(0, 4)] + 1}), atoms
+
+
+class TestRankAboveCardinality:
+    """rank M(n) <= card V is necessary, so exact data with fewer points
+    than the rank has no measure."""
+
+    @pytest.mark.parametrize("d, rank", [(1, 2), (2, 3)])
+    def test_exact_data_has_no_measure(self, d, rank):
+        beta, points = rank_above_cardinality(d)
+        report = em.solve_extremal(beta)
+        assert report.status == "NoMeasure"
+        assert (report.rank, report.v) == (rank, len(points))
+        assert report.reason == (f"RankAboveCardinality: rank {rank} > "
+                                 f"variety cardinality {len(points)}")
+        assert sorted(report.variety.points) == points
+        assert report.psd.ok and report.measure is None
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_float_data_is_unknown(self, d):
+        report = em.solve_extremal(as_float(rank_above_cardinality(d)[0]))
+        assert report.status == "Unknown"
+        assert report.reason.startswith("FloatVarietyBelowRank")
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_supplied_points_are_unknown(self, d):
+        beta, points = rank_above_cardinality(d)
+        report = em.solve_extremal(beta, points=points)
+        assert report.status == "Unknown"
+        assert report.reason.startswith("RankAboveCardinality")
+        assert "part of the variety" in report.reason
+
+
 def ladder_measure(shapes, seed=1):
     """The last measure of the seeded d=2 ladder drawn through *shapes*:
     distinct atoms with coordinates randint(-9, 9)/randint(1, 4), sorted,

@@ -107,6 +107,15 @@ def test_exact_calls_leave_numpy_unloaded():
     assert wrong == []
 
 
+def test_import_leaves_dataclasses_and_numpy_unloaded():
+    # Records are built by polycore.record, which generates no code.
+    assert in_fresh_interpreter("""
+import json
+import extremal_moments, extremal_moments.cli
+print(json.dumps([m in sys.modules for m in ("dataclasses", "numpy")]))
+""") == [False, False]
+
+
 def test_float_solve_loads_numpy():
     loaded, wrong = numpy_loaded_after(["ex44.solve.float-text"])
     assert loaded == [False, False, True]

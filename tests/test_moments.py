@@ -1,7 +1,6 @@
 """Unit tests: multisequences, moment matrices, Riesz functional, property
 checks (PSD, rank/kernel, recursiveness, flatness)."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -116,8 +115,8 @@ def symmetric_matrix(rows):
     n = len(rows)
     beta = em.Multisequence(1, 2 * n - 2,
                             {(k,): F(0) for k in range(2 * n - 1)})
-    return dataclasses.replace(em.build_moment_matrix(beta),
-                               rows=tuple(map(tuple, rows)))
+    m = em.build_moment_matrix(beta)
+    return em.MomentMatrix(m.beta, m.n, m.basis, tuple(map(tuple, rows)))
 
 
 def ldl_psd(rows) -> bool:

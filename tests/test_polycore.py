@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extremal_moments.moments import KernelReport, Multisequence
 from extremal_moments.polycore import (
     InputError,
     MINUS_INFINITY,
@@ -22,6 +23,7 @@ from extremal_moments.polycore import (
     total_degree,
     values_at,
 )
+from extremal_moments.variety import VarietyReport
 
 
 class TestScalars:
@@ -251,3 +253,58 @@ class TestValuesAt:
             values_at([Polynomial.constant(3, 1)], [(1, 2)])
         with pytest.raises(InputError):
             values_at([Polynomial.constant(1, 1)], [("1",)])
+
+
+
+def _kernel_reports():
+    """Two KernelReports that differ only in ``psd``, a field left out of
+    == and hash."""
+    fields = (1, 0, ((0,),), 1, ((0,),), ())
+    return KernelReport(*fields, psd=True), KernelReport(*fields, psd=False)
+
+
+_X = Polynomial(1, {(1,): 1})
+#: name -> (the error the call raises, or None if it returns True, call)
+RECORD_CHECKS = {
+    "assign": (AttributeError, lambda: setattr(_X, "d", 2)),
+    "assign-new": (AttributeError, lambda: setattr(_X, "cache", 1)),
+    "delete": (AttributeError, lambda: delattr(_X, "terms")),
+    "missing": (TypeError, lambda: Polynomial(1)),
+    "missing-keyword": (TypeError, lambda: VarietyReport(points=())),
+    "unexpected": (TypeError, lambda: Polynomial(1, {}, degree=2)),
+    "repeated": (TypeError, lambda: Polynomial(1, {}, d=1)),
+    "too-many": (TypeError, lambda: Polynomial(1, {}, 2)),
+    "not-an-argument": (TypeError, lambda: Multisequence(
+        1, 0, {(0,): 1}, is_exact=False)),
+    "keywords": (None, lambda: Polynomial(terms={(1,): 1}, d=1) == _X),
+    "compare": (None, lambda: Polynomial(1, {(1,): 2}) != _X
+                and _X != (1, {(1,): 1})),
+    "compare-false": (None, lambda: _kernel_reports()[0]
+                      == _kernel_reports()[1]
+                      and len({*_kernel_reports()}) == 1),
+    "repr": (None, lambda: repr(_X)
+             == "Polynomial(d=1, terms={(1,): Fraction(1, 1)})"),
+    "repr-false": (None, lambda: repr(VarietyReport(
+        "Finite", ((0,),), quotient=("q",))) == (
+        "VarietyReport(status='Finite', points=((0,),), exact_mask=(), "
+        "witness=None, reason=None, multiple_roots=False)")),
+    "defaults": (None, lambda: VarietyReport("Unknown").quotient is None),
+    "post-init": (None, lambda: Polynomial(
+        2, {(1, 0): 0, (0, 1): 3, (0, 0): 0.0}).terms
+        == {(0, 1): Fraction(3)}),
+    "post-init-hidden-field": (None, lambda: Multisequence(
+        1, 0, {(0,): 1}).is_exact
+        and not Multisequence(1, 0, {(0,): 1.0}).is_exact),
+}
+
+
+@pytest.mark.parametrize("error, call", RECORD_CHECKS.values(),
+                         ids=RECORD_CHECKS.keys())
+def test_record_semantics(error, call):
+    # polycore.record: frozen fields, checked arguments, == and hash over
+    # the compared fields, repr over the shown ones, __post_init__ run.
+    if error is None:
+        assert call()
+    else:
+        with pytest.raises(error):
+            call()
