@@ -26,7 +26,6 @@ from .variety import (
     compute_variety,
     dump_points,
     eval_matrix_rank,
-    hilbert_function,
     injectivity_check,
     load_points,
     vandermonde_VB,
@@ -36,8 +35,6 @@ from .consistency import (
     compute_h,
     consistency_check,
     reduced_consistency_test,
-    signed_representation,
-    simple_zero_certificate,
 )
 from .extremal import (
     AtomicMeasure,
@@ -97,7 +94,6 @@ __all__ = [
     "extension_search",
     "flat_extension_check",
     "flatness_check",
-    "hilbert_function",
     "injectivity_check",
     "load_functional",
     "load_measure",
@@ -112,8 +108,6 @@ __all__ = [
     "recursiveness_check",
     "reduced_consistency_test",
     "riesz",
-    "signed_representation",
-    "simple_zero_certificate",
     "solve_extremal",
     "tightness_check",
     "vandermonde_VB",

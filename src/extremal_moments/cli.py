@@ -28,7 +28,6 @@ from .moments import (
     KernelReport,
     dump_multisequence,
     load_multisequence,
-    multisequence_json,
 )
 from .pipeline import Pipeline
 from .polycore import (
@@ -335,11 +334,9 @@ def _cmd_synth(args) -> int:
         measure = load_measure(args.measure, args.mode)
         beta = beta_from_atoms(measure.atoms, measure.densities,
                                measure.d, args.degree)
+    dump_multisequence(beta, args.out)
     if args.out:
-        dump_multisequence(beta, args.out)
         print(f"wrote moments: d={beta.d}, degree={beta.degree} -> {args.out}")
-    else:
-        sys.stdout.write(multisequence_json(beta))
     return EXIT_OK
 
 

@@ -10,8 +10,6 @@ their denominators; only the first relation that fails becomes a
 polynomial, the witness.  Float data, supplied points and exact points
 beside non-real zeros read the relations from the point-evaluation matrix
 W_{2n}.
-Signed representations realize the functional as a combination of point
-evaluations with (possibly negative) weights from a row basis of W_{2n}.
 
 The reduced test covers the planar curve scenario with column relation
 X^3 = Y, eight variety points and basis B = {1, X, Y, X^2, YX, Y^2, YX^2,
@@ -25,10 +23,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 # pipeline imports this module: Pipeline is read from it at call time.
-from . import _linalg, _roots, pipeline
+from . import _linalg, pipeline
 from .moments import Multisequence, riesz
 from .polycore import (
-    RANK_TOL,
     MultiIndex,
     Point,
     Polynomial,
@@ -46,8 +43,6 @@ from .variety import (
     _relation,
     _relation_images,
     _residual_ok,
-    bivariate_gcd,
-    build_W,
     vanishing_ideal,
 )
 
@@ -70,25 +65,11 @@ class ConsistencyVerdict:
 
 
 @record
-class SignedRepresentation:
-    atoms: tuple
-    weights: tuple
-    residual: float
-    valid: bool
-
-
-@record
 class ReducedVerdict:
     status: str  # "MeasureExists" | "NoMeasure" | "NotApplicable" | "Unknown"
     value: Optional[Scalar] = None  # Lambda(h)
     witness: Optional[Polynomial] = None  # h
     reason: Optional[str] = None
-
-
-@record
-class CertificateVerdict:
-    certified: bool
-    reasons: tuple = ()
 
 
 def consistency_check(beta: Multisequence,
@@ -138,42 +119,6 @@ def consistency_check(beta: Multisequence,
         "Unknown", reason="Lambda annihilates the radical of the kernel "
                           "ideal, which has non-real zeros, and refined "
                           "points cannot decide the rest")
-
-
-def signed_representation(beta: Multisequence,
-                          variety: VarietyReport) -> SignedRepresentation:
-    """Weights alpha with Lambda = sum alpha_i * evaluation at w_i on all
-    monomials of degree <= 2n, supported on a row basis of W_{2n}.  The
-    report's mask says whether its points are the variety or refined
-    approximations."""
-    points = variety.points if variety.status == "Finite" else ()
-    if not points:
-        raise ValueError("signed_representation needs a finite point list")
-    exact_points = all(variety.exact_mask)
-    w_matrix = build_W(points, beta.degree, beta.d)
-    # Independent rows of W = pivot columns of its transpose.
-    row_pick = _linalg.row_reduce(_linalg.transpose(w_matrix.rows)).pivots
-    rows = [w_matrix.rows[i] for i in row_pick]
-    # At refined points the relations of the variety hold only to the
-    # refinement width, so the pivots of the float reduction go first: no
-    # column independent by that much alone becomes a pivot.
-    order = list(range(len(w_matrix.monomials)))
-    if not exact_points and w_matrix.is_exact:
-        first = _linalg.row_reduce(
-            [[float(x) for x in row] for row in w_matrix.rows]).pivots
-        order = [*first, *(j for j in order if j not in first)]
-    col_pick = [order[j] for j in _linalg.row_reduce(
-        [[row[j] for j in order] for row in rows]).pivots]
-    square = [[rows[i][j] for i in range(len(row_pick))] for j in col_pick]
-    target = [beta[w_matrix.monomials[j]] for j in col_pick]
-    weights = _linalg.solve_linear(square, target)
-    residual = 0.0
-    for j, idx in enumerate(w_matrix.monomials):
-        predicted = _linalg.dot(weights, (row[j] for row in rows))
-        residual = max(residual, abs(float(predicted - beta[idx])))
-    valid = negligible(residual, beta.scale())
-    atoms = tuple(points[i] for i in row_pick)
-    return SignedRepresentation(atoms, tuple(weights), residual, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -244,51 +189,3 @@ def reduced_consistency_test(beta) -> ReducedVerdict:
     if not complete:
         return ReducedVerdict("Unknown", value, h, reason="non-real zeros")
     return ReducedVerdict("MeasureExists", value, h)
-
-
-# ---------------------------------------------------------------------------
-# simple-zero certificate
-# ---------------------------------------------------------------------------
-
-def simple_zero_certificate(r1: Polynomial, r2: Polynomial,
-                            points: Sequence[Point]) -> CertificateVerdict:
-    """Certify that the two generators meet transversally in exactly
-    deg(r1)*deg(r2) simple real points:
-
-    (a) the leading forms share no real zero besides the origin,
-    (b) the point count matches the product of the degrees,
-    (c) the Jacobian has rank 2 at every point.
-    """
-    reasons = []
-    lf1, lf2 = r1.leading_form(), r2.leading_form()
-    if lf1.is_exact and lf2.is_exact:
-        g = bivariate_gcd(lf1, lf2)
-        if g.degree >= 1 and _form_has_real_zero(g):
-            reasons.append("leading forms share a real zero at infinity")
-    else:
-        reasons.append("leading forms are not exact; zeros at infinity "
-                       "not decidable")
-    expected = int(r1.degree) * int(r2.degree)
-    if len(points) != expected:
-        reasons.append(
-            f"point count {len(points)} != deg(r1)*deg(r2) = {expected}")
-    partials = [r.partial(i) for r in (r1, r2) for i in (0, 1)]
-    for w, jacobian in zip(points, zip(*values_at(partials, points))):
-        det = jacobian[0] * jacobian[3] - jacobian[1] * jacobian[2]
-        scale = max(1.0, *(abs(float(v)) for v in jacobian))
-        if abs(float(det)) <= RANK_TOL * scale:
-            reasons.append(
-                f"Jacobian rank < 2 at point "
-                f"({float(w[0]):.6g}, {float(w[1]):.6g})")
-    return CertificateVerdict(not reasons, tuple(reasons))
-
-
-def _form_has_real_zero(form: Polynomial) -> bool:
-    """Does a nonconstant homogeneous binary form vanish on a real direction?"""
-    # Direction (0, 1): the form must be divisible by x.
-    if all(i >= 1 for (i, _) in form.terms):
-        return True
-    # Directions (1, t): real roots of form(1, t).
-    top = int(form.degree)
-    return bool(_roots.real_roots_exact(
-        [form.coefficient((top - j, j)) for j in range(top + 1)])[0])

@@ -198,13 +198,13 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
         for p in k_n.kernel:
             at_point = p.evaluate(derivation.point)
             derived = derivation.apply(p)
-            if significant(float(at_point)) or significant(float(derived)):
+            if significant(at_point) or significant(derived):
                 valid = False
                 break
         if valid:
             for q in k_n1.kernel:
                 derived = derivation.apply(q)
-                if significant(float(derived)):
+                if significant(derived):
                     witness = q
                     value = derived
                     break

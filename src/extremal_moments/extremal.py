@@ -17,7 +17,6 @@ Supplied points may be only part of the variety, so they never refute.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import partial
 from typing import Optional, Sequence
@@ -36,6 +35,7 @@ from .polycore import (
     is_exact,
     negligible,
     record,
+    write_json,
 )
 from .synth import moments_of_atoms
 from .variety import VarietyReport, vandermonde_rows
@@ -234,6 +234,4 @@ def dump_measure(measure: AtomicMeasure, path) -> None:
             for w, rho in zip(measure.atoms, measure.densities)
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_json(payload, path)

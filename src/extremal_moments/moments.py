@@ -10,7 +10,6 @@ up by its index sum, so equal sums can never disagree).
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg
@@ -28,6 +27,7 @@ from .polycore import (
     record,
     significant,
     total_degree,
+    write_json,
 )
 
 # ---------------------------------------------------------------------------
@@ -292,16 +292,12 @@ def load_multisequence(path, mode: Optional[str] = None) -> Multisequence:
     return Multisequence(d, f.integer(f.data["degree"], "degree"), values)
 
 
-def multisequence_json(beta: Multisequence) -> str:
-    """The moments file of *beta*; every value round-trips exactly."""
+def dump_multisequence(beta: Multisequence, path=None) -> None:
+    """Write the moments file of *beta*, to stdout when *path* is None;
+    every value round-trips exactly."""
     moments = [
         {"idx": list(idx), "value": format_scalar(beta[idx])}
         for idx in monomial_basis(beta.d, beta.degree)
     ]
     payload = {"d": beta.d, "degree": beta.degree, "moments": moments}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def dump_multisequence(beta: Multisequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(multisequence_json(beta))
+    write_json(payload, path)

@@ -179,7 +179,7 @@ def significant(value: Scalar, scale: float = 1.0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON input files
+# JSON files
 # ---------------------------------------------------------------------------
 
 class JsonInput:
@@ -235,6 +235,17 @@ class JsonInput:
 
     def scalars(self, value, what: str, length: int | None = None) -> tuple:
         return tuple(self.scalar(x) for x in self.array(value, what, length))
+
+
+def write_json(payload: dict, path=None) -> None:
+    """Write *payload* as every file of the package is written: indented
+    by two spaces, with a final newline; to stdout when *path* is None."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +457,6 @@ class Polynomial:
         return sorted(
             self.terms.items(),
             key=lambda item: (total_degree(item[0]), tuple(-e for e in item[0])),
-        )
-
-    def leading_form(self) -> "Polynomial":
-        """Homogeneous part of highest total degree (zero poly for zero)."""
-        if not self.terms:
-            return self
-        top = self.degree
-        return Polynomial(
-            self.d,
-            {idx: c for idx, c in self.terms.items() if total_degree(idx) == top},
         )
 
     # -- arithmetic --------------------------------------------------------

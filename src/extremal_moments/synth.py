@@ -10,7 +10,6 @@ through the transform.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -30,6 +29,7 @@ from .polycore import (
     monomial_basis,
     record,
     values_at,
+    write_json,
 )
 
 
@@ -301,6 +301,4 @@ def dump_functional(functional: SignedFunctional, path) -> None:
             "point": [format_scalar(x) for x in der.point],
             "direction": [format_scalar(x) for x in der.direction],
         }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_json(payload, path)

@@ -30,7 +30,6 @@ or basis polynomials at the points, so exact points are summed in integers.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -57,6 +56,7 @@ from .polycore import (
     record,
     total_degree,
     values_at,
+    write_json,
 )
 
 #: Float points closer than this (relative to their size) are one multiple
@@ -582,11 +582,6 @@ def eval_matrix_rank(matrix: EvalMatrix) -> int:
     return _linalg.row_reduce(matrix.rows).rank
 
 
-def hilbert_function(points: Sequence[Point], k: int) -> int:
-    """H_I(k): number of independent degree <= k monomial evaluations."""
-    return eval_matrix_rank(build_W(points, k))
-
-
 def vanishing_ideal(variety: VarietyReport, k: int, d: int) -> tuple:
     """``(relations, complete)``: the x^a - NF(x^a) of degree <= k vanishing
     on *variety*, one for each monomial a outside the degree-lex normal
@@ -711,6 +706,4 @@ def dump_points(points: Sequence[Point], path) -> None:
         "d": len(points[0]),
         "points": [[format_scalar(x) for x in point] for point in points],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_json(payload, path)

@@ -1,4 +1,4 @@
-"""Consistency checks, signed representations, and the curve-scenario test."""
+"""Consistency checks, degree-one invariance, and the curve-scenario test."""
 
 import math
 import random
@@ -120,35 +120,6 @@ class TestConsistencyCheck:
         assert verdict.value == 1
 
 
-class TestSignedRepresentation:
-    def test_exact_two_atoms(self):
-        beta = em.beta_from_atoms([(F(0),), (F(1),)], [F(2), F(3)], degree=2)
-        rep = em.signed_representation(
-            beta, VarietyReport.of_points([(F(0),), (F(1),)]))
-        assert rep.valid
-        assert rep.residual == 0.0
-        weights = dict(zip(rep.atoms, rep.weights))
-        assert weights[(F(0),)] == 2
-        assert weights[(F(1),)] == 3
-
-    def test_unit_weights_on_scenario(self, prop61):
-        variety = variety_of(prop61)
-        rep = em.signed_representation(prop61, variety)
-        assert rep.valid
-        assert len(rep.weights) == 8
-        for wt in rep.weights:
-            assert abs(float(wt) - 1.0) < 1e-6
-
-    def test_derivation_part_is_unrepresentable(self, thm62_a8_8):
-        rep = em.signed_representation(thm62_a8_8, variety_of(thm62_a8_8))
-        assert not rep.valid
-        assert rep.residual > 1e-3
-
-    def test_requires_points(self, prop61):
-        with pytest.raises(ValueError):
-            em.signed_representation(prop61, VarietyReport.of_points([]))
-
-
 class TestComputeH:
     def test_matches_known_coefficients(self):
         h = em.compute_h(scenario_points_float())
@@ -199,44 +170,61 @@ class TestReducedTest:
         assert "rank" in verdict.reason
 
 
-class TestSimpleZeroCertificate:
-    def test_transversal_circle_line(self):
-        r1 = Polynomial(2, {(2, 0): F(1), (0, 2): F(1), (0, 0): F(-1)})
-        r2 = Polynomial(2, {(0, 1): F(1), (1, 0): F(-1)})
-        s = math.sqrt(0.5)
-        verdict = em.simple_zero_certificate(r1, r2, [(s, s), (-s, -s)])
-        assert verdict.certified
-        assert verdict.reasons == ()
-
-    def test_wrong_point_count(self):
-        r1 = Polynomial(2, {(2, 0): F(1), (0, 2): F(1), (0, 0): F(-1)})
-        r2 = Polynomial(2, {(0, 1): F(1), (1, 0): F(-1)})
-        s = math.sqrt(0.5)
-        verdict = em.simple_zero_certificate(r1, r2, [(s, s)])
-        assert not verdict.certified
-        assert any("count" in r for r in verdict.reasons)
-
-    def test_tangential_meeting_rejected(self):
-        r1 = Polynomial(2, {(0, 1): F(1), (2, 0): F(-1)})  # y - x^2
-        r2 = Polynomial(2, {(0, 1): F(1)})                 # y
-        verdict = em.simple_zero_certificate(r1, r2, [(0.0, 0.0)])
-        assert not verdict.certified
-        assert any("Jacobian" in r for r in verdict.reasons)
-
-    def test_shared_leading_zero_rejected(self):
-        r1 = Polynomial(2, {(2, 0): F(1), (0, 2): F(-1)})  # x^2 - y^2
-        r2 = Polynomial(2, {(2, 0): F(1), (0, 2): F(-1), (0, 0): F(1)})
-        verdict = em.simple_zero_certificate(r1, r2, [])
-        assert not verdict.certified
-        assert any("infinity" in r for r in verdict.reasons)
+def pushforward(beta, phi):
+    """The data of the image measure under phi(x) = Ax + b, computed from
+    beta alone: beta^phi_a = Lambda(phi(x)^a)."""
+    (A, b), d = phi, beta.d
+    coordinates = [Polynomial(d, {(0,) * d: b[i], **{
+        tuple(int(k == j) for k in range(d)): A[i][j] for j in range(d)}})
+        for i in range(d)]
+    powers = {(0,) * d: Polynomial.constant(d, F(1))}
+    for a in monomial_basis(d, beta.degree):  # a - e_i comes before a
+        if a not in powers:
+            i = next(i for i, e in enumerate(a) if e)
+            lower = a[:i] + (a[i] - 1,) + a[i + 1:]
+            powers[a] = powers[lower] * coordinates[i]
+    return em.Multisequence(d, beta.degree,
+                            {a: riesz(beta, powers[a]) for a in beta.values})
 
 
-def shifted(beta, s):
-    """The data pushed forward by x -> x + s, by binomial sums."""
-    return em.Multisequence(beta.d, beta.degree, {
-        (i, j): sum(math.comb(i, k) * s**(i - k) * beta[(k, j)]
-                    for k in range(i + 1))
-        for (i, j) in beta.values})
+def image(phi, w):
+    A, b = phi
+    return tuple(sum(a * x for a, x in zip(row, w)) + c
+                 for row, c in zip(A, b))
+
+
+def affine(A, b):
+    return (tuple(tuple(map(F, row)) for row in A), tuple(map(F, b)))
+
+
+#: Invertible rational degree-one maps (A, b) for d = 2 and d = 1 data.
+D2_MAPS = {
+    "shift": affine([[1, 0], [0, 1]], [F(1, 3), F(-2, 7)]),
+    "swap": affine([[0, 1], [1, 0]], [0, 0]),
+    "rotation": affine([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]], [0, 0]),
+    "shear": affine([[1, 2], [0, 1]], [F(-1, 2), 1]),
+}
+D1_MAPS = {
+    "reflection": affine([[-1]], [F(1, 2)]),
+    "scale": affine([[F(2, 3)]], [F(5, 4)]),
+}
+
+
+def drawn(d, shapes):
+    """Exact data drawn as the bench's ``exact`` workload draws it (for
+    d = 2, the ROADMAP baseline ladder): for each (n, atoms) shape in turn,
+    distinct atoms from random.Random(1), sorted, then their densities."""
+    rng = random.Random(1)
+    top = {1: 40, 2: 9}[d]
+    for n, count in shapes:
+        atoms = set()
+        while len(atoms) < count:
+            atoms.add(tuple(F(rng.randint(-top, top), rng.randint(1, 4))
+                            for _ in range(d)))
+        atoms = sorted(atoms)
+        densities = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in atoms]
+        yield (f"d{d} {n}/{count}",
+               em.beta_from_atoms(atoms, densities, degree=2 * n))
 
 
 def beside_nonreal_zeros(real_powers, extra=0):
@@ -252,6 +240,20 @@ def beside_nonreal_zeros(real_powers, extra=0):
 def at_sqrt2(degree):
     """Power sums 0..degree of the points -sqrt(2) and sqrt(2)."""
     return [0 if k % 2 else 2 * 2**(k // 2) for k in range(degree + 1)]
+
+
+D2_INPUTS = [*((name, em.load_multisequence(
+    fixture_path(f"{name}.moments.json"))) for name in (
+        "ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
+        "ex71", "thm62_a8_8")), *drawn(2, ((3, 8), (4, 12)))]
+D1_INPUTS = [*drawn(1, ((8, 8),)),
+             # Unit masses at -sqrt(2), 0 and sqrt(2): two refined atoms.
+             ("d1 sqrt2", em.Multisequence(1, 6, {
+                 (k,): F(at_sqrt2(6)[k] + (k == 0)) for k in range(7)}))]
+INVARIANCE_CASES = [
+    pytest.param(beta, phi, id=f"{label}-{name}")
+    for inputs, maps in ((D2_INPUTS, D2_MAPS), (D1_INPUTS, D1_MAPS))
+    for label, beta in inputs for name, phi in maps.items()]
 
 
 class TestQuotientConsistency:
@@ -270,7 +272,7 @@ class TestQuotientConsistency:
         assert em.solve_extremal(beta).status == "Measure"
 
     def test_shifted_ex71_is_consistent(self, ex71):
-        beta = shifted(ex71, F(1, 3))
+        beta = pushforward(ex71, affine([[1, 0], [0, 1]], [F(1, 3), 0]))
         pipe = em.Pipeline(beta)
         assert pipe.consistency.status == "Consistent"
         assert (pipe.injectivity.injective, pipe.injectivity.rank_m,
@@ -360,6 +362,40 @@ class TestQuotientConsistency:
         verdict = em.consistency_check(perturbed, variety)
         assert verdict.status == "Inconsistent"
         assert verdict_of(verdict) == riesz_verdict(perturbed, variety)
+
+
+@pytest.mark.parametrize("beta, phi", INVARIANCE_CASES)
+def test_degree_one_map_keeps_the_answer(beta, phi):
+    # A degree-one map keeps status, rank and card V, and the image data's
+    # points and densities are those of the data, with the points mapped:
+    # exactly at exact points, and to within the refinement elsewhere
+    # (refined midpoints are Fractions as well).
+    report = em.solve_extremal(beta)
+    mapped = em.solve_extremal(pushforward(beta, phi))
+    assert (mapped.status, mapped.rank, mapped.v) \
+        == (report.status, report.rank, report.v)
+    exact = dict(zip(mapped.variety.points, mapped.variety.exact_mask))
+    for (w, rho), (v, sigma) in zip(atoms_of(report, phi), atoms_of(mapped)):
+        assert v == w if exact[v] else close(v, w)
+        if rho is not None:
+            assert sigma == rho if all(exact.values()) \
+                else close([sigma], [rho])
+
+
+def atoms_of(report, phi=None):
+    """(point, density) pairs of a solve, sorted by value: the atoms of its
+    measure, else its variety's points with density None; *phi* maps the
+    points."""
+    if report.measure is None:
+        atoms = [(w, None) for w in report.variety.points]
+    else:
+        atoms = zip(report.measure.atoms, report.measure.densities)
+    return sorted(((image(phi, w) if phi else w, rho) for w, rho in atoms),
+                  key=lambda atom: tuple(map(float, atom[0])))
+
+
+def close(u, v):
+    return all(abs(x - y) < 1e-30 for x, y in zip(u, v))
 
 
 def verdict_of(verdict):

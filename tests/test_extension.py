@@ -117,13 +117,27 @@ class TestTightness:
         assert "derivation" in verdict.reason
 
     def test_derivation_witness_refutes_tightness(self, prop61, prop61_deg8):
-        derivation = em.Derivation((F(1, 2), F(1, 8)), (F(1), F(3, 4)))
+        # An exact witness decides at any size: a0 = 1e-12 lies far below
+        # the float tolerance.
+        m_n = em.build_moment_matrix(prop61)
+        m_n1 = em.build_moment_matrix(prop61_deg8)
+        for a0 in (F(1), F(1, 10**12)):
+            derivation = em.Derivation((F(1, 2), F(1, 8)), (F(1), F(3, 4)),
+                                       a0)
+            verdict = em.tightness_check(m_n, m_n1, derivation=derivation)
+            assert verdict.status == "NotTight"
+            assert verdict.value == F(-405, 128) * a0
+            assert verdict.witness.terms == H_TERMS
+
+    def test_float_derivation_below_tolerance_is_inconclusive(
+            self, prop61, prop61_deg8):
+        # The float twin of the a0 = 1e-12 witness: a value of about -3e-12
+        # is within the float tolerance, so it certifies nothing.
+        derivation = em.Derivation((0.5, 0.125), (1.0, 0.75), 1e-12)
         verdict = em.tightness_check(em.build_moment_matrix(prop61),
                                      em.build_moment_matrix(prop61_deg8),
                                      derivation=derivation)
-        assert verdict.status == "NotTight"
-        assert verdict.value == F(-405, 128)
-        assert verdict.witness.terms == H_TERMS
+        assert verdict.status == "Inconclusive"
 
     def test_invalid_derivation_ignored(self, prop61, prop61_deg8):
         # A derivation that fails to annihilate ker M(n) cannot witness.

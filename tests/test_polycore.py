@@ -146,11 +146,6 @@ class TestPolynomial:
                            (0, 0): Fraction(3)})
         assert [idx for idx, _ in p.sorted_terms()] == [(0, 0), (1, 0), (0, 2)]
 
-    def test_leading_form(self):
-        p = Polynomial(2, {(0, 2): Fraction(1), (2, 0): Fraction(-1),
-                           (1, 0): Fraction(5)})
-        assert set(p.leading_form().terms) == {(0, 2), (2, 0)}
-
     def test_poly_to_string(self):
         p = Polynomial(2, {(0, 2): Fraction(1), (1, 0): Fraction(-4),
                            (0, 0): Fraction(2)})
