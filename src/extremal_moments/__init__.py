@@ -12,7 +12,6 @@ from .moments import (
     Multisequence,
     build_moment_matrix,
     dump_multisequence,
-    flatness_check,
     load_multisequence,
     multisequence_combine,
     psd_check,
@@ -45,7 +44,6 @@ from .extremal import (
     verify_measure,
 )
 from .extension import (
-    extend_via_measure,
     extension_search,
     flat_extension_check,
     propagate_recursive_extension,
@@ -57,9 +55,7 @@ from .synth import (
     SignedFunctional,
     beta_from_atoms,
     beta_from_functional,
-    complex_moment_matrix,
     complex_to_real,
-    dump_functional,
     example14_gamma,
     load_functional,
     moments_of_atoms,
@@ -79,21 +75,17 @@ __all__ = [
     "bivariate_gcd",
     "build_W",
     "build_moment_matrix",
-    "complex_moment_matrix",
     "complex_to_real",
     "compute_h",
     "compute_variety",
     "consistency_check",
-    "dump_functional",
     "dump_measure",
     "dump_multisequence",
     "dump_points",
     "eval_matrix_rank",
     "example14_gamma",
-    "extend_via_measure",
     "extension_search",
     "flat_extension_check",
-    "flatness_check",
     "injectivity_check",
     "load_functional",
     "load_measure",

@@ -54,18 +54,12 @@ EXIT_INCONCLUSIVE = 3
 
 
 def relation_strings(report: KernelReport) -> list:
-    """Kernel relations in delta form pretty-printed as 'M = combination'."""
+    """Kernel relations in delta form pretty-printed as 'M = combination':
+    M is the one free (non-pivot) monomial of each, with coefficient 1."""
     out = []
     pivot_set = set(report.pivots)
     for p in report.kernel:
-        unit = None
-        for idx, c in p.terms.items():
-            if idx not in pivot_set and c == 1:
-                unit = idx
-                break
-        if unit is None:
-            out.append(f"0 = {poly_to_string(p)}")
-            continue
+        unit = next(idx for idx in p.terms if idx not in pivot_set)
         rhs = Polynomial.monomial(report.d, unit) - p
         out.append(f"{monomial_to_string(unit)} = {poly_to_string(rhs)}")
     return out
@@ -236,9 +230,8 @@ def _cmd_variety(args) -> int:
     out.set("relations", relations)
     if report.nullity == 0:
         out.line("kernel is trivial: variety is all of R^d")
-        out.set("variety", {"status": "Infinite", "points": [],
-                            "witness": None,
-                            "reason": "trivial kernel", "multiple_roots": False})
+        out.set("variety", _variety_json(
+            VarietyReport("Infinite", reason="trivial kernel")))
         out.flush()
         return EXIT_OK
     variety = pipe.variety

@@ -23,7 +23,6 @@ from .moments import (
     MomentMatrix,
     Multisequence,
     PsdVerdict,
-    build_moment_matrix,
     kernel_products,
     rank_kernel,
 )
@@ -39,7 +38,7 @@ from .polycore import (
     significant,
     total_degree,
 )
-from .synth import Derivation, moments_of_atoms
+from .synth import Derivation
 
 
 @record
@@ -51,10 +50,6 @@ class ExtensionReport:
     extended: Optional[Pipeline] = None  # stages of M(n+1) when determined
     flat: Optional[FlatnessVerdict] = None
     psd: Optional[PsdVerdict] = None
-
-    @property
-    def beta_ext(self) -> Optional[Multisequence]:
-        return self.extended.beta if self.extended else None
 
     @property
     def matrix(self) -> Optional[MomentMatrix]:
@@ -89,15 +84,6 @@ class ExtensionSearchReport:
     @property
     def beta_final(self) -> Optional[Multisequence]:
         return self.final.beta if self.final else None
-
-
-def extend_via_measure(measure, m: int) -> MomentMatrix:
-    """M(m) of the moments of a finitely-atomic measure (PSD by
-    construction when the densities are nonnegative)."""
-    values = moments_of_atoms(measure.d, 2 * m, measure.atoms,
-                              measure.densities)
-    beta = Multisequence(measure.d, 2 * m, values)
-    return build_moment_matrix(beta)
 
 
 def propagate_recursive_extension(matrix: MomentMatrix,

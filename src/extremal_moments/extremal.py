@@ -29,7 +29,6 @@ from .polycore import (
     Point,
     Polynomial,
     Scalar,
-    all_exact,
     compact_scalar,
     ensure_scalar,
     is_exact,
@@ -59,11 +58,6 @@ class AtomicMeasure:
     @property
     def size(self) -> int:
         return len(self.atoms)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(all_exact(w) for w in self.atoms) \
-            and all_exact(self.densities)
 
 
 @record

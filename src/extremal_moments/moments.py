@@ -10,6 +10,7 @@ up by its index sum, so equal sums can never disagree).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg
@@ -58,9 +59,12 @@ class Multisequence:
                 raise InputError(
                     f"moment index {idx} exceeds degree {self.degree}")
             clean[idx] = ensure_scalar(value)
-        for idx in monomial_basis(self.d, self.degree):
-            if idx not in clean:
-                raise InputError(f"missing moment for index {idx}")
+        # Distinct valid indices, as many as there are: so none is missing.
+        # Counting lists no index, however large a d the data claims.
+        needed = math.comb(self.d + self.degree, self.degree)
+        if len(clean) != needed:
+            raise InputError(f"{len(clean)} moments given, but d={self.d} "
+                             f"and degree={self.degree} need {needed}")
         object.__setattr__(self, "values", clean)
         object.__setattr__(self, "is_exact", all_exact(clean.values()))
 
@@ -252,13 +256,6 @@ def recursiveness_check(matrix: MomentMatrix,
             return RecursivenessVerdict(
                 "Violation", (p, Polynomial.monomial(matrix.d, s), product))
     return RecursivenessVerdict("RecursivelyGenerated")
-
-
-def flatness_check(matrix: MomentMatrix) -> FlatnessVerdict:
-    """Compare rank M(n) with rank of the embedded M(n-1) block."""
-    if matrix.n < 1:
-        raise ValueError("flatness needs n >= 1")
-    return _flatness(matrix, rank_kernel(matrix).rank)
 
 
 def _flatness(matrix: MomentMatrix, rank_n: int) -> FlatnessVerdict:

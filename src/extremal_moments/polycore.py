@@ -23,7 +23,7 @@ import math
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[Fraction, float]
 MultiIndex = tuple  # tuple[int, ...]
@@ -83,8 +83,6 @@ def parse_scalar(text: str, mode: str | None = None) -> Scalar:
     exponent are floats by default.  ``mode="exact"`` converts decimal strings
     to the exact rational they denote; ``mode="float"`` forces a double.
     """
-    if not isinstance(text, str):
-        return _in_float_range(ensure_scalar(text), text)
     text = text.strip()
     if mode not in (None, "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -101,7 +99,8 @@ def parse_scalar(text: str, mode: str | None = None) -> Scalar:
                 value = float(text)
                 if not math.isfinite(value):
                     raise InputError(f"non-finite scalar: {text!r}")
-    except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
+    except (ValueError, ZeroDivisionError, InvalidOperation,
+            OverflowError) as exc:  # Fraction(Decimal("Infinity")) overflows
         raise InputError(f"cannot parse scalar {text!r}") from exc
     value = _in_float_range(value, text)
     if mode == "float":
@@ -187,9 +186,8 @@ class JsonInput:
 
     Every accessor raises InputError naming the file when a value has the
     wrong shape, so malformed input never escapes as a TypeError.  Scalars
-    follow one rule: strings go through ``parse_scalar`` in the file's mode,
-    JSON numbers through ``ensure_scalar``, and neither may lie beyond the
-    float range.
+    follow one rule: a string, or a JSON number read as its decimal text
+    (NaN and Infinity too), goes through ``parse_scalar`` in the file's mode.
     """
 
     def __init__(self, path, kind: str, required: Sequence[str],
@@ -198,7 +196,7 @@ class JsonInput:
         self.mode = mode
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = json.load(handle, parse_float=str, parse_constant=str)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read {self.where}: {exc}") from exc
         self.data = self.object(data, required, "top level")
@@ -229,8 +227,10 @@ class JsonInput:
         return value
 
     def scalar(self, value) -> Scalar:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise self.error(f"non-finite scalar: {value!r}")
+        if type(value) is int:  # a JSON number without a point or exponent
+            value = str(value)
+        if not isinstance(value, str):
+            raise self.error(f"not a scalar: {value!r}")
         return parse_scalar(value, self.mode)
 
     def scalars(self, value, what: str, length: int | None = None) -> tuple:
@@ -256,26 +256,33 @@ def total_degree(idx: MultiIndex) -> int:
     return sum(idx)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    """Exponent tuples of a given total degree, descending lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def monomial_basis(d: int, k: int) -> list:
-    """All exponent tuples with ``|idx| <= k`` in degree-lex order."""
+    """All exponent tuples with ``|idx| <= k`` in degree-lex order.
+
+    One walk, with no recursion however large d is: the next tuple moves
+    one unit from the last nonzero entry before the final one to its right
+    neighbour, which also takes the final entry; after (0, ..., 0, t) comes
+    (t + 1, 0, ..., 0)."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
     basis = []
-    for t in range(k + 1):
-        basis.extend(_compositions(t, d))
-    return basis
+    idx = [0] * d
+    while True:
+        basis.append(tuple(idx))
+        i = d - 2
+        while i >= 0 and not idx[i]:
+            i -= 1
+        last = idx[-1]
+        idx[-1] = 0
+        if i >= 0:
+            idx[i] -= 1
+            idx[i + 1] = last + 1
+        elif last < k:
+            idx[0] = last + 1
+        else:
+            return basis
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +422,8 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(d: int) -> "Polynomial":
-        return Polynomial(d, {})
-
-    @staticmethod
-    def constant(d: int, c) -> "Polynomial":
-        return Polynomial(d, {(0,) * d: c})
-
-    @staticmethod
     def monomial(d: int, idx: MultiIndex, c=1) -> "Polynomial":
         return Polynomial(d, {tuple(idx): c})
-
-    @staticmethod
-    def variable(d: int, i: int) -> "Polynomial":
-        idx = [0] * d
-        idx[i] = 1
-        return Polynomial(d, {tuple(idx): 1})
 
     # -- structure ---------------------------------------------------------
 

@@ -24,12 +24,10 @@ from .polycore import (
     all_exact,
     clear_denominators,
     ensure_scalar,
-    format_scalar,
     is_exact,
     monomial_basis,
     record,
     values_at,
-    write_json,
 )
 
 
@@ -251,20 +249,6 @@ def complex_to_real(gamma: ComplexMomentData) -> Multisequence:
     return Multisequence(2, 2 * n, values)
 
 
-def complex_moment_matrix(gamma: ComplexMomentData):
-    """Complex M(n): rows/columns labelled by (a, b) for z^a conj(z)^b with
-    a + b <= n (degree-lex); entry[(a,b),(c,d)] = gamma[(a+d, b+c)].
-    Returns (labels, rows of (re, im) pairs) for cross-checks."""
-    labels = monomial_basis(2, gamma.n)
-    rows = []
-    for (a, b) in labels:
-        row = []
-        for (c, d) in labels:
-            row.append(gamma[(a + d, b + c)])
-        rows.append(tuple(row))
-    return tuple(labels), tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # functional file format
 # ---------------------------------------------------------------------------
@@ -287,18 +271,3 @@ def load_functional(path, mode: Optional[str] = None) -> SignedFunctional:
             f.scalar(block["a0"]))
     return SignedFunctional(d, atoms, weights, derivation)
 
-
-def dump_functional(functional: SignedFunctional, path) -> None:
-    payload = {
-        "d": functional.d,
-        "atoms": [[format_scalar(x) for x in w] for w in functional.atoms],
-        "weights": [format_scalar(x) for x in functional.weights],
-    }
-    if functional.derivation is not None:
-        der = functional.derivation
-        payload["derivation"] = {
-            "a0": format_scalar(der.a0),
-            "point": [format_scalar(x) for x in der.point],
-            "direction": [format_scalar(x) for x in der.direction],
-        }
-    write_json(payload, path)

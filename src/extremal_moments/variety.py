@@ -113,10 +113,6 @@ class EvalMatrix:
     monomials: tuple
     rows: tuple
 
-    @property
-    def is_exact(self) -> bool:
-        return all(all_exact(row) for row in self.rows)
-
 
 @record
 class InjectivityVerdict:
@@ -562,7 +558,7 @@ def _finite(points, mask, multiple_roots: bool,
 
 
 # ---------------------------------------------------------------------------
-# evaluation matrices and Hilbert function
+# evaluation matrices: W_k, the vanishing ideal, injectivity and V_B
 # ---------------------------------------------------------------------------
 
 def build_W(points: Sequence[Point], k: int, d: Optional[int] = None) -> EvalMatrix:

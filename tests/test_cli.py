@@ -140,6 +140,38 @@ class TestExitCodes:
         assert err.startswith("error: scalar beyond the float range")
         assert "Traceback" not in err
 
+    def test_many_variables_at_degree_zero(self, capsys, tmp_path):
+        # No routine recurses once per variable, so d = 1500 is data like
+        # any other: M(0) = (1) is invertible, so V is all of R^1500.
+        moments = tmp_path / "wide.json"
+        moments.write_text(json.dumps({"d": 1500, "degree": 0, "moments": [
+            {"idx": [0] * 1500, "value": "1"}]}))
+        assert run(["solve", str(moments)]) == 3
+        assert "status: NotExtremal" in capsys.readouterr().out
+
+
+class TestJsonNumbers:
+    """A JSON number is read as its decimal text, under the same --mode."""
+
+    @pytest.mark.parametrize("mode, value, read", [
+        ("float", 0, 0.0),
+        ("exact", 0.5, F(1, 2)),
+        (None, 0, F(0)),
+        (None, 0.5, 0.5),
+    ])
+    def test_mode_applies_to_numbers(self, mode, value, read, capsys,
+                                     tmp_path):
+        moments = tmp_path / "numbers.json"
+        moments.write_text(json.dumps({"d": 1, "degree": 2, "moments": [
+            {"idx": [0], "value": 1}, {"idx": [1], "value": value},
+            {"idx": [2], "value": 1}]}))
+        beta = em.load_multisequence(moments, mode)
+        assert type(beta[(1,)]) is type(read) and beta[(1,)] == read
+        argv = ["analyze", str(moments)] + (["--mode", mode] if mode else [])
+        assert run(argv) == 0
+        shown = "exact" if isinstance(read, F) else "float"
+        assert f"mode={shown}" in capsys.readouterr().out
+
 
 class TestAnalyze:
     def test_text_battery(self, capsys):
@@ -369,6 +401,14 @@ class TestSynth:
         assert beta.is_exact
         assert beta == em.complex_to_real(em.example14_gamma(1, a))
 
+    def test_measure_of_many_coordinates(self, capsys, tmp_path):
+        measure = tmp_path / "wide.json"
+        measure.write_text(json.dumps({"d": 5000, "atoms": [
+            {"point": ["1"] * 5000, "density": "2"}]}))
+        assert run(["synth", "--measure", str(measure), "--degree", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["moments"] == [{"idx": [0] * 5000, "value": "2"}]
+
     def test_source_flags_are_exclusive(self, capsys):
         assert run(["synth", "--example14", "2", "1/2",
                     "--functional", THM62_FUNCTIONAL]) == 1
@@ -405,6 +445,15 @@ MALFORMED = {
                          {"m": '{"d": 1, "degree": 2, '
                                '"moments": [{"idx": ["a"], "value": "1"}]}'}),
     "moment-nan": (["solve", "{m}"], {"m": VALID_D1.replace('"0"', "NaN")}),
+    "moment-boolean": (["solve", "{m}"],
+                       {"m": VALID_D1.replace('"0"', "true")}),
+    "moment-infinity-string-exact": (["solve", "{m}", "--mode", "exact"], {
+        "m": VALID_D1.replace('"0"', '"Infinity"')}),
+    "moment-infinity-exact": (["solve", "{m}", "--mode", "exact"],
+                              {"m": VALID_D1.replace('"0"', "Infinity")}),
+    "d-beyond-the-moments": (["solve", "{m}"],
+                             {"m": '{"d": 1000000000, "degree": 0, '
+                                   '"moments": []}'}),
     "moment-infinity": (["solve", "{m}"],
                         {"m": VALID_D1.replace('"0"', "Infinity")}),
     "moment-neg-infinity": (["solve", "{m}"],

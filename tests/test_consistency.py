@@ -177,7 +177,7 @@ def pushforward(beta, phi):
     coordinates = [Polynomial(d, {(0,) * d: b[i], **{
         tuple(int(k == j) for k in range(d)): A[i][j] for j in range(d)}})
         for i in range(d)]
-    powers = {(0,) * d: Polynomial.constant(d, F(1))}
+    powers = {(0,) * d: Polynomial.monomial(d, (0,) * d)}
     for a in monomial_basis(d, beta.degree):  # a - e_i comes before a
         if a not in powers:
             i = next(i for i, e in enumerate(a) if e)

@@ -28,18 +28,24 @@ def conflict_data():
                                    (3,): F(0), (4,): F(1)})
 
 
+def measure_matrix(measure, m):
+    """M(m) of the moments of a finitely-atomic measure."""
+    return em.build_moment_matrix(em.beta_from_atoms(
+        measure.atoms, measure.densities, measure.d, 2 * m))
+
+
 class TestExtendViaMeasure:
     def test_matrix_of_atomic_measure(self):
         measure = em.AtomicMeasure(1, ((F(0),), (F(1),)), (F(2), F(3)))
-        matrix = em.extend_via_measure(measure, 3)
+        matrix = measure_matrix(measure, 3)
         assert matrix.n == 3
         assert em.rank_kernel(matrix).rank == 2
         assert em.psd_check(matrix).ok
 
     def test_consecutive_levels_are_flat(self):
         measure = em.AtomicMeasure(1, ((F(0),), (F(1),)), (F(2), F(3)))
-        verdict = em.flat_extension_check(em.extend_via_measure(measure, 2),
-                                          em.extend_via_measure(measure, 3))
+        verdict = em.flat_extension_check(measure_matrix(measure, 2),
+                                          measure_matrix(measure, 3))
         assert verdict.compression_ok
         assert verdict.flat
         assert verdict.rank_n == verdict.rank_n1 == 2
@@ -53,7 +59,7 @@ class TestPropagate:
         assert ext.well_defined
         assert ext.conflicts == ()
         assert ext.undetermined == ()
-        assert ext.beta_ext.degree == 8
+        assert ext.extended.beta.degree == 8
         assert em.rank_kernel(ext.matrix).rank == 9
         assert not ext.flat.flat
         assert ext.psd.ok
@@ -149,14 +155,14 @@ class TestTightness:
 
     def test_single_atom_is_tight(self):
         measure = em.AtomicMeasure(1, ((F(0),),), (F(1),))
-        verdict = em.tightness_check(em.extend_via_measure(measure, 1),
-                                     em.extend_via_measure(measure, 2))
+        verdict = em.tightness_check(measure_matrix(measure, 1),
+                                     measure_matrix(measure, 2))
         assert verdict.status == "Tight"
         assert verdict.dim_next == verdict.bound == 2
 
     def test_recovered_planar_measure_is_tight(self, ex15):
         report = em.solve_extremal(ex15)
-        m3 = em.extend_via_measure(report.measure, 3)
+        m3 = measure_matrix(report.measure, 3)
         verdict = em.tightness_check(em.build_moment_matrix(ex15), m3)
         assert verdict.status == "Tight"
 

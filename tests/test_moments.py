@@ -243,13 +243,13 @@ class TestRecursiveness:
 
 class TestFlatness:
     def test_ex15_not_flat(self, ex15):
-        verdict = em.flatness_check(em.build_moment_matrix(ex15))
+        verdict = em.Pipeline(ex15).flatness
         assert not verdict.flat
         assert verdict.rank_previous == 3 and verdict.rank == 4
 
     def test_flat_single_atom(self):
         beta = em.beta_from_atoms([(F(1), F(2))], [F(3)], 2, 4)
-        verdict = em.flatness_check(em.build_moment_matrix(beta))
+        verdict = em.Pipeline(beta).flatness
         assert verdict.flat
         assert verdict.rank == 1 and verdict.rank_previous == 1
 

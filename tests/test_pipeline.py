@@ -142,10 +142,18 @@ def test_stages_are_kept(ex15):
 
 
 def test_flatness_matches_flatness_check(ex71):
+    # The flatness stage compares rank M(n) with the rank of its M(n-1)
+    # block, which is M(n-1) of the data truncated to degree 2n-2.
     pipe = em.Pipeline(ex71)
-    assert pipe.flatness == em.flatness_check(pipe.matrix)
+    lower = em.Multisequence(ex71.d, ex71.degree - 2, {
+        idx: value for idx, value in ex71.values.items()
+        if sum(idx) <= ex71.degree - 2})
+    assert (pipe.flatness.rank, pipe.flatness.rank_previous) \
+        == (pipe.kernel.rank, em.Pipeline(lower).kernel.rank)
+    # An extension step reads flatness off the two kernel ranks; the
+    # flatness stage of the extended data row-reduces the M(n) block.
     for step in em.extension_search(ex71).steps:
-        assert step.flat == em.flatness_check(step.matrix)
+        assert step.flat == em.Pipeline(step.extended.beta).flatness
 
 
 def test_trivial_kernel_has_no_variety():

@@ -1,5 +1,6 @@
 """Unit tests: scalars, monomial orders, polynomial arithmetic."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from extremal_moments.moments import KernelReport, Multisequence
 from extremal_moments.polycore import (
     InputError,
+    JsonInput,
     MINUS_INFINITY,
     Polynomial,
     format_scalar,
@@ -51,15 +53,19 @@ class TestScalars:
         with pytest.raises(InputError):
             parse_scalar("one half")
 
-    def test_parse_rejects_values_beyond_the_float_range(self):
+    def test_parse_rejects_values_beyond_the_float_range(self, tmp_path):
         for text in [str(10**400), f"-{10**400}/3", "1e400"]:
             for mode in (None, "exact", "float"):
                 if text == "1e400" and mode != "exact":
                     continue  # a float literal that overflows is inf
                 with pytest.raises(InputError, match="float range"):
                     parse_scalar(text, mode)
+        # A JSON number is read as its decimal text, so it is rejected alike.
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"value": {10**400}}}')
+        data = JsonInput(path, "test", ("value",))
         with pytest.raises(InputError, match="float range"):
-            parse_scalar(10**400)
+            data.scalar(data.data["value"])
         assert parse_scalar(f"1/{10**400}") == Fraction(1, 10**400)
 
     def test_magnitude_saturates(self):
@@ -105,6 +111,22 @@ class TestMonomials:
         basis = monomial_basis(3, 1)
         assert basis == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
+    def test_degree_lex_order_is_the_sorted_order(self):
+        # Ascending total degree, then descending powers of the first
+        # variable, the second, and so on.
+        for d in range(1, 5):
+            for k in range(6):
+                indices = [idx for idx in itertools.product(range(k + 1),
+                                                            repeat=d)
+                           if sum(idx) <= k]
+                assert monomial_basis(d, k) == sorted(
+                    indices, key=lambda idx: (sum(idx), [-e for e in idx]))
+
+    def test_many_variables(self):
+        # One walk, not one recursion level per variable.
+        assert monomial_basis(3000, 1) == [(0,) * 3000] + [
+            (0,) * i + (1,) + (0,) * (2999 - i) for i in range(3000)]
+
     def test_total_degree(self):
         assert total_degree((2, 3)) == 5
 
@@ -118,7 +140,7 @@ class TestMonomials:
 
 class TestPolynomial:
     def test_zero_degree_is_minus_infinity(self):
-        assert Polynomial.zero(2).degree == MINUS_INFINITY
+        assert Polynomial(2, {}).degree == MINUS_INFINITY
 
     def test_canonicalization_drops_zero_terms(self):
         p = Polynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
@@ -126,17 +148,17 @@ class TestPolynomial:
         assert p.degree == 1
 
     def test_arith_and_evaluate(self):
-        x = Polynomial.variable(2, 0)
-        y = Polynomial.variable(2, 1)
-        p = x * x + y.scale(Fraction(-3)) + Polynomial.constant(2, Fraction(1))
+        x = Polynomial.monomial(2, (1, 0))
+        y = Polynomial.monomial(2, (0, 1))
+        p = x * x + y.scale(Fraction(-3)) + Polynomial.monomial(2, (0, 0))
         assert p.evaluate((Fraction(2), Fraction(1))) == Fraction(2)
         q = p * p
         assert q.degree == 4
         assert q.evaluate((Fraction(2), Fraction(1))) == Fraction(4)
 
     def test_partial_derivative(self):
-        x = Polynomial.variable(2, 0)
-        y = Polynomial.variable(2, 1)
+        x = Polynomial.monomial(2, (1, 0))
+        y = Polynomial.monomial(2, (0, 1))
         p = x * x * y  # d/dx = 2xy, d/dy = x^2
         assert p.partial(0) == x.scale(Fraction(2)) * y
         assert p.partial(1) == x * x
@@ -187,7 +209,8 @@ def _random_coordinate(rng):
 def _random_polys(rng, d, count, coefficient):
     """*count* polynomials of degree <= 6: constants, the zero polynomial,
     monomials and sums of up to six terms."""
-    polys = [Polynomial.zero(d), Polynomial.constant(d, coefficient(rng))]
+    polys = [Polynomial(d, {}),
+             Polynomial.monomial(d, (0,) * d, coefficient(rng))]
     while len(polys) < count:
         terms = {tuple(rng.randint(0, 5 // d + 1) for _ in range(d)):
                  coefficient(rng) for _ in range(rng.randint(1, 6))}
@@ -245,9 +268,9 @@ class TestValuesAt:
 
     def test_rejects_points_of_the_wrong_dimension(self):
         with pytest.raises(ValueError, match="2 coordinates, expected 3"):
-            values_at([Polynomial.constant(3, 1)], [(1, 2)])
+            values_at([Polynomial.monomial(3, (0, 0, 0))], [(1, 2)])
         with pytest.raises(InputError):
-            values_at([Polynomial.constant(1, 1)], [("1",)])
+            values_at([Polynomial.monomial(1, (0,))], [("1",)])
 
 
 

@@ -1,13 +1,17 @@
 """No dead code: every module-level function or class of the package, public
 or private, is referenced somewhere in the package outside its own
-definition, or exported in ``__all__``."""
+definition, or exported in ``__all__``; and every public method or property
+of a package class is read as an attribute somewhere in the package outside
+its own definition, or in the acceptance suite."""
 
 import ast
+import collections
 import pathlib
 
 import extremal_moments as em
 
 PACKAGE = pathlib.Path(em.__file__).resolve().parent
+ACCEPTANCE = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def _names(node) -> set:
@@ -49,6 +53,36 @@ def unused_names(sources: dict) -> list:
     return unused
 
 
+def _attributes(node) -> collections.Counter:
+    """How often each attribute name is read under *node*."""
+    return collections.Counter(child.attr for child in ast.walk(node)
+                               if isinstance(child, ast.Attribute))
+
+
+def unread_members(sources: dict) -> list:
+    """``module:Class.name`` of each public method or property of a
+    module-level class of *sources* whose name no attribute of *sources*
+    outside its own definition, or of the acceptance suite, reads.  Names
+    are matched alone, so a member named like an attribute read elsewhere
+    passes."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = sum(map(_attributes, trees.values()), collections.Counter())
+    acceptance = _attributes(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and not member.name.startswith("_") \
+                        and member.name not in acceptance \
+                        and reads[member.name] \
+                        == _attributes(member)[member.name]:
+                    unread.append(f"{module}:{node.name}.{member.name}")
+    return unread
+
+
 def test_every_public_name_is_used_or_exported():
     assert [name for name in unused_names(package_sources())
             if ":_" not in name] == []
@@ -66,3 +100,15 @@ def test_the_check_sees_an_unused_function():
                "probe.py": "def orphan():\n    return orphan()\n\n\n"
                            "class _Left:\n    pass\n"}
     assert unused_names(sources) == ["probe.py:orphan", "probe.py:_Left"]
+
+
+def test_every_public_member_is_read():
+    assert unread_members(package_sources()) == []
+
+
+def test_the_check_sees_an_unread_method():
+    # Only its own body reads orphan_method.
+    sources = {**package_sources(),
+               "probe.py": "class Probe:\n    def orphan_method(self):\n"
+                           "        return self.orphan_method()\n"}
+    assert unread_members(sources) == ["probe.py:Probe.orphan_method"]
