@@ -30,11 +30,7 @@ from .variety import (
     vandermonde_VB,
 )
 from .pipeline import Pipeline
-from .consistency import (
-    compute_h,
-    consistency_check,
-    reduced_consistency_test,
-)
+from .consistency import consistency_check
 from .extremal import (
     AtomicMeasure,
     SolveReport,
@@ -45,7 +41,6 @@ from .extremal import (
 )
 from .extension import (
     extension_search,
-    flat_extension_check,
     propagate_recursive_extension,
     tightness_check,
 )
@@ -76,7 +71,6 @@ __all__ = [
     "build_W",
     "build_moment_matrix",
     "complex_to_real",
-    "compute_h",
     "compute_variety",
     "consistency_check",
     "dump_measure",
@@ -85,7 +79,6 @@ __all__ = [
     "eval_matrix_rank",
     "example14_gamma",
     "extension_search",
-    "flat_extension_check",
     "injectivity_check",
     "load_functional",
     "load_measure",
@@ -98,7 +91,6 @@ __all__ = [
     "psd_check",
     "rank_kernel",
     "recursiveness_check",
-    "reduced_consistency_test",
     "riesz",
     "solve_extremal",
     "tightness_check",

@@ -9,7 +9,8 @@ moments; a moment is well defined only when *every* derivation path agrees,
 and a disagreement is a certificate that no representing measure exists (a
 measure supported on the kernel's variety would satisfy all paths).  The
 extended matrix is rebuilt from the extended multisequence, so it is Hankel
-by construction.
+by construction; it is the ``extended`` Pipeline's ``matrix``, and a step's
+flatness compares that pipeline's kernel rank with the rank of M(n).
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ class ExtensionReport:
     extended: Optional[Pipeline] = None  # stages of M(n+1) when determined
     flat: Optional[FlatnessVerdict] = None
     psd: Optional[PsdVerdict] = None
-
-    @property
-    def matrix(self) -> Optional[MomentMatrix]:
-        return self.extended.matrix if self.extended else None
-
-
-@record
-class FlatExtensionVerdict:
-    compression_ok: bool
-    flat: bool
-    rank_n: int
-    rank_n1: int
 
 
 @record
@@ -137,28 +126,6 @@ def propagate_recursive_extension(matrix: MomentMatrix,
                            extended, FlatnessVerdict(rank == report.rank,
                                                      rank, report.rank),
                            extended.psd)
-
-
-def flat_extension_check(m_n: MomentMatrix,
-                         m_n1: MomentMatrix) -> FlatExtensionVerdict:
-    """Is M(n+1) a rank-preserving extension of M(n)?  Verifies both the
-    compression (top-left block equals M(n)) and rank equality."""
-    if m_n1.n != m_n.n + 1 or m_n1.d != m_n.d:
-        raise ValueError("expected matrices at consecutive degrees")
-    size = m_n.size
-    compression_ok = True
-    scale = magnitude(m_n.entry(i, j) for i in range(size)
-                      for j in range(size))
-    for i in range(size):
-        for j in range(size):
-            diff = m_n1.entry(i, j) - m_n.entry(i, j)
-            if significant(diff, scale):
-                compression_ok = False
-    rank_n = rank_kernel(m_n).rank
-    rank_n1 = rank_kernel(m_n1).rank
-    return FlatExtensionVerdict(compression_ok,
-                                compression_ok and rank_n == rank_n1,
-                                rank_n, rank_n1)
 
 
 def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,

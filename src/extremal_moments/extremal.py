@@ -13,6 +13,8 @@ whose moments interpolate the data, and looks for an inconsistency witness
 when they do not.  Rational coordinates enter exact densities exactly,
 irrational ones as midpoints of isolating intervals of width REFINE_WIDTH.
 Supplied points may be only part of the variety, so they never refute.
+``solve_extremal`` takes the data or its ``Pipeline``, and reads every stage
+it needs from that one object.
 """
 
 from __future__ import annotations
@@ -111,10 +113,15 @@ def solve_extremal(beta: Multisequence | Pipeline,
                    basis: Optional[Sequence] = None) -> SolveReport:
     """Decide solvability in the extremal case and recover the measure.
 
-    *beta* is the data, or a Pipeline of it whose computed stages the
+    *beta* is the data, or its Pipeline, whose computed stages the
     solver reads; supplied *points* become the variety of a new Pipeline
-    of the data (``Pipeline.of``)."""
-    pipe = Pipeline.of(beta, points)
+    of the data, so a given Pipeline takes none."""
+    if isinstance(beta, Pipeline):
+        if points is not None:
+            raise ValueError("points cannot be supplied with a Pipeline")
+        pipe = beta
+    else:
+        pipe = Pipeline(beta, points)
     beta = pipe.beta
     psd = pipe.psd
     if not psd.ok:

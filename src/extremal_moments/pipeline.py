@@ -48,16 +48,6 @@ class Pipeline:
         self.beta = beta
         self.points = points
 
-    @classmethod
-    def of(cls, data, points: Optional[Sequence[Point]] = None) -> Pipeline:
-        """*data* itself when it is a Pipeline, else a new Pipeline of the
-        data and *points*; a given Pipeline takes no points."""
-        if not isinstance(data, Pipeline):
-            return cls(data, points)
-        if points is not None:
-            raise ValueError("points cannot be supplied with a Pipeline")
-        return data
-
     @cached_property
     def matrix(self) -> MomentMatrix:
         return build_moment_matrix(self.beta)

@@ -16,6 +16,7 @@ import sympy as sp
 
 import extremal_moments as em
 from extremal_moments.polycore import Polynomial
+from extremal_moments.variety import VarietyReport, vanishing_ideal
 
 SQRT6 = math.sqrt(6.0)
 SQRT13 = math.sqrt(13.0)
@@ -267,7 +268,11 @@ def test_criterion_4_curve_scenario_certificates(thm62_a8_8, prop61, capsys):
                         (-0.5 + SQRT13 / 2, -5.0 + 2 * SQRT13),
                         (-0.5 - SQRT13 / 2, -5.0 - 2 * SQRT13),
                         (F(-1), F(-1)), (F(1, 2), F(1, 8))]
-        h = em.compute_h(mixed_points)
+        # h is the relation of Y^2X^2 in the points' vanishing ideal.
+        relations, complete = vanishing_ideal(
+            VarietyReport.of_points(mixed_points), 4, 2)
+        c.check("relations span the vanishing ideal", complete)
+        h = relations[SCENARIO_TARGET]
         for idx in sorted(set(h.terms) | set(H_TERMS)):
             c.close(f"h coefficient {idx} (tol 1e-9)",
                     h.terms.get(idx, 0), H_TERMS.get(idx, 0), 1e-9)
@@ -275,16 +280,17 @@ def test_criterion_4_curve_scenario_certificates(thm62_a8_8, prop61, capsys):
         value = em.riesz(thm62_a8_8, Polynomial(2, H_TERMS))
         c.equal("Lambda(h) exactly -405/128", value, F(-405, 128))
 
-        refuted = em.reduced_consistency_test(thm62_a8_8)
-        c.equal("derivation data refuted", refuted.status, "NoMeasure")
-        # The reduced test interpolates h at width-1e-40 refined points, so
-        # its reported value reaches the closed form to that width, not
-        # bit-exactly; the exact identity is pinned above on the frozen h.
-        c.check("refutation value == -405/128 (tol 1e-30)",
-                abs(refuted.value - F(-405, 128)) < F(1, 10 ** 30),
-                f"off by {float(abs(refuted.value - F(-405, 128)))}")
-        confirmed = em.reduced_consistency_test(prop61)
-        c.equal("measure data confirmed", confirmed.status, "MeasureExists")
+        # The consistency stage decides the scenario: h is the first
+        # relation that Lambda does not annihilate, found in Fractions.
+        refuted = em.Pipeline(thm62_a8_8).consistency
+        c.equal("derivation data refuted", refuted.status, "Inconsistent")
+        c.equal("refutation witness == h",
+                getattr(refuted.witness, "terms", None), H_TERMS)
+        c.check("refutation value is a Fraction",
+                isinstance(refuted.value, F), repr(refuted.value))
+        c.equal("refutation value == -405/128", refuted.value, F(-405, 128))
+        confirmed = em.Pipeline(prop61).consistency
+        c.equal("measure data confirmed", confirmed.status, "Consistent")
 
 
 def test_criterion_5_extension_chain(ex71, capsys):
@@ -303,8 +309,8 @@ def test_criterion_5_extension_chain(ex71, capsys):
         c.check("M(4) not flat (rank grew)", not ext4.flat.flat,
                 f"rank {ext4.flat.rank_previous} -> {ext4.flat.rank}")
 
-        k4 = em.rank_kernel(ext4.matrix)
-        ext5 = em.propagate_recursive_extension(ext4.matrix, k4)
+        k4 = em.rank_kernel(ext4.extended.matrix)
+        ext5 = em.propagate_recursive_extension(ext4.extended.matrix, k4)
         c.check("M(5) fully determined",
                 ext5.well_defined and not ext5.undetermined)
         c.check("M(5) flat", ext5.flat.flat,
@@ -418,9 +424,9 @@ def test_criterion_7_property_suite(capsys):
                             False, recursive.status)
 
             extension = em.propagate_recursive_extension(matrix, report)
-            if extension.well_defined and extension.matrix is not None:
+            if extension.well_defined and extension.extended is not None:
                 propagated += 1
-                if not _hankel_ok(extension.matrix):
+                if not _hankel_ok(extension.extended.matrix):
                     c.check(f"instance {index} extension Hankel property",
                             False)
 

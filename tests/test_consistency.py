@@ -1,4 +1,5 @@
-"""Consistency checks, degree-one invariance, and the curve-scenario test."""
+"""Consistency checks, degree-one invariance, and the curve scenario decided
+by the consistency stage."""
 
 import math
 import random
@@ -20,7 +21,8 @@ from conftest import as_float, fixture_path
 
 
 #: Exact correction polynomial of the curve scenario (vanishes on the eight
-#: scenario points; annihilated by a functional iff a measure exists).
+#: scenario points; annihilated by a functional iff a measure exists), the
+#: relation of Y^2X^2 in their vanishing ideal.
 H_TERMS = {
     (2, 2): F(1),
     (1, 0): F(6),
@@ -120,54 +122,79 @@ class TestConsistencyCheck:
         assert verdict.value == 1
 
 
+def scenario_h(points):
+    """The relation of Y^2X^2 in the vanishing ideal of *points*."""
+    relations, complete = vanishing_ideal(VarietyReport.of_points(points),
+                                          4, 2)
+    assert complete
+    return relations[(2, 2)]
+
+
 class TestComputeH:
+    """h, the curve scenario's correction of Y^2X^2 over its basis, is the
+    relation of Y^2X^2 in the vanishing ideal of the eight points."""
+
     def test_matches_known_coefficients(self):
-        h = em.compute_h(scenario_points_float())
+        h = scenario_h(scenario_points_float())
         for idx in set(h.terms) | set(H_TERMS):
             expected = float(H_TERMS.get(idx, 0))
             assert abs(float(h.coefficient(idx)) - expected) < 1e-9
 
     def test_vanishes_on_the_points(self):
         points = scenario_points_float()
-        h = em.compute_h(points)
+        h = scenario_h(points)
         for w in points:
             assert abs(float(h.evaluate(w))) < 1e-6
 
-    def test_point_count_enforced(self):
-        with pytest.raises(ValueError):
-            em.compute_h(scenario_points_float()[:5])
-
 
 class TestReducedTest:
+    """The paper's reduced test, Lambda(h) = 0, is the consistency stage of
+    the decision chain, and the chain decides data outside the curve
+    scenario's shape the same way."""
+
     def test_measure_exists(self, prop61):
-        verdict = em.reduced_consistency_test(prop61)
-        assert verdict.status == "MeasureExists"
-        assert verdict.value == 0
-        assert verdict.witness.terms == H_TERMS
+        pipe = em.Pipeline(prop61)
+        relations, complete = vanishing_ideal(pipe.variety, 4, 2)
+        assert complete and relations[(2, 2)].terms == H_TERMS
+        assert riesz(prop61, relations[(2, 2)]) == 0
+        assert pipe.consistency.status == "Consistent"
+        assert em.solve_extremal(pipe).status == "Measure"
 
     def test_no_measure(self, thm62_a8_8):
-        verdict = em.reduced_consistency_test(thm62_a8_8)
-        assert verdict.status == "NoMeasure"
-        assert abs(float(verdict.value) - (-405.0 / 128.0)) < 1e-12
-        assert verdict.reason is not None
+        # h is the first relation that Lambda does not annihilate.
+        pipe = em.Pipeline(thm62_a8_8)
+        verdict = pipe.consistency
+        assert verdict.status == "Inconsistent"
+        assert verdict.witness.terms == H_TERMS
+        assert verdict.value == F(-405, 128)
+        report = em.solve_extremal(pipe)
+        assert (report.status, report.reason) == ("NoMeasure", "Inconsistent")
 
     def test_wrong_shape_not_applicable(self, ex15):
-        verdict = em.reduced_consistency_test(ex15)
-        assert verdict.status == "NotApplicable"
-        assert "degree-6" in verdict.reason
+        # Degree-four data: not the scenario's shape.
+        pipe = em.Pipeline(ex15)
+        assert pipe.consistency.status == "Consistent"
+        assert em.solve_extremal(pipe).status == "Measure"
 
     def test_not_psd_not_applicable(self):
+        # The chain stops at positivity: no variety, no consistency check.
         beta = em.beta_from_atoms([(F(0), F(0))], [F(-1)], degree=6)
-        verdict = em.reduced_consistency_test(beta)
-        assert verdict.status == "NotApplicable"
-        assert "PSD" in verdict.reason
+        pipe = em.Pipeline(beta)
+        report = em.solve_extremal(pipe)
+        assert (report.status, report.reason) == ("NoMeasure", "NotPSD")
+        assert "variety" not in vars(pipe)
+        assert "consistency" not in vars(pipe)
 
     def test_wrong_rank_not_applicable(self):
+        # Four atoms on the cubic: rank 4, not the scenario's 8.
         atoms = [(F(0), F(0)), (F(1), F(1)), (F(-1), F(-1)), (F(2), F(8))]
         beta = em.beta_from_atoms(atoms, [F(1)] * 4, degree=6)
-        verdict = em.reduced_consistency_test(beta)
-        assert verdict.status == "NotApplicable"
-        assert "rank" in verdict.reason
+        pipe = em.Pipeline(beta)
+        assert pipe.kernel.rank == 4
+        assert pipe.consistency.status == "Consistent"
+        report = em.solve_extremal(pipe)
+        assert report.status == "Measure"
+        assert sorted(report.measure.atoms) == sorted(atoms)
 
 
 def pushforward(beta, phi):

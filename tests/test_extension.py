@@ -2,8 +2,6 @@
 
 from fractions import Fraction as F
 
-import pytest
-
 import extremal_moments as em
 
 
@@ -34,6 +32,12 @@ def measure_matrix(measure, m):
         measure.atoms, measure.densities, measure.d, 2 * m))
 
 
+def compresses_to(m_n1, m_n):
+    """Is the M(n) block of *m_n1* equal to *m_n*?"""
+    return all(m_n1.entry(i, j) == m_n.entry(i, j)
+               for i in range(m_n.size) for j in range(m_n.size))
+
+
 class TestExtendViaMeasure:
     def test_matrix_of_atomic_measure(self):
         measure = em.AtomicMeasure(1, ((F(0),), (F(1),)), (F(2), F(3)))
@@ -44,11 +48,11 @@ class TestExtendViaMeasure:
 
     def test_consecutive_levels_are_flat(self):
         measure = em.AtomicMeasure(1, ((F(0),), (F(1),)), (F(2), F(3)))
-        verdict = em.flat_extension_check(measure_matrix(measure, 2),
-                                          measure_matrix(measure, 3))
-        assert verdict.compression_ok
-        assert verdict.flat
-        assert verdict.rank_n == verdict.rank_n1 == 2
+        m2, m3 = measure_matrix(measure, 2), measure_matrix(measure, 3)
+        assert compresses_to(m3, m2)
+        flatness = em.Pipeline(m3.beta).flatness
+        assert flatness.flat
+        assert flatness.rank == flatness.rank_previous == 2
 
 
 class TestPropagate:
@@ -60,7 +64,7 @@ class TestPropagate:
         assert ext.conflicts == ()
         assert ext.undetermined == ()
         assert ext.extended.beta.degree == 8
-        assert em.rank_kernel(ext.matrix).rank == 9
+        assert em.rank_kernel(ext.extended.matrix).rank == 9
         assert not ext.flat.flat
         assert ext.psd.ok
 
@@ -69,10 +73,10 @@ class TestPropagate:
         first = em.propagate_recursive_extension(matrix,
                                                  em.rank_kernel(matrix))
         second = em.propagate_recursive_extension(
-            first.matrix, em.rank_kernel(first.matrix))
+            first.extended.matrix, em.rank_kernel(first.extended.matrix))
         assert second.well_defined
         assert second.flat.flat
-        assert em.rank_kernel(second.matrix).rank == 9
+        assert em.rank_kernel(second.extended.matrix).rank == 9
 
     def test_conflicting_paths_reported(self):
         matrix = em.build_moment_matrix(conflict_data())
@@ -102,15 +106,9 @@ class TestFlatExtensionCheck:
     def test_rank_growth_detected(self, ex71):
         matrix = em.build_moment_matrix(ex71)
         ext = em.propagate_recursive_extension(matrix, em.rank_kernel(matrix))
-        verdict = em.flat_extension_check(matrix, ext.matrix)
-        assert verdict.compression_ok
-        assert not verdict.flat
-        assert (verdict.rank_n, verdict.rank_n1) == (8, 9)
-
-    def test_level_mismatch_rejected(self, ex71):
-        matrix = em.build_moment_matrix(ex71)
-        with pytest.raises(ValueError):
-            em.flat_extension_check(matrix, matrix)
+        assert compresses_to(ext.extended.matrix, matrix)
+        assert not ext.flat.flat
+        assert (ext.flat.rank_previous, ext.flat.rank) == (8, 9)
 
 
 class TestTightness:

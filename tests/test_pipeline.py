@@ -1,8 +1,7 @@
 """One pipeline per command: every distinct M(n) is built, PSD-checked and
-reduced once, and the variety is computed once.  The solver and the reduced
-test are still reached through their module-level names, and read every
-stage from one pipeline, given or built from the data and any supplied
-points.
+reduced once, and the variety is computed once.  The solver is still
+reached through its module-level name, and reads every stage from one
+pipeline, given or built from the data and any supplied points.
 
 Calls are counted at every binding of the stage functions (the package
 imports them by name into many modules), so a stage that some module calls
@@ -26,7 +25,7 @@ from extremal_moments.variety import VarietyReport
 from conftest import fixture_path
 
 STAGES = ("build_moment_matrix", "psd_check", "rank_kernel",
-          "compute_variety", "solve_extremal", "reduced_consistency_test")
+          "compute_variety", "solve_extremal")
 FIXTURES = ("ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
             "ex71", "thm62_a8_8")
 
@@ -86,7 +85,7 @@ def test_analyze_reduces_once(calls):
 
 def test_solve_with_reduced_test_reuses_the_variety(calls):
     # The exact consistency check refutes thm62_a8_8 from the solver's
-    # M(3), kernel and variety; the solver no longer runs the reduced test.
+    # M(3), kernel and variety.
     assert cli("solve", moments("thm62_a8_8")) == 2
     assert calls == {"build_moment_matrix": 1, "psd_check": 1,
                      "rank_kernel": 1, "compute_variety": 1,
@@ -189,14 +188,6 @@ def test_solver_reads_the_pipeline_analyze_built(monkeypatch, calls):
     assert report.status == "Measure"
     assert report.variety is pipe.variety
     assert calls["compute_variety"] == 0
-
-
-def test_reduced_test_reads_a_given_pipeline(prop61, calls):
-    pipe = em.Pipeline(prop61)
-    pipe.psd, pipe.variety
-    calls.clear()
-    assert em.reduced_consistency_test(pipe).status == "MeasureExists"
-    assert calls == {"reduced_consistency_test": 1}
 
 
 def test_a_given_pipeline_takes_no_points(ex15):

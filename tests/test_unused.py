@@ -2,10 +2,12 @@
 or private, is referenced somewhere in the package outside its own
 definition, or exported in ``__all__``; and every public method or property
 of a package class is read as an attribute somewhere in the package outside
-its own definition, or in the acceptance suite."""
+its own definition, or in the acceptance suite.  The modules' imports of
+one another form no cycle."""
 
 import ast
 import collections
+import graphlib
 import pathlib
 
 import extremal_moments as em
@@ -112,3 +114,42 @@ def test_the_check_sees_an_unread_method():
                "probe.py": "class Probe:\n    def orphan_method(self):\n"
                            "        return self.orphan_method()\n"}
     assert unread_members(sources) == ["probe.py:Probe.orphan_method"]
+
+
+def import_graph(sources: dict) -> dict:
+    """Each module of *sources* -> the modules of *sources* it imports with
+    ``from . import x`` or ``from .x import ...``, anywhere in its code."""
+    modules = {name.removesuffix(".py") for name in sources}
+    graph = {}
+    for name, text in sources.items():
+        imported = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    imported.update(alias.name for alias in node.names)
+                else:
+                    imported.add(node.module.split(".")[0])
+        graph[name.removesuffix(".py")] = imported & modules
+    return graph
+
+
+def import_cycle(graph: dict) -> list:
+    """A cycle of *graph*, its first module repeated at the end; [] when the
+    graph is acyclic."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_package_imports_form_no_cycle():
+    assert import_cycle(import_graph(package_sources())) == []
+
+
+def test_the_check_sees_an_import_cycle():
+    sources = {**package_sources(),
+               "probe.py": "from .probe_b import x\n",
+               "probe_b.py": "from . import probe\n"}
+    assert sorted(import_cycle(import_graph(sources))) \
+        == ["probe", "probe", "probe_b"]
