@@ -23,6 +23,7 @@ free column, support otherwise restricted to pivot columns).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
@@ -55,8 +56,18 @@ def mat_vec(rows, vec) -> list:
 
 
 def dot(u, v):
-    """sum u_i * v_i, added in order from Fraction(0)."""
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    """sum u_i * v_i, a Fraction or a float.  Exact entries are summed in
+    integers: each product a*b enters as its numerator times L / (its
+    denominator), over the lcm L of those denominators, and the value is one
+    Fraction over L.  With any float entry the products are added in order
+    from Fraction(0), the order that fixes the bytes of a float."""
+    pairs = list(zip(u, v))
+    if not all_exact(chain.from_iterable(pairs)):
+        return sum((a * b for a, b in pairs), Fraction(0))
+    dens = [a.denominator * b.denominator for a, b in pairs]
+    lcm = math.lcm(*dens)
+    return Fraction(sum(a.numerator * b.numerator * (lcm // den)
+                        for (a, b), den in zip(pairs, dens)), lcm)
 
 
 # ---------------------------------------------------------------------------

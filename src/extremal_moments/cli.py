@@ -5,14 +5,15 @@ Subcommands: analyze (property battery), solve (extremal solver), variety
 solve handoff), synth (moment data from measures, functionals, or the
 complex circle family).
 
-Exit codes: 0 success / measure exists; 1 malformed input; 2 certified
-nonexistence; 3 inconclusive.  Identical inputs and flags produce
-byte-identical output.
+Exit codes: 0 success / measure exists; 1 malformed input or an --out
+file that cannot be written; 2 certified nonexistence; 3 inconclusive.
+Identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,7 +338,10 @@ def _cmd_synth(args) -> int:
 # entry points
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and then shared:
+    each parse_args fills a fresh Namespace from the defaults."""
     parser = argparse.ArgumentParser(
         prog="extremal-moments",
         description="Truncated moment problems in the extremal case: "
@@ -395,7 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse arguments and execute; returns the process exit code."""
+    """Parse arguments and execute one command in-process; returns the
+    process exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -239,13 +239,17 @@ class JsonInput:
 
 def write_json(payload: dict, path=None) -> None:
     """Write *payload* as every file of the package is written: indented
-    by two spaces, with a final newline; to stdout when *path* is None."""
+    by two spaces, with a final newline; to stdout when *path* is None.
+    A file that cannot be written raises InputError."""
     text = json.dumps(payload, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

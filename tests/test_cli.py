@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ EX71 = str(fixture_path("ex71.moments.json"))
 PROP61 = str(fixture_path("prop61.moments.json"))
 THM62 = str(fixture_path("thm62_a8_8.moments.json"))
 THM62_FUNCTIONAL = str(fixture_path("thm62.functional.json"))
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 class TestExitCodes:
@@ -546,3 +548,51 @@ class TestOptions:
         assert run([arg.format(out=out) for arg in argv]) == 1
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSharedParser:
+    """One parser serves every call in a process; each call still starts
+    from the defaults."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_earlier_options_do_not_carry_over(self, capsys):
+        assert run(["solve", EX15, "--format", "structured",
+                    "--mode", "float"]) == 0
+        capsys.readouterr()
+        assert run(["solve", EX15]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (
+            GOLDEN / "example15.solve.exact-text.stdout").read_bytes()
+
+    def test_help_twice(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert run(["--help"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("usage: extremal-moments")
+
+    def test_bad_subcommand_after_a_good_call(self, capsys):
+        assert run(["solve", EX15]) == 0
+        capsys.readouterr()
+        assert run(["frobnicate"]) == 1
+        assert capsys.readouterr().err.startswith("usage: extremal-moments")
+
+
+# A command per subcommand that writes an --out file.
+WRITERS = {
+    "solve": ["solve", EX15],
+    "variety": ["variety", EX15],
+    "extend": ["extend", EX71],
+    "synth": ["synth", "--example14", "2", "1/2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_unwritable_out_exits_1(command, capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    assert run([*WRITERS[command], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Unit tests: exact/float row reduction, solving, determinants, PSD."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -125,6 +126,51 @@ class TestExactnessFromTypes:
         assert {type(v) for v in x} == ({Fraction} if exact else {float})
         assert _linalg.mat_vec(rows, x) == pytest.approx(
             [float(b) for b in rhs])
+
+
+def ordered_dot(u, v):
+    """The products of u and v added in order from Fraction(0)."""
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+class TestDot:
+    """Exact entries are summed in integers; a float entry keeps the sum in
+    input order, so float bytes cannot move."""
+
+    @staticmethod
+    def _exact_entry(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-10**6, 10**6)
+        if kind == 2:
+            return F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+        return F(rng.randint(-9, 9), 2**rng.randint(0, 40))
+
+    def test_exact_equals_the_fraction_sum(self):
+        rng = random.Random(25)
+        for _ in range(400):
+            length = rng.randint(0, 8)
+            u = [self._exact_entry(rng) for _ in range(length)]
+            v = [self._exact_entry(rng) for _ in range(length)]
+            got = _linalg.dot(iter(u), iter(v))
+            assert type(got) is Fraction
+            assert got == sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
+
+    def test_float_sum_keeps_input_order(self):
+        u, v = [1e16, 1.0, -1e16], [1, 1, 1]
+        # The exact sum is 1; added left to right, 1e16 + 1.0 rounds to 1e16.
+        assert math.fsum(u) == 1.0
+        got = _linalg.dot(u, v)
+        assert type(got) is float and got == 0.0 == ordered_dot(u, v)
+
+    @pytest.mark.parametrize("value, exact", SCALAR_TYPES, ids=SCALAR_IDS)
+    def test_mixed_entries_match_the_ordered_sum(self, value, exact):
+        u, v = [F(1, 3), value, 0.1], [F(7, 5), F(2, 3), 3]
+        for a, b in ((u[:2], v[:2]), (u, v), (v, u)):
+            got, want = _linalg.dot(a, b), ordered_dot(a, b)
+            assert type(got) is type(want) and got == want
 
 
 class TestSolveAndDeterminant:
