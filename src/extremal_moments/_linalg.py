@@ -14,7 +14,11 @@ one free column is its right-hand side): the last pivot D times the RREF is
 an integer matrix, so each entry takes one exact division, and only the
 RREF's nonzero free entries become Fractions, over D.  Float paths delegate
 to numpy, imported on their first use (exact callers never load it), and
-use relative pivot thresholds.
+use relative pivot thresholds.  The float reduction, ``_row_reduce_float``,
+clears each pivot's column with one masked rank-1 update of the rows that
+have a nonzero entry there; every entry still takes one multiply and one
+subtract, unfused and in the same order as a row-by-row loop, so its bytes
+are those of that loop.
 
 Pivot columns are always the *first* linearly independent columns in the given
 column order; kernel bases carry the delta structure (unit coefficient on one
@@ -227,9 +231,16 @@ def _eliminate(rows, ncols):
 
 
 def _row_reduce_float(rows, nrows, ncols) -> LinearReduction:
+    """Gauss-Jordan with partial pivoting on floats, a pivot counting when
+    it exceeds ``RANK_TOL * max|entry|``.  Each pivot clears its column with
+    one masked rank-1 update of the rows whose entry there is nonzero: row i
+    becomes ``work[i] - work[i, c] * work[r]``, one rounded multiply and one
+    rounded subtract per entry (numpy fuses neither), and no row's update
+    reads another updated row.  So the result is bit for bit that of
+    updating the rows one at a time."""
     import numpy as np
 
-    work = np.array([[float(x) for x in row] for row in rows], dtype=float)
+    work = np.array(rows, dtype=float)
     scale = float(np.max(np.abs(work))) if work.size else 0.0
     if scale == 0.0:
         return LinearReduction(nrows, ncols, 0, (), ())
@@ -245,15 +256,15 @@ def _row_reduce_float(rows, nrows, ncols) -> LinearReduction:
         if best != r:
             work[[r, best]] = work[[best, r]]
         work[r] = work[r] / work[r, c]
-        for i in range(nrows):
-            if i != r and work[i, c] != 0.0:
-                work[i] = work[i] - work[i, c] * work[r]
+        hit = work[:, c] != 0.0
+        hit[r] = False
+        work[hit] -= np.outer(work[hit, c], work[r])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     rank = len(pivots)
-    rref = tuple(tuple(float(x) for x in work[i]) for i in range(rank))
+    rref = tuple(map(tuple, work[:rank].tolist()))
     return LinearReduction(nrows, ncols, rank, tuple(pivots), rref)
 
 

@@ -23,6 +23,7 @@ from .polycore import (
     ensure_scalar,
     field,
     format_scalar,
+    in_float_range,
     magnitude,
     monomial_basis,
     record,
@@ -291,7 +292,13 @@ def load_multisequence(path, mode: Optional[str] = None) -> Multisequence:
 
 def dump_multisequence(beta: Multisequence, path=None) -> None:
     """Write the moments file of *beta*, to stdout when *path* is None;
-    every value round-trips exactly."""
+    every value round-trips exactly.  A value that is not a finite float
+    once converted is an ``InputError`` and nothing is written: the loader
+    would reject it."""
+    for idx, value in beta.values.items():
+        if not in_float_range(value):
+            raise InputError(f"moment {idx} is not finite or lies beyond "
+                             f"the float range")
     moments = [
         {"idx": list(idx), "value": format_scalar(beta[idx])}
         for idx in monomial_basis(beta.d, beta.degree)

@@ -102,20 +102,22 @@ def parse_scalar(text: str, mode: str | None = None) -> Scalar:
     except (ValueError, ZeroDivisionError, InvalidOperation,
             OverflowError) as exc:  # Fraction(Decimal("Infinity")) overflows
         raise InputError(f"cannot parse scalar {text!r}") from exc
-    value = _in_float_range(value, text)
+    # Every printed value and residual is a float, so a scalar beyond the
+    # float range is rejected in both modes.
+    if not in_float_range(value):
+        raise InputError(f"scalar beyond the float range: {text!r}")
     if mode == "float":
         return float(value)
     return value
 
 
-def _in_float_range(value: Scalar, text) -> Scalar:
-    """*value*, unless it lies beyond the float range: every printed value
-    and residual is a float, so such a scalar is rejected in both modes."""
+def in_float_range(value: Scalar) -> bool:
+    """Is *value* a finite float once converted?  Infinities, NaN and exact
+    values beyond the largest float are not."""
     try:
-        float(value)
+        return math.isfinite(value)
     except OverflowError:
-        raise InputError(f"scalar beyond the float range: {text!r}") from None
-    return value
+        return False
 
 
 def _is_integer_literal(text: str) -> bool:

@@ -74,7 +74,11 @@ def _moments_of_scalar_atoms(basis, atoms, densities) -> dict:
             term = ensure_scalar(rho)
             for x, e in zip(w, idx):
                 if e:
-                    term = term * ensure_scalar(x)**e
+                    try:
+                        term = term * ensure_scalar(x)**e
+                    except OverflowError:
+                        raise InputError(f"moment {idx} overflows the "
+                                         f"float range") from None
             total = total + term
         values[idx] = total
     return values

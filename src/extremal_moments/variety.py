@@ -515,10 +515,19 @@ def _variety_float(kernel, mats) -> VarietyReport:
 
 def _residual_ok(p: Polynomial, point) -> bool:
     """Does p vanish at *point*: exactly when its value there is exact,
-    else within ``negligible`` of sum |c_a| * max(1, |w|_inf)**|a|?"""
-    value, size = p.evaluate(point), magnitude(point)
-    return negligible(value, 1.0 if is_exact(value) else sum(
-        abs(float(c)) * size**total_degree(idx) for idx, c in p.terms.items()))
+    else within ``negligible`` of sum |c_a| * max(1, |w|_inf)**|a|?  A
+    point where that sum or p's value overflows the float range is too
+    far out to judge, and fails."""
+    size = magnitude(point)
+    try:
+        value = p.evaluate(point)
+        if is_exact(value):
+            return value == 0
+        scale = sum(abs(float(c)) * size**total_degree(idx)
+                    for idx, c in p.terms.items())
+    except OverflowError:
+        return False
+    return math.isfinite(scale) and negligible(value, scale)
 
 
 def adopt_points(report: KernelReport,

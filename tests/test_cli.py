@@ -356,6 +356,22 @@ class TestArtifacts:
         assert payload.get("witness") is None
         assert "part of the variety" in payload["reason"]
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "float"],
+                                      ["--mode", "exact"]],
+                             ids=("default", "float", "exact"))
+    def test_supplied_point_past_the_float_range_exits_1(self, mode, capsys,
+                                                         tmp_path):
+        # The residual's reference sum |c| * 1e308**|a| overflows, so the
+        # point cannot be checked against the kernel and is refused.
+        points = tmp_path / "far.json"
+        points.write_text(json.dumps({"d": 2, "points": [["1e308",
+                                                          "1e308"]]}))
+        assert run(["solve", EX15, "--points", str(points), *mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: supplied point (1e+308, 1e+308) does "
+                              "not satisfy kernel relation")
+        assert "Traceback" not in err
+
     def test_extend_writes_measure(self, capsys, tmp_path, ex71):
         out_file = tmp_path / "measure.json"
         assert run(["extend", EX71, "--out", str(out_file)]) == 0
@@ -421,6 +437,32 @@ class TestSynth:
     def test_degree_required_for_functional(self, capsys):
         assert run(["synth", "--functional", THM62_FUNCTIONAL]) == 1
         assert "degree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point, density, error", [
+        # 1e200**2 overflows as a power; 1e308 * 10.0 is inf as a product;
+        # the exact 10**400 is past the largest float.
+        ("1e200", "1", "error: moment (2,) overflows the float range"),
+        ("10.0", "1e308", "error: moment (1,) is not finite or lies "
+                          "beyond the float range"),
+        (str(10**200), "1", "error: moment (2,) is not finite or lies "
+                            "beyond the float range"),
+    ], ids=("float-power", "float-product", "exact"))
+    @pytest.mark.parametrize("out", [True, False], ids=("out", "stdout"))
+    def test_moments_beyond_the_float_range_exit_1(self, point, density,
+                                                   error, out, capsys,
+                                                   tmp_path):
+        # The moments loader rejects such a value, so synth writes none.
+        measure = tmp_path / "far.json"
+        measure.write_text(json.dumps({"d": 1, "atoms": [
+            {"point": [point], "density": density}]}))
+        target = tmp_path / "moments.json"
+        argv = ["synth", "--measure", str(measure), "--degree", "4"]
+        assert run(argv + (["--out", str(target)] if out else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(error)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not target.exists()
 
 
 # Malformed inputs: (argv template, files).  "{name}" in the argv is replaced

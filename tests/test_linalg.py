@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from extremal_moments import _linalg
-from extremal_moments.polycore import all_exact, is_exact
+from extremal_moments.polycore import RANK_TOL, all_exact, is_exact
 
 
 def F(*args):
@@ -77,6 +77,109 @@ class TestRowReduceFloat:
         rows = [[1.0, 2.0], [3.0, 4.0]]
         red = _linalg.row_reduce(rows)
         assert red.rank == 2
+
+
+def rowwise_float_reduction(rows, nrows, ncols):
+    """The float Gauss-Jordan as a row-by-row loop, the reference whose bits
+    ``_row_reduce_float`` must reproduce: (rank, pivots, rref)."""
+    work = np.array([[float(x) for x in row] for row in rows], dtype=float)
+    scale = float(np.max(np.abs(work)))
+    if scale == 0.0:
+        return 0, (), ()
+    threshold = RANK_TOL * scale
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        col = np.abs(work[r:, c])
+        best = int(np.argmax(col))
+        if col[best] <= threshold:
+            continue
+        best += r
+        if best != r:
+            work[[r, best]] = work[[best, r]]
+        work[r] = work[r] / work[r, c]
+        for i in range(nrows):
+            if i != r and work[i, c] != 0.0:
+                work[i] = work[i] - work[i, c] * work[r]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    rref = tuple(tuple(float(x) for x in work[i]) for i in range(r))
+    return r, tuple(pivots), rref
+
+
+def _float_entry(rng):
+    """Zero (either sign), a small Fraction, or a float of magnitude
+    1e-12 to 1e12."""
+    kind = rng.random()
+    if kind < 0.2:
+        return rng.choice((0.0, -0.0))
+    if kind < 0.35:
+        return F(rng.randint(-40, 40), rng.randint(1, 12))
+    return rng.choice((1, -1)) * rng.uniform(1, 10) * 10.0**rng.uniform(-12, 12)
+
+
+def _float_matrix(rng):
+    shape = rng.choice(((rng.randint(1, 6), rng.randint(1, 6)),
+                        (rng.randint(1, 4), rng.randint(8, 14)),
+                        (rng.randint(8, 14), rng.randint(1, 4))))
+    nrows, ncols = shape
+    if rng.random() < 0.5:
+        rows = [[_float_entry(rng) for _ in range(ncols)]
+                for _ in range(nrows)]
+    else:  # one magnitude, so that ranks above 1 are common
+        rows = [[rng.choice((0.0, F(rng.randint(-9, 9), 7),
+                             rng.uniform(-1, 1)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.4:  # a dependent row
+        a, b = rng.uniform(-3, 3), rng.choice((2.0, F(1, 3)))
+        rows[rng.randrange(nrows)] = [a * float(x) + b * y
+                                      for x, y in zip(rows[0], rows[1])]
+    if rng.random() < 0.3:  # a zero column
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0.0
+    return rows
+
+
+def _hex(rref):
+    return [[x.hex() for x in row] for row in rref]
+
+
+class TestFloatReductionBits:
+    """``_row_reduce_float`` clears each pivot column with one masked
+    rank-1 update; rank, pivots and every RREF bit, the sign of a zero
+    included, must be those of the row-by-row loop."""
+
+    def check(self, rows):
+        nrows, ncols = len(rows), len(rows[0])
+        red = _linalg._row_reduce_float(rows, nrows, ncols)
+        rank, pivots, rref = rowwise_float_reduction(rows, nrows, ncols)
+        assert all(type(x) is float for row in red.rref for x in row)
+        assert (red.rank, red.pivots) == (rank, pivots)
+        assert _hex(red.rref) == _hex(rref)
+
+    def test_seeded_against_the_row_loop(self):
+        rng = random.Random(26)
+        for _ in range(400):
+            self.check(_float_matrix(rng))
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_pivot_at_the_threshold(self, above):
+        # After column 0, column 1's largest entry is RANK_TOL * scale
+        # exactly: no pivot.  One ulp above it is one.
+        tiny = RANK_TOL * 4.0
+        if above:
+            tiny = math.nextafter(tiny, math.inf)
+        rows = [[4.0, 1.0, 2.0], [0.0, tiny, 1.0], [2.0, 0.5, -0.0]]
+        self.check(rows)
+        red = _linalg._row_reduce_float(rows, 3, 3)
+        assert red.pivots == ((0, 1, 2) if above else (0, 2))
+
+    def test_zero_heads_and_signed_zeros(self):
+        self.check([[0.0, -0.0, 3.0, 0.0], [-0.0, 2.0, 0.0, -1.5],
+                    [1.0, 0.0, -0.0, 0.0], [F(1, 3), -0.0, 1e-12, 0.0]])
 
 
 SCALAR_TYPES = [(3, True), (F(3, 2), True), (True, False), (1.5, False),
