@@ -20,7 +20,6 @@ from .moments import (
     riesz,
 )
 from .variety import (
-    bivariate_gcd,
     build_W,
     compute_variety,
     dump_points,
@@ -67,7 +66,6 @@ __all__ = [
     "SolveReport",
     "beta_from_atoms",
     "beta_from_functional",
-    "bivariate_gcd",
     "build_W",
     "build_moment_matrix",
     "complex_to_real",

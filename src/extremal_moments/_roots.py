@@ -18,21 +18,17 @@ integers: the Sturm chain is a primitive remainder sequence on integer
 polynomials, and its last member, gcd(p, p'), gives the multiple-root test
 and the squarefree part, so a squarefree p runs one sequence per
 isolation; every sign is an integer Horner evaluation at num / 2**k.
-The same primitive remainders, run in (Z[x])[y] with contents taken out
-in Z[x] (``_gcd``), give the bivariate gcd that ``variety`` uses to find a
-common factor of a kernel.  Float data never comes here: float varieties
-are read from the eigenvectors of multiplication matrices (see
-``variety``).
+That sequence is the module's one remainder routine, ``_primitive_rem``.
+Float data never comes here: float varieties are read from the
+eigenvectors of multiplication matrices (see ``variety``).
 
-Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.  A
-polynomial in (Z[x])[y] is a list of such integer lists, one per power of y.
+Coefficient lists are ascending: ``coeffs[i]`` multiplies ``x**i``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 from .polycore import clear_denominators, record
 
@@ -102,73 +98,6 @@ def _primitive_rem(a, b) -> list:
         for j in range(n):
             r[shift + j] -= q * b[j]
     return _content_free(r)
-
-
-def _mul(a, b) -> list:
-    """a*b for integer lists."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _primitive_y(rows) -> tuple:
-    """``(primitive, content)`` of a polynomial in (Z[x])[y], given as
-    *rows*, the integer lists in x (no trailing zeros) of y**0, y**1, ...:
-    the content is the primitive gcd in Z[x] of the rows, up to sign, and
-    the primitive part is *rows* over it and over their integer content."""
-    content: list = []
-    for c in rows:
-        if c and len(content) != 1:
-            content = _gcd(content, _content_free(c))
-    if len(content) > 1:
-        rows = [_exact_quotient(c, content) if c else [] for c in rows]
-    g = math.gcd(*(x for c in rows for x in c))
-    return [[x // g for x in c] for c in rows], content
-
-
-def _primitive_rem_y(a, b) -> list:
-    """Primitive remainder of a by b in (Z[x])[y] (rows as in
-    ``_primitive_y``, deg_y a >= deg_y b >= 0): each pseudo-division step
-    multiplies by lc(b), which the primitive part takes out again."""
-    r = list(a)
-    n = len(b) - 1
-    for top in range(len(r) - 1, n - 1, -1):
-        q = r.pop()
-        if not q:
-            continue
-        r = [_mul(c, b[-1]) for c in r]
-        shift = top - n
-        for j in range(n):
-            row = [x - y for x, y in zip_longest(r[shift + j], _mul(q, b[j]),
-                                                  fillvalue=0)]
-            while row and row[-1] == 0:
-                row.pop()
-            r[shift + j] = row
-    while r and not r[-1]:
-        r.pop()
-    return _primitive_y(r)[0]
-
-
-def _gcd(a, b, rem=_primitive_rem) -> list:
-    """Primitive gcd of two primitive polynomials, up to sign: integer
-    lists, or rows in (Z[x])[y] with ``rem=_primitive_rem_y``."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, rem(a, b)
-    return a
-
-
-def _gcd_y(a, b) -> list:
-    """A gcd of two nonzero polynomials in (Z[x])[y], up to a rational
-    factor: the gcd of their contents times that of their primitive parts
-    (Collins 1967, Brown 1971)."""
-    (a, content_a), (b, content_b) = _primitive_y(a), _primitive_y(b)
-    content = _gcd(content_a, content_b)
-    return [_mul(c, content) for c in _gcd(a, b, _primitive_rem_y)]
 
 
 def _exact_quotient(a, b) -> list:

@@ -97,8 +97,6 @@ def parse_scalar(text: str, mode: str | None = None) -> Scalar:
                 value = Fraction(Decimal(text))
             else:
                 value = float(text)
-                if not math.isfinite(value):
-                    raise InputError(f"non-finite scalar: {text!r}")
     except (ValueError, ZeroDivisionError, InvalidOperation,
             OverflowError) as exc:  # Fraction(Decimal("Infinity")) overflows
         raise InputError(f"cannot parse scalar {text!r}") from exc

@@ -14,11 +14,12 @@ else the midpoint of a refined interval.  An ideal with a multiple zero,
 told by the isolation of x_1 when its powers span A and else by the
 squarefree parts of the coordinates' minimal polynomials, is replaced by
 its radical first.
-In two variables a nonconstant gcd of an exact kernel first certifies an
-infinite variety when it takes both signs at sampled rational points (its
-zero set then separates the plane), and leaves it Unknown otherwise; this
-module only converts the kernel polynomials to and from the integer lists
-of ``_roots``, whose primitive remainder sequence finds the gcd.
+In two variables an exact kernel is first tested for a common factor g of
+its own: the one element of lowest degree, when its products x^s * g of
+degree <= n span the kernel (one exact elimination).  Such a g certifies
+an infinite variety when it takes both signs at sampled rational points
+(its zero set then separates the plane), and leaves it Unknown otherwise.
+A common factor that is no kernel element finds no normal set, Unknown.
 Float kernels read the points from the eigenvectors of one generic
 combination of the multiplication matrices, average each cluster (a
 multiple zero), and filter every real point by the residuals of *all*
@@ -134,34 +135,25 @@ class VandermondeReport:
 
 
 # ---------------------------------------------------------------------------
-# exact bivariate gcd (primitive PRS in (Z[x])[y], in ``_roots``)
+# exact bivariate common factor
 # ---------------------------------------------------------------------------
 
-def bivariate_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact gcd in Q[x,y], normalized to unit leading degree-lex
-    coefficient: ``_roots._gcd_y`` on integer multiples of p and q."""
-    if p.is_zero or q.is_zero:
-        return _normalize_gcd(p + q)
-    g = _roots._gcd_y(_y_rows(p), _y_rows(q))
-    return _normalize_gcd(Polynomial(2, {
-        (i, j): c for j, row in enumerate(g) for i, c in enumerate(row)}))
-
-
-def _y_rows(p: Polynomial) -> list:
-    """A positive integer multiple of the exact p as a polynomial in y over
-    Z[x]: the integer lists in x of its y**0, y**1, ... coefficients."""
-    ints = clear_denominators(p.terms.values())[0]
-    rows: list = [[] for _ in range(1 + max(j for _, j in p.terms))]
-    for (i, j), c in sorted(zip(p.terms, ints)):
-        rows[j] += [0] * (i - len(rows[j])) + [c]
-    return rows
-
-
-def _normalize_gcd(p: Polynomial) -> Polynomial:
-    if p.is_zero:
-        return p
-    lead_idx = max(p.terms, key=lambda idx: (total_degree(idx), idx))
-    return p.scale(1 / Fraction(p.terms[lead_idx]))
+def _common_factor(kernel) -> Optional[Polynomial]:
+    """The kernel element g that divides every kernel element, or None: g
+    is the only element of lowest degree, and the products x^s * g of
+    degree <= n span the kernel, which one exact elimination decides.  A
+    kernel with two elements of lowest degree has none, since no element
+    then generates the rest."""
+    low = min(p.degree for p in kernel)
+    lowest = [p for p in kernel if p.degree == low]
+    if len(lowest) > 1:
+        return None
+    g = lowest[0]
+    n = max(int(p.degree) for p in kernel)
+    shifts = [terms for _, _, terms in kernel_products([g], n)]
+    rows = _macaulay_rows(shifts + [p.terms for p in kernel],
+                          monomial_basis(2, n))
+    return g if _linalg.row_reduce(rows).rank == len(shifts) else None
 
 
 def _changes_sign(g: Polynomial) -> bool:
@@ -193,8 +185,10 @@ def _changes_sign(g: Polynomial) -> bool:
 def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
     """Common real zero set of a nonempty kernel basis in any d, from the
     quotient algebra of its ideal; exact rational coordinates are exact,
-    irrational ones refined to width ``_roots.REFINE_WIDTH``.  A float
-    kernel whose ideal reduces to (1) gives Unknown, not the empty set."""
+    irrational ones refined to width ``_roots.REFINE_WIDTH``.  An exact
+    bivariate kernel with a ``_common_factor`` g is Infinite (witness g)
+    when g changes sign, else Unknown.  No normal set by degree 2n + 2,
+    or a float ideal reduced to (1), gives Unknown, not the empty set."""
     kernel = [p for p in kernel]
     if not kernel:
         raise ValueError("compute_variety requires a nonempty kernel list")
@@ -206,19 +200,14 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
     if any(p.degree == 0 for p in kernel):
         return VarietyReport("Finite")  # a nonzero constant has no zeros
     exact = all(p.is_exact for p in kernel)
-    if exact and d == 2:
-        g = kernel[0]
-        for p in kernel[1:]:
-            g = bivariate_gcd(g, p)
-            if g.degree == 0:
-                break
-        if g.degree >= 1:
-            if _changes_sign(g):
-                return VarietyReport("Infinite", witness=g)
-            return VarietyReport("Unknown", reason=f"the common factor {g} "
-                                 "of the kernel takes one sign at every "
-                                 "sampled point, so it may have finitely "
-                                 "many real zeros")
+    g = _common_factor(kernel) if exact and d == 2 else None
+    if g is not None:
+        if _changes_sign(g):
+            return VarietyReport("Infinite", witness=g)
+        return VarietyReport("Unknown", reason=f"the common factor {g} of "
+                             "the kernel takes one sign at every sampled "
+                             "point, so it may have finitely many real "
+                             "zeros")
     quotient = _quotient(kernel, exact)
     if quotient is None:
         return VarietyReport("Unknown", reason="no normal set of the kernel "
@@ -255,13 +244,8 @@ def _quotient(kernel, exact: bool):
     n = max(int(p.degree) for p in kernel)
     for top in range(n + 1, 2 * n + 3):
         columns = monomial_basis(d, top)[::-1]
-        where = {m: j for j, m in enumerate(columns)}
-        rows = []
-        for _, _, terms in kernel_products(kernel, top):
-            rows.append([0] * len(columns))
-            for m, c in terms.items():
-                rows[-1][where[m]] = c
-        reduction = _linalg.row_reduce(rows)
+        reduction = _linalg.row_reduce(_macaulay_rows(
+            [terms for _, _, terms in kernel_products(kernel, top)], columns))
         pivots = {columns[j] for j in reduction.pivots}
         full = next((e for e in range(top + 1) if all(
             m in pivots for m in columns if total_degree(m) == e)), None)
@@ -284,6 +268,18 @@ def _quotient(kernel, exact: bool):
                 and _annihilates(kernel, mats, scale, exact):
             return basis, mats, scale
     return None
+
+
+def _macaulay_rows(products, columns) -> list:
+    """One row per polynomial of *products* (terms dicts) over the monomial
+    *columns*."""
+    where = {m: j for j, m in enumerate(columns)}
+    rows = []
+    for terms in products:
+        rows.append([0] * len(columns))
+        for m, c in terms.items():
+            rows[-1][where[m]] = c
+    return rows
 
 
 def _shift(a, b) -> tuple:

@@ -142,6 +142,18 @@ class TestExitCodes:
         assert err.startswith("error: scalar beyond the float range")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "float"]],
+                             ids=["default", "float"])
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_float_literal(self, text, mode, capsys, tmp_path):
+        # A float literal that is not finite is a scalar beyond the float
+        # range, as an exact value past it is.
+        path = tmp_path / "beta.json"
+        path.write_text(VALID_D1.replace('"0"', f'"{text}"'))
+        assert run(["solve", str(path), *mode]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: scalar beyond the float range: {text!r}\n"
+
     def test_many_variables_at_degree_zero(self, capsys, tmp_path):
         # No routine recurses once per variable, so d = 1500 is data like
         # any other: M(0) = (1) is invertible, so V is all of R^1500.

@@ -56,8 +56,6 @@ class TestScalars:
     def test_parse_rejects_values_beyond_the_float_range(self, tmp_path):
         for text in [str(10**400), f"-{10**400}/3", "1e400"]:
             for mode in (None, "exact", "float"):
-                if text == "1e400" and mode != "exact":
-                    continue  # a float literal that overflows is inf
                 with pytest.raises(InputError, match="float range"):
                     parse_scalar(text, mode)
         # A JSON number is read as its decimal text, so it is rejected alike.

@@ -11,6 +11,7 @@ import sympy
 import extremal_moments as em
 from extremal_moments import _linalg, _roots, variety
 from extremal_moments._roots import REFINE_WIDTH
+from extremal_moments.cli import run
 from extremal_moments.polycore import InputError, Polynomial
 from extremal_moments.variety import VarietyReport, vanishing_ideal
 
@@ -355,60 +356,61 @@ class TestQuotientRouteAgainstSympy:
             assert report.points == ()
 
 
-class TestBivariateElimination:
-    def test_gcd_extracts_common_factor(self):
-        common = Polynomial(2, {(1, 1): F(1), (0, 0): F(-1)})  # xy - 1
-        a = common * Polynomial(2, {(1, 0): F(1), (0, 1): F(1)})
-        b = common * Polynomial(2, {(1, 0): F(1), (0, 1): F(-1)})
-        g = em.bivariate_gcd(a, b)
-        # Normalized up to a rational scale: proportional to xy - 1.
-        lead = g.coefficient((1, 1))
-        assert lead != 0
-        scaled = g.scale(F(1) / lead)
-        assert scaled.terms == common.terms
+class TestCommonFactor:
+    """An exact bivariate kernel's common factor is its one element of
+    lowest degree, when that element's products span the kernel."""
 
-    def test_gcd_of_coprime_is_constant(self):
-        a = Polynomial(2, {(1, 0): F(1)})       # x
-        b = Polynomial(2, {(0, 1): F(1), (0, 0): F(-1)})  # y - 1
-        g = em.bivariate_gcd(a, b)
-        assert g.degree == 0
+    def test_nine_atoms_on_a_cubic(self):
+        # Nine atoms at degree 6 lie on one cubic, the whole kernel.
+        atoms = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(-1), F(2)),
+                 (F(2), F(-1)), (F(1, 2), F(3)), (F(-2), F(-3, 2)),
+                 (F(3), F(1, 3)), (F(-1, 3), F(-2))]
+        beta = em.beta_from_atoms(atoms, [F(k) for k in range(1, 10)],
+                                  degree=6)
+        (cubic,) = kernel_of(beta)
+        report = em.solve_extremal(beta)
+        assert report.status == "NotExtremal"
+        assert report.v == math.inf
+        assert report.witness == cubic
+        assert all(cubic.evaluate(w) == 0 for w in atoms)
 
-    def test_gcd_against_sympy(self):
-        # Products sharing a factor of degree 0-3 (some free of y, so the
-        # gcd has a content in Q[x]), plus unrelated and zero arguments;
-        # equal to sympy's gcd up to the rational normalization.
-        rng = random.Random(41)
-        x, y = sympy.symbols("x y")
+    def test_witness_is_the_kernel_element(self):
+        # Eight atoms on 2x^2 + xy = 1: the kernel is g, x*g and y*g.
+        atoms = [(x, (1 - 2 * x * x) / x) for x in
+                 (F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(-3))]
+        kernel = kernel_of(em.beta_from_atoms(atoms, [F(1)] * 8, degree=6))
+        assert len(kernel) == 3
+        report = em.compute_variety(kernel)
+        assert report.status == "Infinite"
+        assert str(report.witness) == "-1 + 2X^2 + YX"
 
-        def random_poly(deg, bits, y_free=False):
-            """x**deg plus random terms of lower degree in x."""
-            expr = x**deg
-            for i in range(deg):
-                for j in range(1 if y_free else deg + 1 - i):
-                    if rng.random() < 0.7:
-                        expr += sympy.Rational(
-                            rng.getrandbits(bits) - 2 ** (bits - 1),
-                            rng.getrandbits(bits) + 1) * x**i * y**j
-            return expr
+    def test_factor_outside_the_kernel_is_unknown(self, tmp_path):
+        # The kernel {YX, Y^2 - Y} has the factor Y, which is no element;
+        # the quotient finds no normal set on the x-axis.
+        atoms = [(F(1), F(0)), (F(2), F(0)), (F(3), F(0)), (F(0), F(1))]
+        beta = em.beta_from_atoms(atoms, [F(1)] * 4, degree=4)
+        kernel = kernel_of(beta)
+        assert [str(p) for p in kernel] == ["YX", "-Y + Y^2"]
+        report = em.compute_variety(kernel)
+        assert report.status == "Unknown"
+        assert report.reason.startswith("no normal set")
+        path = tmp_path / "beta.json"
+        em.dump_multisequence(beta, path)
+        assert run(["solve", str(path)]) == 3
 
-        def normalized(expr):
-            p = _poly(expr, x, y)
-            lead = max(p.terms, key=lambda m: (sum(m), m))
-            return p.scale(1 / p.terms[lead])
-
-        for bits in (4, 500):
-            for k in range(16):
-                common = random_poly(k % 4, bits, y_free=k % 5 == 1)
-                a = common * random_poly(rng.randint(0, 3), bits)
-                b = common * random_poly(rng.randint(0, 3), bits) \
-                    if k % 3 else random_poly(rng.randint(1, 3), bits)
-                got = em.bivariate_gcd(_poly(a, x, y), _poly(b, x, y))
-                assert got == normalized(sympy.gcd(sympy.expand(a),
-                                                   sympy.expand(b)))
-                assert em.bivariate_gcd(_poly(a, x, y), Polynomial(2, {})) \
-                    == normalized(a)
-        assert em.bivariate_gcd(Polynomial(2, {}),
-                                Polynomial(2, {})).is_zero
+    def test_degrees_alone_decide_a_tie(self, ex15, monkeypatch):
+        kernel = kernel_of(ex15)
+        conic = kernel_of(conic_without_real_points())
+        assert [p.degree for p in kernel] == [2, 2]
+        calls = []
+        row_reduce = _linalg.row_reduce
+        monkeypatch.setattr(_linalg, "row_reduce",
+                            lambda rows: calls.append(rows) or
+                            row_reduce(rows))
+        assert variety._common_factor(kernel) is None
+        assert calls == []
+        assert variety._common_factor(conic) == conic[0]
+        assert len(calls) == 1
 
 
 class TestEvalMatrices:
