@@ -9,12 +9,19 @@ order, from the row of its column and was positive: for a symmetric matrix
 that is the PSD decision itself, so a reduction of M(n) decides M(n) >= 0
 and ``psd_exact`` eliminates again only to build a witness.  The
 RREF and exact solutions come from one fraction-free back substitution,
-``_back_substitute``, in integers and on the free columns only (a solve's
+``_back_substitute``, in integers and on chosen columns only (a solve's
 one free column is its right-hand side): the last pivot D times the RREF is
-an integer matrix, so each entry takes one exact division, and only the
-RREF's nonzero free entries become Fractions, over D.  Float paths delegate
-to numpy, imported on their first use (exact callers never load it), and
-use relative pivot thresholds.  The float reduction, ``_row_reduce_float``,
+an integer matrix, so each entry takes one exact division.  An exact
+reduction keeps its integer echelon rows and back-substitutes on demand, so
+a caller that reads only the rank stops after the forward pass.
+``integer_columns`` gives chosen columns as integers over one positive
+scale, the lcm of their reduced denominators, for callers that compute in
+integers (the quotient algebra and the Krylov solve of ``variety``); only
+``rref`` and ``kernel_basis``, for callers that print rationals (kernel
+polynomials, relations), turn the nonzero free entries into Fractions over
+D, once per reduction.  Float paths delegate to numpy, imported on their
+first use (exact callers never load it), and use relative pivot
+thresholds.  The float reduction, ``_row_reduce_float``,
 clears each pivot's column with one masked rank-1 update of the rows that
 have a nonzero entry there; every entry still takes one multiply and one
 subtract, unfused and in the same order as a row-by-row loop, so its bytes
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -36,7 +44,6 @@ from .polycore import (
     RANK_TOL,
     Scalar,
     all_exact,
-    clear_denominators,
     field,
     record,
 )
@@ -80,18 +87,61 @@ def dot(u, v):
 
 @record
 class LinearReduction:
-    """Result of row reduction: rank, pivot columns, RREF rows."""
+    """Result of row reduction: rank, pivot columns and echelon rows.
+
+    A float reduction's echelon rows are its RREF.  An exact reduction keeps
+    the integer echelon rows of ``_eliminate`` and back-substitutes only on
+    demand: ``integer_columns`` reads chosen RREF columns in integers, and
+    the Fraction forms ``rref`` and ``kernel_basis`` are built on first
+    use, so a caller that reads only the rank runs no back substitution."""
 
     nrows: int
     ncols: int
     rank: int
-    pivots: tuple  # pivot column indices, increasing
-    rref: tuple    # rank rows, each of length ncols; pivot entries equal 1
+    pivots: tuple   # pivot column indices, increasing
+    echelon: tuple  # rank rows, each of length ncols
     #: Exact reductions: did every step k take a positive pivot from input
     #: row pivots[k] (``_positive_diagonal``)?  For a symmetric matrix that
     #: holds exactly when it is PSD.  None for float reductions.
     positive_diagonal: Optional[bool] = field(default=None, repr=False,
                                               compare=False)
+
+    @cached_property
+    def rref(self) -> tuple:
+        """The RREF rows, pivot entries 1; an exact reduction's entries are
+        Fractions, built by one back substitution on the free columns."""
+        if self.positive_diagonal is None:  # a float reduction
+            return self.echelon
+        pivot_set = set(self.pivots)
+        free = [j for j in range(self.ncols) if j not in pivot_set]
+        den, xs = _back_substitute(self.echelon, self.pivots, free)
+        one, zero = Fraction(1), Fraction(0)
+        rref = []
+        for i, p in enumerate(self.pivots):
+            row = [zero] * self.ncols
+            row[p] = one
+            for j, x in zip(free, xs[i]):
+                if x:
+                    row[j] = Fraction(x, den)
+            rref.append(tuple(row))
+        return tuple(rref)
+
+    def integer_columns(self, columns, rows=None) -> tuple:
+        """``(ints, scale)`` for an exact reduction: its RREF entries in
+        *columns* on *rows* (increasing row indices, all rows by default)
+        as integers over one positive scale, ints[i][t] / scale being
+        rref[rows[i]][columns[t]].  With D the last pivot, scale is
+        |D| / gcd(D, entries), the lcm of the entries' reduced
+        denominators.  The back substitution runs on *columns* alone and
+        stops at the first of *rows*."""
+        rows = range(self.rank) if rows is None else rows
+        den, xs = _back_substitute(self.echelon, self.pivots, columns,
+                                   rows[0] if len(rows) else self.rank)
+        ints = [xs[i] for i in rows]
+        g = math.gcd(den, *chain.from_iterable(ints))
+        if den < 0:
+            g = -g
+        return [[x // g for x in row] for row in ints], den // g
 
     def kernel_basis(self) -> list:
         """Kernel vectors in delta form, one per free column, in column order."""
@@ -123,20 +173,9 @@ def row_reduce(rows: Sequence[Sequence[Scalar]]) -> LinearReduction:
 
 def _row_reduce_exact(rows, nrows, ncols) -> LinearReduction:
     work, pivots, _, order = _eliminate(rows, ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    den, xs = _back_substitute(work, pivots, free)
-    one, zero = Fraction(1), Fraction(0)
-    rref = []
-    for i, p in enumerate(pivots):
-        row = [zero] * ncols
-        row[p] = one
-        for j, x in zip(free, xs[i]):
-            if x:
-                row[j] = Fraction(x, den)
-        rref.append(tuple(row))
-    return LinearReduction(nrows, ncols, len(pivots), tuple(pivots),
-                           tuple(rref),
+    rank = len(pivots)
+    return LinearReduction(nrows, ncols, rank, tuple(pivots),
+                           tuple(map(tuple, work[:rank])),
                            _positive_diagonal(work, pivots, order))
 
 
@@ -156,7 +195,7 @@ def _positive_diagonal(work, pivots, order) -> bool:
     return all(order[k] == c and work[k][c] > 0 for k, c in enumerate(pivots))
 
 
-def _back_substitute(work, pivots, free):
+def _back_substitute(work, pivots, free, first=0):
     """Fraction-free back substitution (Nakos, Turner & Williams 1997) of
     the echelon rows of ``_eliminate`` on the columns *free*.
 
@@ -166,11 +205,12 @@ def _back_substitute(work, pivots, free):
     matrix (Cramer's rule).  With E the r echelon rows and U their block on
     the pivot columns (upper triangular), the rows of ``xs`` solve
     U xs = den * E[:, free] from the bottom up, by one exact division per
-    entry.  With no pivot, den is 1 and xs is empty."""
+    entry; a row reads only the rows below it, so the rows above *first*
+    are left None.  With no pivot, den is 1 and xs is empty."""
     rank = len(pivots)
     den = work[rank - 1][pivots[-1]] if rank else 1
     xs = [None] * rank
-    for i in range(rank - 1, -1, -1):
+    for i in range(rank - 1, first - 1, -1):
         row = work[i]
         acc = [den * row[j] for j in free]
         for k in range(i + 1, rank):
@@ -197,8 +237,11 @@ def _eliminate(rows, ncols):
     work = []
     scale = 1
     for row in rows:
-        ints, lcm = clear_denominators(row)
-        work.append(ints)
+        if {*map(type, row)} == {int}:
+            work.append(list(row))
+            continue
+        lcm = math.lcm(*[x.denominator for x in row])
+        work.append([x.numerator * (lcm // x.denominator) for x in row])
         scale *= lcm
     nrows, width = len(work), len(work[0]) if work else 0
 

@@ -73,7 +73,7 @@ def consistency_check(beta: Multisequence,
                    "cannot be enumerated from points")
     images = _relation_images(variety, beta.degree, beta.d)
     if images is not None and beta.is_exact:
-        basis, _, scale = variety.quotient
+        basis, _, scale, _ = variety.quotient
         moments = dict(zip(beta.values,
                            clear_denominators(beta.values.values())[0]))
         powers = [scale**e for e in range(beta.degree + 1)]

@@ -11,9 +11,13 @@ h_i(tau), evaluated in integers; only at an irrational tau is a
 coordinate's own minimal polynomial isolated (once), its root that h_i
 meets on tau's interval being the coordinate: exact when it is rational,
 else the midpoint of a refined interval.  An ideal with a multiple zero,
-told by the isolation of x_1 when its powers span A and else by the
-squarefree parts of the coordinates' minimal polynomials, is replaced by
-its radical first.
+told by the isolation of the first form t whose powers span A (or by a
+multiple root of a form that fails to), is replaced by its radical first.
+The exact stage computes in integers: the Macaulay rows are kernel
+elements cleared of their denominators once, and the normal forms and
+Krylov coordinates are read off the fraction-free elimination as integers
+over one scale (``LinearReduction.integer_columns``); Fractions are made
+only for the points and the relations that are printed.
 In two variables an exact kernel is first tested for a common factor g of
 its own: the one element of lowest degree, when its products x^s * g of
 degree <= n span the kernel (one exact elimination).  Such a g certifies
@@ -75,8 +79,9 @@ class VarietyReport:
     ``points`` hold Scalars; a True entry in ``exact_mask`` marks a point
     whose coordinates are exact rationals rather than refined approximations
     of irrational algebraic numbers.  ``quotient`` keeps an exact kernel's
-    algebra modulo its radical, A/sqrt(I), as (basis, mats, scale):
-    mats[i] / scale multiplies by x_i on the monomial basis (1 last).
+    algebra modulo its radical, A/sqrt(I), as (basis, mats, scale, images):
+    mats[i] / scale multiplies by x_i on the monomial basis (1 last), and
+    images holds scale**|a| * x^a * 1 for the monomials a of degree <= n.
     """
 
     status: str  # "Finite" | "Infinite" | "Unknown"
@@ -150,9 +155,9 @@ def _common_factor(kernel) -> Optional[Polynomial]:
         return None
     g = lowest[0]
     n = max(int(p.degree) for p in kernel)
-    shifts = [terms for _, _, terms in kernel_products([g], n)]
-    rows = _macaulay_rows(shifts + [p.terms for p in kernel],
-                          monomial_basis(2, n))
+    shifts = list(kernel_products([g], n))
+    rows = _macaulay_rows(shifts + [(p, (0, 0), p.terms) for p in kernel],
+                          monomial_basis(2, n), True)
     return g if _linalg.row_reduce(rows).rank == len(shifts) else None
 
 
@@ -212,13 +217,13 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
     if quotient is None:
         return VarietyReport("Unknown", reason="no normal set of the kernel "
                                                "ideal up to degree 2n+2")
-    basis, mats, scale = quotient
+    basis, mats, _, _ = quotient
     if not basis:  # 1 lies in I: no zeros at all, when I is exact
         return VarietyReport("Finite") if exact else VarietyReport(
             "Unknown", reason="the float reduction puts 1 in the kernel "
                               "ideal")
     if exact:
-        return _variety_exact(kernel, basis, mats, scale)
+        return _variety_exact(kernel, quotient)
     return _variety_float(kernel, mats)
 
 
@@ -227,11 +232,12 @@ def compute_variety(kernel: Sequence[Polynomial]) -> VarietyReport:
 # ---------------------------------------------------------------------------
 
 def _quotient(kernel, exact: bool):
-    """``(basis, mats, scale)``: a monomial basis B of A = R[x]/I (I the
-    ideal of *kernel*; 1 last) and matrices, mats[i] / scale the
-    multiplication by x_i on B; None when none is found by degree 2n + 2.
-    Exact kernels get integer matrices over an integer scale, float kernels
-    float matrices over scale 1.
+    """``(basis, mats, scale, images)``: a monomial basis B of A = R[x]/I
+    (I the ideal of *kernel*; 1 last), matrices, mats[i] / scale the
+    multiplication by x_i on B, and the images {a: scale**|a| * x^a * 1}
+    on B of the monomials of degree <= n; None when none is found by
+    degree 2n + 2.  Exact kernels get integer matrices over an integer
+    scale, float kernels float matrices over scale 1.
 
     For D = n+1, n+2, ... the products x^a*k of degree <= D are reduced
     with columns in descending degree.  B is the set of non-pivot monomials
@@ -239,45 +245,62 @@ def _quotient(kernel, exact: bool):
     forms of the x_i*b give the M_i.  If B is connected to 1 and the M_i
     commute, the relations x_i*b - NF(x_i*b) in I make B a basis of A/J for
     the ideal J they generate (Mourrain 1999); J = I once every
-    k(M)*1 = 0.  Float matrices pass both tests up to ``negligible``."""
+    k(M)*1 = 0.  Float matrices pass both tests up to ``negligible``.  An
+    exact normal form is read in integers off the rows of the x_i*b, on
+    the columns of B (``LinearReduction.integer_columns``)."""
     d = kernel[0].d
     n = max(int(p.degree) for p in kernel)
     for top in range(n + 1, 2 * n + 3):
         columns = monomial_basis(d, top)[::-1]
         reduction = _linalg.row_reduce(_macaulay_rows(
-            [terms for _, _, terms in kernel_products(kernel, top)], columns))
-        pivots = {columns[j] for j in reduction.pivots}
+            kernel_products(kernel, top), columns, exact))
+        row_of = {columns[j]: r for r, j in enumerate(reduction.pivots)}
         full = next((e for e in range(top + 1) if all(
-            m in pivots for m in columns if total_degree(m) == e)), None)
+            m in row_of for m in columns if total_degree(m) == e)), None)
         free = [j for j, m in enumerate(columns)
-                if total_degree(m) < (full or 0) and m not in pivots]
+                if total_degree(m) < (full or 0) and m not in row_of]
         basis = [columns[j] for j in free]
         if full is None or any(_lower(b) not in basis for b in basis[:-1]):
             continue
-        normal_form = {columns[j]: [-row[f] for f in free]
-                       for j, row in zip(reduction.pivots, reduction.rref)}
-        for k, b in enumerate(basis):
-            normal_form[b] = [int(k == i) for i in range(len(basis))]
-        entries = [x for e in monomial_basis(d, 1)[1:] for b in basis
-                   for x in normal_form[_shift(b, e)]]
-        ints, scale = clear_denominators(entries) if exact else (entries, 1)
+        shifts = [_shift(b, e) for e in monomial_basis(d, 1)[1:]
+                  for b in basis]
+        rows = sorted({row_of[m] for m in shifts if m in row_of})
+        if exact:
+            ints, scale = reduction.integer_columns(free, rows)
+        else:
+            ints = [[reduction.rref[r][f] for f in free] for r in rows]
+            scale = 1
         size = len(basis)
-        mats = [[ints[i * size * size + k::size][:size] for k in range(size)]
-                for i in range(d)]
-        if all(_commute(a, b, exact) for a, b in combinations(mats, 2)) \
-                and _annihilates(kernel, mats, scale, exact):
-            return basis, mats, scale
+        normal_form = {columns[reduction.pivots[r]]: [-x for x in row]
+                       for r, row in zip(rows, ints)}
+        for k, b in enumerate(basis):
+            normal_form[b] = [scale * (k == i) for i in range(size)]
+        entries = [x for m in shifts for x in normal_form[m]]
+        mats = [[entries[i * size * size + k::size][:size]
+                 for k in range(size)] for i in range(d)]
+        if not all(_commute(a, b, exact) for a, b in combinations(mats, 2)):
+            continue
+        images = _images(monomial_basis(d, n), mats,
+                         {(0,) * d: [0] * (size - 1) + [1]})
+        if _annihilates(kernel, images, scale, exact):
+            return basis, mats, scale, images
     return None
 
 
-def _macaulay_rows(products, columns) -> list:
-    """One row per polynomial of *products* (terms dicts) over the monomial
-    *columns*."""
+def _macaulay_rows(products, columns, exact: bool) -> list:
+    """One row per product ``(p, s, terms)`` of ``kernel_products`` (terms
+    the monomials of x^s * p) over the monomial *columns*: exact rows are
+    the integers of p cleared of its denominators, once per p."""
     where = {m: j for j, m in enumerate(columns)}
+    cleared = {}
     rows = []
-    for terms in products:
+    for p, _, terms in products:
+        coeffs = cleared.get(id(p))
+        if coeffs is None:
+            coeffs = cleared[id(p)] = clear_denominators(
+                p.terms.values())[0] if exact else list(p.terms.values())
         rows.append([0] * len(columns))
-        for m, c in terms.items():
+        for m, c in zip(terms, coeffs):
             rows[-1][where[m]] = c
     return rows
 
@@ -292,13 +315,15 @@ def _lower(b) -> tuple:
     return b[:i] + (b[i] - 1,) + b[i + 1:]
 
 
-def _images(monomials, mats, vector) -> dict:
-    """scale**|a| * x^a * vector for monomials a listed after their _lower."""
-    images = {}
+def _images(monomials, mats, images) -> dict:
+    """The known *images* {a: scale**|a| * x^a * 1}, holding 1, extended to
+    *monomials*, each listed after its _lower; *images* is not changed."""
+    images = dict(images)
     for a in monomials:
-        images[a] = _linalg.mat_vec(
-            mats[next(i for i, e in enumerate(a) if e)],
-            images[_lower(a)]) if any(a) else vector
+        if a not in images:
+            images[a] = _linalg.mat_vec(
+                mats[next(i for i, e in enumerate(a) if e)],
+                images[_lower(a)])
     return images
 
 
@@ -313,12 +338,11 @@ def _commute(a, b, exact: bool) -> bool:
                for u, v in zip(ab, ba) for x, y in zip(u, v))
 
 
-def _annihilates(kernel, mats, scale, exact: bool) -> bool:
-    """Does k(M)*1 = 0 hold for every kernel element k?  Floats compare
-    against sum |c_a| * |M^a * 1|."""
+def _annihilates(kernel, images, scale, exact: bool) -> bool:
+    """Does k(M)*1 = 0 hold for every kernel element k, given the *images*
+    scale**|a| * x^a * 1 of its monomials?  Floats compare against
+    sum |c_a| * |M^a * 1|."""
     n = max(int(p.degree) for p in kernel)
-    images = _images(monomial_basis(len(mats), n), mats,
-                     [0] * (len(mats[0]) - 1) + [1])
     for p in kernel:
         coeffs = clear_denominators(p.terms.values())[0] if exact \
             else list(p.terms.values())
@@ -336,59 +360,53 @@ def _annihilates(kernel, mats, scale, exact: bool) -> bool:
 # exact varieties: minimal polynomials and a separating form
 # ---------------------------------------------------------------------------
 
-def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
+def _variety_exact(kernel, quotient) -> VarietyReport:
     """Real zeros of the ideal I of an exact kernel from A = Q[x]/I
     (Moeller & Stetter 1995) by the rational univariate representation
     (Rouillier 1999): a form t = sum c**i x_i whose powers span A gives
     x_i = h_i(t) mod sqrt(I), and the points are the real roots tau of
-    t's minimal polynomial.  At a rational tau each x_i is h_i(tau); at
-    an irrational one it is the root of x_i's own minimal polynomial,
-    isolated once, that h_i meets on tau's interval.  The try c = 0 gives
-    x_1's minimal polynomial f; when it spans A, A = Q[T]/(f) is reduced
-    iff f is squarefree, so the isolation of f is the radical test, and
-    the other coordinates' minimal polynomials are built only when that
-    test fails, when c = 0 does not span A (a multiple root of any x_i's
-    minimal polynomial then tells a multiple zero), or for an irrational
-    tau.  With a
+    t's minimal polynomial f_t (``_spanning_form``).  At a rational tau
+    each x_i is h_i(tau); at an irrational one it is the root of x_i's own
+    minimal polynomial, isolated once, that h_i meets on tau's interval.
+    A = Q[T]/(f_t) is reduced iff f_t is squarefree, so the isolation of
+    f_t is the radical test; a form that fails to span A and whose minimal
+    polynomial has a multiple root shows a multiple zero too.  With a
     multiple zero, A becomes A/sqrt(I), sqrt(I) = I + (f_i(x_i)) for f_i
     the squarefree part of x_i's minimal polynomial (Seidenberg 1974),
-    kept in the report; x_1's roots are kept, since its minimal
-    polynomial there is f's squarefree part."""
+    kept in the report; t's roots are kept when t spans A/sqrt(I) first,
+    since its minimal polynomial there is f_t's squarefree part.  The
+    coordinates' minimal polynomials are built only for that radical or
+    for an irrational tau."""
+    basis, mats, scale, _ = quotient
     d = len(mats)
-    xs = _coordinates(mats, scale)
-    t_minimal, h = _krylov(mats[0], scale, xs)
-    minimal = [t_minimal]
-    t_roots = None
+    form = _spanning_form(mats, scale)
+    if form is None:
+        return VarietyReport("Unknown", reason="no separating linear form")
+    c, t_minimal, h = form
+    multiple = h is None
     if h is not None:
         t_roots, multiple = _roots.real_roots_exact(t_minimal)
-    if h is None or multiple:
-        minimal += [_krylov(m, scale, [])[0] for m in mats[1:]]
-        squarefree, flags = zip(*map(_roots.squarefree_part, minimal))
-        multiple = any(flags)
+    minimal = {}
     if multiple:
-        radical = [_squarefree_at(basis, m, scale, f)
-                   for m, f in zip(mats, squarefree)]
+        minimal = {i: t_minimal if i == c == 0 else _krylov(m, scale, [])[0]
+                   for i, m in enumerate(mats)}
+        radical = [_squarefree_at(basis, m, scale,
+                                  _roots.squarefree_part(minimal[i])[0])
+                   for i, m in enumerate(mats)]
         quotient = _quotient(kernel + [p for p in radical if not p.is_zero],
                              True)
         if quotient is None:
             return VarietyReport("Unknown", reason="no normal set of the "
                                                    "radical ideal")
-        basis, mats, scale = quotient
-        xs = _coordinates(mats, scale)
-        t_minimal, h = _krylov(mats[0], scale, xs)
-    nodes = iter(_integer_nodes(2 * d * len(basis)**2 + 1))
-    c = next(nodes)
-    while h is None:
-        c = next(nodes, None)
-        if c is None:
+        basis, mats, scale, _ = quotient
+        isolated_c = c if h is not None else None
+        form = _spanning_form(mats, scale)
+        if form is None or form[2] is None:
             return VarietyReport("Unknown", reason="no separating linear "
                                                    "form")
-        t = [[sum(c**i * m[r][k] for i, m in enumerate(mats))
-              for k in range(len(basis))] for r in range(len(basis))]
-        t_minimal, h = _krylov(t, scale, xs)
-    if t_roots is None:
-        t_roots = _roots.real_roots_exact(t_minimal)[0]
-    cleared = [clear_denominators(h_i) for h_i in h]
+        c, t_minimal, h = form
+        if c != isolated_c:
+            t_roots = _roots.real_roots_exact(t_minimal)[0]
     isolated = {}
     points, mask = [], []
     for tau in t_roots:
@@ -396,15 +414,15 @@ def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
             num, den = tau.value.numerator, tau.value.denominator
             points.append(tuple(
                 Fraction(_roots._scaled_value(ints, num, den),
-                         lcm * den**(len(ints) - 1))
-                for ints, lcm in cleared))
+                         h_den * den**(len(ints) - 1))
+                for ints, h_den in h))
             mask.append(True)
             continue
         point = [tau] if c == 0 else []
         for i in range(len(point), d):
             if i not in isolated:
                 isolated[i] = _roots.real_roots_exact(
-                    minimal[i] if i < len(minimal)
+                    minimal[i] if i in minimal
                     else _krylov(mats[i], scale, [])[0])[0]
             low, high = _enclose(h[i], tau)
             hits = [r for r in isolated[i] if r.low <= high and low <= r.high]
@@ -414,12 +432,27 @@ def _variety_exact(kernel, basis, mats, scale) -> VarietyReport:
             point.append(hits[0])
         points.append(tuple(r.value for r in point))
         mask.append(all(r.exact for r in point))
-    return _finite(points, mask, multiple, (basis, mats, scale))
+    return _finite(points, mask, multiple, quotient)
 
 
-def _coordinates(mats, scale) -> list:
-    """x_i * 1 on the basis of A, for each multiplication matrix."""
-    return [[Fraction(row[-1], scale) for row in m] for m in mats]
+def _spanning_form(mats, scale):
+    """``(c, f_t, h)`` for the first c of 0, 1, -1, 2, -2, ... whose form
+    t = sum c**i x_i spans A, with f_t and h from ``_krylov``, or with h
+    None for the first failing form whose minimal polynomial has a
+    multiple root, which shows that A is not reduced.  None when no form
+    among the first 2 d N**2 + 1 does either: a reduced A of dimension N
+    has a spanning one there, since each pair of its N points agrees on
+    t for at most d - 1 values of c."""
+    d, size = len(mats), len(mats[0])
+    xs = [[row[-1] for row in m] for m in mats]  # scale * x_i * 1
+    for c in _integer_nodes(2 * d * size**2 + 1):
+        t = mats[0] if c == 0 else [
+            [sum(c**i * m[r][k] for i, m in enumerate(mats))
+             for k in range(size)] for r in range(size)]
+        t_minimal, h = _krylov(t, scale, xs)
+        if h is not None or _roots.squarefree_part(t_minimal)[1]:
+            return c, t_minimal, h
+    return None
 
 
 def _integer_nodes(count: int) -> list:
@@ -428,24 +461,35 @@ def _integer_nodes(count: int) -> list:
 
 
 def _krylov(matrix, scale, xs) -> tuple:
-    """The minimal polynomial of t = matrix / scale on A, ascending and
-    monic, and the coordinates of each vector of *xs* on 1, t, t**2, ...,
-    or None when these do not span A.  It runs on the primitive integer
-    vectors w_j = lifts[j] * t**j * 1."""
-    vectors, lifts = [[0] * (len(matrix) - 1) + [1]], [Fraction(1)]
+    """``(f, h)``: f a positive integer multiple of the minimal polynomial
+    of t = matrix / scale on A, ascending, and h the coordinates of each
+    vector of *xs* / scale on 1, t, t**2, ..., each a pair (ints, den) of
+    the integer list ints over the positive den, or None when these do not
+    span A.  It runs on the primitive integer vectors
+    w_j = scale**j / C_j * t**j * 1, C_j the product of the contents
+    removed so far; the RREF of the columns w_j and *xs* is read in
+    integers (``integer_columns``), on the first free column alone when
+    they do not span A."""
+    vectors, contents = [[0] * (len(matrix) - 1) + [1]], [1]
     for _ in matrix:
         vector = _linalg.mat_vec(matrix, vectors[-1])
         content = math.gcd(*vector) or 1
         vectors.append([x // content for x in vector])
-        lifts.append(lifts[-1] * scale / content)
+        contents.append(contents[-1] * content)
     reduction = _linalg.row_reduce(_linalg.transpose(vectors + xs))
     k = next(k for k in range(len(vectors)) if k not in reduction.pivots)
-    minimal = [-reduction.rref[r][k] * lifts[r] / lifts[k]
-               for r in range(k)] + [Fraction(1)]
-    if reduction.rank < len(matrix) or reduction.pivots[-1] >= len(vectors):
+    spans = reduction.rank == len(matrix) \
+        and reduction.pivots[-1] < len(vectors)
+    others = range(len(vectors), len(vectors) + len(xs)) if spans else ()
+    ints, den = reduction.integer_columns([k, *others], range(k))
+    minimal = [-row[0] * scale**r * (contents[k] // contents[r])
+               for r, row in enumerate(ints)] + [den * scale**k]
+    if not spans:
         return minimal, None
-    return minimal, [[reduction.rref[r][j] * lifts[r] for r in range(k)]
-                     for j in range(len(vectors), len(vectors) + len(xs))]
+    h_den = den * scale * contents[k - 1]
+    return minimal, [([row[j] * scale**r * (contents[k - 1] // contents[r])
+                       for r, row in enumerate(ints)], h_den)
+                     for j in range(1, len(xs) + 1)]
 
 
 def _squarefree_at(basis, matrix, scale, squarefree) -> Polynomial:
@@ -458,14 +502,16 @@ def _squarefree_at(basis, matrix, scale, squarefree) -> Polynomial:
     return Polynomial(len(basis[0]), dict(zip(basis, value)))
 
 
-def _enclose(coeffs, root) -> tuple:
-    """Bounds on a rational polynomial over the interval of *root*: its
-    value at the midpoint, widened by the half-width times
-    sum k*|c_k|*R**(k-1) with R >= |x| there (centered form)."""
+def _enclose(h, root) -> tuple:
+    """Bounds on the polynomial h = (ints, den), ints / den, over the
+    interval of *root*: its value at the midpoint, widened by the
+    half-width times sum k*|c_k|*R**(k-1) with R >= |x| there (centered
+    form)."""
+    ints, den = h
     bound = math.ceil(max(abs(root.low), abs(root.high)))
     spread = (root.high - root.low) / 2 * sum(
-        k * abs(c) * bound**(k - 1) for k, c in enumerate(coeffs[1:], 1))
-    center = _roots.horner(coeffs, root.value)
+        k * abs(c) * bound**(k - 1) for k, c in enumerate(ints[1:], 1)) / den
+    center = _roots.horner(ints, root.value) / den
     return center - spread, center + spread
 
 
@@ -529,27 +575,38 @@ def _residual_ok(p: Polynomial, point) -> bool:
 def adopt_points(report: KernelReport,
                  points: Sequence[Point]) -> VarietyReport:
     """Supplied points as the variety, after checking that each satisfies
-    every kernel relation.  A rational point at which an exact kernel
-    vanishes exactly stays exact; any other point, such as a refined
-    midpoint of an irrational one, is adopted as its float approximation
-    once the relations vanish there within tolerance."""
+    every kernel relation and differs from the points before it: a
+    repeated point would count twice in card V.  A rational point at which
+    an exact kernel vanishes exactly stays exact; any other point, such as
+    a refined midpoint of an irrational one, is adopted as its float
+    approximation once the relations vanish there within tolerance."""
     adopted = []
     exact_kernel = all(p.is_exact for p in report.kernel)
     for w in points:
         w = tuple(ensure_scalar(x) for x in w)
+        shown = _show_point(w)
         if len(w) != report.d:
-            raise InputError(f"supplied point {tuple(float(x) for x in w)} "
-                             f"does not have dimension {report.d}")
+            raise InputError(f"supplied point {shown} does not have "
+                             f"dimension {report.d}")
         if not (exact_kernel and all_exact(w) and all(
                 _residual_ok(p, w) for p in report.kernel)):
             w = tuple(float(x) for x in w)
         for p in report.kernel:
             if not _residual_ok(p, w):
-                raise InputError(
-                    f"supplied point {w} does not satisfy kernel "
-                    f"relation {p}")
+                raise InputError(f"supplied point {shown} does not satisfy "
+                                 f"kernel relation {p}")
+        if w in adopted:
+            raise InputError(f"supplied point {shown} is given twice")
         adopted.append(w)
     return VarietyReport.of_points(adopted)
+
+
+def _show_point(point) -> str:
+    """*point* as messages show it: an exact coordinate as p/q when both
+    are below 10**12, any other as its shortest float."""
+    return "(" + ", ".join(
+        format_scalar(x) if is_exact(x) and abs(x.numerator) < 10**12
+        and x.denominator < 10**12 else repr(float(x)) for x in point) + ")"
 
 
 def _finite(points, mask, multiple_roots: bool,
@@ -621,16 +678,17 @@ def _relation_images(variety: VarietyReport, k: int, d: int):
     if quotient is None or (len(quotient[0]) != len(variety.points)
                             and all(variety.exact_mask)):
         return None
-    basis, mats, _ = quotient
+    basis, mats, _, images = quotient
     normal = set(basis)
-    images = _images(monomial_basis(d, k), mats, [0] * (len(basis) - 1) + [1])
-    return {a: image for a, image in images.items() if a not in normal}
+    monomials = monomial_basis(d, k)
+    images = _images(monomials, mats, images)
+    return {a: images[a] for a in monomials if a not in normal}
 
 
 def _relation(quotient, a, image) -> Polynomial:
     """x^a - NF(x^a) from the image scale**|a| * x^a * 1 of x^a on the
     basis of *quotient*."""
-    basis, _, scale = quotient
+    basis, _, scale, _ = quotient
     den = scale**total_degree(a)
     return Polynomial(len(a), {**{b: -Fraction(x, den) for b, x in
                                   zip(basis[::-1], image[::-1])},

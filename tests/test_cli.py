@@ -384,6 +384,29 @@ class TestArtifacts:
                               "not satisfy kernel relation")
         assert "Traceback" not in err
 
+    def test_repeated_supplied_point_exits_1(self, capsys, tmp_path):
+        # Atoms (0, 0) and (1, 2), degree 2: the point (0, 0) given twice
+        # would count twice in card V and turn a Measure into NotExtremal.
+        beta = tmp_path / "beta.json"
+        em.dump_multisequence(em.beta_from_atoms(
+            [(F(0), F(0)), (F(1), F(2))], [F(1, 3), F(2, 3)], degree=2), beta)
+        points = tmp_path / "points.json"
+        for given, code in (([["0", "0"], ["1", "2"]], 0),
+                            ([["0", "0"], ["0", "0"], ["1", "2"]], 1)):
+            points.write_text(json.dumps({"d": 2, "points": given}))
+            assert run(["solve", str(beta), "--points", str(points)]) == code
+        out, err = capsys.readouterr()
+        assert out.startswith("status: Measure\n")
+        assert err == "error: supplied point (0, 0) is given twice\n"
+
+    def test_supplied_point_prints_exactly(self, capsys, tmp_path):
+        points = tmp_path / "off.json"
+        points.write_text(json.dumps({"d": 2, "points": [["-1/2", "0"]]}))
+        assert run(["solve", EX15, "--points", str(points)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: supplied point (-1/2, 0) does not satisfy kernel "
+            "relation")
+
     def test_extend_writes_measure(self, capsys, tmp_path, ex71):
         out_file = tmp_path / "measure.json"
         assert run(["extend", EX71, "--out", str(out_file)]) == 0

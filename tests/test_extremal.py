@@ -377,16 +377,20 @@ class TestSolveVariants:
         assert em.solve_extremal(beta, points=atoms).status == "Measure"
 
     def test_float_singular_vandermonde(self, ex15):
-        # Example 15's first point twice: V_B has two equal columns, which
-        # rounding leaves invertible (densities near 1e46); the rank test
-        # finds it singular.
+        # Two of Example 15's points share x = -1/2, so V_B of the basis
+        # 1, X, X^2, X^3 has two columns equal up to rounding, which leaves
+        # it invertible; the rank test finds it singular.  A point given
+        # twice, which would make V_B singular too, is refused.
         beta = as_float(ex15)
         points = sorted(em.solve_extremal(beta).variety.points)
-        report = em.solve_extremal(beta, points=points[:1] + points[:1]
-                                   + points[2:])
+        report = em.solve_extremal(beta, points=points, basis=(
+            (0, 0), (1, 0), (2, 0), (3, 0)))
         assert report.status == "Unknown"
         assert report.reason.startswith("SingularVB")
         assert report.measure is None
+        with pytest.raises(InputError, match="given twice"):
+            em.solve_extremal(beta, points=points[:1] + points[:1]
+                              + points[2:])
 
     def test_basis_size_enforced(self, ex15):
         with pytest.raises(ValueError):

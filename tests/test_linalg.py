@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 import sympy
 
-from extremal_moments import _linalg
-from extremal_moments.polycore import RANK_TOL, all_exact, is_exact
+import extremal_moments as em
+from extremal_moments import _linalg, moments, variety
+from extremal_moments.polycore import (RANK_TOL, all_exact,
+                                       clear_denominators, is_exact)
+
+from conftest import conic_without_real_points
 
 
 def F(*args):
@@ -419,6 +423,101 @@ def _big(rng, shape):
 
 
 ORACLE_FAMILIES = [_zero, _wide, _hankel, _tall, _exchanges, _big]
+
+
+def _integers(rng, shape):
+    """Small integers with a zero column and, when tall enough, a row that
+    depends on two others; zero head entries are common."""
+    rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 5]) for _ in range(shape[1])]
+            for _ in range(shape[0])]
+    if shape[0] > 2:
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    column = rng.randrange(shape[1])
+    for row in rows:
+        row[column] = 0
+    return rows
+
+
+class TestIntegerColumns:
+    """``integer_columns`` against the Fraction RREF: chosen columns on
+    chosen rows, as integers over one positive scale, equal the RREF
+    entries cleared of their denominators."""
+
+    FAMILIES = [_integers, _zero, _wide, _hankel, _tall, _exchanges, _big]
+
+    def test_against_cleared_rref(self):
+        rng = random.Random(2024)
+        negative_last_pivot = 0
+        for family in self.FAMILIES * 30:
+            rows = family(rng, (rng.randint(1, 7), rng.randint(1, 7)))
+            red = _linalg.row_reduce(rows)
+            if red.rank:
+                negative_last_pivot += red.echelon[-1][red.pivots[-1]] < 0
+            columns = sorted(rng.sample(range(red.ncols),
+                                        rng.randint(1, red.ncols)))
+            chosen = sorted(rng.sample(range(red.rank),
+                                       rng.randint(0, red.rank)))
+            for rows_arg, picked in ((None, range(red.rank)),
+                                     (chosen, chosen)):
+                ints, scale = red.integer_columns(columns, rows_arg)
+                cleared, lcm = clear_denominators(
+                    [red.rref[r][c] for r in picked for c in columns])
+                assert scale > 0 and scale == lcm
+                assert [x for row in ints for x in row] == cleared
+                assert all(type(x) is int for row in ints for x in row)
+        assert negative_last_pivot > 10
+
+
+class TestRankOnlyCallers:
+    """Callers that read only a rank stop after the forward elimination:
+    no back substitution runs for their reductions."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        reductions, substituted = [], []
+        row_reduce, back = _linalg.row_reduce, _linalg._back_substitute
+
+        def reduce(rows):
+            reductions.append(row_reduce(rows))
+            return reductions[-1]
+
+        def substitute(work, *args):
+            substituted.append(work)
+            return back(work, *args)
+
+        monkeypatch.setattr(_linalg, "row_reduce", reduce)
+        monkeypatch.setattr(_linalg, "_back_substitute", substitute)
+        return reductions, substituted
+
+    def test_common_factor(self, spy):
+        conic = em.rank_kernel(em.build_moment_matrix(
+            conic_without_real_points())).kernel
+        spy[0].clear()
+        spy[1].clear()
+        assert variety._common_factor(conic) == conic[0]
+        assert len(spy[0]) == 1 and spy[1] == []
+
+    def test_flatness(self, spy, ex71):
+        matrix = em.build_moment_matrix(ex71)
+        verdict = moments._flatness(matrix, 8)
+        assert (verdict.rank, verdict.rank_previous) == (8, 6)
+        assert len(spy[0]) == 1 and spy[1] == []
+
+    def test_eval_matrix_rank(self, spy):
+        w = em.build_W([(F(1), F(2)), (F(3), F(4)), (F(-1), F(0))], 2)
+        assert em.eval_matrix_rank(w) == 3
+        assert len(spy[0]) == 1 and spy[1] == []
+
+    def test_tightness_check(self, spy, prop61, prop61_deg8):
+        # The kernels of M(n) and M(n+1) are back-substituted; the span of
+        # the shifts of ker M(n), whose rank is the bound, is not.
+        verdict = em.tightness_check(em.build_moment_matrix(prop61),
+                                     em.build_moment_matrix(prop61_deg8))
+        assert verdict.bound == 6
+        kernels, span = spy[0][:-1], spy[0][-1]
+        assert len(kernels) == 2
+        assert all(any(w is red.echelon for red in kernels) for w in spy[1])
+        assert not any(w is span.echelon for w in spy[1])
 
 
 class TestAgainstGaussJordan:

@@ -12,12 +12,15 @@ import extremal_moments as em
 from extremal_moments import _linalg, _roots, variety
 from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.cli import run
-from extremal_moments.polycore import InputError, Polynomial
+from extremal_moments.moments import kernel_products
+from extremal_moments.polycore import InputError, Polynomial, monomial_basis
 from extremal_moments.variety import VarietyReport, vanishing_ideal
 
 from conftest import conic_without_real_points, d3_measure, fixture_path
 
 
+FIXTURES = ("ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
+            "ex71", "thm62_a8_8")
 SQRT6 = math.sqrt(6.0)
 SQRT15 = math.sqrt(15.0)
 
@@ -160,11 +163,81 @@ class TestComputeVariety:
             em.compute_variety([Polynomial(2, {})])
 
 
+def _sympy_quotient(kernel):
+    """``(basis, [M_i])`` of ``variety._quotient`` for an exact kernel, with
+    every Macaulay matrix reduced by sympy's rref and the multiplication
+    matrices M_i in Rationals; None when no degree up to 2n + 2 gives one."""
+    d = kernel[0].d
+    n = max(int(p.degree) for p in kernel)
+    for top in range(n + 1, 2 * n + 3):
+        columns = monomial_basis(d, top)[::-1]
+        rows = [[sympy.Rational(terms.get(m, 0)) for m in columns]
+                for _, _, terms in kernel_products(kernel, top)]
+        rref, pivots = sympy.Matrix(rows).rref()
+        row_of = {columns[j]: r for r, j in enumerate(pivots)}
+        full = next((e for e in range(top + 1) if all(
+            m in row_of for m in columns if sum(m) == e)), None)
+        if full is None:
+            continue
+        free = [j for j, m in enumerate(columns)
+                if sum(m) < full and m not in row_of]
+        basis = [columns[j] for j in free]
+        if any(variety._lower(b) not in basis for b in basis[:-1]):
+            continue
+
+        def normal_form(m):
+            if m in basis:
+                return [int(b == m) for b in basis]
+            return [-rref[row_of[m], j] for j in free]
+
+        mats = [sympy.Matrix([normal_form(variety._shift(b, e))
+                              for b in basis]).T
+                for e in monomial_basis(d, 1)[1:]]
+        if any(a * b != b * a for a, b in itertools.combinations(mats, 2)):
+            continue
+        one = sympy.Matrix([0] * (len(basis) - 1) + [1])
+
+        def image(a):
+            vector = one
+            for m, e in zip(mats, a):
+                vector = m**e * vector
+            return vector
+
+        if all(sum((sympy.Rational(c) * image(a) for a, c in p.terms.items()),
+                   sympy.zeros(len(basis), 1)) == sympy.zeros(len(basis), 1)
+               for p in kernel):
+            return basis, mats
+    return None
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_quotient_against_sympy_rref(fixture):
+    # The integer normal forms read off the fraction-free elimination are
+    # sympy's Rational ones over the lcm of their denominators.
+    kernel = kernel_of(em.load_multisequence(
+        fixture_path(f"{fixture}.moments.json")))
+    quotient = variety._quotient(kernel, True)
+    want = _sympy_quotient(kernel)
+    assert (quotient is None) == (want is None)
+    if want is None:
+        return
+    basis, mats, scale, images = quotient
+    assert basis == want[0]
+    assert scale == math.lcm(*(x.q for m in want[1] for x in m))
+    for m, w in zip(mats, want[1]):
+        assert sympy.Matrix(m) / scale == w
+    for a, vector in images.items():
+        power = sympy.Matrix([0] * (len(basis) - 1) + [1])
+        for m, e in zip(want[1], a):
+            power = m**e * power
+        assert sympy.Matrix(vector) == scale**sum(a) * power
+
+
 class TestRationalPointsReadOffTheForm:
     """At rational roots of the separating form's minimal polynomial every
-    coordinate is h_i(tau): one isolation, no enclosure, and no Krylov
-    elimination beyond one per coordinate and one per failed form; when
-    x_1 spans A, only x_1's."""
+    coordinate is h_i(tau): one isolation, no enclosure, and one Krylov
+    elimination per form tried, none for a coordinate's own minimal
+    polynomial; when x_1 spans A, only x_1's."""
 
     @staticmethod
     def solve(kernel, monkeypatch):
@@ -200,7 +273,7 @@ class TestRationalPointsReadOffTheForm:
           (F(3), F(5, 2)), (F(-1), F(-3))], 0, 1),
         # t = x, x + y and x - y each take one value at two atoms.
         ([(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(-2)),
-          (F(2), F(1)), (F(-1, 2), F(3))], 3, 5),
+          (F(2), F(1)), (F(-1, 2), F(3))], 3, 4),
         ([(F(-2),), (F(1, 3),), (F(5, 2),)], 0, 1),
     ], ids=("distinct-x", "shared-x", "d1"))
     def test_one_isolation_for_rational_points(self, atoms, failed, krylov,
@@ -243,7 +316,8 @@ class TestRationalPointsReadOffTheForm:
         report, calls = self.solve(kernel_of(beta), monkeypatch)
         assert sorted(report.points) == atoms
         assert (calls["roots"], calls["enclose"]) == (1, 0)
-        assert calls["krylov"] == 3 + calls["failed"]
+        assert calls["krylov"] == 1 + calls["failed"]
+        assert calls["minimal"] == 0
 
 
 def _poly(expr, x, y):
