@@ -12,7 +12,10 @@ necessary.  Float data accepts a candidate
 whose moments interpolate the data, and looks for an inconsistency witness
 when they do not.  Rational coordinates enter exact densities exactly,
 irrational ones as midpoints of isolating intervals of width REFINE_WIDTH.
-Supplied points may be only part of the variety, so they never refute.
+Supplied points may be only part of the variety, so they never refute;
+nor does a singular V_B of a supplied basis: a measure on V makes the
+pivot columns independent on V, hence their V_B invertible, but a supplied
+basis may be dependent on V whatever the data.
 ``solve_extremal`` takes the data or its ``Pipeline``, and reads every stage
 it needs from that one object.
 """
@@ -169,6 +172,10 @@ def solve_extremal(beta: Multisequence | Pipeline,
         densities = _linalg.solve_linear(rows, [riesz(beta, b)
                                                 for b in polys])
     except _linalg.SingularMatrixError:
+        if basis is not None:  # it may be dependent on V
+            return report("Unknown", reason="SingularVB: V_B of the "
+                          "supplied basis is singular on the variety; only "
+                          "that of the pivot basis refutes")
         return _refuted(report, pipe, reason="SingularVB",
                         witness=pipe.injectivity.witness)
     measure = AtomicMeasure(beta.d, variety.points, tuple(densities))

@@ -2,7 +2,10 @@
 
 Every kernel, exact or float and in any number of variables, is solved in
 the quotient algebra A = R[x]/I of its ideal I, whose multiplication
-matrices come from one Macaulay matrix of the kernel's products.  Exact
+matrices come from one Macaulay matrix of the kernel's products.  Its rows
+are built from integer-coded exponents (base top + 1, so that x^s * x^a
+has the code code(s) + code(a)): each kernel element's support is coded
+once, and each row x^s * p is filled by integer adds and lookups.  Exact
 kernels read the real points from A exactly, by the rational univariate
 representation: a linear form t separating them gives every coordinate as
 a polynomial x_i = h_i(t), so the points are the real roots tau of t's
@@ -24,7 +27,9 @@ degree <= n span the kernel (one exact elimination).  Such a g certifies
 an infinite variety when it takes both signs at sampled rational points
 (its zero set then separates the plane), and leaves it Unknown otherwise.
 A common factor that is no kernel element finds no normal set, Unknown.
-Float kernels read the points from the eigenvectors of one generic
+Float multiplication matrices commute when the largest entry of one numpy
+product ab - ba is negligible against len(a) * max|a| * max|b|.  Float
+kernels read the points from the eigenvectors of one generic
 combination of the multiplication matrices, average each cluster (a
 multiple zero), and filter every real point by the residuals of *all*
 kernel elements.  A float kernel whose reduction puts 1 in its ideal
@@ -41,7 +46,7 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from . import _linalg, _roots
-from .moments import KernelReport, kernel_products
+from .moments import KernelReport
 from .polycore import (
     RESIDUAL_TOL,
     InputError,
@@ -155,10 +160,10 @@ def _common_factor(kernel) -> Optional[Polynomial]:
         return None
     g = lowest[0]
     n = max(int(p.degree) for p in kernel)
-    shifts = list(kernel_products([g], n))
-    rows = _macaulay_rows(shifts + [(p, (0, 0), p.terms) for p in kernel],
+    rows = _macaulay_rows([(g, n - low)] + [(p, 0) for p in kernel],
                           monomial_basis(2, n), True)
-    return g if _linalg.row_reduce(rows).rank == len(shifts) else None
+    shifts = len(rows) - len(kernel)
+    return g if _linalg.row_reduce(rows).rank == shifts else None
 
 
 def _changes_sign(g: Polynomial) -> bool:
@@ -240,12 +245,14 @@ def _quotient(kernel, exact: bool):
     scale, float kernels float matrices over scale 1.
 
     For D = n+1, n+2, ... the products x^a*k of degree <= D are reduced
-    with columns in descending degree.  B is the set of non-pivot monomials
+    with columns in descending degree; ``_macaulay_rows`` builds them from
+    exponents coded in base D + 1.  B is the set of non-pivot monomials
     below the first degree whose monomials are all pivots, and the normal
     forms of the x_i*b give the M_i.  If B is connected to 1 and the M_i
     commute, the relations x_i*b - NF(x_i*b) in I make B a basis of A/J for
     the ideal J they generate (Mourrain 1999); J = I once every
-    k(M)*1 = 0.  Float matrices pass both tests up to ``negligible``.  An
+    k(M)*1 = 0.  Float matrices pass both tests up to ``negligible``, the
+    commutation test as one numpy product (``_commute``).  An
     exact normal form is read in integers off the rows of the x_i*b, on
     the columns of B (``LinearReduction.integer_columns``)."""
     d = kernel[0].d
@@ -253,7 +260,7 @@ def _quotient(kernel, exact: bool):
     for top in range(n + 1, 2 * n + 3):
         columns = monomial_basis(d, top)[::-1]
         reduction = _linalg.row_reduce(_macaulay_rows(
-            kernel_products(kernel, top), columns, exact))
+            [(p, top - int(p.degree)) for p in kernel], columns, exact))
         row_of = {columns[j]: r for r, j in enumerate(reduction.pivots)}
         full = next((e for e in range(top + 1) if all(
             m in row_of for m in columns if total_degree(m) == e)), None)
@@ -287,21 +294,33 @@ def _quotient(kernel, exact: bool):
     return None
 
 
-def _macaulay_rows(products, columns, exact: bool) -> list:
-    """One row per product ``(p, s, terms)`` of ``kernel_products`` (terms
-    the monomials of x^s * p) over the monomial *columns*: exact rows are
-    the integers of p cleared of its denominators, once per p."""
-    where = {m: j for j, m in enumerate(columns)}
-    cleared = {}
+def _macaulay_rows(elements, columns, exact: bool) -> list:
+    """One row x^s * p over the monomial *columns* for each ``(p, k)`` of
+    *elements* and each shift s of degree <= k, in that order and s in
+    degree-lex order.  Exponents are coded as integers in base top + 1,
+    top the highest column degree, so that x^s * x^a has the code
+    code(s) + code(a): each p's support is coded once, and each row is
+    filled by integer adds and lookups.  Exact rows are the integers of p
+    cleared of its denominators."""
+    base = 1 + max(map(sum, columns))
+
+    def code(a) -> int:
+        value = 0
+        for e in a:
+            value = value * base + e
+        return value
+
+    where = {code(m): j for j, m in enumerate(columns)}
     rows = []
-    for p, _, terms in products:
-        coeffs = cleared.get(id(p))
-        if coeffs is None:
-            coeffs = cleared[id(p)] = clear_denominators(
-                p.terms.values())[0] if exact else list(p.terms.values())
-        rows.append([0] * len(columns))
-        for m, c in zip(terms, coeffs):
-            rows[-1][where[m]] = c
+    for p, k in elements:
+        coeffs = clear_denominators(p.terms.values())[0] if exact \
+            else list(p.terms.values())
+        support = list(zip(map(code, p.terms), coeffs))
+        for s in map(code, monomial_basis(p.d, k)):
+            row = [0] * len(columns)
+            for a, c in support:
+                row[where[s + a]] = c
+            rows.append(row)
     return rows
 
 
@@ -328,14 +347,20 @@ def _images(monomials, mats, images) -> dict:
 
 
 def _commute(a, b, exact: bool) -> bool:
-    """Is ab = ba, up to ``negligible`` against |a||b| for floats?"""
+    """Is ab = ba, up to ``negligible`` against |a||b| for floats?  Float
+    matrices are multiplied by numpy, and the largest entry of ab - ba is
+    tested (a NaN is never negligible)."""
+    if not exact:
+        import numpy as np
+
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        bound = len(a) * np.max(np.abs(a), initial=0) * np.max(np.abs(b),
+                                                                initial=0)
+        return negligible(np.max(np.abs(a @ b - b @ a), initial=0),
+                          float(bound))
     ab = [_linalg.mat_vec(a, col) for col in zip(*b)]
     ba = [_linalg.mat_vec(b, col) for col in zip(*a)]
-    bound = 1.0 if exact else len(a) * max(
-        (abs(x) for row in a for x in row), default=0) * max(
-        (abs(x) for row in b for x in row), default=0)
-    return all(negligible(x - y, bound)
-               for u, v in zip(ab, ba) for x, y in zip(u, v))
+    return all(negligible(x - y) for u, v in zip(ab, ba) for x, y in zip(u, v))
 
 
 def _annihilates(kernel, images, scale, exact: bool) -> bool:

@@ -392,6 +392,17 @@ class TestSolveVariants:
             em.solve_extremal(beta, points=points[:1] + points[:1]
                               + points[2:])
 
+    def test_singular_supplied_basis_is_unknown(self, ex15):
+        # Two of Example 15's points share x = -1/2, so 1, X, X^2, X^3 are
+        # dependent on its variety and their V_B is singular, although the
+        # data has a measure: only the pivot basis's V_B refutes.
+        report = em.solve_extremal(ex15, basis=((0, 0), (1, 0), (2, 0),
+                                                (3, 0)))
+        assert report.status == "Unknown"
+        assert report.reason.startswith("SingularVB")
+        assert report.witness is None and report.measure is None
+        assert em.solve_extremal(ex15).status == "Measure"
+
     def test_basis_size_enforced(self, ex15):
         with pytest.raises(ValueError):
             em.solve_extremal(ex15, basis=((0, 0), (1, 0)))

@@ -13,10 +13,21 @@ from extremal_moments import _linalg, _roots, variety
 from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.cli import run
 from extremal_moments.moments import kernel_products
-from extremal_moments.polycore import InputError, Polynomial, monomial_basis
+from extremal_moments.polycore import (
+    InputError,
+    Polynomial,
+    clear_denominators,
+    monomial_basis,
+    negligible,
+)
 from extremal_moments.variety import VarietyReport, vanishing_ideal
 
-from conftest import conic_without_real_points, d3_measure, fixture_path
+from conftest import (
+    as_float,
+    conic_without_real_points,
+    d3_measure,
+    fixture_path,
+)
 
 
 FIXTURES = ("ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
@@ -231,6 +242,112 @@ def test_quotient_against_sympy_rref(fixture):
         for m, e in zip(want[1], a):
             power = m**e * power
         assert sympy.Matrix(vector) == scale**sum(a) * power
+
+
+def _scattered_rows(products, columns, exact):
+    """The Macaulay rows built from ``kernel_products`` triples, each
+    product's monomials scattered onto *columns* by tuple lookup: the
+    reference for the integer-coded ``variety._macaulay_rows``."""
+    where = {m: j for j, m in enumerate(columns)}
+    rows = []
+    for p, _, terms in products:
+        coeffs = clear_denominators(p.terms.values())[0] if exact \
+            else list(p.terms.values())
+        rows.append([0] * len(columns))
+        for m, c in zip(terms, coeffs):
+            rows[-1][where[m]] = c
+    return rows
+
+
+def _seeded_kernel(rng, d, exact):
+    """One to four polynomials in d variables of degree 1 to 3 with seeded
+    supports and nonzero coefficients, rational or float."""
+    kernel = []
+    for _ in range(rng.randint(1, 4)):
+        monomials = monomial_basis(d, rng.randint(1, 3))
+        support = rng.sample(monomials[1:], rng.randint(1, len(monomials)
+                                                        - 1))
+        support += [monomials[0]] * rng.randint(0, 1)
+        kernel.append(Polynomial(d, {
+            m: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+            if exact else rng.uniform(0.1, 3) * rng.choice((-1, 1))
+            for m in support}))
+    return kernel
+
+
+def _assembly_kernels():
+    """Every fixture's kernel, its float twin's, and seeded exact and float
+    kernels in d = 1, 2 and 3."""
+    rng = random.Random(29)
+    kernels = []
+    for fixture in FIXTURES:
+        beta = em.load_multisequence(fixture_path(f"{fixture}.moments.json"))
+        kernels += [pytest.param(kernel_of(beta), id=fixture),
+                    pytest.param(kernel_of(as_float(beta)),
+                                 id=fixture + " float")]
+    for d, exact, draw in itertools.product((1, 2, 3), (True, False),
+                                            range(3)):
+        kernels.append(pytest.param(
+            _seeded_kernel(rng, d, exact),
+            id=f"d{d} {'exact' if exact else 'float'} #{draw}"))
+    return kernels
+
+
+@pytest.mark.parametrize("kernel", _assembly_kernels())
+def test_macaulay_rows_match_the_scattered_products(kernel):
+    # Every degree _quotient tries, and _common_factor's shifts of the
+    # lowest element followed by the kernel over the ascending columns.
+    d, exact = kernel[0].d, all(p.is_exact for p in kernel)
+    n = max(int(p.degree) for p in kernel)
+    for top in range(n + 1, 2 * n + 3):
+        columns = monomial_basis(d, top)[::-1]
+        assert variety._macaulay_rows(
+            [(p, top - int(p.degree)) for p in kernel], columns, exact) \
+            == _scattered_rows(kernel_products(kernel, top), columns, exact)
+    g = min(kernel, key=lambda p: p.degree)
+    products = list(kernel_products([g], n)) + [(p, (0,) * d, p.terms)
+                                                for p in kernel]
+    columns = monomial_basis(d, n)
+    assert variety._macaulay_rows(
+        [(g, n - int(g.degree))] + [(p, 0) for p in kernel], columns,
+        exact) == _scattered_rows(products, columns, exact)
+
+
+def _commute_by_mat_vec(a, b):
+    """The float commutation test by ``_linalg.mat_vec``: every entry of
+    ab - ba negligible against len(a) * max|a| * max|b|."""
+    ab = [_linalg.mat_vec(a, col) for col in zip(*b)]
+    ba = [_linalg.mat_vec(b, col) for col in zip(*a)]
+    bound = len(a) * max((abs(x) for row in a for x in row), default=0) \
+        * max((abs(x) for row in b for x in row), default=0)
+    return all(negligible(x - y, bound)
+               for u, v in zip(ab, ba) for x, y in zip(u, v))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_commute_matches_mat_vec(seed):
+    # b a polynomial in a commutes; b perturbed by 1e-3 of its size in one
+    # entry does not, far above the bound's 1e-7 relative tolerance.
+    rng = random.Random(seed)
+    size = rng.randint(2, 7)
+    a = [[rng.uniform(-4, 4) for _ in range(size)] for _ in range(size)]
+    square = _linalg.transpose([_linalg.mat_vec(a, col) for col in zip(*a)])
+    c = [rng.uniform(-2, 2) for _ in range(3)]
+    b = [[c[0] * (i == j) + c[1] * a[i][j] + c[2] * square[i][j]
+          for j in range(size)] for i in range(size)]
+    assert variety._commute(a, b, False) is _commute_by_mat_vec(a, b) is True
+    i, j = rng.randrange(size), rng.randrange(size)
+    b[i][j] += 1e-3 * max(abs(x) for row in b for x in row)
+    assert variety._commute(a, b, False) is _commute_by_mat_vec(a, b) \
+        is False
+
+
+@pytest.mark.parametrize("a, b", [([], []), ([[2.5]], [[-1e300]]),
+                                  ([[0.0]], [[0.0]])],
+                         ids=("empty", "1x1", "1x1 zero"))
+def test_float_commute_of_tiny_matrices(a, b):
+    # An ideal holding 1 has the empty basis, whose matrices are [].
+    assert variety._commute(a, b, False) is _commute_by_mat_vec(a, b) is True
 
 
 class TestRationalPointsReadOffTheForm:
