@@ -1,31 +1,32 @@
 """Exact (rational) and floating linear algebra used across the package.
 
-Every exact path runs through one fraction-free elimination, ``_eliminate``:
-each row is scaled to integers and the forward elimination uses Bareiss
-one-step updates, so ranks, pivot columns, kernels, solutions, determinants
-and the positive-semidefinite decision are computed without rounding.  The
-elimination behind a reduction also records whether every pivot came, in
-order, from the row of its column and was positive: for a symmetric matrix
-that is the PSD decision itself, so a reduction of M(n) decides M(n) >= 0
-and ``psd_exact`` eliminates again only to build a witness.  The
-RREF and exact solutions come from one fraction-free back substitution,
-``_back_substitute``, in integers and on chosen columns only (a solve's
-one free column is its right-hand side): the last pivot D times the RREF is
-an integer matrix, so each entry takes one exact division.  An exact
-reduction keeps its integer echelon rows and back-substitutes on demand, so
-a caller that reads only the rank stops after the forward pass.
+Every exact path runs through one fraction-free elimination,
+``_eliminate``: each row is scaled to integers and the forward elimination
+uses Bareiss one-step updates, so ranks, pivot columns, kernels, solutions,
+determinants and the positive-semidefinite decision are computed without
+rounding.  The elimination behind a reduction also records whether every
+pivot came, in order, from the row of its column and was positive: for a
+symmetric matrix that is the PSD decision itself, so a reduction of M(n)
+decides M(n) >= 0 and ``psd_exact`` eliminates again only to build a
+witness.  The RREF and exact solutions come from one fraction-free back
+substitution, ``_back_substitute``, in integers and on chosen columns only
+(a solve's one free column is its right-hand side): the last pivot D times
+the RREF is an integer matrix, so each entry takes one exact division.  An
+exact reduction keeps its integer echelon rows and back-substitutes on
+demand, so a caller that reads only the rank stops after the forward pass.
 ``integer_columns`` gives chosen columns as integers over one positive
 scale, the lcm of their reduced denominators, for callers that compute in
 integers (the quotient algebra and the Krylov solve of ``variety``); only
-``rref`` and ``kernel_basis``, for callers that print rationals (kernel
-polynomials, relations), turn the nonzero free entries into Fractions over
-D, once per reduction.  Float paths delegate to numpy, imported on their
-first use (exact callers never load it), and use relative pivot
-thresholds.  The float reduction, ``_row_reduce_float``,
-clears each pivot's column with one masked rank-1 update of the rows that
-have a nonzero entry there; every entry still takes one multiply and one
-subtract, unfused and in the same order as a row-by-row loop, so its bytes
-are those of that loop.
+``rref``, for callers that print rationals, turns the nonzero free entries
+into Fractions over D, once per reduction.  ``kernel_polynomials`` reads
+the kernel off the RREF as polynomials in delta form, the one reader for
+M(n)'s column relations and the relations of the evaluation matrices.
+Float paths delegate to numpy, imported on their first use (exact callers
+never load it), and use relative pivot thresholds.  The float reduction,
+``_row_reduce_float``, clears each pivot's column with one masked rank-1
+update of the rows that have a nonzero entry there; every entry still takes
+one multiply and one subtract, unfused and in the same order as a
+row-by-row loop, so its bytes are those of that loop.
 
 Pivot columns are always the *first* linearly independent columns in the given
 column order; kernel bases carry the delta structure (unit coefficient on one
@@ -42,6 +43,7 @@ from typing import Optional, Sequence
 
 from .polycore import (
     RANK_TOL,
+    Polynomial,
     Scalar,
     all_exact,
     field,
@@ -92,8 +94,9 @@ class LinearReduction:
     A float reduction's echelon rows are its RREF.  An exact reduction keeps
     the integer echelon rows of ``_eliminate`` and back-substitutes only on
     demand: ``integer_columns`` reads chosen RREF columns in integers, and
-    the Fraction forms ``rref`` and ``kernel_basis`` are built on first
-    use, so a caller that reads only the rank runs no back substitution."""
+    the Fraction RREF ``rref``, which ``kernel_polynomials`` reads, is
+    built on first use, so a caller that reads only the rank runs no back
+    substitution."""
 
     nrows: int
     ncols: int
@@ -143,20 +146,17 @@ class LinearReduction:
             g = -g
         return [[x // g for x in row] for row in ints], den // g
 
-    def kernel_basis(self) -> list:
-        """Kernel vectors in delta form, one per free column, in column order."""
-        pivot_set = set(self.pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
-            for i, p in enumerate(self.pivots):
-                coeff = self.rref[i][f]
-                if coeff != 0:
-                    vec[p] = -coeff
-            basis.append(vec)
-        return basis
+    def kernel_polynomials(self, labels) -> list:
+        """The kernel in delta form, one polynomial for each free column f
+        in column order: labels[f] - sum_i rref[i][f] * labels[pivots[i]],
+        its terms in column order and zero entries skipped.  The columns
+        are those of *labels*: a reduction of no rows has ncols 0."""
+        row_of = dict(zip(self.pivots, self.rref))
+        return [Polynomial(len(labels[f]), {
+            m: Fraction(1) if j == f else -row_of[j][f]
+            for j, m in enumerate(labels)
+            if j == f or j in row_of and row_of[j][f]})
+            for f in range(len(labels)) if f not in row_of]
 
 
 def row_reduce(rows: Sequence[Sequence[Scalar]]) -> LinearReduction:
@@ -378,7 +378,8 @@ def psd_exact(rows, pivots=None):
     exactly when A[P,P] is not positive definite, that is (Sylvester's
     criterion) when the elimination of A[P,P] takes some pivot off the
     diagonal or gets a negative one.  At the first step k that does, the
-    lifts u_j = e_j - (A_k^-1 A[:k, j], 0) against the leading block A_k have
+    lifts u_j = e_j - (A_k^-1 A[:k, j], 0) against the leading block A_k,
+    read off that elimination's first k rows by back substitution, have
     u_j^T A u_l = s_jl, the Schur complement.  Either s_kk < 0 and u_k is the
     witness, or s_kk = 0, row l was swapped in with s_kl != 0, and
     u_k - t u_l with t = s_kl / (|s_ll| + 1) is.
@@ -397,10 +398,11 @@ def psd_exact(rows, pivots=None):
         return True, None
 
     def lift(j):
-        head = solve_linear([row[:k] for row in block[:k]],
-                            [row[j] for row in block[:k]])
-        return [-y for y in head] + [Fraction(int(i == j))
-                                     for i in range(k, size)]
+        # Steps before k took no row exchange, so the first k echelon rows
+        # are those of A_k alone: their RREF column j is A_k^-1 A[:k, j].
+        den, xs = _back_substitute(work, range(k), [j])
+        return [Fraction(-x, den) for x, in xs] + [
+            Fraction(int(i == j)) for i in range(k, size)]
 
     def form(u, v):
         return dot(u, mat_vec(block, v))

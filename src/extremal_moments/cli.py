@@ -57,13 +57,9 @@ EXIT_INCONCLUSIVE = 3
 def relation_strings(report: KernelReport) -> list:
     """Kernel relations in delta form pretty-printed as 'M = combination':
     M is the one free (non-pivot) monomial of each, with coefficient 1."""
-    out = []
-    pivot_set = set(report.pivots)
-    for p in report.kernel:
-        unit = next(idx for idx in p.terms if idx not in pivot_set)
-        rhs = Polynomial.monomial(report.d, unit) - p
-        out.append(f"{monomial_to_string(unit)} = {poly_to_string(rhs)}")
-    return out
+    return [f"{monomial_to_string(unit)} = "
+            f"{poly_to_string(Polynomial.monomial(report.d, unit) - p)}"
+            for unit, p in zip(report.free, report.kernel)]
 
 
 # ---------------------------------------------------------------------------

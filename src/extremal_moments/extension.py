@@ -3,14 +3,16 @@
 Propagation treats every kernel element p as a column relation that must
 persist: in M(n+1) each column x^u*p with deg(u*p) <= n+1 must vanish
 against each row x^t of degree <= n+1, so the functional must annihilate
-every product x^s*p with deg(s) <= 2n+2 - deg p, each written once.  A
-worklist solves these equations for the unknown degree 2n+1 and 2n+2
-moments; a moment is well defined only when *every* derivation path agrees,
-and a disagreement is a certificate that no representing measure exists (a
-measure supported on the kernel's variety would satisfy all paths).  The
+every product x^s*p with deg(s) <= 2n+2 - deg p, each one row of
+``moments.macaulay_rows``, written once.  A worklist solves these
+equations for the unknown degree 2n+1 and 2n+2 moments; a moment is well
+defined only when *every* derivation path agrees, and a disagreement is a
+certificate that no representing measure exists (a measure supported on
+the kernel's variety would satisfy all paths).  The
 extended matrix is rebuilt from the extended multisequence, so it is Hankel
 by construction; it is the ``extended`` Pipeline's ``matrix``, and a step's
-flatness compares that pipeline's kernel rank with the rank of M(n).
+flatness compares that pipeline's kernel rank with the rank of M(n).  The
+search ends ``NotPSD`` before any step when M(n) itself is not PSD.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .moments import (
     MomentMatrix,
     Multisequence,
     PsdVerdict,
-    kernel_products,
+    macaulay_rows,
     rank_kernel,
 )
 from .pipeline import Pipeline
@@ -83,8 +85,14 @@ def propagate_recursive_extension(matrix: MomentMatrix,
     beta = matrix.beta
     known = dict(beta.values)
 
-    equations = [(terms, (p, s)) for p, s, terms
-                 in kernel_products(report.kernel, 2 * n + 2)]
+    # A row's nonzero entries, in column order, are p's terms in p's own
+    # (degree-lex) order, so each dot below sums them in that order.
+    columns = monomial_basis(d, 2 * n + 2)
+    elements = [(p, 2 * n + 2 - int(p.degree)) for p in report.kernel]
+    shifts = [(p, s) for p, k in elements for s in monomial_basis(d, k)]
+    equations = [({columns[j]: c for j, c in enumerate(row) if c}, source)
+                 for row, source in zip(macaulay_rows(elements, columns,
+                                                      False), shifts)]
 
     changed = True
     while changed:
@@ -102,8 +110,7 @@ def propagate_recursive_extension(matrix: MomentMatrix,
             known[target] = -rest / c0
             changed = True
 
-    wanted = [idx for idx in monomial_basis(d, 2 * n + 2)
-              if total_degree(idx) > 2 * n]
+    wanted = [idx for idx in columns if total_degree(idx) > 2 * n]
     undetermined = tuple(idx for idx in wanted if idx not in known)
 
     scale = magnitude(known.values())
@@ -139,10 +146,9 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
     k_n = rank_kernel(m_n)
     k_n1 = rank_kernel(m_n1)
     dim_next = k_n1.nullity
-    basis_n1 = m_n1.basis
-    span_rows = [[terms.get(idx, 0) for idx in basis_n1]
-                 for _, _, terms in kernel_products(k_n.kernel, m_n.n + 1)]
-    bound = _linalg.row_reduce(span_rows).rank if span_rows else 0
+    bound = _linalg.row_reduce(macaulay_rows(
+        [(p, m_n.n + 1 - int(p.degree)) for p in k_n.kernel], m_n1.basis,
+        False)).rank
 
     witness = None
     value = None
@@ -181,9 +187,12 @@ def tightness_check(m_n: MomentMatrix, m_n1: MomentMatrix,
 def extension_search(beta: Multisequence,
                      max_steps: int = 3) -> ExtensionSearchReport:
     """Iterate recursive propagation until a flat extension, a certificate,
-    or exhaustion of the step budget.  Each step's M(n+1) pipeline is the
-    next step's M(n) and, at a flat extension, the handoff solve's input."""
+    or exhaustion of the step budget; an M(n) that is not PSD is the
+    certificate before any step.  Each step's M(n+1) pipeline is the next
+    step's M(n) and, at a flat extension, the handoff solve's input."""
     current = Pipeline(beta)
+    if not current.psd.ok:
+        return ExtensionSearchReport((), "NotPSD", None, current)
     steps = []
     for _ in range(max_steps):
         if current.kernel.nullity == 0:

@@ -6,6 +6,11 @@ linearly to polynomials; the moment matrix M(n) is indexed by monomials of
 degree <= n with entries beta[i + j], so that <M(n) p, q> equals the
 functional applied to p*q (a Hankel-type structure: each entry is looked
 up by its index sum, so equal sums can never disagree).
+
+Kernel polynomials p come from one reader,
+``LinearReduction.kernel_polynomials``, and their products x^s * p from
+one builder, ``macaulay_rows``, which recursiveness here, ``extension``
+and ``variety`` read.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .polycore import (
     Polynomial,
     Scalar,
     all_exact,
+    clear_denominators,
     ensure_scalar,
     field,
     format_scalar,
@@ -130,17 +136,6 @@ class MomentMatrix:
     def is_exact(self) -> bool:
         return self.beta.is_exact
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def apply(self, p: Polynomial) -> list:
-        """M(n) times the coefficient vector of *p* in the matrix basis."""
-        vec = [p.coefficient(idx) for idx in self.basis]
-        extra = {idx for idx in p.terms if idx not in set(self.basis)}
-        if extra:
-            raise ValueError(f"polynomial has monomials outside basis: {extra}")
-        return _linalg.mat_vec(self.rows, vec)
-
 
 def build_moment_matrix(beta: Multisequence) -> MomentMatrix:
     """Assemble M(n) from *beta*, n = degree // 2."""
@@ -180,6 +175,12 @@ class KernelReport:
     @property
     def nullity(self) -> int:
         return len(self.kernel)
+
+    @property
+    def free(self) -> tuple:
+        """The free monomials in column order: kernel[i] has coefficient 1
+        on free[i]."""
+        return tuple(m for m in self.basis if m not in self.pivots)
 
 
 @record
@@ -224,38 +225,56 @@ def rank_kernel(matrix: MomentMatrix) -> KernelReport:
     """Rank, pivot monomials (first independent columns in degree-lex), and a
     kernel basis in delta form."""
     reduction = _linalg.row_reduce(matrix.rows)
-    pivots = tuple(matrix.basis[j] for j in reduction.pivots)
-    kernel = []
-    for vec in reduction.kernel_basis():
-        kernel.append(Polynomial(matrix.d, dict(zip(matrix.basis, vec))))
-    return KernelReport(matrix.d, matrix.n, matrix.basis,
-                        reduction.rank, pivots, tuple(kernel),
+    return KernelReport(matrix.d, matrix.n, matrix.basis, reduction.rank,
+                        tuple(matrix.basis[j] for j in reduction.pivots),
+                        tuple(reduction.kernel_polynomials(matrix.basis)),
                         reduction.positive_diagonal)
 
 
-def kernel_products(kernel, top: int):
-    """``(p, s, terms)`` for every kernel element p and every shift s with
-    |s| <= top - deg p, in kernel and degree-lex order: *terms* maps the
-    monomials of x^s * p to their coefficients."""
-    for p in kernel:
-        for s in monomial_basis(p.d, top - int(p.degree)):
-            yield p, s, {tuple(a + b for a, b in zip(idx, s)): c
-                         for idx, c in p.terms.items()}
+def macaulay_rows(elements, columns, integers: bool) -> list:
+    """One row x^s * p over the monomial *columns* for each ``(p, k)`` of
+    *elements* and each shift s of degree <= k, in that order and s in
+    degree-lex order: the kernel products that recursiveness, propagation,
+    tightness and the quotient algebra read.  Exponents are coded as
+    integers in base top + 1, top the highest column degree, so that
+    x^s * x^a has the code code(s) + code(a): each p's support is coded
+    once, and each row is filled by integer adds and lookups.  A row holds
+    p's coefficients, cleared of their denominators with *integers*."""
+    base = 1 + max(map(sum, columns))
+
+    def code(a) -> int:
+        value = 0
+        for e in a:
+            value = value * base + e
+        return value
+
+    where = {code(m): j for j, m in enumerate(columns)}
+    rows = []
+    for p, k in elements:
+        coeffs = clear_denominators(p.terms.values())[0] if integers \
+            else list(p.terms.values())
+        support = list(zip(map(code, p.terms), coeffs))
+        for s in map(code, monomial_basis(p.d, k)):
+            row = [0] * len(columns)
+            for a, c in support:
+                row[where[s + a]] = c
+            rows.append(row)
+    return rows
 
 
 def recursiveness_check(matrix: MomentMatrix,
                         report: KernelReport) -> RecursivenessVerdict:
     """Check that p in ker M(n) forces (u*p) in ker M(n) for every monomial u
-    with deg(u*p) <= n."""
-    scale = magnitude(matrix.entry(i, j) for i in range(matrix.size)
-                      for j in range(matrix.size))
-    for p, s, terms in kernel_products(report.kernel, matrix.n):
-        if not any(s):
-            continue
-        product = Polynomial(matrix.d, terms)
-        if any(significant(x, scale) for x in matrix.apply(product)):
-            return RecursivenessVerdict(
-                "Violation", (p, Polynomial.monomial(matrix.d, s), product))
+    with deg(u*p) <= n: M(n) times each row x^s * p, s != 0, vanishes."""
+    scale = matrix.beta.scale()  # M(n) holds every moment
+    elements = [(p, matrix.n - int(p.degree)) for p in report.kernel]
+    shifts = [(p, s) for p, k in elements for s in monomial_basis(matrix.d, k)]
+    for (p, s), row in zip(shifts, macaulay_rows(elements, matrix.basis,
+                                                 False)):
+        if any(s) and any(significant(x, scale)
+                          for x in _linalg.mat_vec(matrix.rows, row)):
+            u = Polynomial.monomial(matrix.d, s)
+            return RecursivenessVerdict("Violation", (p, u, u * p))
     return RecursivenessVerdict("RecursivelyGenerated")
 
 

@@ -2,25 +2,22 @@
 
 Every kernel, exact or float and in any number of variables, is solved in
 the quotient algebra A = R[x]/I of its ideal I, whose multiplication
-matrices come from one Macaulay matrix of the kernel's products.  Its rows
-are built from integer-coded exponents (base top + 1, so that x^s * x^a
-has the code code(s) + code(a)): each kernel element's support is coded
-once, and each row x^s * p is filled by integer adds and lookups.  Exact
-kernels read the real points from A exactly, by the rational univariate
-representation: a linear form t separating them gives every coordinate as
-a polynomial x_i = h_i(t), so the points are the real roots tau of t's
-minimal polynomial, isolated first.  At a rational tau each coordinate is
-h_i(tau), evaluated in integers; only at an irrational tau is a
-coordinate's own minimal polynomial isolated (once), its root that h_i
-meets on tau's interval being the coordinate: exact when it is rational,
-else the midpoint of a refined interval.  An ideal with a multiple zero,
-told by the isolation of the first form t whose powers span A (or by a
-multiple root of a form that fails to), is replaced by its radical first.
-The exact stage computes in integers: the Macaulay rows are kernel
-elements cleared of their denominators once, and the normal forms and
-Krylov coordinates are read off the fraction-free elimination as integers
-over one scale (``LinearReduction.integer_columns``); Fractions are made
-only for the points and the relations that are printed.
+matrices come from one Macaulay matrix of the kernel's products
+(``moments.macaulay_rows``).  Exact kernels read the real points from A
+exactly, by the rational univariate representation: a linear form t
+separating them gives every coordinate as a polynomial x_i = h_i(t), so the
+points are the real roots tau of t's minimal polynomial, isolated first.
+At a rational tau each coordinate is h_i(tau), evaluated in integers; only
+at an irrational tau is a coordinate's own minimal polynomial isolated
+(once), its root that h_i meets on tau's interval being the coordinate:
+exact when it is rational, else the midpoint of a refined interval.  An
+ideal with a multiple zero, told by the isolation of the first form t whose
+powers span A (or by a multiple root of a form that fails to), is replaced
+by its radical first.  The exact stage computes in integers: the Macaulay
+rows are kernel elements cleared of their denominators once, and the normal
+forms and Krylov coordinates are read off the fraction-free elimination as
+integers over one scale (``LinearReduction.integer_columns``); Fractions
+are made only for the points and the relations that are printed.
 In two variables an exact kernel is first tested for a common factor g of
 its own: the one element of lowest degree, when its products x^s * g of
 degree <= n span the kernel (one exact elimination).  Such a g certifies
@@ -35,7 +32,9 @@ multiple zero), and filter every real point by the residuals of *all*
 kernel elements.  A float kernel whose reduction puts 1 in its ideal
 certifies no empty set: rounding alone can do that (one atom at 1e100).
 The evaluation matrices W_k and V_B are ``polycore.values_at`` of monomials
-or basis polynomials at the points, so exact points are summed in integers.
+or basis polynomials at the points, so exact points are summed in integers;
+the relations of W_k are read off its reduction by the one kernel reader,
+``LinearReduction.kernel_polynomials``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from . import _linalg, _roots
-from .moments import KernelReport
+from .moments import KernelReport, macaulay_rows
 from .polycore import (
     RESIDUAL_TOL,
     InputError,
@@ -160,8 +159,8 @@ def _common_factor(kernel) -> Optional[Polynomial]:
         return None
     g = lowest[0]
     n = max(int(p.degree) for p in kernel)
-    rows = _macaulay_rows([(g, n - low)] + [(p, 0) for p in kernel],
-                          monomial_basis(2, n), True)
+    rows = macaulay_rows([(g, n - low)] + [(p, 0) for p in kernel],
+                         monomial_basis(2, n), True)
     shifts = len(rows) - len(kernel)
     return g if _linalg.row_reduce(rows).rank == shifts else None
 
@@ -245,7 +244,7 @@ def _quotient(kernel, exact: bool):
     scale, float kernels float matrices over scale 1.
 
     For D = n+1, n+2, ... the products x^a*k of degree <= D are reduced
-    with columns in descending degree; ``_macaulay_rows`` builds them from
+    with columns in descending degree; ``macaulay_rows`` builds them from
     exponents coded in base D + 1.  B is the set of non-pivot monomials
     below the first degree whose monomials are all pivots, and the normal
     forms of the x_i*b give the M_i.  If B is connected to 1 and the M_i
@@ -259,7 +258,7 @@ def _quotient(kernel, exact: bool):
     n = max(int(p.degree) for p in kernel)
     for top in range(n + 1, 2 * n + 3):
         columns = monomial_basis(d, top)[::-1]
-        reduction = _linalg.row_reduce(_macaulay_rows(
+        reduction = _linalg.row_reduce(macaulay_rows(
             [(p, top - int(p.degree)) for p in kernel], columns, exact))
         row_of = {columns[j]: r for r, j in enumerate(reduction.pivots)}
         full = next((e for e in range(top + 1) if all(
@@ -292,36 +291,6 @@ def _quotient(kernel, exact: bool):
         if _annihilates(kernel, images, scale, exact):
             return basis, mats, scale, images
     return None
-
-
-def _macaulay_rows(elements, columns, exact: bool) -> list:
-    """One row x^s * p over the monomial *columns* for each ``(p, k)`` of
-    *elements* and each shift s of degree <= k, in that order and s in
-    degree-lex order.  Exponents are coded as integers in base top + 1,
-    top the highest column degree, so that x^s * x^a has the code
-    code(s) + code(a): each p's support is coded once, and each row is
-    filled by integer adds and lookups.  Exact rows are the integers of p
-    cleared of its denominators."""
-    base = 1 + max(map(sum, columns))
-
-    def code(a) -> int:
-        value = 0
-        for e in a:
-            value = value * base + e
-        return value
-
-    where = {code(m): j for j, m in enumerate(columns)}
-    rows = []
-    for p, k in elements:
-        coeffs = clear_denominators(p.terms.values())[0] if exact \
-            else list(p.terms.values())
-        support = list(zip(map(code, p.terms), coeffs))
-        for s in map(code, monomial_basis(p.d, k)):
-            row = [0] * len(columns)
-            for a, c in support:
-                row[where[s + a]] = c
-            rows.append(row)
-    return rows
 
 
 def _shift(a, b) -> tuple:
@@ -687,10 +656,8 @@ def vanishing_ideal(variety: VarietyReport, k: int, d: int) -> tuple:
     columns = monomial_basis(d, k)
     reduction = _linalg.row_reduce(build_W(variety.points, k, d).rows
                                    if variety.points else ())
-    return {a: Polynomial(d, {**{columns[p]: -row[j] for row, p in
-                                 zip(reduction.rref, reduction.pivots)},
-                              a: Fraction(1)})
-            for j, a in enumerate(columns) if j not in reduction.pivots}, True
+    free = [a for j, a in enumerate(columns) if j not in reduction.pivots]
+    return dict(zip(free, reduction.kernel_polynomials(columns))), True
 
 
 def _relation_images(variety: VarietyReport, k: int, d: int):
@@ -733,14 +700,12 @@ def injectivity_check(report: KernelReport,
     rank_w = len(report.basis) - len(relations)
     if rank_w == report.rank:
         return InjectivityVerdict(True, report.rank, rank_w)
-    # Kernel polynomials are in delta form: unit coefficient on one
-    # non-pivot monomial.
-    free_of = {next(idx for idx, c in p.terms.items()
-                    if idx not in report.pivots and c == 1): p
-               for p in report.kernel}
+    # Kernel polynomials are in delta form: unit coefficient on one free
+    # monomial, in column order.
+    free_of = list(zip(report.free, report.kernel))
     for candidate in relations.values():
         reduced = candidate
-        for idx, p in free_of.items():
+        for idx, p in free_of:
             c = reduced.coefficient(idx)
             if c != 0:
                 reduced = reduced - p.scale(c)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 import extremal_moments as em
 
 
@@ -34,7 +36,7 @@ def measure_matrix(measure, m):
 
 def compresses_to(m_n1, m_n):
     """Is the M(n) block of *m_n1* equal to *m_n*?"""
-    return all(m_n1.entry(i, j) == m_n.entry(i, j)
+    return all(m_n1.rows[i][j] == m_n.rows[i][j]
                for i in range(m_n.size) for j in range(m_n.size))
 
 
@@ -188,6 +190,21 @@ class TestExtensionSearch:
         search = em.extension_search(thm62_a8_8, max_steps=3)
         assert search.status == "NotPSD"
         assert len(search.steps) == 1
+
+    @pytest.mark.parametrize("values", [
+        ("1", "0", "-1"), ("1", "0", "-1", "0", "1"),
+        ("1", "2", "3"), (1.0, 0.0, -1.0)],
+        ids=["invertible", "kernel", "other invertible", "float"])
+    def test_non_psd_input_stops_before_any_step(self, values):
+        # With or without a kernel, an M(n) that is not PSD is the
+        # certificate, and no extension is tried.
+        beta = em.Multisequence(1, len(values) - 1, {
+            (i,): F(v) if isinstance(v, str) else v
+            for i, v in enumerate(values)})
+        search = em.extension_search(beta)
+        assert (search.status, search.steps) == ("NotPSD", ())
+        assert search.final.beta == beta
+        assert not search.final.psd.ok
 
     def test_invertible_matrix_undetermined(self):
         beta = em.beta_from_atoms([(F(0),), (F(1),), (F(2),)],

@@ -63,7 +63,7 @@ def in_fresh_interpreter(script: str):
 
 
 def test_exact_goldens_replay_without_numpy():
-    assert len(NOT_FLOAT) == 59
+    assert len(NOT_FLOAT) == 75
     result = in_fresh_interpreter("""
 import json, pathlib, tempfile
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError

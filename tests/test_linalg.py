@@ -20,18 +20,26 @@ def F(*args):
     return Fraction(*args)
 
 
+def kernel_vectors(red, ncols):
+    """The coefficient vectors of ``kernel_polynomials`` on the labels
+    (0,), ..., (ncols - 1,)."""
+    labels = [(j,) for j in range(ncols)]
+    return [[p.coefficient(m) for m in labels]
+            for p in red.kernel_polynomials(labels)]
+
+
 class TestRowReduceExact:
     def test_identity(self):
         red = _linalg.row_reduce([[F(1), F(0)], [F(0), F(1)]])
         assert red.rank == 2 and red.pivots == (0, 1)
-        assert red.kernel_basis() == []
+        assert kernel_vectors(red, 2) == []
 
     def test_rank_deficient_kernel_delta_form(self):
         # x + 2y + 3z = 0 twice: kernel vectors carry a unit on a free column.
         rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
         red = _linalg.row_reduce(rows)
         assert red.rank == 1 and red.pivots == (0,)
-        basis = red.kernel_basis()
+        basis = kernel_vectors(red, 3)
         assert len(basis) == 2
         for vec in basis:
             assert all(x == 0 for x in _linalg.mat_vec(rows, vec))
@@ -67,7 +75,7 @@ class TestRowReduceExact:
                 for j in range(m):
                     assert red.rref[i][j] == F(int(rref[i, j].p),
                                                int(rref[i, j].q))
-            for vec in red.kernel_basis():
+            for vec in kernel_vectors(red, m):
                 assert all(x == 0 for x in _linalg.mat_vec(rows, vec))
 
 
@@ -544,8 +552,8 @@ class TestAgainstGaussJordan:
     def test_rank_zero(self):
         red = _linalg.row_reduce(_zero(None, (3, 4)))
         assert (red.rank, red.pivots, red.rref) == (0, (), ())
-        assert red.kernel_basis() == [[F(int(i == j)) for i in range(4)]
-                                      for j in range(4)]
+        assert kernel_vectors(red, 4) == [[F(int(i == j)) for i in range(4)]
+                                          for j in range(4)]
 
     @pytest.mark.parametrize("family", [_exchanges, _big, _hankel],
                              ids=["exchanges", "big", "hankel"])
@@ -666,3 +674,62 @@ class TestPsdAgainstSympy:
                             for i in range(len(rows))
                             for j in range(len(rows)))
                 assert isinstance(value, Fraction) and value < 0
+
+
+def _psd_reference(rows, pivots):
+    """The witness of ``psd_exact`` given A's pivot columns, each lift
+    u_j solved afresh by ``solve_linear`` on the leading block A_k."""
+    block = [[rows[i][j] for j in pivots] for i in pivots]
+    work, _, _, order = _linalg._eliminate(block, len(pivots))
+    size = len(block)
+    k = next(k for k in range(size) if order[k] != k or work[k][k] < 0)
+
+    def lift(j):
+        head = _linalg.solve_linear([row[:k] for row in block[:k]],
+                                    [row[j] for row in block[:k]])
+        return [-y for y in head] + [F(int(i == j)) for i in range(k, size)]
+
+    def form(u, v):
+        return _linalg.dot(u, _linalg.mat_vec(block, v))
+
+    v = lift(k)
+    if form(v, v) == 0:
+        u = lift(order[k])
+        t = form(v, u) / (abs(form(u, u)) + 1)
+        v = [a - t * b for a, b in zip(v, u)]
+    witness = [F(0)] * len(rows)
+    for pos, i in enumerate(pivots):
+        witness[i] = v[pos]
+    return witness
+
+
+def test_psd_witness_lifts_read_the_block_elimination(monkeypatch):
+    # Seeded symmetric matrices of the three families, most of them not
+    # PSD: the witness is the one the solve_linear lifts give, and A and
+    # its block A[P,P] are each eliminated once (the block alone when the
+    # pivots are given).
+    calls = []
+    eliminate = _linalg._eliminate
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return eliminate(rows, ncols)
+
+    rng = random.Random(30)
+    lifted = 0
+    for _ in range(150):
+        for family in (_gram, _perturbed, _sparse):
+            rows = family(rng, rng.randint(1, 7))
+            pivots = list(_linalg.row_reduce(rows).pivots)
+            monkeypatch.setattr(_linalg, "_eliminate", counted)
+            calls.clear()
+            ok, witness = _linalg.psd_exact(rows)
+            assert len(calls) == (1 if ok else 2)
+            calls.clear()
+            assert _linalg.psd_exact(rows, pivots) == (ok, witness)
+            assert len(calls) == 1
+            monkeypatch.setattr(_linalg, "_eliminate", eliminate)
+            if not ok:
+                lifted += 1
+                assert witness == _psd_reference(rows, pivots)
+    assert lifted > 150

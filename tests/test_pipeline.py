@@ -95,7 +95,7 @@ def test_solve_with_reduced_test_reuses_the_variety(calls):
 def test_extend_reuses_each_extension(calls):
     # M(3) -> M(4) -> M(5) is flat; the handoff solve reads M(5)'s stages.
     assert cli("extend", moments("ex71")) == 0
-    assert calls == {"build_moment_matrix": 3, "psd_check": 2,
+    assert calls == {"build_moment_matrix": 3, "psd_check": 3,
                      "rank_kernel": 3, "compute_variety": 1,
                      "solve_extremal": 1}
 
@@ -108,7 +108,7 @@ def test_extend_builds_each_matrix_once(fixture, calls):
     cli("extend", moments(fixture))
     assert calls["build_moment_matrix"] == 1 + extended
     assert calls["rank_kernel"] == 1 + extended
-    assert calls["psd_check"] == extended
+    assert calls["psd_check"] == 1 + extended
     assert calls["compute_variety"] <= 1
 
 

@@ -12,7 +12,7 @@ import extremal_moments as em
 from extremal_moments import _linalg, _roots, variety
 from extremal_moments._roots import REFINE_WIDTH
 from extremal_moments.cli import run
-from extremal_moments.moments import kernel_products
+from extremal_moments.moments import macaulay_rows
 from extremal_moments.polycore import (
     InputError,
     Polynomial,
@@ -182,9 +182,9 @@ def _sympy_quotient(kernel):
     n = max(int(p.degree) for p in kernel)
     for top in range(n + 1, 2 * n + 3):
         columns = monomial_basis(d, top)[::-1]
-        rows = [[sympy.Rational(terms.get(m, 0)) for m in columns]
-                for _, _, terms in kernel_products(kernel, top)]
-        rref, pivots = sympy.Matrix(rows).rref()
+        rows = _reference_rows([(p, top - int(p.degree)) for p in kernel],
+                               columns, False)
+        rref, pivots = sympy.Matrix(rows).applyfunc(sympy.Rational).rref()
         row_of = {columns[j]: r for r, j in enumerate(pivots)}
         full = next((e for e in range(top + 1) if all(
             m in row_of for m in columns if sum(m) == e)), None)
@@ -244,18 +244,21 @@ def test_quotient_against_sympy_rref(fixture):
         assert sympy.Matrix(vector) == scale**sum(a) * power
 
 
-def _scattered_rows(products, columns, exact):
-    """The Macaulay rows built from ``kernel_products`` triples, each
-    product's monomials scattered onto *columns* by tuple lookup: the
-    reference for the integer-coded ``variety._macaulay_rows``."""
+def _reference_rows(elements, columns, integers):
+    """The rows of ``moments.macaulay_rows`` by polynomial multiplication:
+    each Polynomial.monomial(d, s) * p of ``(p, k)`` in *elements*, |s| <=
+    k, scattered onto *columns* by tuple lookup, p cleared of its
+    denominators first with *integers*."""
     where = {m: j for j, m in enumerate(columns)}
     rows = []
-    for p, _, terms in products:
-        coeffs = clear_denominators(p.terms.values())[0] if exact \
-            else list(p.terms.values())
-        rows.append([0] * len(columns))
-        for m, c in zip(terms, coeffs):
-            rows[-1][where[m]] = c
+    for p, k in elements:
+        if integers:
+            p = Polynomial(p.d, dict(zip(
+                p.terms, clear_denominators(p.terms.values())[0])))
+        for s in monomial_basis(p.d, k):
+            rows.append([0] * len(columns))
+            for m, c in (Polynomial.monomial(p.d, s) * p).terms.items():
+                rows[-1][where[m]] = c
     return rows
 
 
@@ -295,22 +298,90 @@ def _assembly_kernels():
 
 @pytest.mark.parametrize("kernel", _assembly_kernels())
 def test_macaulay_rows_match_the_scattered_products(kernel):
-    # Every degree _quotient tries, and _common_factor's shifts of the
-    # lowest element followed by the kernel over the ascending columns.
+    # Every degree _quotient tries, over descending columns and in
+    # integers for an exact kernel; propagation's raw rows over ascending
+    # columns up to every such degree (2n + 2 the last); recursiveness's
+    # up to n; and _common_factor's shifts of the lowest element followed
+    # by the kernel.
     d, exact = kernel[0].d, all(p.is_exact for p in kernel)
     n = max(int(p.degree) for p in kernel)
-    for top in range(n + 1, 2 * n + 3):
-        columns = monomial_basis(d, top)[::-1]
-        assert variety._macaulay_rows(
-            [(p, top - int(p.degree)) for p in kernel], columns, exact) \
-            == _scattered_rows(kernel_products(kernel, top), columns, exact)
+    for top in range(n, 2 * n + 3):
+        elements = [(p, top - int(p.degree)) for p in kernel]
+        columns = monomial_basis(d, top)
+        assert macaulay_rows(elements, columns, False) \
+            == _reference_rows(elements, columns, False)
+        assert macaulay_rows(elements, columns[::-1], exact) \
+            == _reference_rows(elements, columns[::-1], exact)
     g = min(kernel, key=lambda p: p.degree)
-    products = list(kernel_products([g], n)) + [(p, (0,) * d, p.terms)
-                                                for p in kernel]
+    elements = [(g, n - int(g.degree))] + [(p, 0) for p in kernel]
     columns = monomial_basis(d, n)
-    assert variety._macaulay_rows(
-        [(g, n - int(g.degree))] + [(p, 0) for p in kernel], columns,
-        exact) == _scattered_rows(products, columns, exact)
+    assert macaulay_rows(elements, columns, exact) \
+        == _reference_rows(elements, columns, exact)
+
+
+def _dense_kernel(reduction, labels) -> list:
+    """The kernel as dense delta-form vectors gave it: Fraction zeros, 1 on
+    the free column and -rref[i][f] on each pivot column whose entry is
+    nonzero, made a Polynomial over *labels* (which drops the zeros)."""
+    pivots = set(reduction.pivots)
+    kernel = []
+    for f in (j for j in range(len(labels)) if j not in pivots):
+        vec = [F(0)] * len(labels)
+        vec[f] = F(1)
+        for i, p in enumerate(reduction.pivots):
+            if reduction.rref[i][f] != 0:
+                vec[p] = -reduction.rref[i][f]
+        kernel.append(Polynomial(len(labels[0]), dict(zip(labels, vec))))
+    return kernel
+
+
+def _bytes(polys) -> list:
+    """Each polynomial's terms in order, a float as ``float.hex``."""
+    return [[(m, type(c), c.hex() if isinstance(c, float) else c)
+             for m, c in p.terms.items()] for p in polys]
+
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_kernel_polynomials_match_the_dense_vectors(fixture, mode):
+    # M(n) of every fixture and its float twin, and W_k of its variety's
+    # points for k <= 2n: rank_kernel's kernel and vanishing_ideal's W_k
+    # relations, against the dense vectors and against the relations
+    # built pivots first with the unit term last (same terms and values).
+    beta = em.load_multisequence(fixture_path(f"{fixture}.moments.json"))
+    pipe = em.Pipeline(beta if mode == "exact" else as_float(beta))
+    matrix = pipe.matrix
+    reduction = _linalg.row_reduce(matrix.rows)
+    want = _bytes(_dense_kernel(reduction, matrix.basis))
+    assert _bytes(reduction.kernel_polynomials(matrix.basis)) == want
+    assert _bytes(pipe.kernel.kernel) == want
+    assert [next(iter(p.terms.keys() - set(pipe.kernel.pivots)))
+            for p in pipe.kernel.kernel] == list(pipe.kernel.free)
+    points = pipe.variety.points  # none on the hyperbola
+    for k in range(2 * matrix.n + 1) if points else ():
+        columns = monomial_basis(matrix.d, k)
+        reduction = _linalg.row_reduce(em.build_W(points, k).rows)
+        want = _dense_kernel(reduction, columns)
+        relations, complete = vanishing_ideal(
+            VarietyReport.of_points(points), k, matrix.d)
+        assert complete
+        assert _bytes(relations.values()) == _bytes(want)
+        assert list(relations) == [a for j, a in enumerate(columns)
+                                   if j not in reduction.pivots]
+        assert relations == {a: Polynomial(matrix.d, {
+            **{columns[p]: -row[j]
+               for row, p in zip(reduction.rref, reduction.pivots)},
+            a: F(1)}) for j, a in enumerate(columns)
+            if j not in reduction.pivots}
+
+
+def test_no_points_make_every_monomial_a_relation():
+    # row_reduce(()) has no columns; the relations still cover them all.
+    for d, k in ((1, 3), (2, 2), (3, 1)):
+        relations, complete = vanishing_ideal(VarietyReport("Finite"), k, d)
+        assert complete
+        assert relations == {a: Polynomial.monomial(d, a)
+                             for a in monomial_basis(d, k)}
 
 
 def _commute_by_mat_vec(a, b):

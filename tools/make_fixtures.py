@@ -23,14 +23,12 @@ OUT = ROOT / "fixtures"
 
 
 def degree_lex(d: int, bound: int):
-    out = []
-    for total in range(bound + 1):
-        for j in range(total + 1):
-            if d == 2:
-                out.append((total - j, j))
-            else:
-                raise ValueError("only d=2 fixtures are generated here")
-    return out
+    if d == 1:
+        return [(k,) for k in range(bound + 1)]
+    if d != 2:
+        raise ValueError("only d=1 and d=2 fixtures are generated here")
+    return [(total - j, j) for total in range(bound + 1)
+            for j in range(total + 1)]
 
 
 def write_moments(name: str, d: int, degree: int, values: dict):
@@ -83,6 +81,13 @@ EX44 = {
     (6, 0): "5", (5, 1): "14", (4, 2): "42", (3, 3): "200", (2, 4): "5868",
     (1, 5): "386568", (0, 6): "26992856",
 }
+
+#: d=1: M(2) has the kernel element x, but x * x leaves the kernel, since
+#: Lambda(x^4) = 1: the data is not recursively generated.
+NONRECURSIVE = {(0,): "1", (1,): "0", (2,): "0", (3,): "0", (4,): "1"}
+
+#: d=1: M(1) is invertible but not PSD, Lambda(x^2) = -1.
+NOT_PSD = {(0,): "1", (1,): "0", (2,): "-1"}
 
 EX71 = {
     (0, 0): "1", (1, 0): "0", (0, 1): "0",
@@ -170,6 +175,8 @@ def main() -> int:
     write_moments("ex42_hyperbola.moments.json", 2, 6, EX42_HYPERBOLA)
     write_moments("ex44.moments.json", 2, 6, EX44)
     write_moments("ex71.moments.json", 2, 6, EX71)
+    write_moments("nonrecursive.moments.json", 1, 4, NONRECURSIVE)
+    write_moments("not_psd.moments.json", 1, 2, NOT_PSD)
 
     unit = [1] * 8
     write_moments("prop61.moments.json", 2, 6, curve_moments(unit, 6))

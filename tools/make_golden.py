@@ -7,9 +7,12 @@ and ``extend``, the file written through ``--out``.  ``tests/test_golden.py``
 replays the cases listed in ``tests/golden/MANIFEST.json`` and compares byte
 for byte, so a refactor that changes any printed character fails there.
 
-Cases: the seven paper fixtures x {analyze, solve, variety, extend} in exact
-mode (text and structured format) and in ``--mode float`` (text format),
-plus ``synth`` from each of its three sources.
+Cases: the seven paper fixtures and two d=1 ones whose verdicts no paper
+fixture reaches (``nonrecursive``: a kernel that is not recursively
+generated; ``not_psd``: an invertible M(1) that is not PSD) x {analyze,
+solve, variety, extend} in exact mode (text and structured format) and in
+``--mode float`` (text format), plus ``synth`` from each of its three
+sources.
 
 Run from the repository root:
 
@@ -38,7 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from extremal_moments.cli import run  # noqa: E402
 
 FIXTURES = ("ex42_hyperbola", "example15", "prop61", "ex44", "prop61_deg8",
-            "ex71", "thm62_a8_8")
+            "ex71", "thm62_a8_8", "nonrecursive", "not_psd")
 COMMANDS = ("analyze", "solve", "variety", "extend")
 #: Commands whose --out artifact is recorded.
 WRITES = ("solve", "variety", "extend")
