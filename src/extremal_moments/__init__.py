@@ -13,7 +13,6 @@ from .moments import (
     build_moment_matrix,
     dump_multisequence,
     load_multisequence,
-    multisequence_combine,
     psd_check,
     rank_kernel,
     recursiveness_check,
@@ -23,7 +22,6 @@ from .variety import (
     build_W,
     compute_variety,
     dump_points,
-    eval_matrix_rank,
     injectivity_check,
     load_points,
     vandermonde_VB,
@@ -74,7 +72,6 @@ __all__ = [
     "dump_measure",
     "dump_multisequence",
     "dump_points",
-    "eval_matrix_rank",
     "example14_gamma",
     "extension_search",
     "injectivity_check",
@@ -84,7 +81,6 @@ __all__ = [
     "load_points",
     "moments_of_atoms",
     "monomial_basis",
-    "multisequence_combine",
     "propagate_recursive_extension",
     "psd_check",
     "rank_kernel",

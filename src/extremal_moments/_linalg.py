@@ -1,14 +1,19 @@
 """Exact (rational) and floating linear algebra used across the package.
 
-Every exact path runs through one fraction-free elimination,
-``_eliminate``: each row is scaled to integers and the forward elimination
-uses Bareiss one-step updates, so ranks, pivot columns, kernels, solutions,
-determinants and the positive-semidefinite decision are computed without
-rounding.  The elimination behind a reduction also records whether every
-pivot came, in order, from the row of its column and was positive: for a
-symmetric matrix that is the PSD decision itself, so a reduction of M(n)
-decides M(n) >= 0 and ``psd_exact`` eliminates again only to build a
-witness.  The RREF and exact solutions come from one fraction-free back
+Every exact path runs through one fraction-free elimination, ``_eliminate``:
+each row is scaled to integers and the forward elimination uses Bareiss
+one-step updates, so ranks, pivot columns, kernels, solutions, determinants
+and the positive-semidefinite decision are computed without rounding.  A
+square symmetric input (M(n), its blocks, an extended M(n+1)) is eliminated
+on its upper triangle while every pivot is positive and on the diagonal,
+each lower entry being an upper one times a ratio of row scales
+(``_symmetric_steps``); at the first other pivot the lower entries are
+filled in and the general loop goes on, with the same result.  The
+elimination behind a reduction also records whether every pivot came, in
+order, from the row of its column and was positive: for a symmetric matrix
+that is the PSD decision itself, so a reduction of M(n) decides M(n) >= 0
+and ``psd_exact`` eliminates again only to build a witness.  The RREF and
+exact solutions come from one fraction-free back
 substitution, ``_back_substitute``, in integers and on chosen columns only
 (a solve's one free column is its right-hand side): the last pivot D times
 the RREF is an integer matrix, so each entry takes one exact division.  An
@@ -230,26 +235,31 @@ def _eliminate(rows, ncols):
     space, the kernel, nor the pivot columns), then eliminated with the
     Bareiss one-step formula, so every entry stays an integer and the pivot
     of step k is a k x k minor of the scaled matrix: with no row exchange,
-    the leading one.  Returns ``(work, pivots, scale, order)``: the echelon
-    rows, the pivot columns, the product of the row scales (positive) and
-    the row order, ``order[i]`` being the input row now at position i.
+    the leading one.  A square symmetric input takes ``_symmetric_steps``
+    first, on upper triangles, for as long as its pivots are positive and
+    on the diagonal; the general loop goes on from where they stop.
+    Returns ``(work, pivots, scale, order)``: the echelon rows, the pivot
+    columns, the product of the row scales (positive) and the row order,
+    ``order[i]`` being the input row now at position i.
     """
     work = []
-    scale = 1
+    scales = []
     for row in rows:
         if {*map(type, row)} == {int}:
             work.append(list(row))
+            scales.append(1)
             continue
         lcm = math.lcm(*[x.denominator for x in row])
         work.append([x.numerator * (lcm // x.denominator) for x in row])
-        scale *= lcm
+        scales.append(lcm)
     nrows, width = len(work), len(work[0]) if work else 0
 
     pivots = []
     order = list(range(nrows))
-    prev = 1
-    r = 0
-    for c in range(ncols):
+    start, r, prev = 0, 0, 1
+    if nrows == width == ncols and _symmetric(rows):
+        start, r, prev = _symmetric_steps(work, scales, pivots, order)
+    for c in range(start, ncols):
         pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -270,7 +280,67 @@ def _eliminate(rows, ncols):
         r += 1
         if r == nrows:
             break
-    return work, pivots, scale, order
+    return work, pivots, math.prod(scales), order
+
+
+def _symmetric(rows) -> bool:
+    """Is the square matrix *rows* symmetric?  Entries are compared by
+    identity first: M(n) repeats each moment's own object."""
+    return all(a is b or a == b for i, row in enumerate(rows)
+               for a, b in zip(row[i + 1:], (other[i] for other in
+                                             rows[i + 1:])))
+
+
+def _symmetric_steps(work, scales, pivots, order) -> tuple:
+    """The first steps of ``_eliminate`` on the scaled rows *work* of a
+    symmetric A, row i scaled by scales[i], on upper triangles only, while
+    every pivot is positive and on the diagonal (Bareiss 1968): exactly the
+    steps that ``_positive_diagonal`` accepts, so a PSD A takes all of them.
+
+    After steps with pivot set S, all on the diagonal, entry (i, j) is the
+    minor of the scaled rows on S + i and S + j, that is scales[i] times a
+    symmetric minor of A times the scales of S: so entry (i, j) is entry
+    (j, i) times scales[i] / scales[j], an exact division, and a step
+    updates row i on columns j >= i only, reading its head entry that way.
+    A zero diagonal entry whose row is zero on and above the diagonal
+    leaves the whole row zero, and its column is no pivot, as in the
+    general loop.  Input rows after the current column keep their
+    positions, so the general loop's exchanges (a pivot row with a zero
+    row) are made as it makes them.  At the first pivot that is not
+    positive or not on the diagonal, the remaining rows' lower entries are
+    filled the same way and ``(c, r, prev)`` is returned: the column to go
+    on from, the pivots taken, and the last pivot; *pivots* and *order*
+    are updated in place, and every row then equals that of the general
+    loop."""
+    n = len(work)
+    r, prev = 0, 1
+    for c in range(n):
+        row_c = work[c]  # input row c: rows after the last pivot stay put
+        piv = row_c[c]
+        if piv <= 0:
+            if not any(row_c[c:]):
+                row_c[:c] = [0] * c
+                continue
+            for i in range(c, n):
+                row_i = work[i]
+                row_i[:c] = [0] * c
+                row_i[c:i] = [work[j][i] * scales[i] // scales[j]
+                              for j in range(c, i)]
+            return c, r, prev
+        if c != r:
+            work[r], work[c] = row_c, work[r]
+            order[r], order[c] = order[c], order[r]
+        row_c[:c] = [0] * c
+        for i in range(c + 1, n):
+            row_i = work[i]
+            head = row_c[i] if scales[i] == scales[c] \
+                else row_c[i] * scales[i] // scales[c]
+            row_i[i:] = [(x * piv - head * y) // prev
+                         for x, y in zip(row_i[i:], row_c[i:])]
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return n, r, prev
 
 
 def _row_reduce_float(rows, nrows, ncols) -> LinearReduction:

@@ -16,7 +16,7 @@ and ``variety`` read.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from . import _linalg
 from .polycore import (
@@ -85,20 +85,6 @@ class Multisequence:
     def scale(self) -> float:
         """Magnitude reference for relative tolerances."""
         return magnitude(self.values.values())
-
-
-def multisequence_combine(parts: Sequence, coeffs: Sequence) -> Multisequence:
-    """Scalar linear combination of multisequences of equal shape."""
-    if not parts:
-        raise ValueError("need at least one multisequence")
-    d, degree = parts[0].d, parts[0].degree
-    for p in parts:
-        if (p.d, p.degree) != (d, degree):
-            raise ValueError("multisequence shapes differ")
-    return Multisequence(d, degree, {
-        idx: _linalg.dot(map(ensure_scalar, coeffs),
-                         (part[idx] for part in parts))
-        for idx in monomial_basis(d, degree)})
 
 
 def riesz(beta: Multisequence, p: Polynomial) -> Scalar:

@@ -17,7 +17,11 @@ by its radical first.  The exact stage computes in integers: the Macaulay
 rows are kernel elements cleared of their denominators once, and the normal
 forms and Krylov coordinates are read off the fraction-free elimination as
 integers over one scale (``LinearReduction.integer_columns``); Fractions
-are made only for the points and the relations that are printed.
+are made only for the points and the relations that are printed.  The
+integer multiplication matrices are read once as sparse columns
+(``_columns``), so each product with x_i or with a form t multiplies only
+nonzero entries of both factors (``_times``); float matrices keep
+``_linalg.mat_vec``, whose order of summation fixes their bytes.
 In two variables an exact kernel is first tested for a common factor g of
 its own: the one element of lowest degree, when its products x^s * g of
 degree <= n span the kernel (one exact elimination).  Such a g certifies
@@ -284,10 +288,12 @@ def _quotient(kernel, exact: bool):
         entries = [x for m in shifts for x in normal_form[m]]
         mats = [[entries[i * size * size + k::size][:size]
                  for k in range(size)] for i in range(d)]
-        if not all(_commute(a, b, exact) for a, b in combinations(mats, 2)):
+        factors = [_columns(m) for m in mats] if exact else mats
+        if not all(_commute(a, b, exact)
+                   for a, b in combinations(factors, 2)):
             continue
-        images = _images(monomial_basis(d, n), mats,
-                         {(0,) * d: [0] * (size - 1) + [1]})
+        images = _images(monomial_basis(d, n), factors,
+                         {(0,) * d: [0] * (size - 1) + [1]}, exact)
         if _annihilates(kernel, images, scale, exact):
             return basis, mats, scale, images
     return None
@@ -303,33 +309,55 @@ def _lower(b) -> tuple:
     return b[:i] + (b[i] - 1,) + b[i + 1:]
 
 
-def _images(monomials, mats, images) -> dict:
+def _columns(matrix) -> list:
+    """The integer *matrix* as sparse columns: column k as the (row, entry)
+    pairs of its nonzero entries."""
+    return [[(r, x) for r, x in enumerate(column) if x]
+            for column in zip(*matrix)]
+
+
+def _times(columns, vector) -> list:
+    """The integer matrix of sparse *columns* times the integer *vector*:
+    only nonzero entries of both are multiplied.  Integer sums are exact in
+    any order, so the result is ``_linalg.mat_vec``'s; a float matrix keeps
+    ``mat_vec``, whose order of summation fixes its bytes."""
+    out = [0] * len(columns)
+    for x, column in zip(vector, columns):
+        if x:
+            for r, a in column:
+                out[r] += a * x
+    return out
+
+
+def _images(monomials, mats, images, exact: bool) -> dict:
     """The known *images* {a: scale**|a| * x^a * 1}, holding 1, extended to
-    *monomials*, each listed after its _lower; *images* is not changed."""
+    *monomials*, each listed after its _lower, by the matrices *mats*
+    (exact ones as ``_columns``); *images* is not changed."""
+    product = _times if exact else _linalg.mat_vec
     images = dict(images)
     for a in monomials:
         if a not in images:
-            images[a] = _linalg.mat_vec(
-                mats[next(i for i, e in enumerate(a) if e)],
-                images[_lower(a)])
+            images[a] = product(mats[next(i for i, e in enumerate(a) if e)],
+                                images[_lower(a)])
     return images
 
 
 def _commute(a, b, exact: bool) -> bool:
-    """Is ab = ba, up to ``negligible`` against |a||b| for floats?  Float
-    matrices are multiplied by numpy, and the largest entry of ab - ba is
-    tested (a NaN is never negligible)."""
-    if not exact:
-        import numpy as np
+    """Is ab = ba, up to ``negligible`` against |a||b| for floats?  Exact
+    matrices come as ``_columns`` and must agree on every unit vector.
+    Float matrices are multiplied by numpy, and the largest entry of
+    ab - ba is tested (a NaN is never negligible)."""
+    if exact:
+        size = len(a)
+        return all(_times(a, _times(b, e)) == _times(b, _times(a, e))
+                   for e in ([0] * k + [1] + [0] * (size - k - 1)
+                             for k in range(size)))
+    import numpy as np
 
-        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-        bound = len(a) * np.max(np.abs(a), initial=0) * np.max(np.abs(b),
-                                                                initial=0)
-        return negligible(np.max(np.abs(a @ b - b @ a), initial=0),
-                          float(bound))
-    ab = [_linalg.mat_vec(a, col) for col in zip(*b)]
-    ba = [_linalg.mat_vec(b, col) for col in zip(*a)]
-    return all(negligible(x - y) for u, v in zip(ab, ba) for x, y in zip(u, v))
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    bound = len(a) * np.max(np.abs(a), initial=0) * np.max(np.abs(b),
+                                                            initial=0)
+    return negligible(np.max(np.abs(a @ b - b @ a), initial=0), float(bound))
 
 
 def _annihilates(kernel, images, scale, exact: bool) -> bool:
@@ -373,6 +401,7 @@ def _variety_exact(kernel, quotient) -> VarietyReport:
     for an irrational tau."""
     basis, mats, scale, _ = quotient
     d = len(mats)
+    mats = [_columns(m) for m in mats]
     form = _spanning_form(mats, scale)
     if form is None:
         return VarietyReport("Unknown", reason="no separating linear form")
@@ -393,6 +422,7 @@ def _variety_exact(kernel, quotient) -> VarietyReport:
             return VarietyReport("Unknown", reason="no normal set of the "
                                                    "radical ideal")
         basis, mats, scale, _ = quotient
+        mats = [_columns(m) for m in mats]
         isolated_c = c if h is not None else None
         form = _spanning_form(mats, scale)
         if form is None or form[2] is None:
@@ -436,17 +466,27 @@ def _spanning_form(mats, scale):
     multiple root, which shows that A is not reduced.  None when no form
     among the first 2 d N**2 + 1 does either: a reduced A of dimension N
     has a spanning one there, since each pair of its N points agrees on
-    t for at most d - 1 values of c."""
+    t for at most d - 1 values of c.  The *mats* and t are ``_columns``."""
     d, size = len(mats), len(mats[0])
-    xs = [[row[-1] for row in m] for m in mats]  # scale * x_i * 1
+    one = [0] * (size - 1) + [1]
+    xs = [_times(m, one) for m in mats]  # scale * x_i * 1
     for c in _integer_nodes(2 * d * size**2 + 1):
-        t = mats[0] if c == 0 else [
-            [sum(c**i * m[r][k] for i, m in enumerate(mats))
-             for k in range(size)] for r in range(size)]
+        t = mats[0] if c == 0 else [_combine(columns, c)
+                                    for columns in zip(*mats)]
         t_minimal, h = _krylov(t, scale, xs)
         if h is not None or _roots.squarefree_part(t_minimal)[1]:
             return c, t_minimal, h
     return None
+
+
+def _combine(columns, c) -> list:
+    """sum c**i * columns[i] for sparse columns, as a sparse column."""
+    total = {}
+    for i, column in enumerate(columns):
+        weight = c**i
+        for r, x in column:
+            total[r] = total.get(r, 0) + weight * x
+    return [(r, x) for r, x in total.items() if x]
 
 
 def _integer_nodes(count: int) -> list:
@@ -456,17 +496,17 @@ def _integer_nodes(count: int) -> list:
 
 def _krylov(matrix, scale, xs) -> tuple:
     """``(f, h)``: f a positive integer multiple of the minimal polynomial
-    of t = matrix / scale on A, ascending, and h the coordinates of each
-    vector of *xs* / scale on 1, t, t**2, ..., each a pair (ints, den) of
-    the integer list ints over the positive den, or None when these do not
-    span A.  It runs on the primitive integer vectors
+    of t = matrix / scale on A (*matrix* as ``_columns``), ascending, and
+    h the coordinates of each vector of *xs* / scale on 1, t, t**2, ...,
+    each a pair (ints, den) of the integer list ints over the positive den,
+    or None when these do not span A.  It runs on the primitive integer vectors
     w_j = scale**j / C_j * t**j * 1, C_j the product of the contents
     removed so far; the RREF of the columns w_j and *xs* is read in
     integers (``integer_columns``), on the first free column alone when
     they do not span A."""
     vectors, contents = [[0] * (len(matrix) - 1) + [1]], [1]
     for _ in matrix:
-        vector = _linalg.mat_vec(matrix, vectors[-1])
+        vector = _times(matrix, vectors[-1])
         content = math.gcd(*vector) or 1
         vectors.append([x // content for x in vector])
         contents.append(contents[-1] * content)
@@ -488,10 +528,11 @@ def _krylov(matrix, scale, xs) -> tuple:
 
 def _squarefree_at(basis, matrix, scale, squarefree) -> Polynomial:
     """scale**deg(f) * f(x_i) * 1 on *basis* as a polynomial, by Horner:
-    f the integer list *squarefree*, x_i = matrix / scale."""
+    f the integer list *squarefree*, x_i = matrix / scale (*matrix* as
+    ``_columns``)."""
     value = [0] * len(basis)
     for k, a in enumerate(reversed(squarefree)):
-        value = _linalg.mat_vec(matrix, value)
+        value = _times(matrix, value)
         value[-1] += a * scale**k
     return Polynomial(len(basis[0]), dict(zip(basis, value)))
 
@@ -630,10 +671,6 @@ def build_W(points: Sequence[Point], k: int, d: Optional[int] = None) -> EvalMat
                       tuple(zip(*columns)))
 
 
-def eval_matrix_rank(matrix: EvalMatrix) -> int:
-    return _linalg.row_reduce(matrix.rows).rank
-
-
 def vanishing_ideal(variety: VarietyReport, k: int, d: int) -> tuple:
     """``(relations, complete)``: the x^a - NF(x^a) of degree <= k vanishing
     on *variety*, one for each monomial a outside the degree-lex normal
@@ -673,7 +710,7 @@ def _relation_images(variety: VarietyReport, k: int, d: int):
     basis, mats, _, images = quotient
     normal = set(basis)
     monomials = monomial_basis(d, k)
-    images = _images(monomials, mats, images)
+    images = _images(monomials, [_columns(m) for m in mats], images, True)
     return {a: images[a] for a in monomials if a not in normal}
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 import extremal_moments as em
+from extremal_moments import _linalg
+from extremal_moments.polycore import ensure_scalar
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -14,6 +16,25 @@ FIXTURES = ROOT / "fixtures"
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
+
+
+def multisequence_combine(parts, coeffs):
+    """Scalar linear combination of multisequences of equal shape."""
+    if not parts:
+        raise ValueError("need at least one multisequence")
+    d, degree = parts[0].d, parts[0].degree
+    for p in parts:
+        if (p.d, p.degree) != (d, degree):
+            raise ValueError("multisequence shapes differ")
+    return em.Multisequence(d, degree, {
+        idx: _linalg.dot(map(ensure_scalar, coeffs),
+                         (part[idx] for part in parts))
+        for idx in em.monomial_basis(d, degree)})
+
+
+def eval_matrix_rank(matrix) -> int:
+    """The rank of the evaluation matrix W_k."""
+    return _linalg.row_reduce(matrix.rows).rank
 
 
 def as_float(beta):

@@ -18,6 +18,8 @@ import extremal_moments as em
 from extremal_moments.polycore import Polynomial
 from extremal_moments.variety import VarietyReport, vanishing_ideal
 
+from conftest import eval_matrix_rank, multisequence_combine
+
 SQRT6 = math.sqrt(6.0)
 SQRT13 = math.sqrt(13.0)
 SQRT15 = math.sqrt(15.0)
@@ -136,7 +138,7 @@ def test_criterion_1_parabola_circle_end_to_end(ex15, capsys):
             c.close(f"point {i} y (tol 1e-9)", g[1], w[1], 1e-9)
 
         w4 = em.build_W(var.points, 4)
-        rank_w4 = em.eval_matrix_rank(w4)
+        rank_w4 = eval_matrix_rank(w4)
         c.equal("rank W_4", rank_w4, 4)
         c.equal("dim ker W_4", len(w4.monomials) - rank_w4, 11)
         for i, terms in enumerate(PARABOLA_CIRCLE_IDEAL, start=1):
@@ -216,7 +218,7 @@ def _scenario_family(base):
         2, 6, em.moments_of_atoms(2, 6, [(F(1, 2), F(1, 8))], [F(1)]))
 
     def beta(a8):
-        return em.multisequence_combine([base, bump], [F(1), a8 - F(8)])
+        return multisequence_combine([base, bump], [F(1), a8 - F(8)])
 
     return beta
 

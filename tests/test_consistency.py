@@ -17,7 +17,7 @@ from extremal_moments.variety import (
     vanishing_ideal,
 )
 
-from conftest import as_float, fixture_path
+from conftest import as_float, fixture_path, multisequence_combine
 
 
 #: Exact correction polynomial of the curve scenario (vanishes on the eight
@@ -288,14 +288,14 @@ class TestQuotientConsistency:
     def test_derivation_part_of_any_size_is_refuted(self, prop61,
                                                     thm62_a8_8, eps):
         # The measure part of thm62_a8_8 plus eps times its derivation part.
-        beta = em.multisequence_combine([prop61, thm62_a8_8], [1 - eps, eps])
+        beta = multisequence_combine([prop61, thm62_a8_8], [1 - eps, eps])
         report = em.solve_extremal(beta)
         assert (report.status, report.reason) == ("NoMeasure", "Inconsistent")
         assert report.witness.terms == H_TERMS
         assert report.value == F(-405, 128) * eps
 
     def test_measure_part_alone_is_a_measure(self, prop61, thm62_a8_8):
-        beta = em.multisequence_combine([prop61, thm62_a8_8], [1, 0])
+        beta = multisequence_combine([prop61, thm62_a8_8], [1, 0])
         assert em.solve_extremal(beta).status == "Measure"
 
     def test_shifted_ex71_is_consistent(self, ex71):

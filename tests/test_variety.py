@@ -26,6 +26,7 @@ from conftest import (
     as_float,
     conic_without_real_points,
     d3_measure,
+    eval_matrix_rank,
     fixture_path,
 )
 
@@ -692,15 +693,15 @@ class TestEvalMatrices:
     def test_hilbert_function_square_grid(self):
         # H(k) = rank W_k: independent degree <= k monomial evaluations.
         pts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-        assert [em.eval_matrix_rank(em.build_W(pts, k))
+        assert [eval_matrix_rank(em.build_W(pts, k))
                 for k in range(4)] == [1, 3, 4, 4]
 
     def test_rank_w_equals_point_count_when_separated(self, ex15):
         report = em.compute_variety(kernel_of(ex15))
         w = em.build_W(report.points, 2)
-        assert em.eval_matrix_rank(w) == 4
+        assert eval_matrix_rank(w) == 4
         # Degree-4 evaluations cannot exceed the number of points.
-        assert em.eval_matrix_rank(em.build_W(report.points, 4)) == 4
+        assert eval_matrix_rank(em.build_W(report.points, 4)) == 4
 
     def test_injectivity_holds_on_recovered_variety(self, ex15):
         report = em.rank_kernel(em.build_moment_matrix(ex15))
